@@ -30,6 +30,19 @@ Contract (see docs/ARCHITECTURE.md, "Table compilation"):
   whenever it cannot vouch for identity — unknown subclass, unexpected
   topology, inhomogeneous queue structure.  Fallback is always safe.
 
+A kernel may also offer *batch rows*: :meth:`HopKernel.fill_rows`
+computes the central rows of a whole fill step at once, as numpy
+arithmetic, and returns a :class:`HopRows` view the batched fill phase
+consumes directly — no per-key memo, no packed row storage.  Its
+obligation is the same identity: on *every* key, reachable or not, the
+batch row equals :meth:`~repro.sim.tables.RoutingTables.central_row`
+(slots, next queues/states, dynamic flags, internal steps) and each
+candidate's landing queue equals
+:meth:`~repro.sim.tables.RoutingTables.entry_row`.  Returning ``None``
+declines the batch; the tables then gather packed rows by row id
+(``RoutingTables.central_rids``), the path every kernel-less algorithm
+takes.
+
 :class:`TableHopKernel` implements the generic row assembly (first-wins
 slot filtering, the entry fold, injection resolution) on top of two
 per-algorithm primitives — :meth:`TableHopKernel.candidates` and
@@ -55,6 +68,7 @@ __all__ = [
     "SELF_STEP",
     "MOVE_STEP",
     "HopKernel",
+    "HopRows",
     "TableHopKernel",
 ]
 
@@ -64,14 +78,48 @@ SELF_STEP = 1  #: degenerate self-hop: state advances in place
 MOVE_STEP = 2  #: move into a sibling central queue (capacity permitting)
 
 
+class HopRows:
+    """Central rows of one batched fill step (``M`` messages).
+
+    ``slots`` is an ``(M, W)`` int matrix: row ``i`` holds message
+    ``i``'s external candidate slots in ascending order, padded on the
+    right with ``n_slots`` (the engine's permanently occupied sentinel
+    slot).  ``hasint`` is an ``(M,)`` bool array: whether the row has
+    internal steps.  Subclasses implement the two per-pick lookups.
+    """
+
+    __slots__ = ("slots", "hasint")
+
+    def chosen(self, rows, cols, slots):
+        """Per picked candidate ``(rows[k], cols[k])`` (whose slot is
+        ``slots[k]``): ``(next_queue, next_state, entry_queue,
+        entry_state, dynamic)`` int arrays, the entry pair resolved as
+        :meth:`~repro.sim.tables.RoutingTables.entry_row` would."""
+        raise NotImplementedError
+
+    def internal(self, rows) -> list:
+        """The internal ``(action, queue, state)`` step tuples of each
+        row in ``rows``, as :meth:`HopKernel.central_row` states them."""
+        raise NotImplementedError
+
+
 class HopKernel:
     """Base class for compiled hop relations.
 
     Subclasses override the three row methods; each may return ``None``
     per key to decline (the caller falls back to the plan-cache
     translation, which must then produce the identical row or raise the
-    identical error the symbolic evaluation would).
+    identical error the symbolic evaluation would).  Kernels whose hop
+    relation is plain arithmetic also override :meth:`fill_rows`.
     """
+
+    def fill_rows(self, qids, dsts, sids) -> HopRows | None:
+        """Batch central rows for int arrays of keys, or ``None``."""
+        return None
+
+    def memory_bytes(self) -> int:
+        """Bytes of precomputed kernel tables (telemetry estimate)."""
+        return 0
 
     def central_row(self, qid: int, dst_i: int, sid: int):
         return None

@@ -33,7 +33,9 @@ from __future__ import annotations
 
 from typing import Any, Hashable
 
-from ..core.hops import TableHopKernel
+import numpy as np
+
+from ..core.hops import DELIVER_STEP, MOVE_STEP, HopRows, TableHopKernel
 from ..core.queues import QueueId, deliver
 from ..core.routing_function import DYNAMIC_CLASS, RoutingAlgorithm
 from ..topology.hypercube import Hypercube
@@ -194,6 +196,22 @@ class _HypercubeKernel(TableHopKernel):
     pure bit arithmetic.  Down-phase-B hops (clearing a 1 via a
     down-link) survive here and are slot-dropped by the generic
     assembly, exactly as the symbolic path drops them.
+
+    :meth:`fill_rows` states the same relation over whole arrays of
+    keys.  With ``x = u ^ dst``, ``ones = u & x`` (bits to clear) and
+    ``zeros = x ^ ones`` (bits to set), a message's external candidates
+    are one bit mask over the dimensions:
+
+    * phase A: ``zeros`` (oblivious: its lowest bit), plus ``ones`` as
+      dynamic links when adaptive and ``zeros`` is non-zero;
+    * phase B: ``ones`` — only up-links carry class ``qB``, so the
+      down-link hops are dropped; oblivious keeps the lowest bit of
+      ``x`` and drops it too when it is a zero.
+
+    ``_slot[qid, d]`` is the slot a candidate along dimension ``d``
+    uses (a down-link's ``qA`` class, an up-link's ``qB`` class, or the
+    up-link's dynamic class from an adaptive phase-A queue), so slots
+    ascend with the dimension.
     """
 
     def __init__(self, layout, alg: HypercubeHungRouting, adaptive, oblivious):
@@ -205,6 +223,75 @@ class _HypercubeKernel(TableHopKernel):
             range(len(layout.nodes))
         ):
             self.ok = False
+        if self.ok:
+            self._build_slot_table(layout, alg.topology.n)
+
+    def _build_slot_table(self, layout, n: int) -> None:
+        nodes = np.arange(len(layout.nodes), dtype=np.int64)
+        bits = 1 << np.arange(n, dtype=np.int64)
+        up = (nodes[:, None] & bits) != 0  # u -> u ^ 2**d is an up-link
+        nbr = nodes[:, None] ^ bits
+        # Classes per link, in the layout's node-major, dimension-
+        # ascending slot order: (qA,) down; (qB,) or (qB, dynamic) up.
+        width = 1 + up if self.adaptive else np.ones(up.shape, np.int64)
+        base = (np.cumsum(width) - width.ravel()).reshape(width.shape)
+        # Spot-check the layout: node 0 (all down-links), node N-1
+        # (all up-links), and the slot count.
+        mismatch = any(
+            layout.slot_of.get((u, int(nbr[u, d]), QB if up[u, d] else QA))
+            != int(base[u, d])
+            for u in (0, len(nodes) - 1)
+            for d in range(n)
+        )
+        if mismatch or layout.n_slots != int(width.sum()):
+            self.ok = False
+            return
+        slot = np.empty((2 * len(nodes), n), dtype=np.int64)
+        slot[0::2] = (base + up) if self.adaptive else base
+        slot[1::2] = base
+        slot_dst = np.full(layout.n_slots + 1, -1, dtype=np.int64)
+        slot_dst[base] = nbr
+        dyn = np.zeros(layout.n_slots + 1, dtype=np.int64)
+        if self.adaptive:
+            slot_dst[base[up] + 1] = nbr[up]
+            dyn[base[up] + 1] = 1
+        self._slot = slot
+        # Row m: the dimensions in bit mask m (candidate masks < N).
+        self._dims_of = up
+        self._pad = layout.n_slots
+        self._slot_dst = slot_dst
+        self._slot_dyn = dyn
+
+    def memory_bytes(self) -> int:
+        if not self.ok:
+            return 0
+        return sum(
+            a.nbytes for a in (self._slot, self._slot_dst, self._slot_dyn)
+        )
+
+    def fill_rows(self, qids, dsts, sids) -> "_CubeRows":
+        u = qids >> 1
+        phase_a = (qids & 1) == 0
+        x = u ^ dsts
+        ones = u & x
+        zeros = x ^ ones
+        if self.oblivious:
+            cand_a = zeros & -zeros
+            cand_b = x & -x & ones
+        elif self.adaptive:
+            # Static zeros plus dynamic ones, while a zero remains.
+            cand_a = np.where(zeros != 0, x, 0)
+            cand_b = ones
+        else:
+            cand_a = zeros
+            cand_b = ones
+        cand = np.where(phase_a, cand_a, cand_b)
+        slots = np.where(self._dims_of[cand], self._slot[qids], self._pad)
+        slots.sort(axis=1)  # move the padding to the right
+        done = x == 0
+        # Delivery, or phase A with only ones left: switch to qB.
+        hasint = (zeros == 0) & (phase_a | done)
+        return _CubeRows(self, slots, hasint, qids, dsts, sids, done)
 
     def candidates(self, qid: int, dst: int, sid: int):
         u = qid >> 1
@@ -244,6 +331,49 @@ class _HypercubeKernel(TableHopKernel):
         if ~ui & dst & self.mask:
             return ((ui << 1, sid),)
         return (((ui << 1) | 1, sid),)
+
+
+class _CubeRows(HopRows):
+    """Batch rows of :meth:`_HypercubeKernel.fill_rows`.
+
+    Every hop keeps the state and the phase; a phase-A hop lands in
+    ``qB`` when the neighbour has no zero left to set and is not the
+    destination (the entry fold).
+    """
+
+    __slots__ = ("kernel", "qids", "dsts", "sids", "done")
+
+    def __init__(self, kernel, slots, hasint, qids, dsts, sids, done):
+        self.kernel = kernel
+        self.slots = slots
+        self.hasint = hasint
+        self.qids = qids
+        self.dsts = dsts
+        self.sids = sids
+        self.done = done
+
+    def chosen(self, rows, cols, slots):
+        k = self.kernel
+        v = k._slot_dst[slots]
+        phase = self.qids[rows] & 1
+        dst = self.dsts[rows]
+        states = self.sids[rows]
+        queues = (v << 1) | phase
+        fold = (phase == 0) & (v != dst) & ((~v & dst) == 0)
+        return queues, states, queues | fold, states, k._slot_dyn[slots]
+
+    def internal(self, rows) -> list:
+        return [
+            ((DELIVER_STEP, -1, s),) if d
+            else ((MOVE_STEP, q | 1, s),) if h
+            else ()
+            for q, s, d, h in zip(
+                self.qids[rows].tolist(),
+                self.sids[rows].tolist(),
+                self.done[rows].tolist(),
+                self.hasint[rows].tolist(),
+            )
+        ]
 
 
 #: Exact classes the kernel vouches for -> (adaptive, oblivious).

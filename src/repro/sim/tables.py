@@ -37,6 +37,15 @@ compiled engine trusts):
 Rows contain only ints, so the engine's per-message work is integer
 compares and array indexing; identity with the reference engine is
 established by ``tests/test_sim_vector.py``.
+
+The batched fill phase asks for whole steps of central rows at once
+through :meth:`RoutingTables.fill_rows`.  When the hop kernel computes
+batch rows (:meth:`~repro.core.hops.HopKernel.fill_rows`; the hypercube
+schemes), they come straight from numpy arithmetic and nothing is
+stored.  Otherwise :meth:`RoutingTables.central_rids` builds each
+missing row once, packs it into parallel ``(row id, candidate)`` numpy
+arrays, and gathers by row id.  The packed arrays and the row-id index
+are allocated on first use, so a run on batch rows never holds them.
 """
 
 from __future__ import annotations
@@ -46,9 +55,10 @@ from typing import Any, Hashable
 
 import numpy as np
 
+from ..core.hops import HopRows
 from ..core.queues import QueueId
 from ..core.routing_function import RoutingAlgorithm
-from .plans import DELIVER_STEP, SELF_STEP, RoutingPlanCache
+from .plans import DELIVER_STEP, RoutingPlanCache
 
 __all__ = ["EngineCapabilityError", "RoutingTables"]
 
@@ -209,7 +219,7 @@ class RoutingTables:
     # Packed row ids (the batched engine's central-row representation)
     # ------------------------------------------------------------------
     def _init_rows(self) -> None:
-        """(Re)initialize the packed central-row arrays + row-id index.
+        """Forget the packed central-row arrays + row-id index.
 
         A *row id* (rid) names one built central row; the candidate
         data lives in parallel ``(rid, candidate)`` numpy arrays so the
@@ -217,10 +227,20 @@ class RoutingTables:
         touching Python objects.  ``row_entq``/``row_entst`` hold the
         *entry-resolved* landing queue/state per candidate, so the read
         phase needs no further lookups.
+
+        Both are allocated on the first :meth:`central_rid` call
+        (:meth:`_alloc_rows`): engines whose kernel computes batch rows
+        (:meth:`fill_rows`) never pack a row, and the dense index grows
+        with ``queues x nodes``.
         """
+        self._row_n = 0
+        self.row_slots: np.ndarray | None = None
+        self._rowid_dense: np.ndarray | None = None
+        self._rowid_map: dict[tuple[int, int, int], int] | None = None
+
+    def _alloc_rows(self) -> None:
         cap = 256
         width = 4
-        self._row_n = 0
         self.row_slots = np.full((cap, width), self.n_slots, dtype=np.int64)
         self.row_queues = np.full((cap, width), -1, dtype=np.int64)
         self.row_states = np.zeros((cap, width), dtype=np.int64)
@@ -230,20 +250,27 @@ class RoutingTables:
         self.row_hasint = np.zeros(cap, dtype=np.int64)
         #: Internal steps per rid (python tuples; only walked on stalls).
         self.row_internal: list[tuple] = []
-        cells = self.n_queues * len(self.nodes)
-        if 0 < cells <= _DENSE_ROWID_CELLS:
-            self._rowid_dense: np.ndarray | None = np.full(
+        if self.has_rowid_index:
+            return
+        if self.has_dense_rowids:
+            self._rowid_dense = np.full(
                 (self.n_queues, len(self.nodes), 1), -1, dtype=np.int64
             )
-            self._rowid_map: dict[tuple[int, int, int], int] | None = None
         else:
-            self._rowid_dense = None
             self._rowid_map = {}
 
     @property
     def has_dense_rowids(self) -> bool:
-        """Whether row ids are indexed by a dense numpy gather table."""
-        return self._rowid_dense is not None
+        """Whether row ids are (or will be) indexed by a dense numpy
+        gather table rather than a dict."""
+        if self.has_rowid_index:
+            return self._rowid_dense is not None
+        return 0 < self.n_queues * len(self.nodes) <= _DENSE_ROWID_CELLS
+
+    @property
+    def has_rowid_index(self) -> bool:
+        """Whether the row-id index has been allocated."""
+        return self._rowid_dense is not None or self._rowid_map is not None
 
     @property
     def rows_packed(self) -> int:
@@ -303,6 +330,8 @@ class RoutingTables:
 
     def central_rid(self, qid: int, dst_i: int, sid: int) -> int:
         """Packed row id for ``(qid, dst_i, sid)`` (built on first use)."""
+        if self.row_slots is None:
+            self._alloc_rows()
         tab = self._rowid_dense
         if tab is not None:
             if sid >= tab.shape[2]:
@@ -331,6 +360,8 @@ class RoutingTables:
         all-python loop in dict mode (networks past the dense ceiling),
         where the candidate-selection math downstream still vectorizes.
         """
+        if self.row_slots is None:
+            self._alloc_rows()
         tab = self._rowid_dense
         if tab is None:
             get = self._rowid_map.get
@@ -354,6 +385,21 @@ class RoutingTables:
                 )
         return rids
 
+    def fill_rows(
+        self, qids: np.ndarray, dsts: np.ndarray, sids: np.ndarray
+    ) -> HopRows:
+        """Central rows for one batched fill step, as a :class:`HopRows`.
+
+        The kernel's batch rows when it computes them (no memo, no
+        packed storage); otherwise a view over packed rows gathered by
+        :meth:`central_rids`.  Both are identical on every key.
+        """
+        if self.kernel is not None:
+            rows = self.kernel.fill_rows(qids, dsts, sids)
+            if rows is not None:
+                return rows
+        return _RidRows(self, self.central_rids(qids, dsts, sids))
+
     def clear_rows(self) -> None:
         """Drop every memoized/packed row (structure + kernel stay).
 
@@ -372,26 +418,31 @@ class RoutingTables:
         self._init_rows()
 
     def memory_bytes(self) -> int:
-        """Approximate resident bytes of rows + row index (telemetry).
+        """Estimated bytes of rows, row index and kernel tables
+        (telemetry).
 
-        Numpy arrays are counted exactly; the per-entry cost of the
-        three memo dicts (key tuple + value tuples) is estimated at a
-        flat 200 bytes.
+        Numpy arrays (packed rows, row-id index, kernel tables) are
+        counted exactly; the per-entry cost of the three memo dicts (key
+        tuple + value tuples) is estimated at a flat 200 bytes.  The
+        static structure (queue and slot maps) is not counted.
         """
-        total = (
-            self.row_slots.nbytes
-            + self.row_queues.nbytes
-            + self.row_states.nbytes
-            + self.row_dyn.nbytes
-            + self.row_entq.nbytes
-            + self.row_entst.nbytes
-            + self.row_hasint.nbytes
-        )
+        total = 200 * self.size
+        if self.kernel is not None:
+            total += self.kernel.memory_bytes()
+        if self.row_slots is not None:
+            total += (
+                self.row_slots.nbytes
+                + self.row_queues.nbytes
+                + self.row_states.nbytes
+                + self.row_dyn.nbytes
+                + self.row_entq.nbytes
+                + self.row_entst.nbytes
+                + self.row_hasint.nbytes
+            )
         if self._rowid_dense is not None:
             total += self._rowid_dense.nbytes
-        else:
+        elif self._rowid_map is not None:
             total += 100 * len(self._rowid_map)
-        total += 200 * self.size
         return total
 
     # ------------------------------------------------------------------
@@ -498,3 +549,32 @@ class RoutingTables:
                 )
             self._inject[key] = row
         return row
+
+
+class _RidRows(HopRows):
+    """:class:`HopRows` over packed rows gathered by row id."""
+
+    __slots__ = ("t", "rids")
+
+    def __init__(self, tables: RoutingTables, rids: np.ndarray):
+        # The arrays are read after the gather: its misses may have
+        # grown (reallocated) them.
+        self.t = tables
+        self.rids = rids
+        self.slots = tables.row_slots[rids]
+        self.hasint = tables.row_hasint[rids] != 0
+
+    def chosen(self, rows, cols, slots):
+        t = self.t
+        r = self.rids[rows]
+        return (
+            t.row_queues[r, cols],
+            t.row_states[r, cols],
+            t.row_entq[r, cols],
+            t.row_entst[r, cols],
+            t.row_dyn[r, cols],
+        )
+
+    def internal(self, rows) -> list:
+        row_internal = self.t.row_internal
+        return [row_internal[r] for r in self.rids[rows].tolist()]

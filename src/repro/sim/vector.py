@@ -8,11 +8,13 @@ matrix, link buffers are numpy int arrays holding message indices, and
 all three phases of the cycle have batched numpy forms:
 
 * the **fill phase** sweeps all busy nodes at once, one
-  ``(position, queue-kind)`` step at a time: a single
-  :meth:`~repro.sim.tables.RoutingTables.central_rids` gather maps
-  every node's candidate message to its packed hop row, and a
-  per-row argmax over output-buffer freeness performs the greedy
-  matching for the whole network in a handful of array ops;
+  ``(position, queue-kind)`` step at a time: one
+  :meth:`~repro.sim.tables.RoutingTables.fill_rows` call yields every
+  node's candidate message's hop row (computed by the hop kernel's
+  batch arithmetic where it has one, gathered from packed rows
+  otherwise), and a per-row argmax over output-buffer freeness
+  performs the greedy matching for the whole network in a handful of
+  array ops;
 * the **read phase** ranks every occupied input/injection buffer with
   one ``lexsort`` and admits per-queue prefixes against capacity;
 * the **link cycle** moves whole class-groups of links per operation.
@@ -364,7 +366,7 @@ class VectorSimulator:
         mdst = self._mdst
         ment_q = self._ment_q
         ment_st = self._ment_st
-        central_rids = t.central_rids
+        fill_rows = t.fill_rows
         recording = self._recording
         rotating = self.policy == "rotating"
 
@@ -378,7 +380,7 @@ class VectorSimulator:
             if self.service == "fifo"
             else range(maxlen - 1, -1, -1)
         )
-        pending: list[tuple[int, int, int, int]] = []
+        pending: list[tuple[int, int, int, tuple]] = []
         progressed = False
         for pos in positions:
             for r in range(nk):
@@ -387,17 +389,8 @@ class VectorSimulator:
                     continue
                 q_sel = qbase[sel] + r
                 mis = qbuf[q_sel, pos]
-                rids = central_rids(q_sel, mdst[mis], mstate[mis])
-                # Re-fetch the packed arrays each step: a memo miss
-                # inside central_rids can grow (reallocate) them.
-                row_slots = t.row_slots
-                row_queues = t.row_queues
-                row_states = t.row_states
-                row_dyn = t.row_dyn
-                row_entq = t.row_entq
-                row_entst = t.row_entst
-                row_hasint = t.row_hasint
-                cand = row_slots[rids]
+                rows = fill_rows(q_sel, mdst[mis], mstate[mis])
+                cand = rows.slots
                 free = out[cand] == -1
                 got = free.any(axis=1)
                 if rotating:
@@ -415,7 +408,6 @@ class VectorSimulator:
                 gi = np.flatnonzero(got)
                 if gi.size:
                     jg = pick[gi]
-                    rg = rids[gi]
                     mg = mis[gi]
                     sg = cand[gi, jg]
                     out[sg] = mg
@@ -423,27 +415,29 @@ class VectorSimulator:
                     qbuf[qg, pos] = -1  # tombstone; compacted below
                     qcount[qg] -= 1
                     load[busy[sel[gi]]] -= 1
-                    mstate[mg] = row_states[rg, jg]
-                    ment_q[mg] = row_entq[rg, jg]
-                    ment_st[mg] = row_entst[rg, jg]
+                    nq, nst, eq, est, dyn = rows.chosen(gi, jg, sg)
+                    mstate[mg] = nst
+                    ment_q[mg] = eq
+                    ment_st[mg] = est
                     progressed = True
                     if recording:
                         ev = np.empty((gi.size, 5), dtype=np.int64)
                         ev[:, 0] = cycle
                         ev[:, 1] = mg
                         ev[:, 2] = sg
-                        ev[:, 3] = row_dyn[rg, jg]
-                        ev[:, 4] = row_queues[rg, jg]
+                        ev[:, 3] = dyn
+                        ev[:, 4] = nq
                         self._ev_hop.extend(ev.ravel().tolist())
-                blocked = np.flatnonzero(~got & (row_hasint[rids] != 0))
+                blocked = np.flatnonzero(~got & rows.hasint)
                 if blocked.size:
-                    qp = q_sel[blocked]
-                    mp = mis[blocked]
-                    rp = rids[blocked]
-                    for i in range(blocked.size):
-                        pending.append(
-                            (int(qp[i]), pos, int(mp[i]), int(rp[i]))
+                    pending.extend(
+                        zip(
+                            q_sel[blocked].tolist(),
+                            [pos] * blocked.size,
+                            mis[blocked].tolist(),
+                            rows.internal(blocked),
                         )
+                    )
         if progressed:
             self._last_progress = cycle
         if pending:
@@ -451,13 +445,15 @@ class VectorSimulator:
         self._compact()
 
     def _run_internal(
-        self, pending: list[tuple[int, int, int, int]], cycle: int
+        self, pending: list[tuple[int, int, int, tuple]], cycle: int
     ) -> None:
         """Internal moves for the batch fill, in sweep order.
 
-        Per node this is the same (position, kind)-ordered pending list
-        the sparse path builds, and internal moves never cross nodes,
-        so the global order is immaterial.
+        ``pending`` holds ``(queue, position, message, steps)`` with the
+        row's internal ``(action, queue, state)`` steps.  Per node this
+        is the same (position, kind)-ordered pending list the sparse
+        path builds, and internal moves never cross nodes, so the
+        global order is immaterial.
         """
         t = self.tables
         cap = self.central_capacity
@@ -465,10 +461,9 @@ class VectorSimulator:
         qcount = self._qcount
         mstate = self._mstate
         queue_node = t.queue_node
-        row_internal = t.row_internal
         recording = self._recording
-        for qid, pos, mi, rid in pending:
-            for action, tq, tst in row_internal[rid]:
+        for qid, pos, mi, steps in pending:
+            for action, tq, tst in steps:
                 if action == DELIVER_STEP:
                     self._qbuf[qid, pos] = -1
                     qcount[qid] -= 1

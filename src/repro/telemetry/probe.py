@@ -314,7 +314,7 @@ class TelemetryProbe:
             ).set(tables.rows_packed)
             reg.gauge(
                 "repro_tables_bytes",
-                help="Integer routing-table memory footprint",
+                help="Integer routing-table memory footprint (estimate)",
             ).set(tables.memory_bytes())
             compile_stats = {
                 "kind": "tables",

@@ -9,6 +9,10 @@ compilation hook, ``docs/ARCHITECTURE.md``):
   over random ``(queue, destination, state)`` triples — including keys
   whose symbolic evaluation raises (declined keys fall back to the
   symbolic path, so exception type and message match too).
+* **Batch-row equivalence** — a kernel's ``fill_rows`` batch rows, and
+  the packed-row fallback behind ``RoutingTables.fill_rows``, must
+  equal the scalar ``central_row`` / ``entry_row`` on every key of
+  small hypercubes, reachable or not.
 * **Saturated identity** — at ``lambda = 1`` the batched vector node
   cycle (fill sweep + lexsort read admission forced on) must produce
   byte-identical canonical event logs and equal latency multisets
@@ -16,6 +20,7 @@ compilation hook, ``docs/ARCHITECTURE.md``):
   batch/sparse dispatch itself must be output-invariant.
 """
 
+import itertools
 import zlib
 
 import numpy as np
@@ -29,6 +34,7 @@ from repro.routing import (
     CCCAdaptiveRouting,
     HypercubeAdaptiveRouting,
     HypercubeHungRouting,
+    HypercubeObliviousRouting,
     MeshAdaptiveRouting,
     ShuffleExchangeRouting,
     StructuredBufferPoolRouting,
@@ -177,6 +183,89 @@ def test_vectorized_rid_gather_matches_scalar():
 
 
 # ----------------------------------------------------------------------
+# Batch rows: fill_rows vs the scalar central_row / entry_row
+# ----------------------------------------------------------------------
+CUBE_VARIANTS = {
+    "hung": HypercubeHungRouting,
+    "adaptive": HypercubeAdaptiveRouting,
+    "oblivious": HypercubeObliviousRouting,
+}
+
+
+def _all_keys(tab):
+    """Every ``(qid, dst, sid)`` key as three int arrays."""
+    ranges = (
+        range(tab.n_queues), range(len(tab.nodes)), range(len(tab.states))
+    )
+    keys = np.array(list(itertools.product(*ranges)), dtype=np.int64)
+    return keys[:, 0].copy(), keys[:, 1].copy(), keys[:, 2].copy()
+
+
+def _batch_row(rows, i, pad):
+    """Row ``i`` of a HopRows batch in ``central_row`` form, plus the
+    entry-resolved landing pair of each candidate."""
+    slots = rows.slots[i].tolist()
+    k = sum(1 for s in slots if s != pad)
+    assert slots[k:] == [pad] * (len(slots) - k), "padding not on the right"
+    rr = np.full(k, i, dtype=np.int64)
+    nq, nst, eq, est, dyn = rows.chosen(
+        rr, np.arange(k, dtype=np.int64), rows.slots[i, :k]
+    )
+    (internal,) = rows.internal(np.array([i], dtype=np.int64))
+    assert bool(rows.hasint[i]) == bool(internal)
+    row = (
+        tuple(slots[:k]),
+        tuple(nq.tolist()),
+        tuple(nst.tolist()),
+        tuple(dyn.tolist()),
+        internal,
+    )
+    return row, list(zip(eq.tolist(), est.tolist()))
+
+
+@pytest.mark.parametrize("variant", sorted(CUBE_VARIANTS))
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_cube_batch_rows_match_scalar_rows_on_every_key(n, variant):
+    alg = CUBE_VARIANTS[variant](Hypercube(n))
+    kern = RoutingTables(alg)
+    fall = RoutingTables(alg, use_kernel=False)
+    assert kern.kernel is not None
+    # Extra states check that the state passes through unchanged.
+    for tab in (kern, fall):
+        for state in (None, "s1", 7):
+            tab.state_id(state)
+    qids, dsts, sids = _all_keys(kern)
+    batch = kern.kernel.fill_rows(qids, dsts, sids)
+    gathered = fall.fill_rows(qids, dsts, sids)
+    for i, key in enumerate(zip(qids.tolist(), dsts.tolist(), sids.tolist())):
+        want = kern.central_row(*key)
+        entries = [kern.entry_row(q, key[1], st) for q, st in zip(*want[1:3])]
+        assert _batch_row(batch, i, kern.n_slots) == (want, entries), key
+        assert _batch_row(gathered, i, fall.n_slots) == (want, entries), key
+    # The kernel batch packed nothing and allocated no row-id index.
+    assert kern.rows_packed == 0
+    assert not kern.has_rowid_index
+
+
+def test_oblivious_phase_b_with_zeros_left_has_no_candidate():
+    """Phase B keeps the lowest differing dimension, even a zero.
+
+    From ``qB`` at node 0b10 towards 0b01 the oblivious scheme's only
+    static hop sets bit 0 through a down-link, which carries no ``qB``
+    class: the row is empty, not the bit-1 up-link a "lowest one" rule
+    would pick.
+    """
+    tab = RoutingTables(HypercubeObliviousRouting(Hypercube(2)))
+    qid, dst = (0b10 << 1) | 1, 0b01
+    assert tab.central_row(qid, dst, 0) == ((), (), (), (), ())
+    rows = tab.fill_rows(
+        np.array([qid]), np.array([dst]), np.array([0])
+    )
+    assert (rows.slots == tab.n_slots).all()
+    assert not rows.hasint.any()
+
+
+# ----------------------------------------------------------------------
 # Saturated-traffic identity: batched node cycle vs reference engine
 # ----------------------------------------------------------------------
 TOPOLOGIES = {
@@ -188,19 +277,21 @@ TOPOLOGIES = {
 }
 
 
-def _instrumented_run(key, engine, batch: bool | None = None, seed=11):
-    build, alg_cls = TOPOLOGIES[key]
+def _instrumented_run(
+    key, engine, batch: bool | None = None, seed=11, alg_cls=None, **sim_kw
+):
+    build, default_cls = TOPOLOGIES[key]
     reset_message_ids()
     topo = build()
-    alg = alg_cls(topo)
+    alg = (alg_cls or default_cls)(topo)
     model = DynamicInjection(
         1.0, RandomTraffic(topo), make_rng(seed), duration=80
     )
     probe = TelemetryProbe()
     if engine == "reference":
-        sim = PacketSimulator(alg, model)
+        sim = PacketSimulator(alg, model, **sim_kw)
     else:
-        sim = VectorSimulator(alg, model)
+        sim = VectorSimulator(alg, model, **sim_kw)
         if batch is True:  # force the batched fill + read paths
             sim.batch_fill_min = 1
             sim.batch_read_min = 1
@@ -209,13 +300,13 @@ def _instrumented_run(key, engine, batch: bool | None = None, seed=11):
             sim.batch_read_min = 10**9
     probe.attach(sim)
     result = sim.run(max_cycles=200_000)
-    return probe, result
+    return probe, result, sim
 
 
 @pytest.mark.parametrize("key", sorted(TOPOLOGIES))
 def test_saturated_batched_event_logs_byte_identical(key):
-    ref_p, ref_r = _instrumented_run(key, "reference")
-    vec_p, vec_r = _instrumented_run(key, "vector", batch=True)
+    ref_p, ref_r, _ = _instrumented_run(key, "reference")
+    vec_p, vec_r, _ = _instrumented_run(key, "vector", batch=True)
     assert ref_p.log.to_jsonl() == vec_p.log.to_jsonl()
     assert sorted(ref_r.latency.values) == sorted(vec_r.latency.values)
     assert ref_r.cycles == vec_r.cycles
@@ -226,10 +317,46 @@ def test_saturated_batched_event_logs_byte_identical(key):
 @pytest.mark.parametrize("key", sorted(TOPOLOGIES))
 def test_batch_sparse_dispatch_invariant(key):
     """The hybrid dispatch threshold never changes observable output."""
-    a_p, a_r = _instrumented_run(key, "vector", batch=True)
-    b_p, b_r = _instrumented_run(key, "vector", batch=False)
+    a_p, a_r, _ = _instrumented_run(key, "vector", batch=True)
+    b_p, b_r, _ = _instrumented_run(key, "vector", batch=False)
     assert a_p.log.to_jsonl() == b_p.log.to_jsonl()
     assert a_r.latency.values == b_r.latency.values or sorted(
         a_r.latency.values
     ) == sorted(b_r.latency.values)
     assert a_r.cycles == b_r.cycles
+
+
+CUBE_CASES = {
+    "hung": dict(alg_cls=HypercubeHungRouting),
+    "oblivious": dict(alg_cls=HypercubeObliviousRouting),
+    "rotating": dict(policy="rotating"),
+    "lifo": dict(service="lifo"),
+    "capacity-1": dict(central_capacity=1),
+    "oblivious-rotating-lifo": dict(
+        alg_cls=HypercubeObliviousRouting, policy="rotating", service="lifo"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CUBE_CASES))
+def test_saturated_cube_batch_rows_byte_identical(case):
+    """Kernel batch rows under every hypercube variant and engine knob."""
+    kw = CUBE_CASES[case]
+    ref_p, ref_r, _ = _instrumented_run("hypercube", "reference", **kw)
+    vec_p, vec_r, sim = _instrumented_run(
+        "hypercube", "vector", batch=True, **kw
+    )
+    assert ref_p.log.to_jsonl() == vec_p.log.to_jsonl()
+    assert sorted(ref_r.latency.values) == sorted(vec_r.latency.values)
+    assert ref_r.cycles == vec_r.cycles
+    assert ref_r.delivered == vec_r.delivered
+    assert sim.tables.rows_packed == 0
+
+
+def test_saturated_adaptive_cube_packs_no_rows():
+    """Batch fills read the kernel's rows: nothing packed, no index."""
+    _, result, sim = _instrumented_run("hypercube", "vector", batch=True)
+    assert result.delivered > 0
+    assert sim.tables.rows_packed == 0
+    assert not sim.tables.has_rowid_index
+    assert sim.tables.row_slots is None
