@@ -73,7 +73,7 @@ def _parse_ns(text: str | None) -> tuple[int, ...] | None:
 
 
 def _positive_int(text: str) -> int:
-    """argparse type for counts that must be >= 1 (workers, shards)."""
+    """argparse type for counts that must be >= 1 (workers)."""
     try:
         value = int(text)
     except ValueError:
@@ -241,11 +241,10 @@ def cmd_telemetry(args) -> int:
     if args.engine == "both":
         engines = ("reference", "compiled")
     elif args.engine == "all":
-        # The vector engine takes no fault observers and the sharded
-        # engine refuses fault schedules outright; under --faults the
-        # harness would remap/raise, so compare them healthy only.
+        # The vector engine takes no fault observers; under --faults
+        # the harness would remap it, so compare it healthy only.
         engines = ("reference", "compiled") + (
-            () if args.faults else ("vector", "sharded")
+            () if args.faults else ("vector",)
         )
     else:
         engines = (args.engine,)
@@ -273,10 +272,7 @@ def cmd_telemetry(args) -> int:
                 alg, model, schedule, engine=engine, telemetry=probe
             )
         else:
-            extra = {"shards": args.shards} if engine == "sharded" else {}
-            sim = build_simulator(
-                alg, model, engine=engine, telemetry=probe, **extra
-            )
+            sim = build_simulator(alg, model, engine=engine, telemetry=probe)
         result = sim.run(max_cycles=2_000_000)
         paths = write_artifacts(probe, outdir, prefix=f"{engine}-")
         print(
@@ -549,18 +545,11 @@ def build_parser() -> argparse.ArgumentParser:
     tm.add_argument("--seed", type=int, default=0)
     tm.add_argument(
         "--engine",
-        choices=("reference", "compiled", "vector", "sharded", "both", "all"),
+        choices=("reference", "compiled", "vector", "both", "all"),
         default="both",
         help="engine(s) to run; 'both' (reference+compiled) and 'all' "
-        "(+vector+sharded, healthy runs only) also check the event logs "
+        "(+vector, healthy runs only) also check the event logs "
         "are byte-identical",
-    )
-    tm.add_argument(
-        "--shards",
-        type=_positive_int,
-        default=None,
-        help="worker shards for --engine sharded/all "
-        "(default: REPRO_SHARDS or a host-sized guess)",
     )
     tm.add_argument("--out", default="telemetry-out",
                     help="artifact output directory")
@@ -583,10 +572,8 @@ def build_parser() -> argparse.ArgumentParser:
     sv.add_argument(
         "--engine",
         default=None,
-        choices=("auto", "reference", "compiled", "fast", "vector",
-                 "sharded"),
-        help="override the scenario's engine (fast/sharded are refused "
-        "with an explanation; see docs/SERVING.md)",
+        choices=("auto", "reference", "compiled", "vector"),
+        help="override the scenario's engine (see docs/SERVING.md)",
     )
     sv.add_argument(
         "--port",

@@ -41,7 +41,8 @@ candidate's landing queue equals
 :meth:`~repro.sim.tables.RoutingTables.entry_row`.  Returning ``None``
 declines the batch; the tables then gather packed rows by row id
 (``RoutingTables.central_rids``), the path every kernel-less algorithm
-takes.
+takes.  The two-phase kernels (hypercube, mesh) share one view,
+:class:`TwoPhaseRows`.
 
 :class:`TableHopKernel` implements the generic row assembly (first-wins
 slot filtering, the entry fold, injection resolution) on top of two
@@ -70,6 +71,7 @@ __all__ = [
     "HopKernel",
     "HopRows",
     "TableHopKernel",
+    "TwoPhaseRows",
 ]
 
 #: Internal-step action codes (shared by plan cache, tables and kernels).
@@ -101,6 +103,53 @@ class HopRows:
         """The internal ``(action, queue, state)`` step tuples of each
         row in ``rows``, as :meth:`HopKernel.central_row` states them."""
         raise NotImplementedError
+
+
+class TwoPhaseRows(HopRows):
+    """Batch rows of a two-phase kernel (the hypercube and mesh schemes).
+
+    Queue ids factor as ``node * 2 + phase`` (phase 0 = ``qA``, 1 =
+    ``qB``).  Every hop keeps the state and the phase; a phase-A hop
+    lands in ``qB`` when the neighbour is not the destination and has no
+    phase-A correction left (the entry fold).  The only internal steps
+    are delivery and the in-place switch from ``qA`` to ``qB``.  The
+    kernel supplies ``slot_node`` / ``slot_dyn`` (the neighbour and
+    dynamic flag of each candidate slot) and :meth:`a_done`.
+    """
+
+    __slots__ = ("kernel", "qids", "dsts", "sids", "done")
+
+    def __init__(self, kernel, slots, hasint, qids, dsts, sids, done):
+        self.kernel = kernel
+        self.slots = slots
+        self.hasint = hasint
+        self.qids = qids
+        self.dsts = dsts
+        self.sids = sids
+        self.done = done
+
+    def chosen(self, rows, cols, slots):
+        k = self.kernel
+        v = k.slot_node[slots]
+        phase = self.qids[rows] & 1
+        dst = self.dsts[rows]
+        states = self.sids[rows]
+        queues = (v << 1) | phase
+        fold = (phase == 0) & (v != dst) & k.a_done(v, dst)
+        return queues, states, queues | fold, states, k.slot_dyn[slots]
+
+    def internal(self, rows) -> list:
+        return [
+            ((DELIVER_STEP, -1, s),) if d
+            else ((MOVE_STEP, q | 1, s),) if h
+            else ()
+            for q, s, d, h in zip(
+                self.qids[rows].tolist(),
+                self.sids[rows].tolist(),
+                self.done[rows].tolist(),
+                self.hasint[rows].tolist(),
+            )
+        ]
 
 
 class HopKernel:

@@ -82,22 +82,3 @@ def reset_message_ids() -> None:
     """Restart the global message id counter (test isolation helper)."""
     global _msg_counter
     _msg_counter = itertools.count()
-
-
-def message_id_watermark() -> int:
-    """The uid the next :class:`Message` would receive.
-
-    Peeking consumes nothing: the counter is re-seeded at the observed
-    value.  The sharded engine uses the watermark to keep per-worker
-    uid streams aligned with a serial run (`docs/SHARDING.md`).
-    """
-    global _msg_counter
-    mark = next(_msg_counter)
-    _msg_counter = itertools.count(mark)
-    return mark
-
-
-def set_message_id_watermark(mark: int) -> None:
-    """Continue the global uid stream from ``mark``."""
-    global _msg_counter
-    _msg_counter = itertools.count(mark)

@@ -28,9 +28,6 @@ from ..routing.hypercube import (
 )
 from ..sim.compiled import CompiledPacketSimulator
 from ..sim.engine import PacketSimulator
-from ..sim.fastcube import FastHypercubeSimulator
-from ..sim.sharded import ShardedSimulator
-from ..sim.tables import EngineCapabilityError
 from ..sim.vector import VectorSimulator
 from ..sim.injection import DynamicInjection, InjectionModel, StaticInjection
 from ..sim.metrics import SimulationResult
@@ -47,14 +44,7 @@ SCALES: dict[str, tuple[int, ...]] = {
 }
 
 #: Engine names accepted by :func:`build_simulator` / ``REPRO_ENGINE``.
-ENGINES: tuple[str, ...] = (
-    "auto",
-    "reference",
-    "compiled",
-    "fast",
-    "vector",
-    "sharded",
-)
+ENGINES: tuple[str, ...] = ("auto", "reference", "compiled", "vector")
 
 #: One-screen engine capability matrix, embedded in selection errors.
 #: The canonical (maintained) version lives in docs/ARCHITECTURE.md.
@@ -62,10 +52,8 @@ ENGINE_MATRIX = """\
 engine     topologies        faults  observers  trace  speed (relative)
 reference  any               yes     yes        yes    1x
 compiled   any               yes     yes        yes    ~2-5x
-fast       hypercube only    no      no         no     ~3-10x
 vector     any               no      telemetry  no     ~10-40x
-sharded    any               no      telemetry  no     ~vector/shards
-(auto = fast when eligible, else compiled; see docs/ARCHITECTURE.md)"""
+(auto = vector for plain hypercube runs, else compiled; docs/ARCHITECTURE.md)"""
 
 
 def engine_choice(default: str = "auto") -> str:
@@ -78,14 +66,14 @@ def engine_choice(default: str = "auto") -> str:
     return name
 
 
-def _fast_eligible(algorithm: RoutingAlgorithm) -> bool:
+def _vector_eligible(algorithm: RoutingAlgorithm) -> bool:
     return type(algorithm) in (HypercubeAdaptiveRouting, HypercubeHungRouting)
 
 
-#: Keyword arguments the specialized fast engine understands; anything
-#: else (occupancy sampling, tracing, LIFO service, rotating policy)
-#: needs a generic engine.
-_FAST_KWARGS = frozenset({"central_capacity", "stall_limit"})
+#: Keyword arguments under which ``auto`` still picks the vector
+#: engine; anything else (occupancy sampling, tracing, LIFO service,
+#: rotating policy) keeps ``auto`` on the compiled engine.
+_AUTO_VECTOR_KWARGS = frozenset({"central_capacity", "stall_limit"})
 
 
 def resolve_probe(telemetry) -> TelemetryProbe | None:
@@ -117,23 +105,13 @@ def build_simulator(
     * ``reference`` — the generic :class:`PacketSimulator`;
     * ``compiled``  — :class:`CompiledPacketSimulator`, the plan-cache
       engine (any algorithm, packet-for-packet identical);
-    * ``fast``      — :class:`FastHypercubeSimulator`; hypercube-only —
-      any other algorithm raises
-      :class:`~repro.sim.tables.EngineCapabilityError` with the engine
-      matrix in the message;
     * ``vector``    — :class:`~repro.sim.vector.VectorSimulator`, the
       table-driven engine (any topology, packet-identical; hashable
       states, telemetry probes yes, fault observers / tracing no);
-    * ``sharded``   — :class:`~repro.sim.sharded.ShardedSimulator`, the
-      multi-process engine: the vector engine partitioned across
-      ``REPRO_SHARDS`` worker processes (or a ``shards=`` kwarg) with
-      byte-identical merged results; same capability limits as
-      ``vector`` (see ``docs/SHARDING.md``);
-    * ``auto``      — ``fast`` when the algorithm qualifies, otherwise
-      ``compiled``.  ``auto`` never picks ``vector`` or ``sharded``:
-      both reject fault observers and tracing outright rather than
-      degrading, so they stay opt-in (``REPRO_ENGINE=vector`` /
-      ``REPRO_ENGINE=sharded``).
+    * ``auto``      — ``vector`` for a plain run of the hypercube
+      two-phase algorithms (no probe, only ``central_capacity`` /
+      ``stall_limit`` kwargs), otherwise ``compiled``, which accepts
+      every observer and option.
 
     Every engine implements the reference engine's exact Section-7.1
     semantics, so the choice never changes results, only throughput —
@@ -141,49 +119,31 @@ def build_simulator(
     supports.
 
     ``telemetry`` (True or a :class:`~repro.telemetry.TelemetryProbe`)
-    attaches instrumentation; probes need an observer hook, which the
-    fast engine lacks — so they disqualify it under ``auto`` and are an
-    error with an explicit ``engine="fast"``.  The vector engine
-    drives probes itself (buffered columnar events).
+    attaches instrumentation; under ``auto`` it selects the compiled
+    engine.  The vector engine drives probes itself (buffered columnar
+    events).
     """
     name = engine_choice() if engine is None else engine
     if name not in ENGINES:
         raise ValueError(f"engine={name!r}; expected one of {ENGINES}")
     probe = resolve_probe(telemetry)
-    if name == "fast":
-        if not _fast_eligible(algorithm):
-            raise EngineCapabilityError(
-                f"engine='fast' supports the hypercube two-phase "
-                f"algorithms only, not {type(algorithm).__name__} on "
-                f"{algorithm.topology.name}; use 'compiled' or 'vector' "
-                f"for generic topologies.\n{ENGINE_MATRIX}"
-            )
-        if probe is not None:
-            raise ValueError(
-                "telemetry probes need an observer hook; the fast "
-                "engine has none — use engine='compiled' or "
-                f"engine='vector'.\n{ENGINE_MATRIX}"
-            )
-        return FastHypercubeSimulator(algorithm, model, **kwargs)
     if name == "reference":
         sim = PacketSimulator(algorithm, model, **kwargs)
     elif name == "compiled":
         sim = CompiledPacketSimulator(algorithm, model, **kwargs)
     elif name == "vector":
         sim = VectorSimulator(algorithm, model, **kwargs)
-    elif name == "sharded":
-        sim = ShardedSimulator(algorithm, model, **kwargs)
-    # auto: prefer the specialized engine, fall back to the compiled
-    # generic engine (both are packet-for-packet identical).  Callers
-    # should omit generic-only kwargs they don't need, since their mere
-    # presence (occupancy, tracing, service/policy variants) forces the
-    # generic engine.
+    # auto: the vector engine for the plain hypercube runs the paper
+    # tables make, the compiled engine for everything else (both are
+    # packet-for-packet identical).  Callers should omit generic-only
+    # kwargs they don't need, since their mere presence (occupancy,
+    # tracing, service/policy variants) selects the compiled engine.
     elif (
         probe is None
-        and _fast_eligible(algorithm)
-        and set(kwargs) <= _FAST_KWARGS
+        and _vector_eligible(algorithm)
+        and set(kwargs) <= _AUTO_VECTOR_KWARGS
     ):
-        return FastHypercubeSimulator(algorithm, model, **kwargs)
+        return VectorSimulator(algorithm, model, **kwargs)
     else:
         sim = CompiledPacketSimulator(algorithm, model, **kwargs)
     if probe is not None:
@@ -265,10 +225,10 @@ class HypercubeExperiment:
             )
         else:
             raise ValueError(f"unknown injection model {self.injection!r}")
-        # Engine selection (tests/test_sim_fastcube.py and
+        # Engine selection (tests/test_sim_vector.py and
         # tests/test_sim_compiled.py prove all engines packet-for-packet
         # identical): REPRO_ENGINE / the engine argument pick one
-        # explicitly; "auto" prefers fast, then compiled.
+        # explicitly; "auto" prefers vector, then compiled.
         kwargs: dict = {"central_capacity": self.central_capacity}
         if self.collect_occupancy:
             kwargs["collect_occupancy"] = True

@@ -23,18 +23,12 @@ from typing import Callable, Sequence
 
 from ..core.routing_function import RoutingAlgorithm, node_path
 from ..experiments.parallel import parallel_map
-from ..experiments.runner import (
-    ENGINE_MATRIX,
-    build_simulator,
-    engine_choice,
-    resolve_probe,
-)
+from ..experiments.runner import build_simulator, engine_choice, resolve_probe
 from ..routing.hypercube import HypercubeAdaptiveRouting
 from ..routing.mesh import Mesh2DAdaptiveRouting
 from ..sim.engine import PacketSimulator
 from ..sim.injection import InjectionModel, StaticInjection
 from ..sim.metrics import SimulationResult
-from ..sim.tables import EngineCapabilityError
 from ..sim.rng import make_rng
 from ..sim.traffic import RandomTraffic
 from ..topology.base import Topology
@@ -59,43 +53,21 @@ def make_fault_simulator(
     """Wire algorithm + injection + fault schedule into one engine.
 
     Wraps ``algorithm`` in :class:`FaultAwareRouting`, builds the
-    requested engine (``auto`` resolves to the compiled engine — the
-    adapter disqualifies the hypercube-only fast engine, and the vector
-    engine accepts no fault observers, so ``fast`` and ``vector`` both
-    fall back to ``auto`` here; ``sharded`` raises instead, see below),
-    and attaches
+    requested engine (``auto`` resolves to the compiled engine, since the
+    adapter is never vector-eligible; the vector engine accepts no fault
+    observers, so ``vector`` falls back to ``auto`` here), and attaches
     the :class:`FaultInjector` first, then (optionally) the
     :class:`DeadlockWatchdog`, in that order: the injector must update
     the epoch — and get the chance to suppress transient stalls —
     before the watchdog passes judgment.  A ``telemetry`` probe (True
     or a :class:`~repro.telemetry.TelemetryProbe`) attaches *last*, so
     it observes each epoch the same cycle the injector installs it.
-
-    ``engine="sharded"`` (or ``REPRO_ENGINE=sharded``) is an error, not
-    a silent remap: fault epochs are global state the shard workers do
-    not replicate yet, and a sharded fault run would *look* like the
-    serial one while silently dropping the schedule.  Until shard-aware
-    fault replication lands, combining the two raises an
-    :class:`~repro.sim.tables.EngineCapabilityError`.
     """
     adapter = FaultAwareRouting(algorithm, detour=detour)
     resolved = engine_choice() if engine is None else engine
-    if resolved == "sharded":
-        raise EngineCapabilityError(
-            "engine='sharded' cannot run fault schedules: fault epochs "
-            "are global state the shard workers do not replicate yet. "
-            "Shard-aware fault replication (broadcasting the epoch "
-            "schedule to every worker and merging per-shard drop "
-            "events deterministically) is the tracked follow-up — see "
-            "ROADMAP.md 'Shard-aware fault replication' and the "
-            "'Capability limits' section of docs/SHARDING.md. "
-            "Use engine='reference' or engine='compiled' (or unset "
-            f"REPRO_ENGINE) for fault experiments.\n{ENGINE_MATRIX}"
-        )
-    if resolved in ("fast", "vector"):
-        # the adapter is never fast-eligible, and the vector engine
-        # accepts no fault observers; honor a REPRO_ENGINE default of
-        # either by falling back instead of raising
+    if resolved == "vector":
+        # the vector engine accepts no fault observers; honor a
+        # REPRO_ENGINE=vector default by falling back instead of raising
         resolved = "auto"
     sim = build_simulator(adapter, model, engine=resolved, **kwargs)
     sim.add_observer(FaultInjector(schedule, adapter))

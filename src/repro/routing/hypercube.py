@@ -35,7 +35,7 @@ from typing import Any, Hashable
 
 import numpy as np
 
-from ..core.hops import DELIVER_STEP, MOVE_STEP, HopRows, TableHopKernel
+from ..core.hops import TableHopKernel, TwoPhaseRows
 from ..core.queues import QueueId, deliver
 from ..core.routing_function import DYNAMIC_CLASS, RoutingAlgorithm
 from ..topology.hypercube import Hypercube
@@ -259,17 +259,21 @@ class _HypercubeKernel(TableHopKernel):
         # Row m: the dimensions in bit mask m (candidate masks < N).
         self._dims_of = up
         self._pad = layout.n_slots
-        self._slot_dst = slot_dst
-        self._slot_dyn = dyn
+        self.slot_node = slot_dst
+        self.slot_dyn = dyn
 
     def memory_bytes(self) -> int:
         if not self.ok:
             return 0
         return sum(
-            a.nbytes for a in (self._slot, self._slot_dst, self._slot_dyn)
+            a.nbytes for a in (self._slot, self.slot_node, self.slot_dyn)
         )
 
-    def fill_rows(self, qids, dsts, sids) -> "_CubeRows":
+    def a_done(self, v, dst):
+        """Whether node ``v`` has no zero left to set toward ``dst``."""
+        return (~v & dst) == 0
+
+    def fill_rows(self, qids, dsts, sids) -> TwoPhaseRows:
         u = qids >> 1
         phase_a = (qids & 1) == 0
         x = u ^ dsts
@@ -291,7 +295,7 @@ class _HypercubeKernel(TableHopKernel):
         done = x == 0
         # Delivery, or phase A with only ones left: switch to qB.
         hasint = (zeros == 0) & (phase_a | done)
-        return _CubeRows(self, slots, hasint, qids, dsts, sids, done)
+        return TwoPhaseRows(self, slots, hasint, qids, dsts, sids, done)
 
     def candidates(self, qid: int, dst: int, sid: int):
         u = qid >> 1
@@ -331,49 +335,6 @@ class _HypercubeKernel(TableHopKernel):
         if ~ui & dst & self.mask:
             return ((ui << 1, sid),)
         return (((ui << 1) | 1, sid),)
-
-
-class _CubeRows(HopRows):
-    """Batch rows of :meth:`_HypercubeKernel.fill_rows`.
-
-    Every hop keeps the state and the phase; a phase-A hop lands in
-    ``qB`` when the neighbour has no zero left to set and is not the
-    destination (the entry fold).
-    """
-
-    __slots__ = ("kernel", "qids", "dsts", "sids", "done")
-
-    def __init__(self, kernel, slots, hasint, qids, dsts, sids, done):
-        self.kernel = kernel
-        self.slots = slots
-        self.hasint = hasint
-        self.qids = qids
-        self.dsts = dsts
-        self.sids = sids
-        self.done = done
-
-    def chosen(self, rows, cols, slots):
-        k = self.kernel
-        v = k._slot_dst[slots]
-        phase = self.qids[rows] & 1
-        dst = self.dsts[rows]
-        states = self.sids[rows]
-        queues = (v << 1) | phase
-        fold = (phase == 0) & (v != dst) & ((~v & dst) == 0)
-        return queues, states, queues | fold, states, k._slot_dyn[slots]
-
-    def internal(self, rows) -> list:
-        return [
-            ((DELIVER_STEP, -1, s),) if d
-            else ((MOVE_STEP, q | 1, s),) if h
-            else ()
-            for q, s, d, h in zip(
-                self.qids[rows].tolist(),
-                self.sids[rows].tolist(),
-                self.done[rows].tolist(),
-                self.hasint[rows].tolist(),
-            )
-        ]
 
 
 #: Exact classes the kernel vouches for -> (adaptive, oblivious).

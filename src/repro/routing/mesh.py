@@ -22,9 +22,11 @@ from __future__ import annotations
 
 from typing import Any
 
-from ..core.hops import TableHopKernel
+import numpy as np
+
+from ..core.hops import TableHopKernel, TwoPhaseRows
 from ..core.queues import QueueId, deliver
-from ..core.routing_function import RoutingAlgorithm
+from ..core.routing_function import DYNAMIC_CLASS, RoutingAlgorithm
 from ..topology.mesh import Coord, Mesh, Mesh2D
 
 QA = "A"
@@ -156,6 +158,21 @@ class _MeshKernel(TableHopKernel):
     factors as ``node * 2 + phase``.  The node-index order equals the
     coordinate-tuple order, so the oblivious tie-break (lowest node)
     is ``min`` over candidate indices.
+
+    :meth:`fill_rows` states the same relation over whole arrays of
+    keys by comparing coordinates, one candidate column per dimension:
+
+    * phase A: the increasing corrections (oblivious: the *highest*
+      such dimension, whose step has the smallest stride and so the
+      lowest node), plus the decreasing ones as dynamic links when
+      adaptive and an increase remains;
+    * phase B: the decreasing corrections (oblivious: the *lowest*
+      such dimension).
+
+    Every link carries the classes ``(qA, qB, dynamic)``, so
+    ``_up_a[u, i]`` (the up-link's ``qA`` slot), ``_down_b[u, i]`` and
+    ``_down_dyn[u, i]`` (the down-link's ``qB`` and dynamic slots) are
+    the only slots a candidate along dimension ``i`` can use.
     """
 
     def __init__(self, layout, alg: MeshRestrictedRouting, adaptive, oblivious):
@@ -170,6 +187,93 @@ class _MeshKernel(TableHopKernel):
         self.oblivious = oblivious
         if self.kinds != (QA, QB):
             self.ok = False
+        if self.ok:
+            self._build_slot_table(layout, shape)
+
+    def _build_slot_table(self, layout, shape) -> None:
+        n = len(layout.nodes)
+        idx = np.arange(n, dtype=np.int64)
+        coords = np.stack(np.unravel_index(idx, shape), axis=1)
+        has_up = coords < np.asarray(shape) - 1
+        has_down = coords > 0
+        # Links in the layout's order: per node, dimension-ascending,
+        # the up-link before the down-link; three slots per link.
+        links = has_up + has_down.astype(np.int64)
+        per_node = links.sum(axis=1)
+        node_base = 3 * (np.cumsum(per_node) - per_node)
+        up = node_base[:, None] + 3 * (np.cumsum(links, axis=1) - links)
+        down = up + 3 * has_up
+        strides = np.asarray(self.strides, dtype=np.int64)
+        # Spot-check the layout at the corners and a middle node, and
+        # the slot count.
+        expect = {}
+        for u in (0, n // 2, n - 1):
+            for d, st in enumerate(self.strides):
+                if has_up[u, d]:
+                    expect[(u, u + st, QA)] = up[u, d]
+                if has_down[u, d]:
+                    expect[(u, u - st, QB)] = down[u, d] + 1
+                    expect[(u, u - st, DYNAMIC_CLASS)] = down[u, d] + 2
+        mismatch = any(
+            layout.slot_of.get(key) != int(s) for key, s in expect.items()
+        )
+        if mismatch or layout.n_slots != 3 * int(per_node.sum()):
+            self.ok = False
+            return
+        self._coords = coords
+        self._up_a = up
+        self._down_b = down + 1
+        self._down_dyn = down + 2
+        self._pad = layout.n_slots
+        nbr_up = idx[:, None] + strides
+        nbr_down = idx[:, None] - strides
+        self.slot_node = np.full(layout.n_slots + 1, -1, dtype=np.int64)
+        self.slot_node[up[has_up]] = nbr_up[has_up]
+        self.slot_node[self._down_b[has_down]] = nbr_down[has_down]
+        self.slot_node[self._down_dyn[has_down]] = nbr_down[has_down]
+        self.slot_dyn = np.zeros(layout.n_slots + 1, dtype=np.int64)
+        self.slot_dyn[self._down_dyn[has_down]] = 1
+
+    def memory_bytes(self) -> int:
+        if not self.ok:
+            return 0
+        return sum(
+            a.nbytes
+            for a in (
+                self._coords, self._up_a, self._down_b, self._down_dyn,
+                self.slot_node, self.slot_dyn,
+            )
+        )
+
+    def a_done(self, v, dst):
+        """Whether node ``v`` has no increase left toward ``dst``."""
+        return (self._coords[dst] <= self._coords[v]).all(axis=1)
+
+    def fill_rows(self, qids, dsts, sids) -> TwoPhaseRows:
+        u = qids >> 1
+        phase_a = ((qids & 1) == 0)[:, None]
+        uc = self._coords[u]
+        dc = self._coords[dsts]
+        ups = dc > uc
+        downs = dc < uc
+        any_up = ups.any(axis=1)
+        static_a = ups
+        static_b = downs
+        if self.oblivious:
+            # Phase A: the highest pending up-dimension; phase B: the
+            # lowest pending down-dimension (both the lowest node).
+            static_a = ups & (np.cumsum(ups[:, ::-1], axis=1)[:, ::-1] == 1)
+            static_b = downs & (np.cumsum(downs, axis=1) == 1)
+        slots = np.where(phase_a & static_a, self._up_a[u], self._pad)
+        slots = np.where(~phase_a & static_b, self._down_b[u], slots)
+        if self.adaptive:
+            dynamic = phase_a & any_up[:, None] & downs
+            slots = np.where(dynamic, self._down_dyn[u], slots)
+        slots.sort(axis=1)  # move the padding to the right
+        done = u == dsts
+        # Delivery, or phase A with no increase left: switch to qB.
+        hasint = done | (phase_a[:, 0] & ~any_up)
+        return TwoPhaseRows(self, slots, hasint, qids, dsts, sids, done)
 
     def candidates(self, qid: int, dst_i: int, sid: int):
         ui = qid >> 1

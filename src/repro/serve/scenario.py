@@ -53,6 +53,7 @@ from typing import Any, Callable
 
 import numpy as np
 
+from ..experiments.runner import ENGINES
 from ..routing import (
     HypercubeAdaptiveRouting,
     HypercubeHungRouting,
@@ -75,11 +76,8 @@ from ..topology import Hypercube, Mesh2D, ShuffleExchange, Torus
 from ..topology.base import Topology
 from ..topology.hypercube import Hypercube as _Hypercube
 
-#: Engines the service loop can step (see docs/SERVING.md): the fast
-#: engine has no observer hook for the live probe, and the sharded
-#: engine replays injection models inside worker processes where the
-#: service's drain signal cannot reach them.
-SERVE_ENGINES = ("auto", "reference", "compiled", "vector")
+#: Engines the service loop can step (see docs/SERVING.md): all of them.
+SERVE_ENGINES = ENGINES
 
 #: Admission policies (docs/SERVING.md, "Admission policies").
 ADMISSION_POLICIES = ("drop", "defer", "shed-by-class")

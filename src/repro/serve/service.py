@@ -20,10 +20,8 @@
   delivers — the final snapshot therefore always satisfies
   ``injected == delivered`` (checked by ``tests/test_serve_service.py``).
 
-Engines that cannot serve are refused loudly (the repo-wide policy):
-``fast`` has no observer hook for the live probe, and ``sharded``
-replays injection models inside worker processes where the service's
-drain signal and tick callbacks cannot reach — see docs/SERVING.md.
+An engine name outside :data:`~repro.serve.scenario.SERVE_ENGINES` is
+refused loudly (the repo-wide policy) — see docs/SERVING.md.
 
 Determinism (record mode): with ``service.record: true`` the probe
 keeps the full event log, and identical scenario + seed + cycle budget
@@ -60,23 +58,6 @@ EXIT_ENGINE_ERROR = 4
 def _reject_unservable_engine(engine: str) -> None:
     if engine in SERVE_ENGINES:
         return
-    if engine == "fast":
-        raise EngineCapabilityError(
-            "engine='fast' cannot serve: the service's live telemetry "
-            "probe needs an observer hook, which the fast engine "
-            "deliberately lacks. Use engine='vector' for throughput or "
-            "'compiled' for full observability (docs/SERVING.md, "
-            "'Engines')."
-        )
-    if engine == "sharded":
-        raise EngineCapabilityError(
-            "engine='sharded' cannot serve: shard workers replay the "
-            "injection model in their own processes, where the "
-            "service's drain signal and tick callbacks cannot reach. "
-            "Use engine='vector' (the same kernel, single-process) — "
-            "see docs/SHARDING.md 'Capability limits' and "
-            "docs/SERVING.md."
-        )
     raise EngineCapabilityError(
         f"engine={engine!r} is not a serve engine; expected one of "
         f"{SERVE_ENGINES} (docs/SERVING.md)"

@@ -7,15 +7,12 @@ from .engine import (
     PacketSimulator,
     SimulationHalt,
 )
-from .fastcube import FastHypercubeSimulator
 from .injection import DynamicInjection, InjectionModel, StaticInjection
 from .plans import CentralPlan, RoutingPlanCache
 from .tables import EngineCapabilityError, RoutingTables
 from .vector import VectorSimulator
 from .metrics import LatencyStats, SimulationResult
-from .partition import TopologyPartition, partition_topology
 from .rng import make_rng
-from .sharded import ShardedSimulator, shard_count
 from .trace import CompiledTracingSimulator, TraceEvent, TracingSimulator
 from .traffic import (
     BitReversalTraffic,
@@ -36,12 +33,7 @@ from .traffic import (
 __all__ = [
     "PacketSimulator",
     "CompiledPacketSimulator",
-    "FastHypercubeSimulator",
     "VectorSimulator",
-    "ShardedSimulator",
-    "shard_count",
-    "TopologyPartition",
-    "partition_topology",
     "RoutingTables",
     "EngineCapabilityError",
     "RoutingPlanCache",

@@ -46,7 +46,7 @@ observers, telemetry probes, route tracing, service/policy variants.
 The only behavioral caveat is performance-shaped: unhashable routing
 states skip the plan cache and fall back to direct evaluation (still
 identical, merely slower).  This is the engine ``auto`` selects for
-everything the specialized fast engine cannot run.
+everything it does not give the vector engine.
 """
 
 from __future__ import annotations

@@ -31,7 +31,6 @@ messages grabbing whichever allowed output buffer is free first.
 full capability matrix): this is the *reference* engine — the
 executable specification every other engine
 (:class:`~repro.sim.compiled.CompiledPacketSimulator`,
-:class:`~repro.sim.fastcube.FastHypercubeSimulator`,
 :class:`~repro.sim.vector.VectorSimulator`) is cross-validated
 against, packet for packet.  It supports the complete feature
 surface — any topology, fault observers, telemetry probes, route

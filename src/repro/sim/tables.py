@@ -41,8 +41,8 @@ established by ``tests/test_sim_vector.py``.
 The batched fill phase asks for whole steps of central rows at once
 through :meth:`RoutingTables.fill_rows`.  When the hop kernel computes
 batch rows (:meth:`~repro.core.hops.HopKernel.fill_rows`; the hypercube
-schemes), they come straight from numpy arithmetic and nothing is
-stored.  Otherwise :meth:`RoutingTables.central_rids` builds each
+and mesh schemes), they come straight from numpy arithmetic and nothing
+is stored.  Otherwise :meth:`RoutingTables.central_rids` builds each
 missing row once, packs it into parallel ``(row id, candidate)`` numpy
 arrays, and gathers by row id.  The packed arrays and the row-id index
 are allocated on first use, so a run on batch rows never holds them.
@@ -50,7 +50,9 @@ are allocated on first use, so a run on batch rows never holds them.
 
 from __future__ import annotations
 
+import gc
 import time
+from contextlib import contextmanager
 from typing import Any, Hashable
 
 import numpy as np
@@ -65,6 +67,31 @@ __all__ = ["EngineCapabilityError", "RoutingTables"]
 #: Ceiling on the dense ``(queue, dst)`` row-id index (cells); larger
 #: networks fall back to a dict-keyed row-id map.
 _DENSE_ROWID_CELLS = 16_777_216
+
+
+@contextmanager
+def _collector_paused():
+    """Pause the cyclic garbage collector for a bulk build.
+
+    The structure of a 64K-node network is millions of small tuples,
+    lists and dict entries; each allocation burst re-triggers
+    generational collections that walk the whole growing heap, a large
+    share of the build time.  A build that allocated more than one
+    full-collection period (the product of the thresholds) gets the one
+    full collection it deferred at the end, so the run that follows does
+    not walk the new objects again in its first collections.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            t0, t1, t2 = gc.get_threshold()
+            deferred = gc.get_count()[0] > t0 * t1 * t2
+            gc.enable()
+            if deferred:
+                gc.collect()
 
 
 class EngineCapabilityError(TypeError):
@@ -88,6 +115,10 @@ class RoutingTables:
     """
 
     def __init__(self, algorithm: RoutingAlgorithm, use_kernel: bool = True):
+        with _collector_paused():
+            self._build(algorithm, use_kernel)
+
+    def _build(self, algorithm: RoutingAlgorithm, use_kernel: bool) -> None:
         t_start = time.perf_counter()
         self.algorithm = algorithm
         self.plans = RoutingPlanCache(algorithm)

@@ -41,6 +41,11 @@ because rejected reads have no side effects.  The link cycle's class
 rotation is ``cycle % k`` per ``k``-class link — the same ``rotated``
 the reference engine uses.
 
+**Selection.**  ``auto`` in
+:func:`~repro.experiments.runner.build_simulator` picks this engine for
+plain runs of the hypercube two-phase algorithms (the paper tables);
+every other configuration asks for it by name.
+
 **Limitations** (each raises a descriptive
 :class:`~repro.sim.tables.EngineCapabilityError` — the engine never
 silently degrades; see the engine matrix in ``docs/ARCHITECTURE.md``):

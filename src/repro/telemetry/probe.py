@@ -2,7 +2,7 @@
 
 :class:`TelemetryProbe` plugs into any engine exposing the
 ``add_observer`` interface (the reference and compiled simulators; the
-specialized fast engine deliberately has no observer loop) and
+vector engine accepts a probe and drives it itself) and
 
 * installs an event sink (``sim._events``) the engine feeds raw event
   tuples through — a full :class:`~repro.telemetry.events.EventLog`

@@ -117,29 +117,18 @@ def test_cli_telemetry_artifacts(tmp_path, capsys):
         ["table", "2", "--ns", "3", "--workers", "0"],
         ["table", "2", "--ns", "3", "--workers", "-2"],
         ["faults", "--size", "3", "--workers", "0"],
-        ["telemetry", "--shards", "0"],
-        ["telemetry", "--shards", "-1"],
-        ["telemetry", "--shards", "two"],
+        ["faults", "--size", "3", "--workers", "-1"],
+        ["table", "2", "--ns", "3", "--workers", "two"],
+        ["serve", "scenario.yaml", "--duration", "0"],
     ],
 )
 def test_cli_rejects_nonpositive_worker_counts(argv, capsys):
-    """--workers/--shards must be >= 1; argparse exits 2 otherwise."""
+    """--workers/--duration must be >= 1; argparse exits 2 otherwise."""
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "positive integer" in err or "not an integer" in err
-
-
-def test_cli_telemetry_sharded_engine(tmp_path, capsys):
-    out = tmp_path / "tele"
-    assert main(["telemetry", "--n", "3", "--engine", "sharded",
-                 "--shards", "2", "--out", str(out)]) == 0
-    text = capsys.readouterr().out
-    assert "[sharded]" in text
-    assert (out / "sharded-events.jsonl").read_text()
-    prom = (out / "sharded-metrics.prom").read_text()
-    assert "repro_shard_count" in prom
 
 
 def test_cli_telemetry_single_engine_with_faults(tmp_path, capsys):
@@ -273,10 +262,3 @@ def test_cli_serve_runs_and_records(tmp_path, capsys):
     assert "drained at cycle" in out
     assert (out_dir / "events.jsonl").exists()
     assert (out_dir / "metrics.prom").exists()
-
-
-def test_cli_serve_refuses_sharded_engine(tmp_path, capsys):
-    rc = main(["serve", _scenario_file(tmp_path), "--engine", "sharded"])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert "cannot serve" in err and "SHARDING" in err

@@ -156,17 +156,3 @@ def test_epoch_change_invalidates_compiled_plans():
     for _ in range(5):
         sim.step()
     assert sim.plan_cache is not before, "epoch change must rebuild plans"
-
-
-def test_fast_engine_request_falls_back_to_compiled():
-    """The adapter is never fast-eligible: an inherited REPRO_ENGINE=fast
-    must fall back to the compiled engine instead of raising."""
-    topo = Hypercube(3)
-    sim = make_fault_simulator(
-        HypercubeAdaptiveRouting(topo),
-        _static(topo),
-        FaultSchedule.healthy(topo),
-        engine="fast",
-        trace=True,
-    )
-    assert isinstance(sim, CompiledPacketSimulator)

@@ -4,8 +4,8 @@
 to :class:`PacketSimulator` on every topology — same latency multiset,
 same cycle counts, same injection statistics — for every engine
 configuration (FIFO/LIFO service, paper/rotating buffer policy, any
-central-queue capacity).  This mirrors ``tests/test_sim_fastcube.py``
-but exercises the algorithms the fast engine cannot run: mesh, torus,
+central-queue capacity).  This mirrors the hypercube suite in
+``tests/test_sim_fastcube.py`` on the other families: mesh, torus,
 shuffle-exchange, and CCC.
 """
 
@@ -152,17 +152,17 @@ def test_plan_cache_algorithm_mismatch_rejected():
 def test_engine_env_override(monkeypatch):
     """REPRO_ENGINE selects the engine in the experiment harness."""
     from repro.experiments import HypercubeExperiment, build_simulator
-    from repro.sim import FastHypercubeSimulator
+    from repro.sim import VectorSimulator
 
     exp = HypercubeExperiment(pattern="random", injection="static", seed=1)
     monkeypatch.setenv("REPRO_ENGINE", "compiled")
     assert type(exp.build(4)) is CompiledPacketSimulator
     monkeypatch.setenv("REPRO_ENGINE", "reference")
     assert type(exp.build(4)) is PacketSimulator
-    monkeypatch.setenv("REPRO_ENGINE", "fast")
-    assert type(exp.build(4)) is FastHypercubeSimulator
+    monkeypatch.setenv("REPRO_ENGINE", "vector")
+    assert type(exp.build(4)) is VectorSimulator
     monkeypatch.setenv("REPRO_ENGINE", "auto")
-    assert type(exp.build(4)) is FastHypercubeSimulator
+    assert type(exp.build(4)) is VectorSimulator
     monkeypatch.setenv("REPRO_ENGINE", "warp")
     with pytest.raises(ValueError):
         exp.build(4)
@@ -191,7 +191,7 @@ def test_auto_with_occupancy_uses_generic_engine():
         pattern="random", injection="static", seed=1, collect_occupancy=True
     ).build(4)
     assert isinstance(sim, PacketSimulator)
-    assert not hasattr(sim, "qA")  # not the fast engine
+    assert isinstance(sim, CompiledPacketSimulator)
 
 
 @settings(

@@ -12,7 +12,7 @@ compilation hook, ``docs/ARCHITECTURE.md``):
 * **Batch-row equivalence** — a kernel's ``fill_rows`` batch rows, and
   the packed-row fallback behind ``RoutingTables.fill_rows``, must
   equal the scalar ``central_row`` / ``entry_row`` on every key of
-  small hypercubes, reachable or not.
+  small hypercubes and meshes, reachable or not.
 * **Saturated identity** — at ``lambda = 1`` the batched vector node
   cycle (fill sweep + lexsort read admission forced on) must produce
   byte-identical canonical event logs and equal latency multisets
@@ -35,7 +35,11 @@ from repro.routing import (
     HypercubeAdaptiveRouting,
     HypercubeHungRouting,
     HypercubeObliviousRouting,
+    Mesh2DAdaptiveRouting,
+    Mesh2DRestrictedRouting,
     MeshAdaptiveRouting,
+    MeshObliviousRouting,
+    MeshRestrictedRouting,
     ShuffleExchangeRouting,
     StructuredBufferPoolRouting,
     TorusRouting,
@@ -54,6 +58,7 @@ from repro.topology import (
     CubeConnectedCycles,
     Hypercube,
     Mesh,
+    Mesh2D,
     ShuffleExchange,
     Torus,
 )
@@ -223,10 +228,7 @@ def _batch_row(rows, i, pad):
     return row, list(zip(eq.tolist(), est.tolist()))
 
 
-@pytest.mark.parametrize("variant", sorted(CUBE_VARIANTS))
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-def test_cube_batch_rows_match_scalar_rows_on_every_key(n, variant):
-    alg = CUBE_VARIANTS[variant](Hypercube(n))
+def _assert_batch_rows_match_scalar_rows(alg):
     kern = RoutingTables(alg)
     fall = RoutingTables(alg, use_kernel=False)
     assert kern.kernel is not None
@@ -245,6 +247,65 @@ def test_cube_batch_rows_match_scalar_rows_on_every_key(n, variant):
     # The kernel batch packed nothing and allocated no row-id index.
     assert kern.rows_packed == 0
     assert not kern.has_rowid_index
+
+
+@pytest.mark.parametrize("variant", sorted(CUBE_VARIANTS))
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_cube_batch_rows_match_scalar_rows_on_every_key(n, variant):
+    _assert_batch_rows_match_scalar_rows(CUBE_VARIANTS[variant](Hypercube(n)))
+
+
+MESH_VARIANTS = {
+    "restricted": MeshRestrictedRouting,
+    "adaptive": MeshAdaptiveRouting,
+    "oblivious": MeshObliviousRouting,
+}
+
+
+@pytest.mark.parametrize("variant", sorted(MESH_VARIANTS))
+@pytest.mark.parametrize(
+    "shape",
+    [(2,), (4,), (2, 3), (3, 3), (4, 5), (2, 3, 2), (3, 2, 3)],
+    ids=lambda shape: "x".join(map(str, shape)),
+)
+def test_mesh_batch_rows_match_scalar_rows_on_every_key(shape, variant):
+    _assert_batch_rows_match_scalar_rows(MESH_VARIANTS[variant](Mesh(shape)))
+
+
+@pytest.mark.parametrize(
+    "alg_cls", [Mesh2DRestrictedRouting, Mesh2DAdaptiveRouting]
+)
+def test_mesh2d_batch_rows_match_scalar_rows_on_every_key(alg_cls):
+    _assert_batch_rows_match_scalar_rows(alg_cls(Mesh2D(3, 4)))
+
+
+def test_oblivious_mesh_tie_break_keeps_the_lowest_node():
+    """Oblivious mesh hops go to the lowest node, which is not the
+    lowest dimension in phase A.
+
+    Node indices are lexicographic, so dimension ``i`` has the larger
+    stride the lower ``i`` is.  Phase A (steps ``+e_i``) therefore
+    keeps the *highest* pending up-dimension and phase B (steps
+    ``-e_i``) the *lowest* pending down-dimension.
+    """
+    tab = RoutingTables(MeshObliviousRouting(Mesh((3, 3))))
+    nid = tab.nid
+    for src, dst, phase, nxt in (
+        ((0, 0), (2, 2), 0, (0, 1)),  # phase A: dimension 1, not 0
+        ((2, 2), (0, 0), 1, (1, 2)),  # phase B: dimension 0, not 1
+    ):
+        qid = (nid[src] << 1) | phase
+        want = (nid[nxt] << 1) | phase
+        row = tab.central_row(qid, nid[dst], 0)
+        assert row[1] == (want,)
+        rows = tab.fill_rows(
+            np.array([qid]), np.array([nid[dst]]), np.array([0])
+        )
+        assert (rows.slots[0, 1:] == tab.n_slots).all()
+        nq, _, _, _, _ = rows.chosen(
+            np.array([0]), np.array([0]), rows.slots[0, :1]
+        )
+        assert nq.tolist() == [want]
 
 
 def test_oblivious_phase_b_with_zeros_left_has_no_candidate():
@@ -351,6 +412,20 @@ def test_saturated_cube_batch_rows_byte_identical(case):
     assert ref_r.cycles == vec_r.cycles
     assert ref_r.delivered == vec_r.delivered
     assert sim.tables.rows_packed == 0
+
+
+@pytest.mark.parametrize("case", ["oblivious", "restricted"])
+def test_saturated_mesh_batch_rows_byte_identical(case):
+    """Mesh kernel batch rows under the static-only variants."""
+    kw = dict(alg_cls=MESH_VARIANTS[case])
+    ref_p, ref_r, _ = _instrumented_run("mesh", "reference", **kw)
+    vec_p, vec_r, sim = _instrumented_run("mesh", "vector", batch=True, **kw)
+    assert ref_p.log.to_jsonl() == vec_p.log.to_jsonl()
+    assert sorted(ref_r.latency.values) == sorted(vec_r.latency.values)
+    assert ref_r.cycles == vec_r.cycles
+    assert ref_r.delivered == vec_r.delivered
+    assert sim.tables.rows_packed == 0
+    assert not sim.tables.has_rowid_index
 
 
 def test_saturated_adaptive_cube_packs_no_rows():

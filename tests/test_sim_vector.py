@@ -350,27 +350,6 @@ def test_build_simulator_vector_engine():
     assert type(sim) is VectorSimulator
 
 
-def test_fast_on_generic_topology_reports_engine_matrix():
-    """engine='fast' on a non-hypercube algorithm must fail with the
-    capability matrix, not a bare TypeError (ISSUE 6 satellite)."""
-    from repro.experiments import build_simulator
-
-    topo = Mesh((4, 4))
-    with pytest.raises(EngineCapabilityError) as exc:
-        build_simulator(
-            MeshAdaptiveRouting(topo),
-            StaticInjection(1, RandomTraffic(topo), make_rng(0)),
-            engine="fast",
-        )
-    msg = str(exc.value)
-    assert "MeshAdaptiveRouting" in msg
-    for engine in ("reference", "compiled", "fast", "vector"):
-        assert engine in msg
-    # EngineCapabilityError subclasses TypeError: existing callers that
-    # caught TypeError keep working.
-    assert isinstance(exc.value, TypeError)
-
-
 def test_fault_harness_falls_back_from_vector():
     """make_fault_simulator honors REPRO_ENGINE=vector by falling back
     to a fault-capable engine instead of raising."""

@@ -195,46 +195,6 @@ def test_vector_metrics_only_probe_matches_event_replay():
     )
 
 
-@pytest.mark.parametrize("key", sorted(FAMILIES))
-def test_sharded_event_log_byte_identical(key):
-    """The sharded engine's merged per-shard event streams must flush to
-    the same canonical JSONL bytes as the reference engine's."""
-    from repro.sim.engine import PacketSimulator
-    from repro.sim.sharded import ShardedSimulator
-
-    ref, rres = _run_healthy_direct(key, PacketSimulator)
-    shd, sres = _run_healthy_direct(
-        key, lambda alg, model: ShardedSimulator(alg, model, shards=2)
-    )
-    assert ref.log.to_jsonl() == shd.log.to_jsonl()
-    assert _measured(ref.summary) == _measured(shd.summary)
-    assert sres.telemetry == shd.summary
-    # The sharded run additionally reports per-shard gauges.
-    assert shd.summary["metrics"]["repro_shard_count"]["value"] == 2
-
-
-def test_sharded_metrics_only_probe_matches_event_replay():
-    """The sharded engine's merged histogram/series flush must aggregate
-    exactly like the event-log replay."""
-    from repro.sim.sharded import ShardedSimulator
-
-    snapshots = {}
-    for events in (True, False):
-        probe, _ = _run_healthy_direct(
-            "hypercube",
-            lambda alg, model: ShardedSimulator(
-                alg, model, shards=2, inline=True
-            ),
-            events=events,
-        )
-        snapshots[events] = probe.registry.snapshot()
-        if not events:
-            assert probe.log is None
-    assert _traffic_metrics(snapshots[True]) == _traffic_metrics(
-        snapshots[False]
-    )
-
-
 def test_timeline_reconstruction_consistent_across_engines():
     timelines = {}
     for engine in ("reference", "compiled"):

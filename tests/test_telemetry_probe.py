@@ -85,14 +85,6 @@ def test_occupancy_sampling_stride():
     assert all(c % 4 == 0 for c in cycles)
 
 
-def test_fast_engine_rejected():
-    topo = Hypercube(3)
-    alg = HypercubeAdaptiveRouting(topo)
-    model = StaticInjection(1, RandomTraffic(topo), make_rng(0))
-    with pytest.raises(ValueError, match="fast engine"):
-        build_simulator(alg, model, engine="fast", telemetry=True)
-
-
 def test_auto_engine_with_telemetry_is_compiled():
     from repro.sim import CompiledPacketSimulator
 
