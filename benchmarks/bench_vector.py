@@ -17,8 +17,7 @@ The workload grid deliberately spans both regimes (see
   where the >=10x speedups live;
 * **saturated traffic** (``lambda = 1`` random) — both engines are
   bound by per-hop routing-plan construction, which they share, so the
-  gap narrows to ~1.5-3x.  Those rows are included honestly; they are
-  the reason ``auto`` does not pick ``vector``.
+  gap narrows to ~1.5-3x.  Those rows are included honestly.
 
 Both engines share their warm plan state across repeats (compiled via
 ``plan_cache=``, vector via ``tables=``, the

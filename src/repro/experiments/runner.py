@@ -25,6 +25,14 @@ from ..core.routing_function import RoutingAlgorithm
 from ..routing.hypercube import (
     HypercubeAdaptiveRouting,
     HypercubeHungRouting,
+    HypercubeObliviousRouting,
+)
+from ..routing.mesh import (
+    Mesh2DAdaptiveRouting,
+    Mesh2DRestrictedRouting,
+    MeshAdaptiveRouting,
+    MeshObliviousRouting,
+    MeshRestrictedRouting,
 )
 from ..sim.compiled import CompiledPacketSimulator
 from ..sim.engine import PacketSimulator
@@ -53,7 +61,7 @@ engine     topologies        faults  observers  trace  speed (relative)
 reference  any               yes     yes        yes    1x
 compiled   any               yes     yes        yes    ~2-5x
 vector     any               no      telemetry  no     ~10-40x
-(auto = vector for plain hypercube runs, else compiled; docs/ARCHITECTURE.md)"""
+(auto = vector on hypercube and mesh, else compiled; docs/ARCHITECTURE.md)"""
 
 
 def engine_choice(default: str = "auto") -> str:
@@ -66,8 +74,19 @@ def engine_choice(default: str = "auto") -> str:
     return name
 
 
-def _vector_eligible(algorithm: RoutingAlgorithm) -> bool:
-    return type(algorithm) in (HypercubeAdaptiveRouting, HypercubeHungRouting)
+#: Algorithms whose hop kernels compute batch rows (the paper's
+#: Section-3 hypercube and Section-4 mesh schemes): ``auto`` runs them
+#: on the vector engine, with or without a telemetry probe.
+_AUTO_VECTOR_ALGORITHMS = frozenset({
+    HypercubeHungRouting,
+    HypercubeAdaptiveRouting,
+    HypercubeObliviousRouting,
+    MeshRestrictedRouting,
+    MeshAdaptiveRouting,
+    MeshObliviousRouting,
+    Mesh2DRestrictedRouting,
+    Mesh2DAdaptiveRouting,
+})
 
 
 #: Keyword arguments under which ``auto`` still picks the vector
@@ -108,8 +127,8 @@ def build_simulator(
     * ``vector``    — :class:`~repro.sim.vector.VectorSimulator`, the
       table-driven engine (any topology, packet-identical; hashable
       states, telemetry probes yes, fault observers / tracing no);
-    * ``auto``      — ``vector`` for a plain run of the hypercube
-      two-phase algorithms (no probe, only ``central_capacity`` /
+    * ``auto``      — ``vector`` for the hypercube and mesh two-phase
+      algorithms (probe or not, only ``central_capacity`` /
       ``stall_limit`` kwargs), otherwise ``compiled``, which accepts
       every observer and option.
 
@@ -119,9 +138,9 @@ def build_simulator(
     supports.
 
     ``telemetry`` (True or a :class:`~repro.telemetry.TelemetryProbe`)
-    attaches instrumentation; under ``auto`` it selects the compiled
-    engine.  The vector engine drives probes itself (buffered columnar
-    events).
+    attaches instrumentation to whichever engine is picked.  The vector
+    engine drives probes itself (columnar events, flushed to the sink
+    every cycle).
     """
     name = engine_choice() if engine is None else engine
     if name not in ENGINES:
@@ -133,17 +152,16 @@ def build_simulator(
         sim = CompiledPacketSimulator(algorithm, model, **kwargs)
     elif name == "vector":
         sim = VectorSimulator(algorithm, model, **kwargs)
-    # auto: the vector engine for the plain hypercube runs the paper
-    # tables make, the compiled engine for everything else (both are
-    # packet-for-packet identical).  Callers should omit generic-only
-    # kwargs they don't need, since their mere presence (occupancy,
-    # tracing, service/policy variants) selects the compiled engine.
+    # auto: the vector engine for the hypercube and mesh schemes, the
+    # compiled engine for everything else (both are packet-for-packet
+    # identical).  Callers should omit generic-only kwargs they don't
+    # need, since their mere presence (occupancy, tracing,
+    # service/policy variants) selects the compiled engine.
     elif (
-        probe is None
-        and _vector_eligible(algorithm)
+        type(algorithm) in _AUTO_VECTOR_ALGORITHMS
         and set(kwargs) <= _AUTO_VECTOR_KWARGS
     ):
-        return VectorSimulator(algorithm, model, **kwargs)
+        sim = VectorSimulator(algorithm, model, **kwargs)
     else:
         sim = CompiledPacketSimulator(algorithm, model, **kwargs)
     if probe is not None:
@@ -183,7 +201,6 @@ class HypercubeExperiment:
     collect_occupancy: bool = False
     #: Attach a metrics-only telemetry probe per cell; results carry
     #: ``SimulationResult.telemetry`` (and extra ``row()`` columns).
-    #: Forces a generic engine under ``auto``.
     telemetry: bool = False
     #: Routing-algorithm constructor (default: the paper's adaptive
     #: scheme); per-call ``algorithm_factory`` arguments override it.

@@ -43,8 +43,9 @@ the reference engine uses.
 
 **Selection.**  ``auto`` in
 :func:`~repro.experiments.runner.build_simulator` picks this engine for
-plain runs of the hypercube two-phase algorithms (the paper tables);
-every other configuration asks for it by name.
+the hypercube and mesh two-phase schemes, whose hop kernels compute
+batch rows, with or without a telemetry probe (the paper tables and
+``repro serve``); every other configuration asks for it by name.
 
 **Limitations** (each raises a descriptive
 :class:`~repro.sim.tables.EngineCapabilityError` — the engine never
@@ -59,15 +60,19 @@ silently degrades; see the engine matrix in ``docs/ARCHITECTURE.md``):
 * no per-hop tracing (``trace=True``) and no ``delivered_messages``
   capture.
 
-**Telemetry.**  Events are buffered *columnar* during the run — flat
+**Telemetry.**  Events are buffered *columnar* during a cycle — flat
 int lists per event kind, no tuple or label allocation on the hot
-path — and materialized once at run end, stable-sorted by
-``(cycle, uid)``: exactly the canonical order of
-:meth:`~repro.telemetry.events.EventLog.canonical`, so JSONL output is
-byte-identical with the generic engines.  Metrics-only probes receive
-the same canonical stream through their sink; occupancy histograms are
-fed via bucketed bulk counts (``Histogram.observe_many``) at the same
-sampling points the probe's own ``on_cycle`` would use.
+path — and materialized at the end of every :meth:`step`,
+stable-sorted by ``(cycle, uid)`` and handed to the probe's sink.
+Batches arrive in cycle order, so the sink receives exactly the
+canonical order of
+:meth:`~repro.telemetry.events.EventLog.canonical` (JSONL output is
+byte-identical with the generic engines), metrics-only probes update
+live (a serve scrape matches the generic engines tick for tick), and
+the buffers never hold more than one cycle.  Occupancy histograms are
+fed via bucketed bulk counts (``Histogram.observe_many``) and the
+occupancy series row by row, at the same sampling points the probe's
+own ``on_cycle`` would use.
 """
 
 from __future__ import annotations
@@ -227,7 +232,7 @@ class VectorSimulator:
         self._probe = None
         self._recording = False
 
-        # Columnar event buffers (flat int lists; flushed at run end).
+        # Columnar event buffers (flat int lists; flushed every cycle).
         self._ev_inject: list[int] = []  # (cycle, mi, node) triples
         self._ev_enqueue: list[int] = []  # (cycle, mi, qid) triples
         self._ev_hop: list[int] = []  # (cycle, mi, slot, dyn, qid) 5-tuples
@@ -237,8 +242,6 @@ class VectorSimulator:
         self._occ_sum = None
         self._occ_peak = None
         self.occupancy_samples = 0
-        # Buffered probe occupancy series: (cycle, per-queue lengths).
-        self._series_buf: list[tuple[int, np.ndarray]] = []
 
     # ------------------------------------------------------------------
     # Observer interface (telemetry probes only)
@@ -337,6 +340,8 @@ class VectorSimulator:
                     self._fill_node(ui, cycle)
         self._read_inputs(cycle)
         self._link_cycle(cycle)
+        if self._recording:
+            self._flush_events()
         if self.collect_occupancy and cycle % self.occupancy_sample_every == 0:
             self._sample_occupancy()
         self.cycle += 1
@@ -878,11 +883,8 @@ class VectorSimulator:
         if injected >= self.measure_from:
             self.latency.record(cycle - injected)
 
-    def _queue_lengths(self) -> np.ndarray:
-        return self._qcount.copy()
-
     def _sample_occupancy(self) -> None:
-        lens = self._queue_lengths()
+        lens = self._qcount
         if self._occ_sum is None:
             self._occ_sum = np.zeros(self.tables.n_queues, dtype=np.int64)
             self._occ_peak = np.zeros(self.tables.n_queues, dtype=np.int64)
@@ -915,14 +917,21 @@ class VectorSimulator:
 
     # -- telemetry ---------------------------------------------------------
     def _probe_sample(self, probe) -> None:
-        lens = self._queue_lengths()
+        lens = self._qcount
         hist = probe._occ_hist
         if hist is not None:
             for occ, count in enumerate(np.bincount(lens).tolist()):
                 if count:
                     hist.observe_many(occ, count)
         if probe.series_enabled:
-            self._series_buf.append((self.cycle, lens))
+            # Queue ids are node-major in reference order, so this is
+            # the generic engines' (node, kind) sampling order.
+            c = self.cycle
+            labels = self.tables.queue_objs
+            probe.occupancy_series.extend(
+                (c, u, kind, occ)
+                for (u, kind), occ in zip(labels, lens.tolist())
+            )
         if probe._inflight is not None:
             probe._inflight.set(self.active)
 
@@ -933,81 +942,82 @@ class VectorSimulator:
         stable sort by ``(cycle, uid)`` reproduces
         :meth:`EventLog.canonical` exactly: the only same-``(cycle,
         uid)`` pair an engine can emit is inject-then-enqueue, and the
-        concat order preserves it.
+        concat order preserves it.  Per-message columns are gathered
+        only at the indices the buffers name, so the cost is
+        proportional to the batch, not to every packet ever injected.
         """
         t = self.tables
         nodes = t.nodes
         muid = self._muid
-        mdst = self._mdst[: self._mn].tolist()
-        minj = self._minj[: self._mn].tolist()
         qkind = t.queue_kind
         qnode = t.queue_node
         evs: list[tuple] = []
         buf = self._ev_inject
-        for i in range(0, len(buf), 3):
-            c, mi, ui = buf[i], buf[i + 1], buf[i + 2]
-            evs.append(("inject", c, muid[mi], nodes[ui], nodes[mdst[mi]]))
+        mis = buf[1::3]
+        evs.extend(
+            ("inject", c, muid[mi], nodes[ui], nodes[d])
+            for c, mi, ui, d in zip(
+                buf[0::3], mis, buf[2::3], self._mdst[mis].tolist()
+            )
+        )
         buf = self._ev_enqueue
-        for i in range(0, len(buf), 3):
-            c, mi, qid = buf[i], buf[i + 1], buf[i + 2]
-            evs.append(("enqueue", c, muid[mi], nodes[qnode[qid]], qkind[qid]))
+        evs.extend(
+            ("enqueue", c, muid[mi], nodes[qnode[qid]], qkind[qid])
+            for c, mi, qid in zip(buf[0::3], buf[1::3], buf[2::3])
+        )
         buf = self._ev_hop
-        for i in range(0, len(buf), 5):
-            c, mi, s, dyn, tq = (
-                buf[i],
-                buf[i + 1],
-                buf[i + 2],
-                buf[i + 3],
-                buf[i + 4],
+        src, dst, cls = t.slot_src, t.slot_dst, t.slot_cls
+        evs.extend(
+            (
+                "hop",
+                c,
+                muid[mi],
+                nodes[src[s]],
+                nodes[dst[s]],
+                cls[s],
+                bool(dyn),
+                qkind[tq],
             )
-            evs.append(
-                (
-                    "hop",
-                    c,
-                    muid[mi],
-                    nodes[t.slot_src[s]],
-                    nodes[t.slot_dst[s]],
-                    t.slot_cls[s],
-                    bool(dyn),
-                    qkind[tq],
-                )
+            for c, mi, s, dyn, tq in zip(
+                buf[0::5], buf[1::5], buf[2::5], buf[3::5], buf[4::5]
             )
+        )
         buf = self._ev_deliver
-        for i in range(0, len(buf), 2):
-            c, mi = buf[i], buf[i + 1]
-            evs.append(
-                ("deliver", c, muid[mi], nodes[mdst[mi]], c - minj[mi])
+        mis = buf[1::2]
+        evs.extend(
+            ("deliver", c, muid[mi], nodes[d], c - inj)
+            for c, mi, d, inj in zip(
+                buf[0::2],
+                mis,
+                self._mdst[mis].tolist(),
+                self._minj[mis].tolist(),
             )
+        )
         evs.sort(key=lambda ev: (ev[1], ev[2]))
         return evs
 
-    def _flush_telemetry(self, result: SimulationResult) -> None:
-        sink = self._events
-        if sink is not None:
-            evs = self._materialize_events()
-            extend = getattr(sink, "extend", None)
-            if extend is not None:
-                extend(evs)
-            else:
-                for ev in evs:
-                    sink.append(ev)
-        probe = self._probe
-        if probe is None:
+    def _flush_events(self) -> None:
+        """Hand the buffered events to the sink and empty the buffers.
+
+        Called at the end of every recording :meth:`step`, so each
+        batch holds one cycle and batches arrive in cycle order: the
+        sink sees the canonical stream as it happens (live serve
+        metrics) and the buffers never outgrow one cycle's traffic.
+        """
+        evs = self._materialize_events()
+        for buf in (
+            self._ev_inject, self._ev_enqueue, self._ev_hop, self._ev_deliver
+        ):
+            buf.clear()
+        if not evs:
             return
-        if probe.enabled and probe.series_enabled and self._series_buf:
-            t = self.tables
-            labels = [
-                (t.nodes[t.queue_node[q]], t.queue_kind[q])
-                for q in range(t.n_queues)
-            ]
-            series = probe.occupancy_series
-            for c, lens in self._series_buf:
-                for (u, kind), occ in zip(labels, lens.tolist()):
-                    series.append((c, u, kind, occ))
-            self._series_buf = []
-        hook = getattr(probe, "on_run_end", None)
-        if hook is not None:
-            hook(self, result)
+        sink = self._events
+        extend = getattr(sink, "extend", None)
+        if extend is not None:
+            extend(evs)
+        else:
+            for ev in evs:
+                sink.append(ev)
 
     # ------------------------------------------------------------------
     # Full runs
@@ -1054,5 +1064,7 @@ class VectorSimulator:
             undelivered=self.active,
             occupancy=occupancy,
         )
-        self._flush_telemetry(result)
+        if self._probe is not None:
+            # Every step flushed its own events; only the summary is left.
+            self._probe.on_run_end(self, result)
         return result

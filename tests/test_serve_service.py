@@ -14,6 +14,7 @@ The two contracts docs/SERVING.md pins:
 from __future__ import annotations
 
 import json
+import re
 import threading
 import time
 import urllib.request
@@ -22,11 +23,14 @@ import pytest
 
 from repro.serve import (
     EXIT_CLEAN,
+    EXIT_DRAIN_TIMEOUT,
     OpenLoopInjection,
     TrafficService,
     load_scenario,
 )
+from repro.sim import VectorSimulator
 from repro.sim.tables import EngineCapabilityError
+from repro.telemetry import prometheus_text
 
 
 def scenario_raw(**service_overrides) -> dict:
@@ -144,6 +148,28 @@ def test_auto_engine_serves():
     assert svc.result.injected == svc.result.delivered
 
 
+def test_drain_limit_exit_reports_packets_in_flight():
+    """A drain limit too short for the in-flight traffic exits 3 and
+    says how many packets it left behind, on both fast engines."""
+    for engine in ("compiled", "vector"):
+        lines = []
+        scn = load_scenario(
+            scenario_raw(duration_cycles=150, drain_limit_cycles=1,
+                         record=False)
+        )
+        svc = TrafficService(scn, engine=engine, emit=lines.append)
+        assert svc.serve() == EXIT_DRAIN_TIMEOUT, engine
+        r = svc.result
+        assert svc.model.drain_timed_out
+        assert r.undelivered > 0
+        assert r.injected == r.delivered + r.undelivered
+        assert any(
+            line.startswith(f"drain limit exceeded: {r.undelivered} packets")
+            and "still in flight" in line
+            for line in lines
+        ), lines
+
+
 # ----------------------------------------------------------------------
 # Telemetry
 # ----------------------------------------------------------------------
@@ -158,6 +184,62 @@ def test_qos_latency_split_by_class():
     assert gold["count"] + bronze["count"] == delivered
     # The uid->qos map was fully consumed (bounded memory).
     assert svc.model.uid_qos == {}
+
+
+#: The series the probe derives from the event stream.
+_EVENT_SERIES = re.compile(
+    r"^(repro_packets_\w+_total|repro_hops_total|"
+    r"repro_phase_transitions_total|"
+    r"(repro_latency_cycles|repro_qos_latency_cycles)(_bucket|_sum|_count)?)"
+    r"[{ ]"
+)
+
+
+def _event_series(text: str) -> list[str]:
+    return [line for line in text.splitlines() if _EVENT_SERIES.match(line)]
+
+
+def test_live_metrics_equal_across_engines_every_tick():
+    """Metrics-only serving streams event-derived metrics live on the
+    vector engine: every tick's scrape equals the compiled engine's,
+    and the vector engine holds no buffered event past its step."""
+    scn = scenario_raw(duration_cycles=200, tick_cycles=10, record=False)
+    scn["topology"] = {"family": "mesh", "size": 5}
+    snapshots = {}
+    for engine in ("compiled", "vector"):
+        svc = TrafficService(load_scenario(scn), engine=engine)
+        ticks = []
+        on_tick = svc.model.on_tick
+
+        def tick(sim, cycle, on_tick=on_tick, ticks=ticks, svc=svc):
+            on_tick(sim, cycle)
+            ticks.append(_event_series(prometheus_text(svc.registry)))
+
+        svc.model.on_tick = tick
+        if engine == "vector":
+            sim = svc.sim
+            assert type(sim) is VectorSimulator
+            step = sim.step
+
+            def checked_step(sim=sim, step=step):
+                step()
+                assert sim._recording
+                assert not (
+                    sim._ev_inject or sim._ev_enqueue
+                    or sim._ev_hop or sim._ev_deliver
+                )
+
+            sim.step = checked_step
+        assert svc.serve() == EXIT_CLEAN
+        snapshots[engine] = ticks
+    assert len(snapshots["compiled"]) > 10
+    assert snapshots["compiled"] == snapshots["vector"]
+    # Live, not at drain: latency was observed well before the end.
+    mid = snapshots["vector"][len(snapshots["vector"]) // 2]
+    count = next(
+        line for line in mid if line.startswith("repro_latency_cycles_count")
+    )
+    assert float(count.split()[-1]) > 0
 
 
 def test_admission_metrics_published():

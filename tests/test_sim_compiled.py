@@ -167,10 +167,17 @@ def test_engine_env_override(monkeypatch):
     with pytest.raises(ValueError):
         exp.build(4)
     monkeypatch.delenv("REPRO_ENGINE")
-    # auto + a non-hypercube algorithm -> compiled generic engine.
+    # auto + a mesh scheme (batch hop rows) -> vector engine.
     topo = Mesh((4, 4))
     sim = build_simulator(
         MeshAdaptiveRouting(topo),
+        StaticInjection(1, RandomTraffic(topo), make_rng(0)),
+    )
+    assert type(sim) is VectorSimulator
+    # auto + the torus (no batch rows) -> compiled generic engine.
+    topo = Torus((4, 4))
+    sim = build_simulator(
+        TorusRouting(topo),
         StaticInjection(1, RandomTraffic(topo), make_rng(0)),
     )
     assert type(sim) is CompiledPacketSimulator

@@ -85,14 +85,22 @@ def test_occupancy_sampling_stride():
     assert all(c % 4 == 0 for c in cycles)
 
 
-def test_auto_engine_with_telemetry_is_compiled():
-    from repro.sim import CompiledPacketSimulator
+def test_auto_engine_with_telemetry_is_vector_on_cube_compiled_on_torus():
+    from repro.routing import TorusRouting
+    from repro.sim import CompiledPacketSimulator, VectorSimulator
+    from repro.topology import Torus
 
     topo = Hypercube(3)
     alg = HypercubeAdaptiveRouting(topo)
     model = StaticInjection(1, RandomTraffic(topo), make_rng(0))
     sim = build_simulator(alg, model, engine="auto", telemetry=True)
-    assert isinstance(sim, CompiledPacketSimulator)
+    assert type(sim) is VectorSimulator
+    topo = Torus((4, 4))
+    model = StaticInjection(1, RandomTraffic(topo), make_rng(0))
+    sim = build_simulator(
+        TorusRouting(topo), model, engine="auto", telemetry=True
+    )
+    assert type(sim) is CompiledPacketSimulator
 
 
 # ----------------------------------------------------------------------
