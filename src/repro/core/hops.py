@@ -44,6 +44,12 @@ declines the batch; the tables then gather packed rows by row id
 takes.  The two-phase kernels (hypercube, mesh) share one view,
 :class:`TwoPhaseRows`.
 
+Injection has the same batch form: :meth:`HopKernel.injection_rows`
+resolves a whole cycle's injections at once, and must equal
+:meth:`~repro.sim.tables.RoutingTables.injection_row` (which it may
+only answer for when that row has exactly one target) on every key.
+The two-phase kernels answer it through :class:`TwoPhaseKernel`.
+
 :class:`TableHopKernel` implements the generic row assembly (first-wins
 slot filtering, the entry fold, injection resolution) on top of two
 per-algorithm primitives — :meth:`TableHopKernel.candidates` and
@@ -71,6 +77,7 @@ __all__ = [
     "HopKernel",
     "HopRows",
     "TableHopKernel",
+    "TwoPhaseKernel",
     "TwoPhaseRows",
 ]
 
@@ -164,6 +171,17 @@ class HopKernel:
 
     def fill_rows(self, qids, dsts, sids) -> HopRows | None:
         """Batch central rows for int arrays of keys, or ``None``."""
+        return None
+
+    def injection_rows(self, srcs, dsts, sids):
+        """Batch injection rows for int arrays of keys, or ``None``.
+
+        ``(queues, states)`` int arrays: the one resolved target of
+        each key's :meth:`~repro.sim.tables.RoutingTables.injection_row`.
+        Only kernels whose every injection row has exactly one target
+        may answer; ``None`` declines the batch (the tables then resolve
+        it key by key).
+        """
         return None
 
     def memory_bytes(self) -> int:
@@ -301,3 +319,23 @@ class TableHopKernel(HopKernel):
                 return None
             out.append(resolved)
         return tuple(out)
+
+
+class TwoPhaseKernel(TableHopKernel):
+    """Shared batch hooks of the two-phase kernels (hypercube, mesh).
+
+    A packet enters ``qA`` at its source while it has an increasing
+    correction left toward its destination and ``qB`` otherwise, with
+    its state unchanged, and neither entry folds further — so a whole
+    batch of injection rows is one :meth:`a_done` call.  Subclasses
+    implement :meth:`a_done` and :meth:`fill_rows` (returning
+    :class:`TwoPhaseRows`).
+    """
+
+    def a_done(self, v, dst):
+        """Whether each node ``v`` has no phase-A correction left
+        toward ``dst`` (bool array)."""
+        raise NotImplementedError
+
+    def injection_rows(self, srcs, dsts, sids):
+        return (srcs << 1) | self.a_done(srcs, dsts), sids

@@ -78,6 +78,20 @@ class Message:
         return f"Message(#{self.uid} {self.src}->{self.dst})"
 
 
+def take_message_ids(k: int) -> int:
+    """Reserve the next ``k`` message ids; return the first.
+
+    The ids ``first .. first + k - 1`` are exactly the ones ``k``
+    default-constructed :class:`Message` objects would have taken, so
+    an engine that tracks packets as array rows numbers them the same
+    way an engine that builds objects does.
+    """
+    global _msg_counter
+    first = next(_msg_counter)
+    _msg_counter = itertools.count(first + k)
+    return first
+
+
 def reset_message_ids() -> None:
     """Restart the global message id counter (test isolation helper)."""
     global _msg_counter

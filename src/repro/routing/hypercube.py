@@ -35,7 +35,7 @@ from typing import Any, Hashable
 
 import numpy as np
 
-from ..core.hops import TableHopKernel, TwoPhaseRows
+from ..core.hops import TwoPhaseKernel, TwoPhaseRows
 from ..core.queues import QueueId, deliver
 from ..core.routing_function import DYNAMIC_CLASS, RoutingAlgorithm
 from ..topology.hypercube import Hypercube
@@ -188,7 +188,7 @@ class HypercubeObliviousRouting(HypercubeHungRouting):
         return frozenset({best})
 
 
-class _HypercubeKernel(TableHopKernel):
+class _HypercubeKernel(TwoPhaseKernel):
     """Integer hop kernel for the two-phase hypercube schemes.
 
     Global queue id factors as ``node * 2 + phase`` (phase 0 = ``qA``,

@@ -24,7 +24,7 @@ from typing import Any
 
 import numpy as np
 
-from ..core.hops import TableHopKernel, TwoPhaseRows
+from ..core.hops import TwoPhaseKernel, TwoPhaseRows
 from ..core.queues import QueueId, deliver
 from ..core.routing_function import DYNAMIC_CLASS, RoutingAlgorithm
 from ..topology.mesh import Coord, Mesh, Mesh2D
@@ -150,7 +150,7 @@ class MeshObliviousRouting(MeshRestrictedRouting):
         return frozenset({movers[0]})
 
 
-class _MeshKernel(TableHopKernel):
+class _MeshKernel(TwoPhaseKernel):
     """Integer hop kernel for the two-phase mesh schemes.
 
     Node indices are lexicographic coordinate ranks, so a ``+1`` step

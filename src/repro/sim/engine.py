@@ -45,6 +45,8 @@ from __future__ import annotations
 
 from typing import Hashable
 
+import numpy as np
+
 from ..core.message import Message
 from ..core.queues import QueueId
 from ..core.routing_function import RoutingAlgorithm
@@ -221,6 +223,29 @@ class PacketSimulator:
         self._last_progress = cycle
         if self._events is not None:
             self._events.append(("inject", cycle, msg.uid, u, msg.dst))
+
+    def place_batch(
+        self, src_ids: np.ndarray, dst_ids: np.ndarray, cycle: int
+    ) -> np.ndarray:
+        """Inject one packet per ``(src_ids[i], dst_ids[i])`` pair.
+
+        Ids index :attr:`nodes`; sources must be distinct.  A packet is
+        placed when its source's injection queue is free (a dead node
+        refuses), in array order, with a fresh :class:`Message` in the
+        algorithm's initial state, so uids are taken in array order
+        among the placed packets.  Returns the placed mask.
+        """
+        nodes = self.nodes
+        alg = self.algorithm
+        placed = np.zeros(len(src_ids), dtype=bool)
+        for i, (s, d) in enumerate(zip(src_ids.tolist(), dst_ids.tolist())):
+            u = nodes[s]
+            if self.injection_queue_free(u):
+                dst = nodes[d]
+                msg = Message(src=u, dst=dst, state=alg.initial_state(u, dst))
+                self.place_in_injection_queue(u, msg, cycle)
+                placed[i] = True
+        return placed
 
     # ------------------------------------------------------------------
     # One routing cycle

@@ -10,6 +10,16 @@
 
 Injection models only decide *when a node generates a packet and for
 which destination*; the engine owns queue capacities and movement.
+
+Dynamic injection draws each cycle's packets as int id arrays
+(:func:`~repro.sim.sampling.draw_arrival_ids`) and hands them to the
+engine's ``place_batch(src_ids, dst_ids, cycle)``, which returns the
+placed mask: the reference engine builds one
+:class:`~repro.core.message.Message` per placed packet, the vector
+engine writes array columns and builds none.  Static injection keeps a
+per-node backlog of :class:`Message` objects (the fault watchdog reads
+it) and places them one at a time through
+``place_in_injection_queue``.
 """
 
 from __future__ import annotations
@@ -20,7 +30,7 @@ from typing import TYPE_CHECKING, Hashable
 import numpy as np
 
 from ..core.message import Message
-from .sampling import bernoulli_fires
+from .sampling import draw_arrival_ids
 from .traffic import TrafficPattern
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -125,23 +135,17 @@ class DynamicInjection(InjectionModel):
         self.successes = 0
 
     def attempt(self, sim: "PacketSimulator", cycle: int) -> None:
-        alg = sim.algorithm
-        # The shared sampler consumes the RNG exactly as this model
-        # always has (one random() vector, then one pattern draw per
-        # firing node below), so extraction changed no byte of any log.
-        tries = bernoulli_fires(sim.nodes, self.rate, self.rng)
-        measuring = cycle >= self.warmup
-        for u in tries:
-            dst = self.pattern.draw(u, self.rng)
-            if dst == u:
-                continue
-            if measuring:
-                self.attempts += 1
-            if sim.injection_queue_free(u):
-                if measuring:
-                    self.successes += 1
-                msg = Message(src=u, dst=dst, state=alg.initial_state(u, dst))
-                sim.place_in_injection_queue(u, msg, cycle)
+        # One array draw per cycle, in the RNG order of one pattern
+        # draw per firing node; the engine places the whole batch.
+        src, dst = draw_arrival_ids(
+            sim.nodes, self.rate, self.pattern, self.rng
+        )
+        if not src.size:
+            return
+        placed = sim.place_batch(src, dst, cycle)
+        if cycle >= self.warmup:
+            self.attempts += src.size
+            self.successes += int(np.count_nonzero(placed))
 
     def finished(self, sim: "PacketSimulator", cycle: int) -> bool:
         return cycle + 1 >= self.duration

@@ -6,8 +6,11 @@ this cycle, and to where": the closed-loop
 and the open-loop workload driver of the streaming traffic service
 (:mod:`repro.serve.workloads`).  Both must consume the RNG in exactly
 the same order, because byte-identical replays across engines hinge on
-identical draw sequences; keeping the logic in one place makes that a
-structural property instead of a copy-paste invariant.
+identical draw sequences.  Both therefore go through one function,
+:func:`draw_arrival_ids`, which works on int node ids (indices into
+``topology.nodes()`` order): the closed-loop model hands its id arrays
+straight to the engine, and :func:`draw_arrivals` is a label view over
+the same draw, so the two cannot drift apart.
 
 Also here: the user-count distributions of the serving scenarios
 (Poisson / normal / log-normal), parameterized by *mean* (and variance
@@ -28,23 +31,58 @@ from .traffic import TrafficPattern
 USER_DISTRIBUTIONS = ("poisson", "normal", "log_normal")
 
 
+def _fire_ids(n: int, rate: float, rng: np.random.Generator) -> np.ndarray:
+    """Ids of the nodes that attempt an injection (Bernoulli(rate) each).
+
+    ``rate >= 1`` takes *every* node without consuming any RNG, the
+    saturated path the paper's ``lambda = 1`` runs always took;
+    otherwise exactly one ``rng.random(n)`` vector is drawn.
+    """
+    if rate >= 1.0:
+        return np.arange(n, dtype=np.int64)
+    if rate <= 0.0:
+        return np.empty(0, dtype=np.int64)
+    return np.flatnonzero(rng.random(n) < rate)
+
+
 def bernoulli_fires(
     nodes: Sequence[Hashable], rate: float, rng: np.random.Generator
 ) -> Sequence[Hashable]:
     """Nodes that attempt an injection this cycle (Bernoulli(rate) each).
 
-    ``rate >= 1`` short-circuits to *every* node without consuming any
-    RNG, matching the saturated fast path the paper's ``lambda = 1``
-    runs always took; otherwise exactly one ``rng.random(len(nodes))``
-    vector is drawn, preserving :class:`DynamicInjection`'s historical
-    draw sequence byte for byte.
+    The label view of the firing draw: ``nodes`` itself at
+    ``rate >= 1`` (no RNG consumed), ``()`` at ``rate <= 0``, else the
+    firing nodes in node order from one ``rng.random(len(nodes))``
+    vector.
     """
     if rate >= 1.0:
         return nodes
     if rate <= 0.0:
         return ()
-    draws = rng.random(len(nodes))
-    return [u for u, x in zip(nodes, draws) if x < rate]
+    return [nodes[i] for i in _fire_ids(len(nodes), rate, rng).tolist()]
+
+
+def draw_arrival_ids(
+    nodes: Sequence[Hashable],
+    rate: float,
+    pattern: TrafficPattern,
+    rng: np.random.Generator,
+) -> tuple[np.ndarray, np.ndarray]:
+    """One cycle of seeded arrivals as ``(src_ids, dst_ids)`` int arrays.
+
+    One Bernoulli vector picks the firing nodes (none at ``rate >= 1``:
+    every node fires), then :meth:`TrafficPattern.draw_ids` draws their
+    destinations in node order — the RNG order of one ``pattern.draw``
+    per firing node.  Fixed points (``dst == src``, a pattern's way of
+    saying "this node stays silent") are dropped afterwards, so they
+    still consume their draws.
+    """
+    src = _fire_ids(len(nodes), rate, rng)
+    dst = pattern.draw_ids(nodes, src, rng)
+    keep = dst != src
+    if keep.all():
+        return src, dst
+    return src[keep], dst[keep]
 
 
 def draw_arrivals(
@@ -53,20 +91,13 @@ def draw_arrivals(
     pattern: TrafficPattern,
     rng: np.random.Generator,
 ) -> list[tuple[Hashable, Hashable]]:
-    """One cycle of seeded ``(source, destination)`` arrival offers.
+    """One cycle of seeded ``(source, destination)`` label offers.
 
-    Destinations are drawn in firing-node order (one ``pattern.draw``
-    per firing node, after the single Bernoulli vector), which is the
-    exact RNG consumption order of the closed-loop model.  Fixed points
-    (``dst == src``) are filtered out here — patterns return them to
-    mean "this node stays silent".
+    The label view of :func:`draw_arrival_ids` (same draws, same
+    order, fixed points dropped).
     """
-    offers = []
-    for u in bernoulli_fires(nodes, rate, rng):
-        dst = pattern.draw(u, rng)
-        if dst != u:
-            offers.append((u, dst))
-    return offers
+    src, dst = draw_arrival_ids(nodes, rate, pattern, rng)
+    return [(nodes[s], nodes[d]) for s, d in zip(src.tolist(), dst.tolist())]
 
 
 def draw_user_count(

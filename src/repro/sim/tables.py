@@ -32,7 +32,9 @@ compiled engine trusts):
 * :meth:`entry_row` — where a packet nominally heading for a queue
   actually lands after the entry fold;
 * :meth:`injection_row` — resolved injection targets in the reference
-  engine's ``sorted(targets)`` order.
+  engine's ``sorted(targets)`` order (:meth:`injection_rows` resolves
+  a whole cycle's injections at once, from the kernel's batch rows
+  where it has them).
 
 Rows contain only ints, so the engine's per-message work is integer
 compares and array indexing; identity with the reference engine is
@@ -580,6 +582,29 @@ class RoutingTables:
                 )
             self._inject[key] = row
         return row
+
+    def injection_rows(
+        self, srcs: np.ndarray, dsts: np.ndarray, sids: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Entry queue and state of a batch of injections.
+
+        ``(queues, states)`` int arrays: each key's single
+        :meth:`injection_row` target, or queue ``-1`` where that row
+        has no or several targets.  The kernel's batch rows when it
+        computes them (no memo); otherwise resolved key by key.
+        """
+        if self.kernel is not None:
+            rows = self.kernel.injection_rows(srcs, dsts, sids)
+            if rows is not None:
+                return rows
+        queues = np.full(len(srcs), -1, dtype=np.int64)
+        states = np.zeros(len(srcs), dtype=np.int64)
+        keys = zip(srcs.tolist(), dsts.tolist(), sids.tolist())
+        for i, key in enumerate(keys):
+            row = self.injection_row(*key)
+            if len(row) == 1:
+                queues[i], states[i] = row[0]
+        return queues, states
 
 
 class _RidRows(HopRows):

@@ -14,12 +14,20 @@ The paper evaluates four patterns on the hypercube:
 
 Extra patterns (bit reversal, shuffle, mesh transpose, tornado) extend
 the benchmark surface beyond the paper.
+
+Patterns answer in two forms: :meth:`TrafficPattern.draw` maps one
+source *label* to a destination label, and
+:meth:`TrafficPattern.draw_ids` maps an int array of source *ids*
+(indices into ``topology.nodes()`` order) to destination ids in one
+call.  Both consume the RNG identically, so a run that draws a whole
+cycle's injections at once replays the per-packet stream byte for
+byte.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Hashable
+from typing import Hashable, Sequence
 
 import numpy as np
 
@@ -46,6 +54,36 @@ class TrafficPattern(ABC):
         node does not inject" (used by permutations with fixed points).
         """
 
+    def draw_ids(
+        self,
+        nodes: Sequence[Hashable],
+        src_ids: np.ndarray,
+        rng: np.random.Generator,
+    ) -> np.ndarray:
+        """Destination ids for sources ``src_ids``, drawn in array order.
+
+        ``nodes`` maps ids to labels (``topology.nodes()`` order).  This
+        base form calls :meth:`draw` once per source, so a pattern that
+        only states :meth:`draw` keeps its exact RNG use; subclasses
+        override it with array arithmetic that consumes the RNG the
+        same way.
+        """
+        index = self._index_of(nodes)
+        return np.fromiter(
+            (index[self.draw(nodes[s], rng)] for s in src_ids.tolist()),
+            dtype=np.int64,
+            count=len(src_ids),
+        )
+
+    def _index_of(self, nodes: Sequence[Hashable]) -> dict[Hashable, int]:
+        """Label -> id map of ``nodes``, cached per node list."""
+        cached = getattr(self, "_index_cache", None)
+        if cached is None or cached[0] is not nodes:
+            cached = self._index_cache = (
+                nodes, {u: i for i, u in enumerate(nodes)}
+            )
+        return cached[1]
+
 
 class RandomTraffic(TrafficPattern):
     """Uniformly random destinations over ``V - {src}``."""
@@ -64,6 +102,14 @@ class RandomTraffic(TrafficPattern):
             r += 1
         return self.nodes[r]
 
+    def draw_ids(self, nodes, src_ids, rng):
+        # One batched call returns the values (and leaves the generator
+        # in the state) of len(src_ids) scalar calls.
+        if not len(src_ids):
+            return np.empty(0, dtype=np.int64)
+        r = rng.integers(self.n - 1, size=len(src_ids))
+        return r + (r >= src_ids)
+
 
 class PermutationTraffic(TrafficPattern):
     """Fixed map ``src -> sigma(src)``; fixed points mean no injection."""
@@ -79,6 +125,16 @@ class PermutationTraffic(TrafficPattern):
 
     def draw(self, src: Hashable, rng: np.random.Generator) -> Hashable:
         return self.mapping[src]
+
+    def draw_ids(self, nodes, src_ids, rng):
+        # The map ignores the RNG: resolve every id once, then gather.
+        cached = getattr(self, "_ids_cache", None)
+        if cached is None or cached[0] is not nodes:
+            every = np.arange(len(nodes), dtype=np.int64)
+            cached = self._ids_cache = (
+                nodes, super().draw_ids(nodes, every, rng)
+            )
+        return cached[1][src_ids]
 
 
 class ComplementTraffic(PermutationTraffic):

@@ -2,11 +2,19 @@
 
 :class:`VectorSimulator` executes the paper's Section-7.1 routing cycle
 over the integer tables of :class:`~repro.sim.tables.RoutingTables`:
-messages live in parallel int arrays (destination, state id, resolved
-entry queue, injection cycle), central queues are rows of one int
-matrix, link buffers are numpy int arrays holding message indices, and
-all three phases of the cycle have batched numpy forms:
+messages live in parallel int arrays (uid, destination, state id,
+resolved entry queue, injection cycle), central queues are rows of one
+int matrix, link buffers are numpy int arrays holding message indices,
+and the injection and all three phases of the cycle have batched numpy
+forms:
 
+* **injection**: :meth:`VectorSimulator.place_batch` takes a cycle's
+  ``(src, dst)`` id arrays from
+  :class:`~repro.sim.injection.DynamicInjection` and writes them into
+  the message columns by slice — free mask, state ids, entry queues
+  (:meth:`~repro.sim.tables.RoutingTables.injection_rows`, the hop
+  kernel's batch arithmetic where it has one) and uids in one step each,
+  without building a :class:`~repro.core.message.Message`;
 * the **fill phase** sweeps all busy nodes at once, one
   ``(position, queue-kind)`` step at a time: one
   :meth:`~repro.sim.tables.RoutingTables.fill_rows` call yields every
@@ -58,7 +66,10 @@ silently degrades; see the engine matrix in ``docs/ARCHITECTURE.md``):
   compiled engine — ``repro.faults.experiments.make_fault_simulator``
   therefore maps ``engine="vector"`` to ``"auto"``;
 * no per-hop tracing (``trace=True``) and no ``delivered_messages``
-  capture.
+  capture; a :class:`~repro.core.message.Message` handed to
+  :meth:`~VectorSimulator.place_in_injection_queue` gets its
+  ``injected_cycle`` but is not kept, so its ``delivered_cycle`` stays
+  ``-1`` (results and event logs carry every latency).
 
 **Telemetry.**  Events are buffered *columnar* during a cycle — flat
 int lists per event kind, no tuple or label allocation on the hot
@@ -81,7 +92,7 @@ from typing import Hashable
 
 import numpy as np
 
-from ..core.message import Message
+from ..core.message import Message, take_message_ids
 from ..core.routing_function import RoutingAlgorithm
 from .engine import CycleLimitExceeded, DeadlockError
 from .injection import InjectionModel
@@ -193,9 +204,11 @@ class VectorSimulator:
 
         # Parallel per-message storage (index = registration order).
         # Numpy columns for the batch paths; python lists where only
-        # the python paths touch them.
+        # the python paths touch them.  No Message object is kept: a
+        # packet is its row.
         self._mn = 0
         cap0 = 1024
+        self._muid = np.empty(cap0, dtype=np.int64)
         self._mdst = np.empty(cap0, dtype=np.int64)
         self._mstate = np.empty(cap0, dtype=np.int64)
         self._minj = np.empty(cap0, dtype=np.int64)
@@ -203,8 +216,6 @@ class VectorSimulator:
         # resolved at hop time (external moves) or injection time.
         self._ment_q = np.empty(cap0, dtype=np.int64)
         self._ment_st = np.empty(cap0, dtype=np.int64)
-        self._mobj: list[Message] = []
-        self._muid: list[int] = []
         self._msig_q: list[int] = []
         self._msig_st: list[int] = []
         self._mrow: list[tuple | None] = []
@@ -272,7 +283,9 @@ class VectorSimulator:
 
     def _grow_msgs(self) -> None:
         cap = self._mdst.size * 2
-        for name in ("_mdst", "_mstate", "_minj", "_ment_q", "_ment_st"):
+        for name in (
+            "_muid", "_mdst", "_mstate", "_minj", "_ment_q", "_ment_st"
+        ):
             col = getattr(self, name)
             grown = np.empty(cap, dtype=np.int64)
             grown[: col.size] = col
@@ -287,6 +300,11 @@ class VectorSimulator:
     def place_in_injection_queue(
         self, u: Hashable, msg: Message, cycle: int
     ) -> None:
+        """Place one prebuilt message (static backlogs, serve admission).
+
+        The engine copies what it needs into its columns and keeps no
+        reference to ``msg``.
+        """
         ui = self._nid[u]
         if self._inj[ui] != -1:
             raise RuntimeError(f"injection queue at {u} occupied")
@@ -294,10 +312,9 @@ class VectorSimulator:
         mi = self._mn
         if mi == self._mdst.size:
             self._grow_msgs()
-        self._mobj.append(msg)
-        self._muid.append(msg.uid)
         dst_i = self._nid[msg.dst]
         sid = self.tables.state_id(msg.state)
+        self._muid[mi] = msg.uid
         self._mdst[mi] = dst_i
         self._mstate[mi] = sid
         self._minj[mi] = cycle
@@ -318,6 +335,71 @@ class VectorSimulator:
         self._last_progress = cycle
         if self._recording:
             self._ev_inject.extend((cycle, mi, ui))
+
+    def place_batch(
+        self, src_ids: np.ndarray, dst_ids: np.ndarray, cycle: int
+    ) -> np.ndarray:
+        """Inject a batch of packets as array rows; no :class:`Message`.
+
+        Same contract as :meth:`PacketSimulator.place_batch`: sources
+        are distinct node ids, a packet is placed when its source's
+        injection buffer is free, uids are taken in array order among
+        the placed packets (:func:`~repro.core.message.take_message_ids`),
+        and the placed mask is returned.  Entry queues come from
+        :meth:`RoutingTables.injection_rows`; a row without exactly one
+        target leaves ``-1`` there and sends reads down the sparse path.
+        """
+        placed = self._inj[src_ids] == -1
+        if not placed.all():
+            src_ids = src_ids[placed]
+            dst_ids = dst_ids[placed]
+        k = src_ids.size
+        if not k:
+            return placed
+        t = self.tables
+        alg = self.algorithm
+        if type(alg).initial_state is RoutingAlgorithm.initial_state:
+            sids = np.full(k, t.state_id(None), dtype=np.int64)
+        else:
+            nodes = self.nodes
+            sids = np.fromiter(
+                (
+                    t.state_id(alg.initial_state(nodes[s], nodes[d]))
+                    for s, d in zip(src_ids.tolist(), dst_ids.tolist())
+                ),
+                dtype=np.int64,
+                count=k,
+            )
+        ent_q, ent_st = t.injection_rows(src_ids, dst_ids, sids)
+        lo = self._mn
+        hi = lo + k
+        while hi > self._mdst.size:
+            self._grow_msgs()
+        first = take_message_ids(k)
+        self._muid[lo:hi] = np.arange(first, first + k)
+        self._mdst[lo:hi] = dst_ids
+        self._mstate[lo:hi] = sids
+        self._minj[lo:hi] = cycle
+        self._ment_q[lo:hi] = ent_q
+        self._ment_st[lo:hi] = ent_st
+        if (ent_q < 0).any():
+            self._inj_multi = True
+        self._msig_q.extend([-1] * k)
+        self._msig_st.extend([-1] * k)
+        self._mrow.extend([None] * k)
+        mis = np.arange(lo, hi)
+        self._mn = hi
+        self._inj[src_ids] = mis
+        self.injected_count += k
+        self.active += k
+        self._last_progress = cycle
+        if self._recording:
+            ev = np.empty((k, 3), dtype=np.int64)
+            ev[:, 0] = cycle
+            ev[:, 1] = mis
+            ev[:, 2] = src_ids
+            self._ev_inject.extend(ev.ravel().tolist())
+        return placed
 
     # ------------------------------------------------------------------
     # One routing cycle
@@ -803,30 +885,22 @@ class VectorSimulator:
             for _rank, s in items:
                 if s == -1:  # the injection buffer
                     mi = int(inj[ui])
-                    for tq, tst in injection_row(
-                        ui, int(mdst[mi]), int(mstate[mi])
-                    ):
-                        if qcount[tq] < cap:
-                            mstate[mi] = tst
-                            end = int(qlen[tq])
-                            if end >= qbuf.shape[1]:
-                                self._grow_qbuf(end)
-                                qbuf = self._qbuf
-                            qbuf[tq, end] = mi
-                            qlen[tq] = end + 1
-                            qcount[tq] += 1
-                            inj[ui] = -1
-                            filled += 1
-                            self._last_progress = cycle
-                            if recording:
-                                self._ev_enqueue.extend((cycle, mi, tq))
-                            break
+                    if ment_q[mi] >= 0:
+                        cands = ((int(ment_q[mi]), int(ment_st[mi])),)
+                    else:  # no or several targets: the full row
+                        cands = injection_row(
+                            ui, int(mdst[mi]), int(mstate[mi])
+                        )
                 else:
                     mi = int(in_buf[s])
-                    tq = int(ment_q[mi])
+                    cands = ((int(ment_q[mi]), int(ment_st[mi])),)
+                for tq, tst in cands:
                     if qcount[tq] < cap:
-                        in_buf[s] = -1
-                        mstate[mi] = ment_st[mi]
+                        if s == -1:
+                            inj[ui] = -1
+                        else:
+                            in_buf[s] = -1
+                        mstate[mi] = tst
                         end = int(qlen[tq])
                         if end >= qbuf.shape[1]:
                             self._grow_qbuf(end)
@@ -838,6 +912,7 @@ class VectorSimulator:
                         self._last_progress = cycle
                         if recording:
                             self._ev_enqueue.extend((cycle, mi, tq))
+                        break
             if filled:
                 self._load[ui] += filled
 
@@ -872,8 +947,6 @@ class VectorSimulator:
 
     # -- delivery and stats -------------------------------------------------
     def _deliver(self, mi: int, cycle: int) -> None:
-        msg = self._mobj[mi]
-        msg.delivered_cycle = cycle
         self.delivered_count += 1
         self.active -= 1
         self._last_progress = cycle
@@ -955,15 +1028,20 @@ class VectorSimulator:
         buf = self._ev_inject
         mis = buf[1::3]
         evs.extend(
-            ("inject", c, muid[mi], nodes[ui], nodes[d])
-            for c, mi, ui, d in zip(
-                buf[0::3], mis, buf[2::3], self._mdst[mis].tolist()
+            ("inject", c, uid, nodes[ui], nodes[d])
+            for c, uid, ui, d in zip(
+                buf[0::3],
+                muid[mis].tolist(),
+                buf[2::3],
+                self._mdst[mis].tolist(),
             )
         )
         buf = self._ev_enqueue
         evs.extend(
-            ("enqueue", c, muid[mi], nodes[qnode[qid]], qkind[qid])
-            for c, mi, qid in zip(buf[0::3], buf[1::3], buf[2::3])
+            ("enqueue", c, uid, nodes[qnode[qid]], qkind[qid])
+            for c, uid, qid in zip(
+                buf[0::3], muid[buf[1::3]].tolist(), buf[2::3]
+            )
         )
         buf = self._ev_hop
         src, dst, cls = t.slot_src, t.slot_dst, t.slot_cls
@@ -971,24 +1049,28 @@ class VectorSimulator:
             (
                 "hop",
                 c,
-                muid[mi],
+                uid,
                 nodes[src[s]],
                 nodes[dst[s]],
                 cls[s],
                 bool(dyn),
                 qkind[tq],
             )
-            for c, mi, s, dyn, tq in zip(
-                buf[0::5], buf[1::5], buf[2::5], buf[3::5], buf[4::5]
+            for c, uid, s, dyn, tq in zip(
+                buf[0::5],
+                muid[buf[1::5]].tolist(),
+                buf[2::5],
+                buf[3::5],
+                buf[4::5],
             )
         )
         buf = self._ev_deliver
         mis = buf[1::2]
         evs.extend(
-            ("deliver", c, muid[mi], nodes[d], c - inj)
-            for c, mi, d, inj in zip(
+            ("deliver", c, uid, nodes[d], c - inj)
+            for c, uid, d, inj in zip(
                 buf[0::2],
-                mis,
+                muid[mis].tolist(),
                 self._mdst[mis].tolist(),
                 self._minj[mis].tolist(),
             )

@@ -279,6 +279,79 @@ def test_mesh2d_batch_rows_match_scalar_rows_on_every_key(alg_cls):
     _assert_batch_rows_match_scalar_rows(alg_cls(Mesh2D(3, 4)))
 
 
+# ----------------------------------------------------------------------
+# Batch injection rows: injection_rows vs scalar injection_row
+# ----------------------------------------------------------------------
+def _assert_injection_rows_match_scalar_rows(alg):
+    kern = RoutingTables(alg)
+    fall = RoutingTables(alg, use_kernel=False)
+    for tab in (kern, fall):
+        for state in (None, "s1", 7):
+            tab.state_id(state)
+    n = len(kern.nodes)
+    keys = np.array(
+        list(itertools.product(range(n), range(n), range(len(kern.states)))),
+        dtype=np.int64,
+    )
+    srcs, dsts, sids = (keys[:, j].copy() for j in range(3))
+    batch = kern.kernel.injection_rows(srcs, dsts, sids)
+    assert batch is not None
+    tabled = kern.injection_rows(srcs, dsts, sids)
+    assert kern.size == 0  # no per-key row was memoized
+    for i, key in enumerate(keys.tolist()):
+        want = fall.injection_row(*key)
+        assert want == kern.injection_row(*key), key
+        assert len(want) == 1, key
+        got = (int(batch[0][i]), int(batch[1][i]))
+        assert got == want[0], key
+        assert (int(tabled[0][i]), int(tabled[1][i])) == want[0], key
+
+
+@pytest.mark.parametrize("variant", sorted(CUBE_VARIANTS))
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_cube_injection_rows_match_scalar_rows_on_every_key(n, variant):
+    _assert_injection_rows_match_scalar_rows(
+        CUBE_VARIANTS[variant](Hypercube(n))
+    )
+
+
+@pytest.mark.parametrize("variant", sorted(MESH_VARIANTS))
+@pytest.mark.parametrize(
+    "shape",
+    [(2,), (4,), (2, 3), (3, 3), (4, 5), (2, 3, 2)],
+    ids=lambda shape: "x".join(map(str, shape)),
+)
+def test_mesh_injection_rows_match_scalar_rows_on_every_key(shape, variant):
+    _assert_injection_rows_match_scalar_rows(
+        MESH_VARIANTS[variant](Mesh(shape))
+    )
+
+
+def test_kernelless_injection_rows_resolve_key_by_key():
+    """A kernel without the batch hook (the torus) declines it, and the
+    tables resolve the batch through the per-key rows."""
+    alg = TorusRouting(Torus((4, 3)))
+    tab = RoutingTables(alg)
+    one = np.zeros(1, dtype=np.int64)
+    assert tab.kernel is not None
+    assert tab.kernel.injection_rows(one, one + 1, one) is None
+    nodes = tab.nodes
+    pairs = [(s, d) for s in range(len(nodes)) for d in range(len(nodes))]
+    srcs = np.array([s for s, _ in pairs], dtype=np.int64)
+    dsts = np.array([d for _, d in pairs], dtype=np.int64)
+    sids = np.array(
+        [
+            tab.state_id(alg.initial_state(nodes[s], nodes[d]))
+            for s, d in pairs
+        ],
+        dtype=np.int64,
+    )
+    queues, states = tab.injection_rows(srcs, dsts, sids)
+    for i, key in enumerate(zip(srcs.tolist(), dsts.tolist(), sids.tolist())):
+        (want,) = tab.injection_row(*key)
+        assert (int(queues[i]), int(states[i])) == want
+
+
 def test_oblivious_mesh_tie_break_keeps_the_lowest_node():
     """Oblivious mesh hops go to the lowest node, which is not the
     lowest dimension in phase A.

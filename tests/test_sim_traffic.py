@@ -1,5 +1,6 @@
 """Unit tests for the traffic patterns (paper, Section 7)."""
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -17,8 +18,25 @@ from repro.sim import (
     make_rng,
     transpose_address,
 )
-from repro.sim.traffic import PermutationTraffic
-from repro.topology import Hypercube, Mesh2D, Torus
+from repro.experiments.other_topologies import (
+    CCCComplementTraffic,
+    SEBitReversalTraffic,
+)
+from repro.routing.benes import BenesTraffic
+from repro.sim.sampling import draw_arrival_ids
+from repro.sim.traffic import (
+    HotspotTraffic,
+    PermutationTraffic,
+    TrafficPattern,
+)
+from repro.topology import (
+    BenesNetwork,
+    CubeConnectedCycles,
+    Hypercube,
+    Mesh2D,
+    ShuffleExchange,
+    Torus,
+)
 from repro.topology.hypercube import hamming_weight
 
 
@@ -137,3 +155,96 @@ def test_random_traffic_uniform_support(n, seed):
     rng = make_rng(seed)
     d = t.draw(0, rng)
     assert 0 < d < cube.num_nodes
+
+
+# ----------------------------------------------------------------------
+# Batch draws: draw_arrival_ids replays the per-node draw loop
+# ----------------------------------------------------------------------
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def _cube_patterns(cube):
+    rng = make_rng(4, "batch-leveled")
+    return [
+        RandomTraffic(cube),
+        ComplementTraffic(cube),
+        TransposeTraffic(cube),
+        LeveledPermutationTraffic(cube, rng),
+        BitReversalTraffic(cube),
+        ShufflePermutationTraffic(cube),
+        HotspotTraffic(cube),
+        HotspotTraffic(cube, hotspot=0, fraction=0.5),
+        PermutationTraffic(
+            {u: (u + 1) % cube.num_nodes for u in cube.nodes()}, "rotate"
+        ),
+    ]
+
+
+def _grid_patterns():
+    mesh = Mesh2D(4, 4)
+    torus = Torus((5, 3))
+    benes = BenesNetwork(2)
+    ccc = CubeConnectedCycles(3)
+    se = ShuffleExchange(4)
+    return [
+        (mesh, RandomTraffic(mesh)),
+        (mesh, MeshTransposeTraffic(mesh)),
+        (mesh, HotspotTraffic(mesh, hotspot=(1, 2))),
+        (torus, TornadoTraffic(torus)),
+        (torus, RandomTraffic(torus)),
+        (benes, BenesTraffic(benes)),
+        (benes, BenesTraffic(benes, make_rng(2), permutation=True)),
+        (ccc, CCCComplementTraffic(ccc)),
+        (se, SEBitReversalTraffic(se)),
+    ]
+
+
+BATCH_CASES = [
+    (f"cube{n}-{p.name}", Hypercube(n), p)
+    for n in (3, 4, 5, 6)
+    for p in _cube_patterns(Hypercube(n))
+] + [(f"{type(t).__name__}-{p.name}", t, p) for t, p in _grid_patterns()]
+
+
+def test_batch_cases_cover_every_pattern_class():
+    shipped = {
+        cls for cls in _subclasses(TrafficPattern)
+        if cls.__module__.startswith("repro.")
+    }
+    assert shipped <= {type(p) for _, _, p in BATCH_CASES}
+
+
+def _per_node_arrivals(nodes, rate, pattern, rng):
+    """The pre-batch sampler: one Bernoulli vector, then one
+    ``pattern.draw`` per firing node, fixed points dropped."""
+    if rate >= 1.0:
+        fired = nodes
+    else:
+        fired = [u for u, x in zip(nodes, rng.random(len(nodes))) if x < rate]
+    out = []
+    for u in fired:
+        dst = pattern.draw(u, rng)
+        if dst != u:
+            out.append((u, dst))
+    return out
+
+
+@pytest.mark.parametrize("rate", [0.3, 1.0])
+@pytest.mark.parametrize(
+    "case", BATCH_CASES, ids=[c[0] for c in BATCH_CASES]
+)
+def test_draw_arrival_ids_matches_per_node_draws(case, rate):
+    _, topo, pattern = case
+    nodes = list(topo.nodes())
+    rng_batch = make_rng(17, "batch-draw")
+    rng_loop = make_rng(17, "batch-draw")
+    for _ in range(12):
+        src, dst = draw_arrival_ids(nodes, rate, pattern, rng_batch)
+        assert src.dtype == dst.dtype == np.int64
+        pairs = zip(src.tolist(), dst.tolist())
+        got = [(nodes[s], nodes[d]) for s, d in pairs]
+        assert got == _per_node_arrivals(nodes, rate, pattern, rng_loop)
+        assert rng_batch.random() == rng_loop.random()

@@ -27,13 +27,19 @@ from repro.routing import (
     TorusRouting,
 )
 from repro.sim import (
+    ComplementTraffic,
     DynamicInjection,
     EngineCapabilityError,
+    HotspotTraffic,
     InjectionModel,
+    LeveledPermutationTraffic,
+    MeshTransposeTraffic,
     PacketSimulator,
     RandomTraffic,
     RoutingTables,
     StaticInjection,
+    TornadoTraffic,
+    TransposeTraffic,
     VectorSimulator,
     make_rng,
 )
@@ -365,6 +371,96 @@ def test_fault_harness_falls_back_from_vector():
         engine="vector",
     )
     assert type(sim) is CompiledPacketSimulator
+
+
+# ----------------------------------------------------------------------
+# Batched dynamic injection (place_batch) identity
+# ----------------------------------------------------------------------
+class _RedundantInjectionRouting(HypercubeAdaptiveRouting):
+    """Adaptive cube routing whose phase-B injections also list ``A``.
+
+    ``A`` with no zero left folds into ``B`` on entry, so routing is
+    unchanged, but every such injection row has two targets: the vector
+    engine must fall back to the per-key multi-target read path.
+    """
+
+    def injection_targets(self, src, dst, state=None):
+        targets = super().injection_targets(src, dst, state)
+        if QueueId(src, "B") in targets:
+            return frozenset({QueueId(src, "A"), QueueId(src, "B")})
+        return targets
+
+
+BATCH_INJECTION_CASES = {
+    "complement": (
+        lambda: Hypercube(4), HypercubeAdaptiveRouting, ComplementTraffic
+    ),
+    "transpose": (
+        lambda: Hypercube(5), HypercubeAdaptiveRouting, TransposeTraffic
+    ),
+    "leveled": (
+        lambda: Hypercube(4),
+        HypercubeAdaptiveRouting,
+        lambda t: LeveledPermutationTraffic(t, make_rng(8, "leveled")),
+    ),
+    "mesh-transpose": (
+        lambda: Mesh((5, 5)), MeshAdaptiveRouting, MeshTransposeTraffic
+    ),
+    "tornado": (lambda: Torus((5, 4)), TorusRouting, TornadoTraffic),
+    "hotspot": (
+        lambda: Mesh((4, 4)),
+        MeshAdaptiveRouting,
+        lambda t: HotspotTraffic(t, fraction=0.3),
+    ),
+    "shuffle-random": (
+        lambda: ShuffleExchange(4), ShuffleExchangeRouting, RandomTraffic
+    ),
+    "multi-target": (
+        lambda: Hypercube(4), _RedundantInjectionRouting, RandomTraffic
+    ),
+}
+
+
+def _dynamic_log(case, engine_cls, rate, **kw):
+    build, alg_cls, make_pattern = BATCH_INJECTION_CASES[case]
+    reset_message_ids()
+    topo = build()
+    model = DynamicInjection(
+        rate, make_pattern(topo), make_rng(21), duration=90, warmup=20
+    )
+    sim = engine_cls(alg_cls(topo), model, **kw)
+    probe = TelemetryProbe()
+    probe.attach(sim)
+    result = sim.run(max_cycles=100_000)
+    return probe.log.to_jsonl(), result, sim, Message(0, 0).uid
+
+
+@pytest.mark.parametrize("rate", [0.4, 1.0])
+@pytest.mark.parametrize("case", sorted(BATCH_INJECTION_CASES))
+def test_batched_injection_event_logs_byte_identical(case, rate):
+    ref_log, ref, _, ref_uid = _dynamic_log(case, PacketSimulator, rate)
+    vec_log, vec, sim, vec_uid = _dynamic_log(case, VectorSimulator, rate)
+    assert vec.injected > 0
+    assert ref_log == vec_log
+    assert_identical(ref, vec)
+    assert ref_uid == vec_uid  # both engines took the same uids
+    assert sim._inj_multi == (case == "multi-target")
+
+
+def test_vector_dynamic_injection_builds_no_message(monkeypatch):
+    built = []
+    init = Message.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Message, "__init__", counting_init)
+    _, result, _, _ = _dynamic_log("complement", VectorSimulator, 1.0)
+    assert result.injected > 0
+    assert len(built) == 1  # only the uid probe after the run
+    _, result, _, _ = _dynamic_log("complement", PacketSimulator, 1.0)
+    assert len(built) == 2 + result.injected
 
 
 # ----------------------------------------------------------------------
