@@ -65,6 +65,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 from .routing_function import DYNAMIC_CLASS
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (sim imports core)
@@ -230,11 +232,7 @@ class TableHopKernel(HopKernel):
         kinds = tuple(layout.queue_kind[:nk])
         self.nk = nk
         self.kinds = kinds
-        self.ok = (
-            nk > 0
-            and len(layout.queue_kind) == nk * n
-            and layout.queue_kind == list(kinds) * n
-        )
+        self.ok = nk > 0 and layout.queue_kind == list(kinds) * n
 
     # -- per-algorithm primitives --------------------------------------
     def candidates(self, qid: int, dst_i: int, sid: int):
@@ -250,12 +248,11 @@ class TableHopKernel(HopKernel):
         cands = self.candidates(qid, dst_i, sid)
         if cands is None:
             return None
-        t = self.t
         statics, dynamics = cands
-        queue_node = t.queue_node
-        queue_kind = t.queue_kind
-        slot_of = t.slot_of
-        ui = queue_node[qid]
+        nk = self.nk
+        kinds = self.kinds
+        slot_id = self.t.slot_id
+        ui = qid // nk
         ext: list[tuple[int, int, int, int]] = []
         internal: list[tuple[int, int, int]] = []
         seen: set[tuple[int, str]] | None = None
@@ -264,14 +261,14 @@ class TableHopKernel(HopKernel):
                 if q2 < 0:
                     internal.append((DELIVER_STEP, -1, sid))
                     continue
-                vi = queue_node[q2]
+                vi = q2 // nk
                 if vi == ui:
                     if q2 == qid:
                         internal.append((SELF_STEP, q2, nsid))
                     else:
                         internal.append((MOVE_STEP, q2, nsid))
                     continue
-                cls = DYNAMIC_CLASS if dyn else queue_kind[q2]
+                cls = DYNAMIC_CLASS if dyn else kinds[q2 % nk]
                 key = (vi, cls)
                 if seen is None:
                     seen = {key}
@@ -279,7 +276,7 @@ class TableHopKernel(HopKernel):
                     continue  # first-wins per (neighbor, class)
                 else:
                     seen.add(key)
-                s = slot_of.get((ui, vi, cls))
+                s = slot_id(ui, vi, cls)
                 if s is not None:
                     ext.append((s, q2, nsid, dyn))
         ext.sort()
@@ -293,8 +290,8 @@ class TableHopKernel(HopKernel):
 
     def entry_row(self, qid: int, dst_i: int, sid: int):
         # The forced-phase-switch fold of RoutingPlanCache._resolve_entry.
-        queue_node = self.t.queue_node
-        node = queue_node[qid]
+        nk = self.nk
+        node = qid // nk
         for _ in range(8):  # bounded by the internal-chain length
             cands = self.candidates(qid, dst_i, sid)
             if cands is None:
@@ -303,7 +300,7 @@ class TableHopKernel(HopKernel):
             if dynamics or len(statics) != 1:
                 break
             q2, nsid = statics[0]
-            if q2 < 0 or q2 == qid or queue_node[q2] != node:
+            if q2 < 0 or q2 == qid or q2 // nk != node:
                 break
             qid, sid = q2, nsid
         return (qid, sid)
@@ -336,6 +333,17 @@ class TwoPhaseKernel(TableHopKernel):
         """Whether each node ``v`` has no phase-A correction left
         toward ``dst`` (bool array)."""
         raise NotImplementedError
+
+    def _slot_columns(self) -> None:
+        """The :class:`TwoPhaseRows` slot columns, from the layout:
+        ``slot_node`` (the receiving node) and ``slot_dyn`` (1 on the
+        dynamic class) of every slot."""
+        t = self.t
+        self.slot_node = t.slot_dst
+        self.slot_dyn = np.zeros(t.n_slots, dtype=np.int64)
+        if DYNAMIC_CLASS in t.class_names:
+            dyn = t.class_names.index(DYNAMIC_CLASS)
+            self.slot_dyn[t.slot_cls == dyn] = 1
 
     def injection_rows(self, srcs, dsts, sids):
         return (srcs << 1) | self.a_done(srcs, dsts), sids

@@ -115,12 +115,29 @@ class HypercubeHungRouting(RoutingAlgorithm):
             )
         raise ValueError(f"no hops from {q}")
 
+    #: Buffer classes of an up-link (one whose sender has the link's
+    #: bit set); down-links carry ``(qA,)``.
+    up_classes: tuple[str, ...] = (QB,)
+
     def buffer_classes(self, u: int, v: int) -> tuple[str, ...]:
         """Down-links carry phase-A traffic, up-links phase-B traffic."""
         dim = self.topology.link_index(u, v)
         if (u >> dim) & 1 == 0:
             return (QA,)
-        return (QB,)
+        return self.up_classes
+
+    def link_class_table(self, nodes, nbr):
+        """Code 0 ``(qA,)`` on down-links, 1 :attr:`up_classes` on
+        up-links: ``u -> v`` is an up-link iff ``u > v``."""
+        closed_form = HypercubeHungRouting.buffer_classes
+        if (
+            type(self).buffer_classes is not closed_form
+            or type(self.topology) is not Hypercube
+        ):
+            return super().link_class_table(nodes, nbr)
+        up = np.arange(len(nodes), dtype=np.int64)[:, None] > nbr
+        codes = np.where(nbr >= 0, up.astype(np.int64), -1)
+        return codes, [(QA,), self.up_classes]
 
     def compile_hops(self, layout):
         variant = _KERNEL_VARIANTS.get(type(self))
@@ -153,13 +170,9 @@ class HypercubeAdaptiveRouting(HypercubeHungRouting):
         ones = self._ones_to_fix(u, dst)
         return frozenset(QueueId(u ^ (1 << i), QA) for i in self._dims(ones))
 
-    def buffer_classes(self, u: int, v: int) -> tuple[str, ...]:
-        """Per Figure 4: down-links carry static-A traffic only;
-        up-links carry static-B and dynamic-A traffic."""
-        dim = self.topology.link_index(u, v)
-        if (u >> dim) & 1 == 0:
-            return (QA,)
-        return (QB, DYNAMIC_CLASS)
+    #: Per Figure 4: down-links carry static-A traffic only; up-links
+    #: carry static-B and dynamic-A traffic.
+    up_classes = (QB, DYNAMIC_CLASS)
 
 
 class HypercubeObliviousRouting(HypercubeHungRouting):
@@ -227,46 +240,25 @@ class _HypercubeKernel(TwoPhaseKernel):
             self._build_slot_table(layout, alg.topology.n)
 
     def _build_slot_table(self, layout, n: int) -> None:
+        # Link-table column d is dimension d; a link's first slot is its
+        # (qA,) class down, its qB class up, the dynamic class after it.
         nodes = np.arange(len(layout.nodes), dtype=np.int64)
-        bits = 1 << np.arange(n, dtype=np.int64)
-        up = (nodes[:, None] & bits) != 0  # u -> u ^ 2**d is an up-link
-        nbr = nodes[:, None] ^ bits
-        # Classes per link, in the layout's node-major, dimension-
-        # ascending slot order: (qA,) down; (qB,) or (qB, dynamic) up.
-        width = 1 + up if self.adaptive else np.ones(up.shape, np.int64)
-        base = (np.cumsum(width) - width.ravel()).reshape(width.shape)
-        # Spot-check the layout: node 0 (all down-links), node N-1
-        # (all up-links), and the slot count.
-        mismatch = any(
-            layout.slot_of.get((u, int(nbr[u, d]), QB if up[u, d] else QA))
-            != int(base[u, d])
-            for u in (0, len(nodes) - 1)
-            for d in range(n)
-        )
-        if mismatch or layout.n_slots != int(width.sum()):
-            self.ok = False
-            return
+        up = (nodes[:, None] & (1 << np.arange(n, dtype=np.int64))) != 0
+        base = layout.link_first_slot
         slot = np.empty((2 * len(nodes), n), dtype=np.int64)
         slot[0::2] = (base + up) if self.adaptive else base
         slot[1::2] = base
-        slot_dst = np.full(layout.n_slots + 1, -1, dtype=np.int64)
-        slot_dst[base] = nbr
-        dyn = np.zeros(layout.n_slots + 1, dtype=np.int64)
-        if self.adaptive:
-            slot_dst[base[up] + 1] = nbr[up]
-            dyn[base[up] + 1] = 1
         self._slot = slot
         # Row m: the dimensions in bit mask m (candidate masks < N).
         self._dims_of = up
         self._pad = layout.n_slots
-        self.slot_node = slot_dst
-        self.slot_dyn = dyn
+        self._slot_columns()
 
     def memory_bytes(self) -> int:
         if not self.ok:
             return 0
         return sum(
-            a.nbytes for a in (self._slot, self.slot_node, self.slot_dyn)
+            a.nbytes for a in (self._slot, self._dims_of, self.slot_dyn)
         )
 
     def a_done(self, v, dst):

@@ -26,7 +26,7 @@ import numpy as np
 
 from ..core.hops import TwoPhaseKernel, TwoPhaseRows
 from ..core.queues import QueueId, deliver
-from ..core.routing_function import DYNAMIC_CLASS, RoutingAlgorithm
+from ..core.routing_function import RoutingAlgorithm
 from ..topology.mesh import Coord, Mesh, Mesh2D
 
 QA = "A"
@@ -191,48 +191,16 @@ class _MeshKernel(TwoPhaseKernel):
             self._build_slot_table(layout, shape)
 
     def _build_slot_table(self, layout, shape) -> None:
-        n = len(layout.nodes)
-        idx = np.arange(n, dtype=np.int64)
-        coords = np.stack(np.unravel_index(idx, shape), axis=1)
-        has_up = coords < np.asarray(shape) - 1
-        has_down = coords > 0
-        # Links in the layout's order: per node, dimension-ascending,
-        # the up-link before the down-link; three slots per link.
-        links = has_up + has_down.astype(np.int64)
-        per_node = links.sum(axis=1)
-        node_base = 3 * (np.cumsum(per_node) - per_node)
-        up = node_base[:, None] + 3 * (np.cumsum(links, axis=1) - links)
-        down = up + 3 * has_up
-        strides = np.asarray(self.strides, dtype=np.int64)
-        # Spot-check the layout at the corners and a middle node, and
-        # the slot count.
-        expect = {}
-        for u in (0, n // 2, n - 1):
-            for d, st in enumerate(self.strides):
-                if has_up[u, d]:
-                    expect[(u, u + st, QA)] = up[u, d]
-                if has_down[u, d]:
-                    expect[(u, u - st, QB)] = down[u, d] + 1
-                    expect[(u, u - st, DYNAMIC_CLASS)] = down[u, d] + 2
-        mismatch = any(
-            layout.slot_of.get(key) != int(s) for key, s in expect.items()
-        )
-        if mismatch or layout.n_slots != 3 * int(per_node.sum()):
-            self.ok = False
-            return
-        self._coords = coords
-        self._up_a = up
-        self._down_b = down + 1
-        self._down_dyn = down + 2
+        # Link-table column 2i is the +1 step along dimension i, column
+        # 2i+1 the -1 step; each link's slots are (qA, qB, dynamic).
+        idx = np.arange(len(layout.nodes), dtype=np.int64)
+        self._coords = np.stack(np.unravel_index(idx, shape), axis=1)
+        first = layout.link_first_slot
+        self._up_a = np.ascontiguousarray(first[:, 0::2])
+        self._down_b = first[:, 1::2] + 1
+        self._down_dyn = self._down_b + 1
         self._pad = layout.n_slots
-        nbr_up = idx[:, None] + strides
-        nbr_down = idx[:, None] - strides
-        self.slot_node = np.full(layout.n_slots + 1, -1, dtype=np.int64)
-        self.slot_node[up[has_up]] = nbr_up[has_up]
-        self.slot_node[self._down_b[has_down]] = nbr_down[has_down]
-        self.slot_node[self._down_dyn[has_down]] = nbr_down[has_down]
-        self.slot_dyn = np.zeros(layout.n_slots + 1, dtype=np.int64)
-        self.slot_dyn[self._down_dyn[has_down]] = 1
+        self._slot_columns()
 
     def memory_bytes(self) -> int:
         if not self.ok:
@@ -241,7 +209,7 @@ class _MeshKernel(TwoPhaseKernel):
             a.nbytes
             for a in (
                 self._coords, self._up_a, self._down_b, self._down_dyn,
-                self.slot_node, self.slot_dyn,
+                self.slot_dyn,
             )
         )
 

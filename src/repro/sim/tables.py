@@ -20,6 +20,21 @@ object on the hot path:
   and compiled engines remain available for unhashable-state
   algorithms).
 
+The static structure is a handful of int arrays (``queue_node``,
+``slot_src`` / ``slot_dst`` / ``slot_cls``, ``node_out_start`` /
+``node_out_count``, ``node_in_count``, ``slot_in_pos``,
+``link_first_slot``, ``link_groups``), computed with ``repeat`` /
+``cumsum`` / ``bincount`` and one stable sort from two closed-form
+hooks: :meth:`~repro.topology.base.Topology.link_table` (neighbour ids
+per node, ``link_index`` order, ``-1`` for no link) and
+:meth:`~repro.core.routing_function.RoutingAlgorithm.link_class_table`
+(each link's ``buffer_classes`` as a code into a short vocabulary).
+Python lists remain where sparse loops index them (``queue_kind``,
+``node_qids``).  The label-keyed views — ``nid``, ``qid_of``,
+``queue_objs``, ``queue_labels``, ``slot_labels``, ``node_in_slots``,
+``link_classes`` — are built on first use, and :meth:`RoutingTables.slot_id` indexes one sending
+node's slots on its first lookup.
+
 On top of the static structure, three lazily-memoized row tables mirror
 :class:`~repro.sim.plans.RoutingPlanCache` (which this class wraps, so
 the first-wins external-candidate semantics, statics-before-dynamics
@@ -52,9 +67,10 @@ are allocated on first use, so a run on batch rows never holds them.
 
 from __future__ import annotations
 
-import gc
+import sys
 import time
-from contextlib import contextmanager
+from functools import cached_property
+from itertools import chain
 from typing import Any, Hashable
 
 import numpy as np
@@ -71,31 +87,6 @@ __all__ = ["EngineCapabilityError", "RoutingTables"]
 _DENSE_ROWID_CELLS = 16_777_216
 
 
-@contextmanager
-def _collector_paused():
-    """Pause the cyclic garbage collector for a bulk build.
-
-    The structure of a 64K-node network is millions of small tuples,
-    lists and dict entries; each allocation burst re-triggers
-    generational collections that walk the whole growing heap, a large
-    share of the build time.  A build that allocated more than one
-    full-collection period (the product of the thresholds) gets the one
-    full collection it deferred at the end, so the run that follows does
-    not walk the new objects again in its first collections.
-    """
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            t0, t1, t2 = gc.get_threshold()
-            deferred = gc.get_count()[0] > t0 * t1 * t2
-            gc.enable()
-            if deferred:
-                gc.collect()
-
-
 class EngineCapabilityError(TypeError):
     """A requested engine cannot run the requested configuration.
 
@@ -103,6 +94,31 @@ class EngineCapabilityError(TypeError):
     that do support the configuration (see the engine matrix in
     ``docs/ARCHITECTURE.md``).
     """
+
+
+def _exclusive_cumsum(counts: np.ndarray) -> np.ndarray:
+    """Start offsets of consecutive runs of the given lengths."""
+    return np.cumsum(counts) - counts
+
+
+def _measured_bytes(obj, depth: int) -> int:
+    """``sys.getsizeof`` of ``obj`` and, ``depth`` levels down, of the
+    items of each list, tuple or dict (keys and values) it holds.
+
+    Walks without bookkeeping, so measuring allocates nothing; the
+    depth stops it above objects shared with the topology and the
+    algorithm (labels inside tuples, kind names).
+    """
+    total = sys.getsizeof(obj)
+    if depth:
+        if isinstance(obj, dict):
+            total += sum(
+                _measured_bytes(k, depth - 1) + _measured_bytes(v, depth - 1)
+                for k, v in obj.items()
+            )
+        elif isinstance(obj, (list, tuple)):
+            total += sum(_measured_bytes(x, depth - 1) for x in obj)
+    return total
 
 
 class RoutingTables:
@@ -116,11 +132,19 @@ class RoutingTables:
     simulators.
     """
 
-    def __init__(self, algorithm: RoutingAlgorithm, use_kernel: bool = True):
-        with _collector_paused():
-            self._build(algorithm, use_kernel)
+    #: Label-keyed views built on first use -> the depth to which
+    #: :meth:`memory_bytes` measures them.
+    _VIEWS = {
+        "nid": 1,
+        "qid_of": 2,
+        "queue_objs": 1,
+        "queue_labels": 0,
+        "slot_labels": 1,
+        "node_in_slots": 2,
+        "link_classes": 1,
+    }
 
-    def _build(self, algorithm: RoutingAlgorithm, use_kernel: bool) -> None:
+    def __init__(self, algorithm: RoutingAlgorithm, use_kernel: bool = True):
         t_start = time.perf_counter()
         self.algorithm = algorithm
         self.plans = RoutingPlanCache(algorithm)
@@ -128,80 +152,89 @@ class RoutingTables:
 
         # ---- node interning (reference engine node order) -------------
         self.nodes: list[Hashable] = list(topo.nodes())
-        self.nid: dict[Hashable, int] = {u: i for i, u in enumerate(self.nodes)}
         n = len(self.nodes)
+        ids = np.arange(n, dtype=np.int64)
 
         # ---- central queues: global ids, node-major ----------------------
-        self.node_qids: list[list[int]] = []
-        self.queue_node: list[int] = []
-        self.queue_kind: list[str] = []
-        self.qid_of: dict[tuple[int, str], int] = {}
-        for ui, u in enumerate(self.nodes):
-            ids = []
-            for kind in algorithm.central_queue_kinds(u):
-                qid = len(self.queue_node)
-                self.qid_of[(ui, kind)] = qid
-                self.queue_node.append(ui)
-                self.queue_kind.append(kind)
-                ids.append(qid)
-            self.node_qids.append(ids)
-        self.n_queues = len(self.queue_node)
-        #: Interned QueueId per global queue id (for row construction).
-        self.queue_objs: list[QueueId] = [
-            QueueId(self.nodes[self.queue_node[q]], self.queue_kind[q])
-            for q in range(self.n_queues)
+        kinds = [algorithm.central_queue_kinds(u) for u in self.nodes]
+        qcount = np.fromiter(map(len, kinds), dtype=np.int64, count=n)
+        #: Owning node id per global queue id.
+        self.queue_node = np.repeat(ids, qcount)
+        self.queue_kind: list[str] = list(chain.from_iterable(kinds))
+        self.n_queues = len(self.queue_kind)
+        if n and (qcount == qcount[0]).all():
+            width = int(qcount[0])
+            qids = np.arange(self.n_queues).reshape(n, width).tolist()
+        else:
+            flat = list(range(self.n_queues))
+            qids = [
+                flat[a : a + c]
+                for a, c in zip(
+                    _exclusive_cumsum(qcount).tolist(), qcount.tolist()
+                )
+            ]
+        self.node_qids: list[list[int]] = qids
+
+        # ---- links: the topology's and algorithm's closed forms --------
+        nbr = topo.link_table()
+        codes, vocab = algorithm.link_class_table(self.nodes, nbr)
+        has = nbr >= 0
+        self.n_links = int(has.sum())
+        link_dst = nbr[has]  # node-major, link_index ascending
+        link_code = codes[has]
+        class_id: dict[str, int] = {}
+        vocab_ids = [
+            [class_id.setdefault(c, len(class_id)) for c in classes]
+            for classes in vocab
         ]
+        #: Buffer class names; ``slot_cls`` holds indices into this.
+        self.class_names: list[str] = list(class_id)
+        vocab_k = np.array([len(v) for v in vocab_ids], dtype=np.int64)
+        vocab_flat = np.array(
+            list(chain.from_iterable(vocab_ids)), dtype=np.int64
+        )
+        link_k = vocab_k[link_code]
+        link_first = _exclusive_cumsum(link_k)
 
         # ---- link buffer slots: global ids, node-major, low-to-high ----
-        self.slot_src: list[int] = []
-        self.slot_dst: list[int] = []
-        self.slot_cls: list[str] = []
-        self.slot_of: dict[tuple[int, int, str], int] = {}
-        self.node_out_start: list[int] = []
-        self.node_out_count: list[int] = []
-        #: ``(u_label, v_label) -> classes`` in reference insertion order
-        #: (telemetry probes read ``len(sim.link_classes)``).
-        self.link_classes: dict[tuple, tuple[str, ...]] = {}
-        link_slot_lists: dict[int, list[list[int]]] = {}
-        for ui, u in enumerate(self.nodes):
-            self.node_out_start.append(len(self.slot_src))
-            nbrs = sorted(
-                topo.neighbors(u), key=lambda v: topo.link_index(u, v)
-            )
-            for v in nbrs:
-                classes = algorithm.buffer_classes(u, v)
-                self.link_classes[(u, v)] = classes
-                vi = self.nid[v]
-                slots = []
-                for cls in classes:
-                    s = len(self.slot_src)
-                    self.slot_of[(ui, vi, cls)] = s
-                    self.slot_src.append(ui)
-                    self.slot_dst.append(vi)
-                    self.slot_cls.append(cls)
-                    slots.append(s)
-                link_slot_lists.setdefault(len(slots), []).append(slots)
-            self.node_out_count.append(
-                len(self.slot_src) - self.node_out_start[-1]
-            )
-        self.n_slots = len(self.slot_src)
+        self.n_slots = int(link_k.sum())
+        #: First slot of each link, indexed like the link table
+        #: (``-1`` where there is no link); a link's classes occupy
+        #: consecutive slots in ``buffer_classes`` order.
+        self.link_first_slot = np.full(nbr.shape, -1, dtype=np.int64)
+        self.link_first_slot[has] = link_first
+        self.slot_src = np.repeat(np.repeat(ids, has.sum(axis=1)), link_k)
+        self.slot_dst = np.repeat(link_dst, link_k)
+        within = np.arange(self.n_slots) - np.repeat(link_first, link_k)
+        self.slot_cls = vocab_flat[
+            np.repeat(_exclusive_cumsum(vocab_k)[link_code], link_k) + within
+        ]
+        self.node_out_count = np.bincount(self.slot_src, minlength=n)
+        self.node_out_start = _exclusive_cumsum(self.node_out_count)
+        self._slot_index: dict[int, dict[tuple[int, str], int]] = {}
 
         # Input-side view: reference ``in_keys[v]`` appends in outer
         # sender-node order, so it equals "slots with slot_dst == v,
-        # ascending global slot id".
-        self.node_in_slots: list[list[int]] = [[] for _ in range(n)]
-        self.slot_in_pos: list[int] = [0] * self.n_slots
-        for s in range(self.n_slots):
-            vi = self.slot_dst[s]
-            self.slot_in_pos[s] = len(self.node_in_slots[vi])
-            self.node_in_slots[vi].append(s)
+        # ascending global slot id" -- a stable sort by receiver.
+        self.node_in_count = np.bincount(self.slot_dst, minlength=n)
+        self.slot_in_pos = np.empty(self.n_slots, dtype=np.int64)
+        in_start = _exclusive_cumsum(self.node_in_count)
+        self.slot_in_pos[self._in_order()] = np.arange(
+            self.n_slots
+        ) - np.repeat(in_start, self.node_in_count)
 
         #: Directed links grouped by class count ``k``: an ``(L, k)``
-        #: int array of slot ids per group.  Per-link class rotation is
-        #: ``cycle % k``, exactly the reference engine's ``rotated``.
+        #: int array of slot ids per group, groups in order of their
+        #: first link.  Per-link class rotation is ``cycle % k``,
+        #: exactly the reference engine's ``rotated``.
+        firsts = []
+        for k in dict.fromkeys(vocab_k.tolist()):
+            mask = link_k == k
+            if mask.any():
+                firsts.append((int(mask.argmax()), k, mask))
         self.link_groups: dict[int, np.ndarray] = {
-            k: np.asarray(v, dtype=np.int64)
-            for k, v in link_slot_lists.items()
+            k: link_first[mask][:, None] + np.arange(k, dtype=np.int64)
+            for _, k, mask in sorted(firsts, key=lambda f: f[0])
         }
 
         # ---- state interning + row memos -------------------------------
@@ -223,6 +256,101 @@ class RoutingTables:
         #: Wall-clock seconds to build the structure + compile the
         #: kernel (telemetry gauge ``repro_tables_compile_seconds``).
         self.compile_seconds = time.perf_counter() - t_start
+
+    # ------------------------------------------------------------------
+    # Label-keyed views (built on first use)
+    # ------------------------------------------------------------------
+    @cached_property
+    def nid(self) -> dict[Hashable, int]:
+        """Node label -> node id."""
+        return {u: i for i, u in enumerate(self.nodes)}
+
+    @cached_property
+    def qid_of(self) -> dict[tuple[int, str], int]:
+        """``(node id, kind) ->`` global queue id."""
+        keys = zip(self.queue_node.tolist(), self.queue_kind)
+        return {key: q for q, key in enumerate(keys)}
+
+    @cached_property
+    def queue_objs(self) -> list[QueueId]:
+        """Interned :class:`QueueId` per global queue id."""
+        return list(map(QueueId, self.queue_labels, self.queue_kind))
+
+    @cached_property
+    def queue_labels(self) -> list[Hashable]:
+        """Owning node label per global queue id (event logs)."""
+        nodes = self.nodes
+        return [nodes[ui] for ui in self.queue_node.tolist()]
+
+    @cached_property
+    def slot_labels(self) -> list[tuple[Hashable, Hashable, str]]:
+        """``(u_label, v_label, class)`` per slot (event logs)."""
+        nodes = self.nodes
+        names = self.class_names
+        return [
+            (nodes[u], nodes[v], names[c])
+            for u, v, c in zip(
+                self.slot_src.tolist(),
+                self.slot_dst.tolist(),
+                self.slot_cls.tolist(),
+            )
+        ]
+
+    @cached_property
+    def node_in_slots(self) -> list[list[int]]:
+        """Slots into each node, ascending (the reference engine's
+        input-buffer rotation order)."""
+        order = self._in_order().tolist()
+        ends = np.cumsum(self.node_in_count).tolist()
+        return [order[a:b] for a, b in zip([0] + ends[:-1], ends)]
+
+    @cached_property
+    def link_classes(self) -> dict[tuple, tuple[str, ...]]:
+        """``(u_label, v_label) -> classes`` in reference insertion
+        order (node-major, ``link_index`` ascending)."""
+        nbr = self.algorithm.topology.link_table()
+        codes, vocab = self.algorithm.link_class_table(self.nodes, nbr)
+        has = nbr >= 0
+        nodes = self.nodes
+        return {
+            (nodes[u], nodes[v]): vocab[c]
+            for u, v, c in zip(
+                np.nonzero(has)[0].tolist(),
+                nbr[has].tolist(),
+                codes[has].tolist(),
+            )
+        }
+
+    def _in_order(self) -> np.ndarray:
+        """Slot ids stably sorted by receiving node.  Up to 65,536
+        nodes the ids fit 16-bit keys, which numpy radix-sorts."""
+        keys = self.slot_dst
+        if len(self.nodes) <= 1 << 16:
+            keys = keys.astype(np.uint16)
+        return np.argsort(keys, kind="stable")
+
+    def slot_id(self, ui: int, vi: int, cls: str) -> int | None:
+        """Slot of class ``cls`` on link ``ui -> vi`` (node ids), or
+        ``None`` where the link or the class is absent.
+
+        Each sending node's ``(vi, cls) -> slot`` index is built on its
+        first lookup, so sparse row builds pay dict speed without a
+        network-wide map.
+        """
+        index = self._slot_index.get(ui)
+        if index is None:
+            a = int(self.node_out_start[ui])
+            b = a + int(self.node_out_count[ui])
+            names = self.class_names
+            index = self._slot_index[ui] = {
+                (v, names[c]): s
+                for s, v, c in zip(
+                    range(a, b),
+                    self.slot_dst[a:b].tolist(),
+                    self.slot_cls[a:b].tolist(),
+                )
+            }
+        return index.get((vi, cls))
 
     # ------------------------------------------------------------------
     # Interning
@@ -451,15 +579,17 @@ class RoutingTables:
         self._init_rows()
 
     def memory_bytes(self) -> int:
-        """Estimated bytes of rows, row index and kernel tables
+        """Bytes of the structure, rows, row index and kernel tables
         (telemetry).
 
-        Numpy arrays (packed rows, row-id index, kernel tables) are
-        counted exactly; the per-entry cost of the three memo dicts (key
-        tuple + value tuples) is estimated at a flat 200 bytes.  The
-        static structure (queue and slot maps) is not counted.
+        Numpy arrays (structure, packed rows, row-id index, kernel
+        tables) are counted by ``nbytes``; the structure's lists, the
+        per-node slot indices and whichever label-keyed views have been
+        built by their measured size.  The per-entry cost of the three
+        memo dicts (key tuple + value tuples) is estimated at a flat
+        200 bytes.
         """
-        total = 200 * self.size
+        total = 200 * self.size + self._structure_bytes()
         if self.kernel is not None:
             total += self.kernel.memory_bytes()
         if self.row_slots is not None:
@@ -477,6 +607,30 @@ class RoutingTables:
         elif self._rowid_map is not None:
             total += 100 * len(self._rowid_map)
         return total
+
+    def _structure_bytes(self) -> int:
+        """Measured bytes of the static structure and its built views."""
+        arrays = (
+            self.queue_node, self.slot_src, self.slot_dst, self.slot_cls,
+            self.slot_in_pos, self.node_out_start, self.node_out_count,
+            self.node_in_count, self.link_first_slot,
+            *self.link_groups.values(),
+        )
+        held = [
+            (self.nodes, 1),
+            (self.queue_kind, 0),
+            (self.class_names, 0),
+            (self.node_qids, 2),
+            (self._slot_index, 2),
+        ]
+        held += [
+            (self.__dict__[name], depth)
+            for name, depth in self._VIEWS.items()
+            if name in self.__dict__
+        ]
+        return sum(a.nbytes for a in arrays) + sum(
+            _measured_bytes(obj, depth) for obj, depth in held
+        )
 
     # ------------------------------------------------------------------
     # Row tables
@@ -505,12 +659,12 @@ class RoutingTables:
         plan = self.plans.central_plan(
             self.queue_objs[qid], self.nodes[dst_i], self.states[sid]
         )
-        ui = self.queue_node[qid]
+        ui = int(self.queue_node[qid])
         ext = []
         for (v, cls), (q2, new_state, dyn) in plan.external.items():
             # Candidates without a physical buffer are unreachable in
             # the reference engine too; drop them (after first-wins).
-            s = self.slot_of.get((ui, self.nid[v], cls))
+            s = self.slot_id(ui, self.nid[v], cls)
             if s is not None:
                 ext.append(
                     (

@@ -227,7 +227,10 @@ class TelemetryProbe:
         self.sim = sim
         if not self.enabled:
             return self
-        self._n_links = len(sim.link_classes)
+        tables = getattr(sim, "tables", None)
+        self._n_links = (
+            tables.n_links if tables is not None else len(sim.link_classes)
+        )
         self._dead = sim.dead_nodes
         self._blocked = sim.blocked_links
         if self.events:
@@ -304,6 +307,7 @@ class TelemetryProbe:
         compile_stats = {}
         tables = getattr(sim, "tables", None)
         if tables is not None and hasattr(tables, "memory_bytes"):
+            tables_bytes = tables.memory_bytes()
             reg.gauge(
                 "repro_tables_compile_seconds",
                 help="Integer routing-table construction time",
@@ -314,14 +318,15 @@ class TelemetryProbe:
             ).set(tables.rows_packed)
             reg.gauge(
                 "repro_tables_bytes",
-                help="Integer routing-table memory footprint (estimate)",
-            ).set(tables.memory_bytes())
+                help="Integer routing-table bytes: arrays and lists "
+                "measured, memo rows estimated",
+            ).set(tables_bytes)
             compile_stats = {
                 "kind": "tables",
                 "kernel": tables.kernel is not None,
                 "compile_seconds": tables.compile_seconds,
                 "rows": tables.rows_packed,
-                "bytes": tables.memory_bytes(),
+                "bytes": tables_bytes,
             }
         plans = getattr(sim, "plan_cache", None)
         if plans is not None and hasattr(plans, "memory_bytes"):
