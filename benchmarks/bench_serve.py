@@ -198,7 +198,7 @@ def write_bench(path: Path = BENCH_PATH) -> dict:
         "host_cpus": os.cpu_count(),
         "results": {
             engine: _throughput_cell(engine)
-            for engine in ("reference", "compiled", "vector")
+            for engine in ("reference", "vector")
         },
     }
     path.write_text(json.dumps(payload, indent=2) + "\n")

@@ -1,13 +1,12 @@
 """Telemetry overhead benchmark: what does observability cost?
 
-Measures compiled-engine throughput on a saturated hypercube workload
-in four configurations —
+Measures vector-engine throughput (the engine ``auto`` picks) on a
+saturated hypercube workload in four configurations —
 
 * ``baseline``    — no probe attached at all;
 * ``disabled``    — a ``TelemetryProbe(enabled=False)`` attached (the
-  configuration sweeps inherit when ``--telemetry`` is off: one no-op
-  observer call per cycle plus the engine's ``_events is not None``
-  checks);
+  configuration sweeps inherit when ``--telemetry`` is off: one
+  ``probe.enabled`` check per cycle and no event sink);
 * ``metrics``     — streaming metrics-only probe (``events=False``),
   the mode ``--telemetry`` sweeps use;
 * ``events``      — full probe (event log + occupancy series), the
@@ -16,7 +15,7 @@ in four configurations —
 and writes everything, plus the relative overheads versus baseline, to
 ``BENCH_telemetry.json`` at the repo root.  The contract enforced here
 is the disabled path: attaching-but-disabling telemetry must cost the
-compiled engine **< 5%** throughput, so instrumented builds can leave
+vector engine **< 5%** throughput, so instrumented builds can leave
 the hooks in place everywhere.
 
 Run standalone (writes the JSON)::
@@ -64,7 +63,7 @@ DISABLED_BUDGET = 0.05
 
 
 def run_config(make_probe, cycles=CYCLES):
-    """Time one compiled-engine run; returns (node-cycles/s, result)."""
+    """Time one vector-engine run; returns (node-cycles/s, result)."""
     reset_message_ids()
     topo = Hypercube(N)
     model = DynamicInjection(
@@ -73,7 +72,7 @@ def run_config(make_probe, cycles=CYCLES):
     sim = build_simulator(
         HypercubeAdaptiveRouting(topo),
         model,
-        engine="compiled",
+        engine="vector",
         telemetry=make_probe(),
     )
     t0 = time.perf_counter()
@@ -109,7 +108,7 @@ def write_bench(path: Path = BENCH_PATH, cycles=CYCLES) -> dict:
     payload = {
         "benchmark": "telemetry-overhead",
         "workload": (
-            f"compiled engine, hypercube n={N}, dynamic lambda=1 "
+            f"vector engine, hypercube n={N}, dynamic lambda=1 "
             f"random traffic, {cycles} cycles"
         ),
         "metric": f"node_cycles_per_s (best of {REPEATS}, interleaved)",
@@ -124,7 +123,7 @@ def write_bench(path: Path = BENCH_PATH, cycles=CYCLES) -> dict:
 @pytest.mark.perf
 def test_telemetry_overhead():
     """Regenerate BENCH_telemetry.json; a disabled probe must cost the
-    compiled engine < 5% throughput (ISSUE 5 acceptance bound)."""
+    vector engine < 5% throughput."""
     payload = write_bench()
     print()
     print(json.dumps(payload, indent=2))

@@ -1,8 +1,8 @@
-"""Vector-engine benchmark: node-cycles/s, compiled vs vector at scale.
+"""Vector-engine benchmark: node-cycles/s, reference vs vector at scale.
 
 Measures the table-driven :class:`~repro.sim.vector.VectorSimulator`
-against the compiled engine on 512-4096-node networks and writes the
-measurements — plus the vector/compiled speedups — to
+against the reference engine on 512-4096-node networks and writes the
+measurements — plus the vector/reference speedups — to
 ``BENCH_vector.json`` at the repo root.  The engines are
 packet-for-packet identical (``tests/test_sim_vector.py``), so
 throughput is the only thing that can differ.
@@ -10,20 +10,22 @@ throughput is the only thing that can differ.
 The workload grid deliberately spans both regimes (see
 ``docs/ARCHITECTURE.md`` and ``docs/PERFORMANCE.md``):
 
-* **sparse traffic at scale** (light hotspot / light complement on
-  1024-4096 nodes) — the compiled engine pays its O(nodes + links)
-  per-cycle fixed cost regardless of activity, while the vector engine
-  touches only active nodes plus one vectorized link pass; this is
-  where the >=10x speedups live;
-* **saturated traffic** (``lambda = 1`` random) — both engines are
-  bound by per-hop routing-plan construction, which they share, so the
-  gap narrows to ~1.5-3x.  Those rows are included honestly.
+* **sparse traffic at scale** (light hotspot traffic on 1024-4096
+  nodes) — the reference engine pays its O(nodes + links) per-cycle
+  fixed cost regardless of activity, while the vector engine touches
+  only active nodes plus one vectorized link pass;
+* **saturated traffic** (``lambda = 1``) — the regime the integer hop
+  kernels and the batched node cycle were built for.
 
-Both engines share their warm plan state across repeats (compiled via
-``plan_cache=``, vector via ``tables=``, the
-``test_shared_plan_cache_across_runs`` idiom) and the best of
-``REPEATS`` runs is reported, so table/plan construction is excluded
-from the steady-state figure for *both* sides equally.
+The vector engine shares its warm tables across repeats (``tables=``,
+the ``test_shared_tables_across_runs`` idiom; the reference engine has
+no state to share) and the best of ``REPEATS`` runs is reported, so
+table construction is excluded from the steady-state figure.
+
+The floors below were vector-over-compiled floors while a compiled
+engine existed; each is now a vector-over-reference floor, multiplied
+by the compiled/reference throughput ratio measured on the same cell
+with that engine, so no gate got weaker.
 
 Run standalone (writes the JSON)::
 
@@ -46,17 +48,16 @@ import pytest
 from repro.routing import HypercubeAdaptiveRouting, MeshAdaptiveRouting
 from repro.sim import (
     ComplementTraffic,
-    CompiledPacketSimulator,
     DynamicInjection,
     HotspotTraffic,
     MeshTransposeTraffic,
+    PacketSimulator,
     RandomTraffic,
     RoutingTables,
     TransposeTraffic,
     VectorSimulator,
     make_rng,
 )
-from repro.sim.plans import RoutingPlanCache
 from repro.topology import Hypercube, Mesh
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -119,13 +120,44 @@ WORKLOADS = [
 
 REPEATS = 2
 
+#: Compiled/reference throughput ratio per gated cell: the larger of two
+#: best-of-2 measurements with the compiled engine on the same cell
+#: (2-vCPU host, Python 3.11.7).
+COMPILED_OVER_REFERENCE = {
+    "smoke": 1.621,
+    "hypercube-n10-random-lam1": 1.307,
+    "hypercube-n10-hotspot-lam0.01": 2.124,
+    "hypercube-n12-hotspot-lam0.005": 1.404,
+    "hypercube-n12-hotspot-lam0.01": 1.642,
+    "mesh-32x32-hotspot-lam0.01": 3.682,
+}
+
+
+def floor(key: str, over_compiled: float) -> float:
+    """Vector-over-reference floor for a former vector-over-compiled
+    floor on cell ``key``."""
+    return round(over_compiled * COMPILED_OVER_REFERENCE[key], 2)
+
+
+def _best(topo, make_sim, repeats):
+    """Best-of-``repeats`` node-cycles/s, last result, first-run seconds."""
+    top, res, first = 0.0, None, None
+    for _ in range(repeats):
+        sim = make_sim()
+        t0 = time.perf_counter()
+        res = sim.run(max_cycles=2_000_000)
+        elapsed = time.perf_counter() - t0
+        if first is None:
+            first = elapsed
+        top = max(top, topo.num_nodes * res.cycles / elapsed)
+    return top, res, first
+
 
 def _bench_workload(key, make_topology, algorithm_cls, make_traffic,
                     lam, cycles, repeats=REPEATS) -> dict:
     """Best-of-``repeats`` node-cycles/s for both engines on one cell."""
     topo = make_topology()
     alg = algorithm_cls(topo)
-    cache = RoutingPlanCache(alg)
     tables = RoutingTables(alg)
 
     def model():
@@ -134,30 +166,22 @@ def _bench_workload(key, make_topology, algorithm_cls, make_traffic,
             duration=cycles, warmup=cycles // 4,
         )
 
-    def best(make_sim):
-        top, res = 0.0, None
-        for _ in range(repeats):
-            sim = make_sim()
-            t0 = time.perf_counter()
-            res = sim.run(max_cycles=2_000_000)
-            elapsed = time.perf_counter() - t0
-            top = max(top, topo.num_nodes * res.cycles / elapsed)
-        return top, res
-
-    ncs_c, res_c = best(
-        lambda: CompiledPacketSimulator(alg, model(), plan_cache=cache)
+    ncs_r, res_r, _ = _best(
+        topo, lambda: PacketSimulator(alg, model()), repeats
     )
-    ncs_v, res_v = best(lambda: VectorSimulator(alg, model(), tables=tables))
+    ncs_v, res_v, _ = _best(
+        topo, lambda: VectorSimulator(alg, model(), tables=tables), repeats
+    )
     # Identical engines on an identical workload => identical results.
-    assert (res_c.delivered, res_c.cycles) == (res_v.delivered, res_v.cycles)
+    assert (res_r.delivered, res_r.cycles) == (res_v.delivered, res_v.cycles)
     return {
         "nodes": topo.num_nodes,
         "node_cycles_per_s": {
-            "compiled": round(ncs_c, 1),
+            "reference": round(ncs_r, 1),
             "vector": round(ncs_v, 1),
         },
         "delivered": res_v.delivered,
-        "vector_speedup": round(ncs_v / ncs_c, 2),
+        "vector_speedup": round(ncs_v / ncs_r, 2),
     }
 
 
@@ -171,7 +195,7 @@ def collect(repeats=REPEATS) -> dict:
 def write_bench(path: Path = BENCH_PATH, repeats=REPEATS) -> dict:
     payload = {
         "benchmark": "vector-engine-throughput",
-        "workload": "dynamic injection, warm shared tables/plan cache",
+        "workload": "dynamic injection, warm shared tables",
         "metric": f"node_cycles_per_s (best of {repeats})",
         "python": platform.python_version(),
         "results": collect(repeats=repeats),
@@ -231,7 +255,6 @@ def _bench_kernel_workload(
     """Saturated cell: warm best-of-``repeats`` + cold table build."""
     topo = make_topology()
     alg = algorithm_cls(topo)
-    cache = RoutingPlanCache(alg)
     t0 = time.perf_counter()
     tables = RoutingTables(alg)
     table_build_s = time.perf_counter() - t0
@@ -242,34 +265,22 @@ def _bench_kernel_workload(
             duration=cycles, warmup=cycles // 4,
         )
 
-    def best(make_sim):
-        top, res, first = 0.0, None, None
-        for _ in range(repeats):
-            sim = make_sim()
-            t1 = time.perf_counter()
-            res = sim.run(max_cycles=2_000_000)
-            elapsed = time.perf_counter() - t1
-            if first is None:
-                first = elapsed
-            top = max(top, topo.num_nodes * res.cycles / elapsed)
-        return top, res, first
-
-    ncs_c, res_c, _ = best(
-        lambda: CompiledPacketSimulator(alg, model(), plan_cache=cache)
+    ncs_r, res_r, _ = _best(
+        topo, lambda: PacketSimulator(alg, model()), repeats
     )
-    ncs_v, res_v, cold_v = best(
-        lambda: VectorSimulator(alg, model(), tables=tables)
+    ncs_v, res_v, cold_v = _best(
+        topo, lambda: VectorSimulator(alg, model(), tables=tables), repeats
     )
     # Identical engines on an identical workload => identical results.
-    assert (res_c.delivered, res_c.cycles) == (res_v.delivered, res_v.cycles)
+    assert (res_r.delivered, res_r.cycles) == (res_v.delivered, res_v.cycles)
     return {
         "nodes": topo.num_nodes,
         "node_cycles_per_s": {
-            "compiled": round(ncs_c, 1),
+            "reference": round(ncs_r, 1),
             "vector": round(ncs_v, 1),
         },
         "delivered": res_v.delivered,
-        "vector_speedup": round(ncs_v / ncs_c, 2),
+        "vector_speedup": round(ncs_v / ncs_r, 2),
         "tables": {
             "kernel": tables.kernel is not None,
             "build_seconds": round(table_build_s, 4),
@@ -283,7 +294,7 @@ def _bench_kernel_workload(
 def write_kernel_bench(path: Path = KERNEL_BENCH_PATH, repeats=REPEATS) -> dict:
     payload = {
         "benchmark": "kernel-saturated-throughput",
-        "workload": "dynamic injection lambda=1, warm shared tables/plan cache",
+        "workload": "dynamic injection lambda=1, warm shared tables",
         "metric": f"node_cycles_per_s (best of {repeats})",
         "python": platform.python_version(),
         "results": {
@@ -299,10 +310,10 @@ def perf_smoke() -> float:
     """CI-sized saturated check: the kernel path must still win.
 
     A single small cell (hypercube-n8, ``lambda = 1`` random, 120
-    cycles) with a deliberately generous floor — the full-size n10
-    suite shows ~7x and this cell ~3x locally, so 1.5x only trips if
-    the batched kernel path stops engaging at all.  Runs in well under
-    a minute on a CI VM.
+    cycles) with a deliberately generous floor (1.5x the compiled
+    engine's throughput, as a multiple of the reference's) that only
+    trips if the batched kernel path stops engaging at all.  Runs in
+    well under a minute on a CI VM.
     """
     row = _bench_kernel_workload(
         "smoke",
@@ -312,9 +323,11 @@ def perf_smoke() -> float:
         120,
     )
     speedup = row["vector_speedup"]
+    least = floor("smoke", 1.5)
     assert row["tables"]["kernel"], "hop kernel missing on hypercube"
-    assert speedup >= 1.5, (
-        f"perf smoke: saturated hypercube-n8 speedup {speedup} < 1.5x floor"
+    assert speedup >= least, (
+        f"perf smoke: saturated hypercube-n8 speedup {speedup} < "
+        f"{least}x floor"
     )
     return speedup
 
@@ -322,34 +335,34 @@ def perf_smoke() -> float:
 @pytest.mark.perf
 def test_kernel_benchmark():
     """Regenerate BENCH_kernels.json; the batched vector engine must
-    reach >=4x the compiled engine at lambda=1 on hypercube-n10-random
-    (ISSUE 8 acceptance target, up from 1.76x pre-kernels)."""
+    reach 4x the compiled engine's throughput at lambda=1 on
+    hypercube-n10-random, expressed over the reference engine."""
     payload = write_kernel_bench()
     print()
     print(json.dumps(payload, indent=2))
-    speedup = payload["results"]["hypercube-n10-random-lam1"][
-        "vector_speedup"
-    ]
-    assert speedup >= 4.0, (
-        f"saturated hypercube-n10-random speedup {speedup} < 4x"
+    key = "hypercube-n10-random-lam1"
+    speedup = payload["results"][key]["vector_speedup"]
+    least = floor(key, 4.0)
+    assert speedup >= least, (
+        f"saturated {key} speedup {speedup} < {least}x"
     )
 
 
 @pytest.mark.perf
 def test_vector_benchmark():
-    """Regenerate BENCH_vector.json; the vector engine must reach >=10x
-    the compiled engine on at least one 1024+-node workload (ISSUE 6
-    acceptance target)."""
+    """Regenerate BENCH_vector.json; the vector engine must reach 10x
+    the compiled engine's throughput, expressed over the reference
+    engine, on at least one 1024+-node workload."""
     payload = write_bench()
     print()
     print(json.dumps(payload, indent=2))
-    big = [
-        row["vector_speedup"]
-        for row in payload["results"].values()
+    margins = {
+        key: row["vector_speedup"] / floor(key, 10.0)
+        for key, row in payload["results"].items()
         if row["nodes"] >= 1024
-    ]
-    assert big and max(big) >= 10.0, (
-        f"no 1024+-node workload reached 10x (best: {max(big, default=0)})"
+    }
+    assert margins and max(margins.values()) >= 1.0, (
+        f"no 1024+-node workload reached its 10x floor: {margins}"
     )
 
 

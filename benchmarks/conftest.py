@@ -25,24 +25,24 @@ from repro.experiments import check_table_shape, run_table, scale_dimensions
 
 @pytest.fixture(scope="session", autouse=True)
 def engine_override_smoke():
-    """``REPRO_ENGINE=compiled`` must actually select the compiled engine.
+    """``REPRO_ENGINE=reference`` must actually select the reference engine.
 
     Benchmarks compare engines through the ``REPRO_ENGINE`` override; a
-    silent fallback to the reference path would invalidate every number
+    silent fallback to the ``auto`` choice would invalidate every number
     without failing anything, so the whole benchmark session aborts if
     the override does not reach :func:`repro.experiments.build_simulator`.
     """
     from repro.experiments import HypercubeExperiment
-    from repro.sim import CompiledPacketSimulator
+    from repro.sim import PacketSimulator
 
     saved = os.environ.get("REPRO_ENGINE")
-    os.environ["REPRO_ENGINE"] = "compiled"
+    os.environ["REPRO_ENGINE"] = "reference"
     try:
         sim = HypercubeExperiment(
             pattern="random", injection="static"
         ).build(3)
-        assert type(sim) is CompiledPacketSimulator, (
-            f"REPRO_ENGINE=compiled selected {type(sim).__name__}; "
+        assert type(sim) is PacketSimulator, (
+            f"REPRO_ENGINE=reference selected {type(sim).__name__}; "
             "the engine override is broken"
         )
     finally:

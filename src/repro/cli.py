@@ -238,14 +238,13 @@ def cmd_telemetry(args) -> int:
     from .sim import StaticInjection
     from .telemetry import TelemetryProbe, write_artifacts
 
+    if args.faults and args.engine == "vector":
+        # Fault injection needs the reference engine's observer loop.
+        print("error: --faults runs on the reference engine only; use "
+              "--engine reference or both", file=sys.stderr)
+        return 2
     if args.engine == "both":
-        engines = ("reference", "compiled")
-    elif args.engine == "all":
-        # The vector engine takes no fault observers; under --faults
-        # the harness would remap it, so compare it healthy only.
-        engines = ("reference", "compiled") + (
-            () if args.faults else ("vector",)
-        )
+        engines = ("reference",) if args.faults else ("reference", "vector")
     else:
         engines = (args.engine,)
     outdir = Path(args.out)
@@ -268,9 +267,7 @@ def cmd_telemetry(args) -> int:
             schedule = FaultSchedule.random_links(
                 topo, args.faults, args.seed
             )
-            sim = make_fault_simulator(
-                alg, model, schedule, engine=engine, telemetry=probe
-            )
+            sim = make_fault_simulator(alg, model, schedule, telemetry=probe)
         else:
             sim = build_simulator(alg, model, engine=engine, telemetry=probe)
         result = sim.run(max_cycles=2_000_000)
@@ -281,20 +278,13 @@ def cmd_telemetry(args) -> int:
             f"events={len(probe.log)} "
             f"dyn_hops={probe.summary['hops']['dynamic_fraction']:.3f}"
         )
-        compiled_stats = probe.summary.get("routing_compile")
-        if compiled_stats:
-            if compiled_stats["kind"] == "tables":
-                print(
-                    f"  tables: kernel={compiled_stats['kernel']} "
-                    f"rows={compiled_stats['rows']} "
-                    f"bytes={compiled_stats['bytes']} "
-                    f"compile_s={compiled_stats['compile_seconds']:.3f}"
-                )
-            else:
-                print(
-                    f"  plan cache: entries={compiled_stats['entries']} "
-                    f"bytes={compiled_stats['bytes']}"
-                )
+        tables = probe.summary.get("routing_compile")
+        if tables:
+            print(
+                f"  tables: kernel={tables['kernel']} "
+                f"rows={tables['rows']} bytes={tables['bytes']} "
+                f"compile_s={tables['compile_seconds']:.3f}"
+            )
         for name in sorted(paths):
             print(f"  {name}: {paths[name]}")
         logs[engine] = probe.log.to_jsonl()
@@ -545,11 +535,11 @@ def build_parser() -> argparse.ArgumentParser:
     tm.add_argument("--seed", type=int, default=0)
     tm.add_argument(
         "--engine",
-        choices=("reference", "compiled", "vector", "both", "all"),
+        choices=("reference", "vector", "both"),
         default="both",
-        help="engine(s) to run; 'both' (reference+compiled) and 'all' "
-        "(+vector, healthy runs only) also check the event logs "
-        "are byte-identical",
+        help="engine(s) to run; 'both' (reference+vector) also checks "
+        "the event logs are byte-identical (with --faults it runs the "
+        "reference engine alone)",
     )
     tm.add_argument("--out", default="telemetry-out",
                     help="artifact output directory")
@@ -572,7 +562,7 @@ def build_parser() -> argparse.ArgumentParser:
     sv.add_argument(
         "--engine",
         default=None,
-        choices=("auto", "reference", "compiled", "vector"),
+        choices=("auto", "reference", "vector"),
         help="override the scenario's engine (see docs/SERVING.md)",
     )
     sv.add_argument(

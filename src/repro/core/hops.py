@@ -57,8 +57,7 @@ per-algorithm primitives — :meth:`TableHopKernel.candidates` and
 only re-states its hop relation, not the engine semantics.
 
 This module also owns the internal-step action codes shared by the
-plan cache and the kernels (``sim.plans`` re-exports them for
-backwards compatibility).
+plan cache and the kernels.
 """
 
 from __future__ import annotations

@@ -49,11 +49,6 @@ class Message:
     #: While in flight between nodes: the queue this packet is heading
     #: to (decided when it was placed in the output buffer).
     target: Any = None
-    #: Engine-private memo (CompiledPacketSimulator): the fill plan
-    #: last resolved for this message, keyed by ``(queue, state)``.
-    #: Pure functions of the key, so they never need invalidation.
-    plan_sig: Any = None
-    plan: Any = None
     #: Service-class tag for open-loop serving workloads
     #: (`repro.serve`): engines never read it, the telemetry layer
     #: buckets latency by it.  ``None`` for batch-experiment traffic.

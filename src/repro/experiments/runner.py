@@ -22,19 +22,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from ..core.routing_function import RoutingAlgorithm
-from ..routing.hypercube import (
-    HypercubeAdaptiveRouting,
-    HypercubeHungRouting,
-    HypercubeObliviousRouting,
-)
-from ..routing.mesh import (
-    Mesh2DAdaptiveRouting,
-    Mesh2DRestrictedRouting,
-    MeshAdaptiveRouting,
-    MeshObliviousRouting,
-    MeshRestrictedRouting,
-)
-from ..sim.compiled import CompiledPacketSimulator
+from ..routing.hypercube import HypercubeAdaptiveRouting
 from ..sim.engine import PacketSimulator
 from ..sim.vector import VectorSimulator
 from ..sim.injection import DynamicInjection, InjectionModel, StaticInjection
@@ -52,16 +40,15 @@ SCALES: dict[str, tuple[int, ...]] = {
 }
 
 #: Engine names accepted by :func:`build_simulator` / ``REPRO_ENGINE``.
-ENGINES: tuple[str, ...] = ("auto", "reference", "compiled", "vector")
+ENGINES: tuple[str, ...] = ("auto", "reference", "vector")
 
 #: One-screen engine capability matrix, embedded in selection errors.
 #: The canonical (maintained) version lives in docs/ARCHITECTURE.md.
 ENGINE_MATRIX = """\
 engine     topologies        faults  observers  trace  speed (relative)
 reference  any               yes     yes        yes    1x
-compiled   any               yes     yes        yes    ~2-5x
-vector     any               no      telemetry  no     ~10-40x
-(auto = vector on hypercube and mesh, else compiled; docs/ARCHITECTURE.md)"""
+vector     any               no      telemetry  no     ~3-80x
+(auto = vector, or reference with trace=True; docs/ARCHITECTURE.md)"""
 
 
 def engine_choice(default: str = "auto") -> str:
@@ -72,27 +59,6 @@ def engine_choice(default: str = "auto") -> str:
             f"REPRO_ENGINE={name!r}; expected one of {ENGINES}"
         )
     return name
-
-
-#: Algorithms whose hop kernels compute batch rows (the paper's
-#: Section-3 hypercube and Section-4 mesh schemes): ``auto`` runs them
-#: on the vector engine, with or without a telemetry probe.
-_AUTO_VECTOR_ALGORITHMS = frozenset({
-    HypercubeHungRouting,
-    HypercubeAdaptiveRouting,
-    HypercubeObliviousRouting,
-    MeshRestrictedRouting,
-    MeshAdaptiveRouting,
-    MeshObliviousRouting,
-    Mesh2DRestrictedRouting,
-    Mesh2DAdaptiveRouting,
-})
-
-
-#: Keyword arguments under which ``auto`` still picks the vector
-#: engine; anything else (occupancy sampling, tracing, LIFO service,
-#: rotating policy) keeps ``auto`` on the compiled engine.
-_AUTO_VECTOR_KWARGS = frozenset({"central_capacity", "stall_limit"})
 
 
 def resolve_probe(telemetry) -> TelemetryProbe | None:
@@ -121,16 +87,12 @@ def build_simulator(
     ``engine`` (or, when it is None, the ``REPRO_ENGINE`` environment
     variable) selects between:
 
-    * ``reference`` — the generic :class:`PacketSimulator`;
-    * ``compiled``  — :class:`CompiledPacketSimulator`, the plan-cache
-      engine (any algorithm, packet-for-packet identical);
+    * ``reference`` — the generic :class:`PacketSimulator`, the
+      executable spec (every observer, fault injection, tracing);
     * ``vector``    — :class:`~repro.sim.vector.VectorSimulator`, the
       table-driven engine (any topology, packet-identical; hashable
       states, telemetry probes yes, fault observers / tracing no);
-    * ``auto``      — ``vector`` for the hypercube and mesh two-phase
-      algorithms (probe or not, only ``central_capacity`` /
-      ``stall_limit`` kwargs), otherwise ``compiled``, which accepts
-      every observer and option.
+    * ``auto``      — ``vector``, or ``reference`` when ``trace=True``.
 
     Every engine implements the reference engine's exact Section-7.1
     semantics, so the choice never changes results, only throughput —
@@ -146,24 +108,12 @@ def build_simulator(
     if name not in ENGINES:
         raise ValueError(f"engine={name!r}; expected one of {ENGINES}")
     probe = resolve_probe(telemetry)
+    if name == "auto":
+        name = "reference" if kwargs.get("trace") else "vector"
     if name == "reference":
         sim = PacketSimulator(algorithm, model, **kwargs)
-    elif name == "compiled":
-        sim = CompiledPacketSimulator(algorithm, model, **kwargs)
-    elif name == "vector":
-        sim = VectorSimulator(algorithm, model, **kwargs)
-    # auto: the vector engine for the hypercube and mesh schemes, the
-    # compiled engine for everything else (both are packet-for-packet
-    # identical).  Callers should omit generic-only kwargs they don't
-    # need, since their mere presence (occupancy, tracing,
-    # service/policy variants) selects the compiled engine.
-    elif (
-        type(algorithm) in _AUTO_VECTOR_ALGORITHMS
-        and set(kwargs) <= _AUTO_VECTOR_KWARGS
-    ):
-        sim = VectorSimulator(algorithm, model, **kwargs)
     else:
-        sim = CompiledPacketSimulator(algorithm, model, **kwargs)
+        sim = VectorSimulator(algorithm, model, **kwargs)
     if probe is not None:
         probe.attach(sim)
     return sim
@@ -242,10 +192,9 @@ class HypercubeExperiment:
             )
         else:
             raise ValueError(f"unknown injection model {self.injection!r}")
-        # Engine selection (tests/test_sim_vector.py and
-        # tests/test_sim_compiled.py prove all engines packet-for-packet
-        # identical): REPRO_ENGINE / the engine argument pick one
-        # explicitly; "auto" prefers vector, then compiled.
+        # Engine selection (tests/test_sim_vector.py proves the engines
+        # packet-for-packet identical): REPRO_ENGINE / the engine
+        # argument pick one explicitly; "auto" picks vector.
         kwargs: dict = {"central_capacity": self.central_capacity}
         if self.collect_occupancy:
             kwargs["collect_occupancy"] = True

@@ -31,9 +31,8 @@ result object unchanged — the zero-overhead-when-healthy property
 
 :class:`FaultInjector` is the engine observer that drives epochs: on
 each cycle boundary it installs the scheduled fault set into both the
-adapter and the engine (``dead_nodes``/``blocked_links``), retracts
-packets stranded in the output buffers of newly-dead links, and tells
-the compiled engine to drop its now-stale routing plans.
+adapter and the engine (``dead_nodes``/``blocked_links``) and retracts
+packets stranded in the output buffers of newly-dead links.
 """
 
 from __future__ import annotations
@@ -262,11 +261,7 @@ class FaultAwareRouting(RoutingAlgorithm):
         valid; under any active fault the gate declines every key and
         the symbolic filtering above takes over.  ``set_active``
         registers the layout so an epoch change drops its packed rows
-        and memos (``clear_rows``) — engines that drive fault epochs
-        must additionally invalidate their own per-message memos,
-        exactly as
-        :meth:`~repro.sim.compiled.CompiledPacketSimulator.invalidate_plans`
-        already does.
+        and memos (``clear_rows``).
         """
         if type(self) is not FaultAwareRouting:
             return None
@@ -323,9 +318,7 @@ class FaultInjector:
     2. retracts packets sitting in the output buffers of newly-dead
        links back into a central queue of their node (over capacity if
        need be — retraction must not drop packets; packets inside a
-       dead node are lost instead, which is the fail-stop semantics),
-    3. invalidates the compiled engine's routing-plan cache, whose
-       memos assumed the previous epoch's hop relations.
+       dead node are lost instead, which is the fail-stop semantics).
 
     Between boundaries ``on_cycle`` is two attribute loads and an
     identity check.  ``on_stall`` suppresses the engine's deadlock alarm
@@ -349,9 +342,6 @@ class FaultInjector:
         sim.blocked_links = fs.blocked_links
         if fs.dead_links:
             self._retract(sim, fs, previous)
-        invalidate = getattr(sim, "invalidate_plans", None)
-        if invalidate is not None:
-            invalidate()
 
     def on_stall(self, sim) -> bool:
         if self.schedule.next_change_after(sim.cycle) is not None:

@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 
 from ..core.routing_function import RoutingAlgorithm, node_path
 from ..experiments.parallel import parallel_map
-from ..experiments.runner import build_simulator, engine_choice, resolve_probe
+from ..experiments.runner import resolve_probe
 from ..routing.hypercube import HypercubeAdaptiveRouting
 from ..routing.mesh import Mesh2DAdaptiveRouting
 from ..sim.engine import PacketSimulator
@@ -43,7 +43,6 @@ def make_fault_simulator(
     algorithm: RoutingAlgorithm,
     model: InjectionModel,
     schedule: FaultSchedule,
-    engine: str | None = None,
     watchdog: bool = True,
     detour: bool = True,
     livelock_limit: int | None = 25_000,
@@ -53,23 +52,17 @@ def make_fault_simulator(
     """Wire algorithm + injection + fault schedule into one engine.
 
     Wraps ``algorithm`` in :class:`FaultAwareRouting`, builds the
-    requested engine (``auto`` resolves to the compiled engine, since the
-    adapter is never vector-eligible; the vector engine accepts no fault
-    observers, so ``vector`` falls back to ``auto`` here), and attaches
-    the :class:`FaultInjector` first, then (optionally) the
-    :class:`DeadlockWatchdog`, in that order: the injector must update
-    the epoch — and get the chance to suppress transient stalls —
-    before the watchdog passes judgment.  A ``telemetry`` probe (True
-    or a :class:`~repro.telemetry.TelemetryProbe`) attaches *last*, so
-    it observes each epoch the same cycle the injector installs it.
+    reference :class:`PacketSimulator` (the only engine with a generic
+    observer loop), and attaches the :class:`FaultInjector` first, then
+    (optionally) the :class:`DeadlockWatchdog`, in that order: the
+    injector must update the epoch — and get the chance to suppress
+    transient stalls — before the watchdog passes judgment.  A
+    ``telemetry`` probe (True or a
+    :class:`~repro.telemetry.TelemetryProbe`) attaches *last*, so it
+    observes each epoch the same cycle the injector installs it.
     """
     adapter = FaultAwareRouting(algorithm, detour=detour)
-    resolved = engine_choice() if engine is None else engine
-    if resolved == "vector":
-        # the vector engine accepts no fault observers; honor a
-        # REPRO_ENGINE=vector default by falling back instead of raising
-        resolved = "auto"
-    sim = build_simulator(adapter, model, engine=resolved, **kwargs)
+    sim = PacketSimulator(adapter, model, **kwargs)
     sim.add_observer(FaultInjector(schedule, adapter))
     if watchdog:
         sim.add_observer(DeadlockWatchdog(livelock_limit=livelock_limit))
@@ -118,7 +111,6 @@ def run_with_faults(
     algorithm: RoutingAlgorithm,
     model: InjectionModel,
     schedule: FaultSchedule,
-    engine: str | None = None,
     watchdog: bool = True,
     detour: bool = True,
     measure_overhead: bool = False,
@@ -139,7 +131,6 @@ def run_with_faults(
         algorithm,
         model,
         schedule,
-        engine=engine,
         watchdog=watchdog,
         detour=detour,
         telemetry=telemetry,
@@ -178,7 +169,7 @@ RESILIENCE_FAMILIES: dict[
 
 def _sweep_cell(cell: tuple) -> ResilienceResult:
     """Module-level worker (picklable for process pools)."""
-    (family, size, count, seed, packets, engine, detour, telemetry) = cell
+    (family, size, count, seed, packets, detour, telemetry) = cell
     build, make_alg = RESILIENCE_FAMILIES[family]
     topo = build(size)
     alg = make_alg(topo)
@@ -195,7 +186,6 @@ def _sweep_cell(cell: tuple) -> ResilienceResult:
         alg,
         model,
         schedule,
-        engine=engine,
         detour=detour,
         measure_overhead=True,
         max_cycles=2_000_000,
@@ -209,7 +199,6 @@ def degradation_sweep(
     fault_counts: Sequence[int],
     seed: int = 12345,
     packets_per_node: int = 1,
-    engine: str | None = None,
     detour: bool = True,
     workers: int | None = None,
     telemetry: bool = False,
@@ -232,8 +221,7 @@ def degradation_sweep(
     if 0 not in counts:
         counts.insert(0, 0)
     cells = [
-        (family, size, count, seed, packets_per_node, engine, detour,
-         telemetry)
+        (family, size, count, seed, packets_per_node, detour, telemetry)
         for count in counts
     ]
     results = parallel_map(_sweep_cell, cells, workers=workers or 1)

@@ -9,8 +9,7 @@ set, a genuine wait-for cycle over full queues — and a useful harness
 must say which, instead of hanging or aborting opaquely.
 
 :class:`DeadlockWatchdog` is an engine observer (see
-``PacketSimulator.observers``) shared by the reference and compiled
-engines (the compiled engine inherits ``step``/``run``).  When the
+``PacketSimulator.observers``) of the reference engine.  When the
 engine reports a no-progress interval, the watchdog classifies every
 live packet, extracts the wait-for cycle over queues if one exists,
 and then either

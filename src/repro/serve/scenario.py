@@ -17,7 +17,7 @@ reference)::
     seed: 42
     topology: {family: hypercube, size: 4}
     algorithm: adaptive            # per-family choices, default adaptive
-    engine: auto                   # reference | compiled | vector | auto
+    engine: auto                   # reference | vector | auto
     populations:                   # >= 1 entry
       - name: humans
         qos: gold                  # service-class tag on every packet

@@ -1,6 +1,5 @@
 """Cycle-accurate simulation: engine, injection models, traffic, metrics."""
 
-from .compiled import CompiledPacketSimulator
 from .engine import (
     CycleLimitExceeded,
     DeadlockError,
@@ -13,7 +12,7 @@ from .tables import EngineCapabilityError, RoutingTables
 from .vector import VectorSimulator
 from .metrics import LatencyStats, SimulationResult
 from .rng import make_rng
-from .trace import CompiledTracingSimulator, TraceEvent, TracingSimulator
+from .trace import TraceEvent, TracingSimulator
 from .traffic import (
     BitReversalTraffic,
     HotspotTraffic,
@@ -32,7 +31,6 @@ from .traffic import (
 
 __all__ = [
     "PacketSimulator",
-    "CompiledPacketSimulator",
     "VectorSimulator",
     "RoutingTables",
     "EngineCapabilityError",
@@ -48,7 +46,6 @@ __all__ = [
     "SimulationResult",
     "make_rng",
     "TracingSimulator",
-    "CompiledTracingSimulator",
     "TraceEvent",
     "TrafficPattern",
     "RandomTraffic",

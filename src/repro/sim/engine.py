@@ -29,16 +29,15 @@ messages grabbing whichever allowed output buffer is free first.
 
 **Role in the engine lineage** (see ``docs/ARCHITECTURE.md`` for the
 full capability matrix): this is the *reference* engine — the
-executable specification every other engine
-(:class:`~repro.sim.compiled.CompiledPacketSimulator`,
-:class:`~repro.sim.vector.VectorSimulator`) is cross-validated
+executable specification the fast engine
+(:class:`~repro.sim.vector.VectorSimulator`) is cross-validated
 against, packet for packet.  It supports the complete feature
 surface — any topology, fault observers, telemetry probes, route
 tracing, FIFO/LIFO service, paper/rotating buffer policies — and has
 no limitations other than speed: every hop re-derives
 ``static_hops`` / ``dynamic_hops`` / ``buffer_class`` /
 ``update_state`` through the generic interface, which is the 1x
-baseline the other engines are measured over.
+baseline the vector engine is measured over.
 """
 
 from __future__ import annotations

@@ -1,64 +1,42 @@
-"""Compiled routing plans: memoized candidate-hop tables.
+"""Symbolic routing plans: the table-row fallback of the vector engine.
 
-The generic :class:`~repro.sim.engine.PacketSimulator` re-derives, for
-every queued message in every cycle, the full candidate set the paper's
-node cycle needs: ``static_hops`` / ``dynamic_hops`` (two frozensets of
-freshly-allocated :class:`QueueId` objects), a ``buffer_class`` call per
-external hop, and an ``update_state`` call per move.  Profiling
-(docs/PERFORMANCE.md) attributes ~70% of the engine's inner-loop time to
-exactly this churn.
-
-The routing function, however, is *pure*: every quantity above is a
+The routing function is *pure*: every candidate set the paper's node
+cycle needs — ``static_hops`` / ``dynamic_hops``, the ``buffer_class``
+of each external hop, the ``update_state`` of each move — is a
 deterministic function of ``(queue, destination, state)``.  This module
 memoizes the fully-resolved answer per such key:
 
 * :class:`CentralPlan` — what a message occupying a central queue may do
-  this cycle, split the way the engine consumes it: an ``external``
-  mapping ``(neighbor, buffer_class) -> (next_queue, new_state)`` and an
-  ``internal`` tuple of ``(action, next_queue, new_state)`` steps
-  (delivery / in-place state advance / sibling-queue move);
+  this cycle: an ``external`` mapping ``(neighbor, buffer_class) ->
+  (next_queue, new_state, is_dynamic)`` and an ``internal`` tuple of
+  ``(action, next_queue, new_state)`` steps (delivery / in-place state
+  advance / sibling-queue move);
 * entry resolution — the fold of forced internal phase switches
   performed by ``PacketSimulator._resolve_entry_queue``;
 * injection plans — the sorted injection targets with their
   ``update_state`` + entry fold already applied.
 
-Plans are built lazily on first use, so algorithms with unbounded state
-spaces (the shuffle-exchange shuffle counter grows with ``2n``) stay
-correct and merely populate more entries, while bounded-state algorithms
-(hypercube, mesh, torus phase bits) converge to dense tables after the
-first few cycles.  States must be hashable for memoization; unhashable
-states transparently fall back to direct evaluation, preserving the
-generic engine's contract.
-
-The memo dictionaries (``central_memo`` / ``entry_memo`` /
-``inject_memo``) are deliberately exposed: the compiled engine inlines
-``dict.get`` on them in its inner loop and only calls the builder
-methods on a miss.
-
-Everything stored is immutable (tuples, interned :class:`QueueId`), and
-the construction replays the reference engine's iteration orders
-exactly — static hops before dynamic hops, first-wins per
-``(neighbor, class)`` slot — which is what keeps the compiled engine
+:class:`~repro.sim.tables.RoutingTables` lowers these plans to integer
+rows for every key its hop kernel declines (algorithms without a
+kernel, fault epochs, Beneš, the buffer-pool schemes).  Plans are built
+lazily, so unbounded state spaces (the shuffle-exchange shuffle
+counter) merely populate more entries; unhashable states are evaluated
+directly.  The construction replays the reference engine's iteration
+orders exactly — static hops before dynamic hops, first-wins per
+``(neighbor, class)`` slot — which is what keeps the lowered rows
 packet-for-packet identical to the reference engine.
 """
 
 from __future__ import annotations
 
+import sys
 from typing import Any, Hashable, NamedTuple
 
 from ..core.hops import DELIVER_STEP, MOVE_STEP, SELF_STEP
 from ..core.queues import QueueId
 from ..core.routing_function import RoutingAlgorithm
 
-#: Internal-step action codes live in :mod:`repro.core.hops` (shared
-#: with the integer hop kernels); re-exported here for compatibility.
-__all__ = [
-    "DELIVER_STEP",
-    "SELF_STEP",
-    "MOVE_STEP",
-    "CentralPlan",
-    "RoutingPlanCache",
-]
+__all__ = ["CentralPlan", "RoutingPlanCache"]
 
 
 class CentralPlan(NamedTuple):
@@ -77,46 +55,39 @@ class CentralPlan(NamedTuple):
 class RoutingPlanCache:
     """Lazy per-algorithm memo of fully-resolved routing plans.
 
-    One instance is owned by each
-    :class:`~repro.sim.compiled.CompiledPacketSimulator`; sharing one
-    across simulators of the *same* algorithm instance is safe (plans
-    depend only on the pure routing function).
+    Owned by one :class:`~repro.sim.tables.RoutingTables`; plans depend
+    only on the pure routing function.
     """
 
     def __init__(self, algorithm: RoutingAlgorithm):
         self.algorithm = algorithm
         #: ``(queue, dst, state) -> CentralPlan``
-        self.central_memo: dict[tuple, CentralPlan] = {}
+        self._central: dict[tuple, CentralPlan] = {}
         #: ``(queue, dst, state) -> (resolved_queue, resolved_state)``
-        self.entry_memo: dict[tuple, tuple[QueueId, Any]] = {}
+        self._entry: dict[tuple, tuple[QueueId, Any]] = {}
         #: ``(node, dst, state) -> ((kind, queue, state), ...)``
-        self.inject_memo: dict[tuple, tuple] = {}
+        self._inject: dict[tuple, tuple] = {}
 
-    # ------------------------------------------------------------------
-    # Statistics (tests, docs)
-    # ------------------------------------------------------------------
     @property
     def size(self) -> int:
         """Total number of memoized plans (all three tables)."""
-        return (
-            len(self.central_memo)
-            + len(self.entry_memo)
-            + len(self.inject_memo)
-        )
+        return len(self._central) + len(self._entry) + len(self._inject)
+
+    def clear(self) -> None:
+        """Drop every plan (a fault epoch changed the hop relations)."""
+        self._central.clear()
+        self._entry.clear()
+        self._inject.clear()
 
     def memory_bytes(self) -> int:
         """Shallow footprint estimate of the three memo tables.
 
         Counts the dicts plus one level of keys and values (the
-        CentralPlan externals dict included) — enough to compare
-        against the integer tables' packed-array footprint
-        (telemetry gauge ``repro_plan_cache_bytes``), without a full
-        recursive traversal of shared QueueId/state objects.
+        CentralPlan externals dict included), without a full recursive
+        traversal of shared QueueId/state objects.
         """
-        import sys
-
         total = 0
-        for memo in (self.central_memo, self.entry_memo, self.inject_memo):
+        for memo in (self._central, self._entry, self._inject):
             total += sys.getsizeof(memo)
             for key, value in memo.items():
                 total += sys.getsizeof(key) + sys.getsizeof(value)
@@ -125,20 +96,17 @@ class RoutingPlanCache:
                     total += sys.getsizeof(value.internal)
         return total
 
-    # ------------------------------------------------------------------
-    # Central-queue plans
-    # ------------------------------------------------------------------
     def central_plan(
         self, q_id: QueueId, dst: Hashable, state: Any
     ) -> CentralPlan:
         """Plan for a message in central queue ``q_id`` (memoized)."""
         key = (q_id, dst, state)
         try:
-            plan = self.central_memo.get(key)
+            plan = self._central.get(key)
         except TypeError:  # unhashable state: evaluate directly
             return self._build_central(q_id, dst, state)
         if plan is None:
-            plan = self.central_memo[key] = self._build_central(
+            plan = self._central[key] = self._build_central(
                 q_id, dst, state
             )
         return plan
@@ -177,9 +145,6 @@ class RoutingPlanCache:
                         )
         return CentralPlan(external, tuple(internal))
 
-    # ------------------------------------------------------------------
-    # Queue-entry resolution (the forced-phase-switch fold)
-    # ------------------------------------------------------------------
     def entry(self, q2: QueueId, dst: Hashable, state: Any) -> tuple[QueueId, Any]:
         """Where a packet heading for ``q2`` actually lands (memoized).
 
@@ -189,11 +154,11 @@ class RoutingPlanCache:
         """
         key = (q2, dst, state)
         try:
-            resolved = self.entry_memo.get(key)
+            resolved = self._entry.get(key)
         except TypeError:
             return self._resolve_entry(q2, dst, state)
         if resolved is None:
-            resolved = self.entry_memo[key] = self._resolve_entry(
+            resolved = self._entry[key] = self._resolve_entry(
                 q2, dst, state
             )
         return resolved
@@ -215,9 +180,6 @@ class RoutingPlanCache:
             q2 = q3
         return q2, state
 
-    # ------------------------------------------------------------------
-    # Injection plans
-    # ------------------------------------------------------------------
     def injection_plan(
         self, u: Hashable, dst: Hashable, state: Any
     ) -> tuple[tuple[str, QueueId, Any], ...]:
@@ -229,11 +191,11 @@ class RoutingPlanCache:
         """
         key = (u, dst, state)
         try:
-            plan = self.inject_memo.get(key)
+            plan = self._inject.get(key)
         except TypeError:
             return self._build_injection(u, dst, state)
         if plan is None:
-            plan = self.inject_memo[key] = self._build_injection(
+            plan = self._inject[key] = self._build_injection(
                 u, dst, state
             )
         return plan

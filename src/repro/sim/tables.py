@@ -17,8 +17,7 @@ object on the hot path:
   reference engine's input-buffer rotation order;
 * routing states are interned lazily to small ints (states must be
   hashable; :class:`EngineCapabilityError` otherwise — the reference
-  and compiled engines remain available for unhashable-state
-  algorithms).
+  engine remains available for unhashable-state algorithms).
 
 The static structure is a handful of int arrays (``queue_node``,
 ``slot_src`` / ``slot_dst`` / ``slot_cls``, ``node_out_start`` /
@@ -35,11 +34,11 @@ Python lists remain where sparse loops index them (``queue_kind``,
 ``link_classes`` — are built on first use, and :meth:`RoutingTables.slot_id` indexes one sending
 node's slots on its first lookup.
 
-On top of the static structure, three lazily-memoized row tables mirror
-:class:`~repro.sim.plans.RoutingPlanCache` (which this class wraps, so
-the first-wins external-candidate semantics, statics-before-dynamics
-order and the forced-phase-switch entry fold are *the same code* the
-compiled engine trusts):
+On top of the static structure, three lazily-memoized row tables are
+lowered from :class:`~repro.sim.plans.RoutingPlanCache` (which this
+class wraps as the fallback for rows no hop kernel computes, so the
+first-wins external-candidate semantics, statics-before-dynamics order
+and the forced-phase-switch entry fold are one piece of code):
 
 * :meth:`central_row` — ``(queue, dst, state) ->`` parallel tuples of
   external candidates (slot / next queue / next state / dynamic flag,
@@ -75,15 +74,16 @@ from typing import Any, Hashable
 
 import numpy as np
 
-from ..core.hops import HopRows
+from ..core.hops import DELIVER_STEP, HopRows
 from ..core.queues import QueueId
 from ..core.routing_function import RoutingAlgorithm
-from .plans import DELIVER_STEP, RoutingPlanCache
+from .plans import RoutingPlanCache
 
 __all__ = ["EngineCapabilityError", "RoutingTables"]
 
-#: Ceiling on the dense ``(queue, dst)`` row-id index (cells); larger
-#: networks fall back to a dict-keyed row-id map.
+#: Ceiling on the dense ``(queue, dst, state)`` row-id index (cells);
+#: larger networks, or state spaces that would deepen the index past
+#: it, use a dict-keyed row-id map.
 _DENSE_ROWID_CELLS = 16_777_216
 
 
@@ -127,9 +127,7 @@ class RoutingTables:
     One instance may be shared by several
     :class:`~repro.sim.vector.VectorSimulator` objects built around the
     *same* algorithm instance (rows are pure functions of
-    ``(queue, dst, state)``), mirroring how
-    :class:`~repro.sim.plans.RoutingPlanCache` is shared by compiled
-    simulators.
+    ``(queue, dst, state)``).
     """
 
     #: Label-keyed views built on first use -> the depth to which
@@ -363,8 +361,7 @@ class RoutingTables:
             raise EngineCapabilityError(
                 f"the vector engine requires hashable routing states; "
                 f"{self.algorithm.name} produced {state!r} — use "
-                "engine='reference' or engine='compiled' "
-                "(see docs/ARCHITECTURE.md)"
+                "engine='reference' (see docs/ARCHITECTURE.md)"
             ) from exc
         if sid is None:
             sid = self._state_ids[state] = len(self.states)
@@ -392,7 +389,7 @@ class RoutingTables:
         Both are allocated on the first :meth:`central_rid` call
         (:meth:`_alloc_rows`): engines whose kernel computes batch rows
         (:meth:`fill_rows`) never pack a row, and the dense index grows
-        with ``queues x nodes``.
+        with ``queues x nodes x states`` up to ``_DENSE_ROWID_CELLS``.
         """
         self._row_n = 0
         self.row_slots: np.ndarray | None = None
@@ -463,8 +460,17 @@ class RoutingTables:
             self.row_hasint = hasint
 
     def _grow_rowid_states(self, sid: int) -> None:
+        """Deepen the dense index to cover state id ``sid``; if that
+        would cross ``_DENSE_ROWID_CELLS``, move to the dict index."""
         tab = self._rowid_dense
         depth = max(sid + 1, len(self.states), tab.shape[2] * 2)
+        if tab.shape[0] * tab.shape[1] * depth > _DENSE_ROWID_CELLS:
+            keys = np.nonzero(tab >= 0)
+            self._rowid_map = dict(
+                zip(zip(*(k.tolist() for k in keys)), tab[keys].tolist())
+            )
+            self._rowid_dense = None
+            return
         new = np.full((tab.shape[0], tab.shape[1], depth), -1, dtype=np.int64)
         new[:, :, : tab.shape[2]] = tab
         self._rowid_dense = new
@@ -494,17 +500,15 @@ class RoutingTables:
         if self.row_slots is None:
             self._alloc_rows()
         tab = self._rowid_dense
+        if tab is not None and sid >= tab.shape[2]:
+            self._grow_rowid_states(sid)
+            tab = self._rowid_dense
         if tab is not None:
-            if sid >= tab.shape[2]:
-                self._grow_rowid_states(sid)
-                tab = self._rowid_dense
             rid = int(tab[qid, dst_i, sid])
-            if rid >= 0:
-                return rid
         else:
             rid = self._rowid_map.get((qid, dst_i, sid), -1)
-            if rid >= 0:
-                return rid
+        if rid >= 0:
+            return rid
         rid = self._pack_row(dst_i, self.central_row(qid, dst_i, sid))
         if self._rowid_dense is not None:
             self._rowid_dense[qid, dst_i, sid] = rid
@@ -524,6 +528,9 @@ class RoutingTables:
         if self.row_slots is None:
             self._alloc_rows()
         tab = self._rowid_dense
+        if tab is not None and len(self.states) > tab.shape[2]:
+            self._grow_rowid_states(len(self.states) - 1)
+            tab = self._rowid_dense
         if tab is None:
             get = self._rowid_map.get
             out = np.empty(len(qids), dtype=np.int64)
@@ -534,9 +541,6 @@ class RoutingTables:
                     rid = self.central_rid(*key)
                 out[i] = rid
             return out
-        if len(self.states) > tab.shape[2]:
-            self._grow_rowid_states(len(self.states) - 1)
-            tab = self._rowid_dense
         rids = tab[qids, dsts, sids]
         misses = np.flatnonzero(rids < 0)
         if misses.size:
@@ -573,9 +577,7 @@ class RoutingTables:
         self._central.clear()
         self._entry.clear()
         self._inject.clear()
-        self.plans.central_memo.clear()
-        self.plans.entry_memo.clear()
-        self.plans.inject_memo.clear()
+        self.plans.clear()
         self._init_rows()
 
     def memory_bytes(self) -> int:

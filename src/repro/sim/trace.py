@@ -1,8 +1,8 @@
 """Per-packet timeline tracing, built on the telemetry event log.
 
-:class:`TracingSimulator` (reference engine) and
-:class:`CompiledTracingSimulator` record the structured event log of
-:mod:`repro.telemetry.events` and reconstruct the classic per-packet
+:class:`TracingSimulator` (the reference engine, the only one that
+traces) records the structured event log of
+:mod:`repro.telemetry.events` and reconstructs the classic per-packet
 view from it: ``inject`` / ``enter`` / ``deliver``
 :class:`TraceEvent` records, with ``enter`` stamped at *dispatch* time
 (the cycle the packet was sent toward the queue) exactly as the
@@ -22,7 +22,6 @@ from typing import Iterator
 
 from ..core.queues import QueueId
 from ..telemetry.events import EventLog
-from .compiled import CompiledPacketSimulator
 from .engine import PacketSimulator
 
 
@@ -42,12 +41,12 @@ class TraceEvent:
     queue: QueueId
 
 
-class _TracingMixin:
-    """Event-log recording + old-style timeline reconstruction.
+class TracingSimulator(PacketSimulator):
+    """Reference engine with the structured event log attached.
 
-    Mixed into either engine: installs an :class:`EventLog` as the
-    engine's event sink and keeps ``trace=True`` so ``Message.hops``
-    stays populated for route-level consumers.
+    Installs an :class:`EventLog` as the engine's event sink and keeps
+    ``trace=True`` so ``Message.hops`` stays populated for route-level
+    consumers.
     """
 
     def __init__(self, *args, **kwargs):
@@ -116,11 +115,3 @@ class _TracingMixin:
         for e in self.timeline(uid):
             lines.append(f"  cycle {e.cycle:4d}: {e.kind:8s} {e.queue!r}")
         return "\n".join(lines)
-
-
-class TracingSimulator(_TracingMixin, PacketSimulator):
-    """Reference engine with the structured event log attached."""
-
-
-class CompiledTracingSimulator(_TracingMixin, CompiledPacketSimulator):
-    """Compiled engine with the structured event log attached."""

@@ -37,9 +37,10 @@ invisible in the output.
 topology: same latencies, cycle counts, injection statistics, and a
 byte-identical canonical telemetry event log
 (``tests/test_sim_vector.py``, ``tests/test_sim_kernels.py``).  The
-fill phase replays the compiled engine's message-major greedy matching
-(provably equal to the reference engine's buffer-major loop under
-aligned preference orders) — the batch form runs the same
+fill phase runs a message-major greedy matching — each entry, in
+service order, claims the lowest free slot among its own candidates,
+which is provably equal to the reference engine's buffer-major loop
+under aligned preference orders — the batch form runs the same
 (position, kind) steps across nodes, which commute because queues,
 output buffers, and internal moves never cross nodes.  The read phase
 replays the rotating input fairness: the batched rank
@@ -51,9 +52,9 @@ the reference engine uses.
 
 **Selection.**  ``auto`` in
 :func:`~repro.experiments.runner.build_simulator` picks this engine for
-the hypercube and mesh two-phase schemes, whose hop kernels compute
-batch rows, with or without a telemetry probe (the paper tables and
-``repro serve``); every other configuration asks for it by name.
+every algorithm and topology, with or without a telemetry probe (the
+paper tables, the other-topology sweeps and ``repro serve``); only
+``trace=True`` sends ``auto`` to the reference engine.
 
 **Limitations** (each raises a descriptive
 :class:`~repro.sim.tables.EngineCapabilityError` — the engine never
@@ -62,9 +63,9 @@ silently degrades; see the engine matrix in ``docs/ARCHITECTURE.md``):
 * routing states must be hashable (interned to table ids);
 * no generic observer loop: the only observer accepted is a
   :class:`~repro.telemetry.TelemetryProbe`, which this engine drives
-  itself (below).  Fault injectors and watchdogs need the reference or
-  compiled engine — ``repro.faults.experiments.make_fault_simulator``
-  therefore maps ``engine="vector"`` to ``"auto"``;
+  itself (below).  Fault injectors and watchdogs need the reference
+  engine, which ``repro.faults.experiments.make_fault_simulator``
+  always builds;
 * no per-hop tracing (``trace=True``) and no ``delivered_messages``
   capture; a :class:`~repro.core.message.Message` handed to
   :meth:`~VectorSimulator.place_in_injection_queue` gets its
@@ -92,12 +93,12 @@ from typing import Hashable
 
 import numpy as np
 
+from ..core.hops import DELIVER_STEP, SELF_STEP
 from ..core.message import Message, take_message_ids
 from ..core.routing_function import RoutingAlgorithm
 from .engine import CycleLimitExceeded, DeadlockError
 from .injection import InjectionModel
 from .metrics import LatencyStats, SimulationResult
-from .plans import DELIVER_STEP, SELF_STEP
 from .tables import EngineCapabilityError, RoutingTables
 
 __all__ = ["VectorSimulator"]
@@ -129,8 +130,7 @@ class VectorSimulator:
         if trace:
             raise EngineCapabilityError(
                 "the vector engine does not record per-hop traces; use "
-                "engine='reference' or engine='compiled' "
-                "(see docs/ARCHITECTURE.md)"
+                "engine='reference' (see docs/ARCHITECTURE.md)"
             )
         self.algorithm = algorithm
         self.topology = algorithm.topology
@@ -266,8 +266,7 @@ class VectorSimulator:
         raise EngineCapabilityError(
             f"the vector engine has no generic observer loop and cannot "
             f"attach {type(observer).__name__}; fault injectors and "
-            "watchdogs need engine='reference' or engine='compiled' "
-            "(see docs/ARCHITECTURE.md)"
+            "watchdogs need engine='reference' (see docs/ARCHITECTURE.md)"
         )
 
     # ------------------------------------------------------------------
@@ -639,7 +638,7 @@ class VectorSimulator:
 
         # Message-major assignment in service order (positions
         # ascending for FIFO / descending for LIFO, queue-id ascending
-        # as the tie-break) — the compiled engine's loop, on ints.
+        # as the tie-break), on ints.
         positions = (
             range(maxlen)
             if self.service == "fifo"

@@ -124,7 +124,7 @@ class DenseQueueIndex:
 
     Central queues reuse the interning of
     :class:`repro.sim.tables.RoutingTables` (node-major, kind order as
-    declared) so witness ids line up with the vector/compiled engines'
+    declared) so witness ids line up with the vector engine's
     global queue ids; injection and delivery queues extend the id space
     above ``n_queues``.
     """

@@ -4,7 +4,7 @@ The paper's central objects — the central queues ``qA``/``qB``, the
 per-link static/dynamic buffers, and the queue dependency graph
 (Sections 2–6) — are exactly the things worth *watching* while a
 simulation runs.  This package turns them into first-class signals
-shared by the reference engine, the compiled engine, and fault-injected
+shared by the reference engine, the vector engine, and fault-injected
 runs:
 
 * :mod:`~repro.telemetry.registry` — counters, gauges, and streaming

@@ -26,7 +26,7 @@ Raw tuples all start ``(kind, cycle, uid, ...)``:
 ====================  ====================================================
 
 **Canonical order.**  The reference engine assigns buffers buffer-major
-and the compiled engine message-major, so their *emission* orders can
+and the vector engine message-major, so their *emission* orders can
 interleave packets differently within a cycle even though every
 packet's own movement sequence is identical.  :meth:`EventLog.canonical`
 stable-sorts by ``(cycle, uid)``, which collapses both emissions onto

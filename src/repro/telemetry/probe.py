@@ -1,8 +1,8 @@
 """The engine observer that ties the telemetry layer together.
 
 :class:`TelemetryProbe` plugs into any engine exposing the
-``add_observer`` interface (the reference and compiled simulators; the
-vector engine accepts a probe and drives it itself) and
+``add_observer`` interface (the reference simulator; the vector
+engine accepts a probe and drives it itself) and
 
 * installs an event sink (``sim._events``) the engine feeds raw event
   tuples through — a full :class:`~repro.telemetry.events.EventLog`
@@ -21,7 +21,7 @@ vector engine accepts a probe and drives it itself) and
 A probe constructed with ``enabled=False`` attaches a no-op observer
 and installs no sink: the engine's per-move cost is one ``is not
 None`` check, which is what ``benchmarks/bench_telemetry.py`` bounds
-at < 5% of compiled-engine throughput.
+at < 5% of vector-engine throughput.
 
 Metric names are catalogued in ``docs/OBSERVABILITY.md``.  Of note,
 ``repro_hops_total{link_type="dynamic"}`` directly measures how often
@@ -302,8 +302,7 @@ class TelemetryProbe:
             cycles
         )
         # Routing-structure compilation cost + memory footprint: the
-        # vector engine carries integer tables, the compiled engine a
-        # plan cache; either may be absent on other engines.
+        # vector engine carries integer tables, the reference engine none.
         compile_stats = {}
         tables = getattr(sim, "tables", None)
         if tables is not None and hasattr(tables, "memory_bytes"):
@@ -322,26 +321,10 @@ class TelemetryProbe:
                 "measured, memo rows estimated",
             ).set(tables_bytes)
             compile_stats = {
-                "kind": "tables",
                 "kernel": tables.kernel is not None,
                 "compile_seconds": tables.compile_seconds,
                 "rows": tables.rows_packed,
                 "bytes": tables_bytes,
-            }
-        plans = getattr(sim, "plan_cache", None)
-        if plans is not None and hasattr(plans, "memory_bytes"):
-            reg.gauge(
-                "repro_plan_cache_entries",
-                help="Memoized symbolic routing plans",
-            ).set(plans.size)
-            reg.gauge(
-                "repro_plan_cache_bytes",
-                help="Plan-cache memory footprint (shallow estimate)",
-            ).set(plans.memory_bytes())
-            compile_stats = {
-                "kind": "plan_cache",
-                "entries": plans.size,
-                "bytes": plans.memory_bytes(),
             }
         occ = self._occ_hist
         lat = reg.histogram("repro_latency_cycles", LATENCY_BUCKETS)

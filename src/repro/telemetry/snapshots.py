@@ -1,8 +1,8 @@
 """On-demand state snapshots of a running simulator.
 
 These are pull-style companions to the push-style event log: given a
-live engine (reference or compiled — both expose the same ``central``
-/ ``inj`` / link-buffer state), they answer "what does the network
+live reference engine (its ``central`` / ``inj`` / link-buffer
+state), they answer "what does the network
 look like *right now*?".
 
 * :func:`queue_occupancy_snapshot` — occupancy of every central queue;

@@ -100,7 +100,7 @@ def test_cli_telemetry_artifacts(tmp_path, capsys):
     assert main(["telemetry", "--n", "3", "--out", str(out)]) == 0
     text = capsys.readouterr().out
     assert "byte-identical across engines: yes" in text
-    for engine in ("reference", "compiled"):
+    for engine in ("reference", "vector"):
         for name in ("events.jsonl", "metrics.prom",
                      "occupancy.csv", "summary.json"):
             assert (out / f"{engine}-{name}").read_text()
@@ -132,13 +132,18 @@ def test_cli_rejects_nonpositive_worker_counts(argv, capsys):
 
 
 def test_cli_telemetry_single_engine_with_faults(tmp_path, capsys):
+    """Fault injection runs on the reference engine alone: ``both``
+    skips the vector engine and ``--engine vector`` is a usage error."""
     out = tmp_path / "tele"
-    assert main(["telemetry", "--n", "3", "--engine", "compiled",
-                 "--faults", "2", "--out", str(out)]) == 0
+    assert main(["telemetry", "--n", "3", "--faults", "2",
+                 "--out", str(out)]) == 0
     text = capsys.readouterr().out
     assert "byte-identical" not in text
-    assert (out / "compiled-summary.json").exists()
-    assert not (out / "reference-summary.json").exists()
+    assert (out / "reference-summary.json").exists()
+    assert not (out / "vector-summary.json").exists()
+    assert main(["telemetry", "--n", "3", "--engine", "vector",
+                 "--faults", "2", "--out", str(out)]) == 2
+    assert "reference engine only" in capsys.readouterr().err
 
 
 def test_cli_lint_single_target(capsys):

@@ -121,8 +121,9 @@ def _yn(cell):
 def test_engine_error_matrix_matches_architecture():
     """The abbreviated capability matrix embedded in
     ``EngineCapabilityError`` messages (``runner.ENGINE_MATRIX``) must
-    agree with the canonical table in docs/ARCHITECTURE.md: same set of
-    concrete engines, same fault/observer/tracing capabilities."""
+    agree with the canonical table in docs/ARCHITECTURE.md: the same
+    concrete engines (no more, no fewer), same fault/observer/tracing
+    capabilities."""
     from repro.experiments.runner import ENGINE_MATRIX
 
     doc_rows = _architecture_matrix_rows()
@@ -137,9 +138,9 @@ def test_engine_error_matrix_matches_architecture():
         f"ENGINE_MATRIX rows {sorted(matrix_rows)} != concrete engines "
         f"{sorted(concrete)}"
     )
-    assert concrete <= set(doc_rows), (
-        f"docs/ARCHITECTURE.md matrix missing engines "
-        f"{sorted(concrete - set(doc_rows))}"
+    assert set(doc_rows) == concrete, (
+        f"docs/ARCHITECTURE.md matrix rows {sorted(doc_rows)} != "
+        f"concrete engines {sorted(concrete)}"
     )
     for engine, toks in sorted(matrix_rows.items()):
         cells = doc_rows[engine]

@@ -22,13 +22,13 @@ from repro.faults import (
 from repro.faults.experiments import make_fault_simulator
 from repro.routing import HypercubeAdaptiveRouting
 from repro.sim import (
-    CompiledPacketSimulator,
     DynamicInjection,
     PacketSimulator,
     PermutationTraffic,
     RandomTraffic,
     ComplementTraffic,
     StaticInjection,
+    VectorSimulator,
     make_rng,
 )
 from repro.sim.engine import CycleLimitExceeded
@@ -98,8 +98,7 @@ def test_watchdog_reports_wait_for_cycle():
     assert "wait-for cycle" in str(exc.value)
 
 
-@pytest.mark.parametrize("engine", ["reference", "compiled"])
-def test_disconnecting_fault_set_halts_instead_of_hanging(engine):
+def test_disconnecting_fault_set_halts_instead_of_hanging():
     """Cut one node off entirely: the run terminates by itself with an
     honest undeliverable tally instead of hanging or raising."""
     topo = Hypercube(3)
@@ -107,7 +106,7 @@ def test_disconnecting_fault_set_halts_instead_of_hanging(engine):
     faults = [link_down(0, v, at=0) for v in topo.neighbors(0)]
     schedule = FaultSchedule.fixed(topo, faults)
     model = StaticInjection(2, RandomTraffic(topo), make_rng(8))
-    sim = make_fault_simulator(alg, model, schedule, engine=engine)
+    sim = make_fault_simulator(alg, model, schedule)
     result = sim.run(max_cycles=200_000)
     assert result.halt is not None and "undeliverable" in result.halt
     assert result.undeliverable > 0
@@ -137,9 +136,7 @@ def test_transient_stall_is_waited_out_not_deadlock():
     schedule = FaultSchedule.fixed(topo, [link_stall(0, 1, at=0, until=300)])
     traffic = PermutationTraffic({0: 1, 1: 0, 2: 2, 3: 3}, name="swap01")
     model = StaticInjection(1, traffic, make_rng(0))
-    sim = make_fault_simulator(
-        alg, model, schedule, engine="reference", stall_limit=50
-    )
+    sim = make_fault_simulator(alg, model, schedule, stall_limit=50)
     result = sim.run(max_cycles=10_000)
     assert result.delivered == 2
     assert result.cycles > 300, "must actually have waited out the stall"
@@ -156,7 +153,7 @@ def test_livelock_detected():
     assert exc.value.report.kind == "livelock"
 
 
-@pytest.mark.parametrize("engine_cls", [PacketSimulator, CompiledPacketSimulator])
+@pytest.mark.parametrize("engine_cls", [PacketSimulator, VectorSimulator])
 def test_max_cycles_cap_raises_clear_error(engine_cls):
     """Satellite: the run cap turns an endless run into a clear error
     naming the in-flight packet count."""

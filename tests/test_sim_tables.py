@@ -15,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.message import reset_message_ids
 from repro.core.queues import QueueId
 from repro.faults.adapters import FaultAwareRouting
 from repro.routing import (
@@ -34,12 +35,14 @@ from repro.routing import (
     TorusRouting,
 )
 from repro.sim import (
+    DynamicInjection,
     PacketSimulator,
     RandomTraffic,
     StaticInjection,
     VectorSimulator,
     make_rng,
 )
+from repro.sim import tables as tables_mod
 from repro.sim.tables import RoutingTables
 from repro.statics import synthesize_routing
 from repro.telemetry import TelemetryProbe
@@ -298,3 +301,49 @@ def test_probe_reads_the_link_count_from_the_tables():
         if engine_cls is VectorSimulator:
             assert "link_classes" not in sim.tables.__dict__
     assert counts["VectorSimulator"] == counts["PacketSimulator"] == 34
+
+
+def _rowid_run(monkeypatch, cells=None):
+    """A shuffle-exchange λ=1 run on packed rows (its shuffle counter
+    keeps interning states), batched fill forced on every cycle;
+    returns its tables and event log."""
+    if cells is not None:
+        monkeypatch.setattr(tables_mod, "_DENSE_ROWID_CELLS", cells)
+    reset_message_ids()
+    topo = ShuffleExchange(4)
+    sim = VectorSimulator(
+        ShuffleExchangeRouting(topo),
+        DynamicInjection(1.0, RandomTraffic(topo), make_rng(5), duration=150),
+    )
+    sim.batch_fill_min = 0
+    probe = TelemetryProbe().attach(sim)
+    sim.run(max_cycles=100_000)
+    return sim.tables, probe.log.to_jsonl()
+
+
+def test_dense_rowid_index_moves_to_dict_past_the_cell_budget(monkeypatch):
+    """The dense row-id index counts its state depth against
+    ``_DENSE_ROWID_CELLS``: growth that would cross the budget moves
+    every row id to the dict index, and rows, lookups and the event log
+    stay what the dense index gives."""
+    dense, log = _rowid_run(monkeypatch)
+    assert dense.has_dense_rowids
+    assert dense._rowid_dense.shape[2] > 2
+    budget = dense.n_queues * len(dense.nodes) * 2
+    switched, switched_log = _rowid_run(monkeypatch, budget)
+    assert not switched.has_dense_rowids and switched._rowid_map
+    assert switched_log == log
+    n = dense.rows_packed
+    assert switched.rows_packed == n
+    for name in ("row_slots", "row_queues", "row_states", "row_dyn",
+                 "row_entq", "row_entst", "row_hasint"):
+        assert np.array_equal(
+            getattr(switched, name)[:n], getattr(dense, name)[:n]
+        ), name
+    assert switched.row_internal == dense.row_internal
+    assert switched.states == dense.states
+    q, d, sid = np.nonzero(dense._rowid_dense >= 0)
+    expected = dense._rowid_dense[q, d, sid].tolist()
+    assert switched.central_rids(q, d, sid).tolist() == expected
+    keys = zip(q.tolist(), d.tolist(), sid.tolist())
+    assert [switched.central_rid(*key) for key in keys] == expected

@@ -1,20 +1,18 @@
 """Tests for the structured event tracer."""
 
-import pytest
-
 from repro.core.message import reset_message_ids
 from repro.routing import HypercubeAdaptiveRouting
 from repro.sim import ComplementTraffic, StaticInjection, make_rng
-from repro.sim.trace import CompiledTracingSimulator, TracingSimulator
+from repro.sim.trace import TracingSimulator
 from repro.topology import Hypercube
 
 
-def traced_run(n=3, cls=TracingSimulator):
+def traced_run(n=3):
     reset_message_ids()
     cube = Hypercube(n)
     alg = HypercubeAdaptiveRouting(cube)
     inj = StaticInjection(1, ComplementTraffic(cube), make_rng(0))
-    sim = cls(alg, inj)
+    sim = TracingSimulator(alg, inj)
     sim.run(max_cycles=5_000)
     return sim
 
@@ -94,19 +92,10 @@ GOLDEN_TIMELINES = {
 }
 
 
-@pytest.mark.parametrize("cls", [TracingSimulator, CompiledTracingSimulator])
-def test_format_timeline_golden(cls):
-    sim = traced_run(cls=cls)
+def test_format_timeline_golden():
+    sim = traced_run()
     for uid, expected in GOLDEN_TIMELINES.items():
         assert sim.format_timeline(uid) == expected
-
-
-def test_compiled_tracer_matches_reference():
-    ref = traced_run()
-    com = traced_run(cls=CompiledTracingSimulator)
-    assert list(ref.packets()) == list(com.packets())
-    for uid in ref.packets():
-        assert ref.timeline(uid) == com.timeline(uid)
 
 
 def test_tracer_exposes_raw_event_log():

@@ -4,11 +4,11 @@
 reference :class:`PacketSimulator` on every topology — same latency
 multiset, same cycle counts, same injection statistics — for every
 engine configuration the vector engine supports (FIFO/LIFO service,
-paper/rotating buffer policy, any central-queue capacity).  This
-mirrors ``tests/test_sim_compiled.py``, plus the table-compilation
-edge cases: single-node networks, packets injected at their own
-destination, dynamic-link transitions mid-cycle, and the capability
-errors the engine raises instead of silently degrading.
+paper/rotating buffer policy, any central-queue capacity) — plus the
+table-compilation edge cases: single-node networks, packets injected at
+their own destination, dynamic-link transitions mid-cycle, the
+capability errors the engine raises instead of silently degrading, and
+engine selection (``REPRO_ENGINE`` and ``auto``).
 """
 
 import pytest
@@ -20,6 +20,7 @@ from repro.core.queues import QueueId, deliver
 from repro.core.routing_function import RoutingAlgorithm
 from repro.topology.base import Topology
 from repro.routing import (
+    BenesAdaptiveRouting,
     CCCAdaptiveRouting,
     HypercubeAdaptiveRouting,
     MeshAdaptiveRouting,
@@ -45,6 +46,7 @@ from repro.sim import (
 )
 from repro.telemetry import TelemetryProbe
 from repro.topology import (
+    BenesNetwork,
     CubeConnectedCycles,
     Hypercube,
     Mesh,
@@ -312,7 +314,7 @@ def test_unhashable_state_rejected():
     engines that still work."""
     topo = Mesh((3, 3))
     tables = RoutingTables(MeshAdaptiveRouting(topo))
-    with pytest.raises(EngineCapabilityError, match="reference|compiled"):
+    with pytest.raises(EngineCapabilityError, match="reference"):
         tables.state_id(["not", "hashable"])
 
 
@@ -344,6 +346,64 @@ def test_engine_env_override_vector(monkeypatch):
     assert type(exp.build(4)) is VectorSimulator
 
 
+def test_engine_env_override(monkeypatch):
+    """REPRO_ENGINE selects the engine in the experiment harness."""
+    from repro.experiments import HypercubeExperiment
+
+    exp = HypercubeExperiment(pattern="random", injection="static", seed=1)
+    monkeypatch.setenv("REPRO_ENGINE", "reference")
+    assert type(exp.build(4)) is PacketSimulator
+    monkeypatch.setenv("REPRO_ENGINE", "auto")
+    assert type(exp.build(4)) is VectorSimulator
+    for retired in ("compiled", "warp"):
+        monkeypatch.setenv("REPRO_ENGINE", retired)
+        with pytest.raises(ValueError):
+            exp.build(4)
+
+
+def test_engine_argument_beats_environment(monkeypatch):
+    from repro.experiments import HypercubeExperiment
+
+    monkeypatch.setenv("REPRO_ENGINE", "reference")
+    exp = HypercubeExperiment(pattern="random", injection="static", seed=1)
+    assert type(exp.build(4, engine="vector")) is VectorSimulator
+
+
+def test_auto_with_occupancy_uses_vector_engine():
+    from repro.experiments import HypercubeExperiment
+
+    sim = HypercubeExperiment(
+        pattern="random", injection="static", seed=1, collect_occupancy=True
+    ).build(4)
+    assert type(sim) is VectorSimulator
+    assert sim.collect_occupancy
+
+
+AUTO_SCHEMES = {
+    "hypercube": lambda: HypercubeAdaptiveRouting(Hypercube(3)),
+    "mesh": lambda: MeshAdaptiveRouting(Mesh((3, 3))),
+    "torus": lambda: TorusRouting(Torus((3, 3))),
+    "shuffle-exchange": lambda: ShuffleExchangeRouting(ShuffleExchange(3)),
+    "ccc": lambda: CCCAdaptiveRouting(CubeConnectedCycles(3)),
+    "benes": lambda: BenesAdaptiveRouting(BenesNetwork(2)),
+}
+
+
+@pytest.mark.parametrize("scheme", sorted(AUTO_SCHEMES))
+def test_auto_is_vector_for_every_scheme_and_reference_for_trace(scheme):
+    """``auto`` is one rule: the vector engine, or the reference engine
+    when the run records per-hop traces."""
+    from repro.experiments import build_simulator
+
+    def build(**kwargs):
+        alg = AUTO_SCHEMES[scheme]()
+        inj = StaticInjection(1, RandomTraffic(alg.topology), make_rng(0))
+        return build_simulator(alg, inj, engine="auto", **kwargs)
+
+    assert type(build()) is VectorSimulator
+    assert type(build(trace=True)) is PacketSimulator
+
+
 def test_build_simulator_vector_engine():
     from repro.experiments import build_simulator
 
@@ -356,21 +416,20 @@ def test_build_simulator_vector_engine():
     assert type(sim) is VectorSimulator
 
 
-def test_fault_harness_falls_back_from_vector():
-    """make_fault_simulator honors REPRO_ENGINE=vector by falling back
-    to a fault-capable engine instead of raising."""
+def test_fault_harness_falls_back_from_vector(monkeypatch):
+    """make_fault_simulator always builds the reference engine, the one
+    with an observer loop, whatever REPRO_ENGINE says."""
     from repro.faults import FaultSchedule
     from repro.faults.experiments import make_fault_simulator
-    from repro.sim import CompiledPacketSimulator
 
+    monkeypatch.setenv("REPRO_ENGINE", "vector")
     topo = Hypercube(4)
     sim = make_fault_simulator(
         HypercubeAdaptiveRouting(topo),
         StaticInjection(1, RandomTraffic(topo), make_rng(0)),
         FaultSchedule.healthy(topo),
-        engine="vector",
     )
-    assert type(sim) is CompiledPacketSimulator
+    assert type(sim) is PacketSimulator
 
 
 # ----------------------------------------------------------------------

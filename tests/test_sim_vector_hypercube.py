@@ -119,7 +119,7 @@ def test_runner_uses_fast_engine_for_hypercube():
     sim_occ = HypercubeExperiment(
         pattern="random", injection="static", seed=1, collect_occupancy=True
     ).build(4)
-    assert isinstance(sim_occ, PacketSimulator)
+    assert type(sim_occ) is VectorSimulator
 
 
 @settings(

@@ -1,11 +1,12 @@
 """Cross-engine telemetry identity.
 
 The event log is part of the engines' observable behavior: at the same
-seed, the reference and compiled engines must produce *byte-identical*
-canonical JSONL event logs — healthy and under a fault schedule.  This
-is the strongest cross-engine check in the suite (stronger than
-latency-multiset equality): every inject/enqueue/hop/deliver must land
-on the same packet at the same cycle with the same queue.
+seed, the reference engine (through the full fault harness) and the
+vector engine must produce *byte-identical* canonical JSONL event logs
+on healthy runs, and a faulted reference run must replay byte for
+byte.  This is the strongest cross-engine check in the suite (stronger
+than latency-multiset equality): every inject/enqueue/hop/deliver must
+land on the same packet at the same cycle with the same queue.
 """
 
 import pytest
@@ -13,7 +14,13 @@ import pytest
 from repro.faults import FaultSchedule, link_down, link_stall, node_down
 from repro.faults.experiments import make_fault_simulator
 from repro.routing import HypercubeAdaptiveRouting, Mesh2DAdaptiveRouting
-from repro.sim import RandomTraffic, StaticInjection, make_rng
+from repro.sim import (
+    PacketSimulator,
+    RandomTraffic,
+    StaticInjection,
+    VectorSimulator,
+    make_rng,
+)
 from repro.core.message import reset_message_ids
 from repro.telemetry import TelemetryProbe, read_jsonl
 from repro.topology import Hypercube, Mesh2D
@@ -52,17 +59,15 @@ def _last_node(topo):
     return sorted(topo.nodes(), key=repr)[-1]
 
 
-def _run(key, make_schedule, engine, seed=3):
-    """One instrumented run; returns (probe, result)."""
+def _run(key, make_schedule, seed=3):
+    """One instrumented fault-harness run; returns (probe, result)."""
     reset_message_ids()
     build, alg_cls = FAMILIES[key]
     topo = build()
     alg = alg_cls(topo)
     model = StaticInjection(2, RandomTraffic(topo), make_rng(seed))
     probe = TelemetryProbe()
-    sim = make_fault_simulator(
-        alg, model, make_schedule(topo), engine=engine, telemetry=probe
-    )
+    sim = make_fault_simulator(alg, model, make_schedule(topo), telemetry=probe)
     result = sim.run(max_cycles=500_000)
     return probe, result
 
@@ -70,42 +75,45 @@ def _run(key, make_schedule, engine, seed=3):
 @pytest.mark.parametrize("key", sorted(FAMILIES))
 @pytest.mark.parametrize("name", sorted(SCHEDULES))
 def test_event_logs_byte_identical(key, name):
+    """Healthy: the fault harness on the reference engine against the
+    vector engine.  Faulted runs are reference-only, so they replay."""
     make_schedule = SCHEDULES[name]
-    ref, _ = _run(key, make_schedule, "reference")
-    com, _ = _run(key, make_schedule, "compiled")
-    assert ref.log.to_jsonl() == com.log.to_jsonl()
-    if name != "healthy":
+    ref, _ = _run(key, make_schedule)
+    if name == "healthy":
+        other, _ = _run_healthy_direct(key, VectorSimulator)
+    else:
+        other, _ = _run(key, make_schedule)
         kinds = {r["kind"] for r in read_jsonl(ref.log.to_jsonl())}
         assert "epoch" in kinds
+    assert ref.log.to_jsonl() == other.log.to_jsonl()
 
 
 def _measured(summary):
     """A summary with the engine-specific fields masked.
 
-    The engine name and the routing-compilation stats (plan-cache vs
-    integer-table gauges, `docs/OBSERVABILITY.md`) describe *how* an
-    engine ran, by construction per-engine; everything measured about
-    the traffic itself must still be identical.
+    The engine name and the routing-compilation stats (integer-table
+    gauges, `docs/OBSERVABILITY.md`) describe *how* an engine ran, by
+    construction per-engine; everything measured about the traffic
+    itself must still be identical.
     """
     masked = dict(summary, engine="*", routing_compile="*")
-    masked["metrics"] = {
-        name: value
-        for name, value in summary["metrics"].items()
-        if not name.startswith(
-            ("repro_tables_", "repro_plan_cache_", "repro_shard_")
-        )
-    }
+    masked["metrics"] = _traffic_metrics(summary["metrics"])
     return masked
 
 
 @pytest.mark.parametrize("key", sorted(FAMILIES))
 def test_summaries_identical(key):
-    ref, rres = _run(key, SCHEDULES["immediate-links"], "reference")
-    com, cres = _run(key, SCHEDULES["immediate-links"], "compiled")
-    # Engine name differs by construction; everything measured must not.
-    assert _measured(ref.summary) == _measured(com.summary)
+    ref, rres = _run(key, SCHEDULES["healthy"])
+    vec, vres = _run_healthy_direct(key, VectorSimulator)
+    # The harness wraps the algorithm in the fault adapter and the
+    # engine name differs by construction; everything measured must not.
+    name = vec.summary["algorithm"]
+    assert ref.summary["algorithm"] == f"fault-aware({name})"
+    assert dict(_measured(ref.summary), algorithm=name) == _measured(
+        vec.summary
+    )
     assert rres.telemetry == ref.summary
-    assert cres.telemetry == com.summary
+    assert vres.telemetry == vec.summary
 
 
 def test_metrics_only_probe_matches_event_replay():
@@ -120,7 +128,6 @@ def test_metrics_only_probe_matches_event_replay():
             HypercubeAdaptiveRouting(topo),
             StaticInjection(2, RandomTraffic(topo), make_rng(3)),
             FaultSchedule.random_links(topo, 3, seed=13),
-            engine="compiled",
             telemetry=probe,
         )
         sim.run(max_cycles=500_000)
@@ -139,9 +146,7 @@ def _traffic_metrics(snapshot):
     return {
         name: value
         for name, value in snapshot.items()
-        if not name.startswith(
-            ("repro_tables_", "repro_plan_cache_", "repro_shard_")
-        )
+        if not name.startswith(("repro_tables_", "repro_shard_"))
     }
 
 
@@ -150,7 +155,7 @@ def _run_healthy_direct(key, engine_cls, seed=3, events=True):
 
     The vector engine takes no fault observers, so it cannot go through
     :func:`make_fault_simulator`; attaching the probe directly compares
-    all three generic engines on equal footing.
+    both engines on equal footing.
     """
     reset_message_ids()
     build, alg_cls = FAMILIES[key]
@@ -167,9 +172,6 @@ def _run_healthy_direct(key, engine_cls, seed=3, events=True):
 def test_vector_event_log_byte_identical(key):
     """The vector engine's buffered columnar events must flush to the
     same canonical JSONL bytes as the reference engine's."""
-    from repro.sim.engine import PacketSimulator
-    from repro.sim.vector import VectorSimulator
-
     ref, rres = _run_healthy_direct(key, PacketSimulator)
     vec, vres = _run_healthy_direct(key, VectorSimulator)
     assert ref.log.to_jsonl() == vec.log.to_jsonl()
@@ -180,8 +182,6 @@ def test_vector_event_log_byte_identical(key):
 def test_vector_metrics_only_probe_matches_event_replay():
     """The vector engine's bulk metrics path (columnar flush into the
     streaming sink) must aggregate exactly like the event-log replay."""
-    from repro.sim.vector import VectorSimulator
-
     snapshots = {}
     for events in (True, False):
         probe, _ = _run_healthy_direct(
@@ -196,9 +196,7 @@ def test_vector_metrics_only_probe_matches_event_replay():
 
 
 def test_timeline_reconstruction_consistent_across_engines():
-    timelines = {}
-    for engine in ("reference", "compiled"):
-        probe, _ = _run("hypercube", SCHEDULES["healthy"], engine)
-        timelines[engine] = probe.log.timelines()
-    assert timelines["reference"] == timelines["compiled"]
-    assert timelines["reference"]  # non-empty
+    ref, _ = _run("hypercube", SCHEDULES["healthy"])
+    vec, _ = _run_healthy_direct("hypercube", VectorSimulator)
+    assert ref.log.timelines() == vec.log.timelines()
+    assert ref.log.timelines()  # non-empty

@@ -85,9 +85,9 @@ def test_occupancy_sampling_stride():
     assert all(c % 4 == 0 for c in cycles)
 
 
-def test_auto_engine_with_telemetry_is_vector_on_cube_compiled_on_torus():
+def test_auto_engine_with_telemetry_is_vector():
     from repro.routing import TorusRouting
-    from repro.sim import CompiledPacketSimulator, VectorSimulator
+    from repro.sim import VectorSimulator
     from repro.topology import Torus
 
     topo = Hypercube(3)
@@ -100,7 +100,7 @@ def test_auto_engine_with_telemetry_is_vector_on_cube_compiled_on_torus():
     sim = build_simulator(
         TorusRouting(topo), model, engine="auto", telemetry=True
     )
-    assert type(sim) is CompiledPacketSimulator
+    assert type(sim) is VectorSimulator
 
 
 # ----------------------------------------------------------------------
