@@ -1,13 +1,21 @@
-"""Cross-validation of the compiled generic engine against the reference.
+"""Cross-validation of the compiled routing-plan path against the reference.
 
-:class:`CompiledPacketSimulator` must be *packet-for-packet identical*
-to :class:`PacketSimulator` on every topology — same latency multiset,
-same cycle counts, same injection statistics — for every engine
-configuration (FIFO/LIFO service, paper/rotating buffer policy, any
-central-queue capacity).  This mirrors the hypercube suite in
-``tests/test_sim_fastcube.py`` on the other families: mesh, torus,
-shuffle-exchange, and CCC.
+Every key an algorithm's integer hop kernel declines (fault epochs,
+Beneš, the buffer-pool schemes) is served by rows that
+:class:`~repro.sim.tables.RoutingTables` lowers from the symbolic
+:class:`~repro.sim.plans.RoutingPlanCache`, and indexed by the dict
+row-id index once the dense one would exceed ``_DENSE_ROWID_CELLS``.
+This suite runs the vector engine on exactly that path — no kernel
+(``use_kernel=False``) and the dense index budget set to zero — and
+requires it to be *packet-for-packet identical* to
+:class:`PacketSimulator` on the mesh, torus, shuffle-exchange,
+hypercube and CCC: same latency multiset, same cycle counts, same
+injection statistics, for FIFO/LIFO service, paper/rotating buffer
+policy and any central-queue capacity.  ``tests/test_sim_vector.py``
+runs the same cases on the kernel rows and the dense index.
 """
+
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -16,20 +24,20 @@ from hypothesis import strategies as st
 from repro.routing import (
     CCCAdaptiveRouting,
     HypercubeAdaptiveRouting,
-    Mesh2DAdaptiveRouting,
     MeshAdaptiveRouting,
     ShuffleExchangeRouting,
     TorusRouting,
 )
 from repro.sim import (
-    CompiledPacketSimulator,
     DynamicInjection,
     PacketSimulator,
     RandomTraffic,
-    RoutingPlanCache,
+    RoutingTables,
     StaticInjection,
+    VectorSimulator,
     make_rng,
 )
+from repro.sim import tables as tables_mod
 from repro.topology import (
     CubeConnectedCycles,
     Hypercube,
@@ -47,6 +55,21 @@ TOPOLOGIES = {
 }
 
 
+def run_plans(alg, inj, tables=None, **kw):
+    """Run the vector engine on plan-cache rows, batched phases forced
+    on every cycle, and the dict row-id index; check that path was the
+    one taken."""
+    if tables is None:
+        tables = RoutingTables(alg, use_kernel=False)
+    with mock.patch.object(tables_mod, "_DENSE_ROWID_CELLS", 0):
+        sim = VectorSimulator(alg, inj, tables=tables, **kw)
+        sim.batch_fill_min = sim.batch_read_min = 0
+        result = sim.run(max_cycles=500_000)
+    assert tables.kernel is None and tables.plans.size > 0
+    assert tables.rows_packed > 0 and not tables.has_dense_rowids
+    return result
+
+
 def run_both(key, make_inj, **kw):
     build, alg_cls = TOPOLOGIES[key]
     topo = build()
@@ -54,9 +77,7 @@ def run_both(key, make_inj, **kw):
         max_cycles=500_000
     )
     topo2 = build()
-    compiled = CompiledPacketSimulator(
-        alg_cls(topo2), make_inj(topo2), **kw
-    ).run(max_cycles=500_000)
+    compiled = run_plans(alg_cls(topo2), make_inj(topo2), **kw)
     return ref, compiled
 
 
@@ -121,17 +142,16 @@ def test_small_capacity_identical():
 
 
 def test_shared_plan_cache_across_runs():
-    """One RoutingPlanCache can back a whole sweep of simulators."""
+    """One plan-cache-backed RoutingTables can back a whole sweep."""
     build, alg_cls = TOPOLOGIES["mesh"]
     topo = build()
     alg = alg_cls(topo)
-    cache = RoutingPlanCache(alg)
+    tables = RoutingTables(alg, use_kernel=False)
     results = []
     for seed in (0, 1):
         inj = StaticInjection(2, RandomTraffic(topo), make_rng(seed))
-        sim = CompiledPacketSimulator(alg, inj, plan_cache=cache)
-        results.append(sim.run(max_cycles=500_000))
-    assert cache.size > 0
+        results.append(run_plans(alg, inj, tables=tables))
+    assert tables.plans.size > 0
     # The second run reuses (and possibly extends) the first run's plans.
     ref = PacketSimulator(
         alg, StaticInjection(2, RandomTraffic(topo), make_rng(1))
@@ -142,63 +162,12 @@ def test_shared_plan_cache_across_runs():
 def test_plan_cache_algorithm_mismatch_rejected():
     build, alg_cls = TOPOLOGIES["mesh"]
     topo = build()
-    cache = RoutingPlanCache(alg_cls(topo))
+    tables = RoutingTables(alg_cls(topo), use_kernel=False)
+    assert tables.plans.algorithm is tables.algorithm
     other = alg_cls(build())
     inj = StaticInjection(1, RandomTraffic(topo), make_rng(0))
     with pytest.raises(ValueError):
-        CompiledPacketSimulator(other, inj, plan_cache=cache)
-
-
-def test_engine_env_override(monkeypatch):
-    """REPRO_ENGINE selects the engine in the experiment harness."""
-    from repro.experiments import HypercubeExperiment, build_simulator
-    from repro.sim import VectorSimulator
-
-    exp = HypercubeExperiment(pattern="random", injection="static", seed=1)
-    monkeypatch.setenv("REPRO_ENGINE", "compiled")
-    assert type(exp.build(4)) is CompiledPacketSimulator
-    monkeypatch.setenv("REPRO_ENGINE", "reference")
-    assert type(exp.build(4)) is PacketSimulator
-    monkeypatch.setenv("REPRO_ENGINE", "vector")
-    assert type(exp.build(4)) is VectorSimulator
-    monkeypatch.setenv("REPRO_ENGINE", "auto")
-    assert type(exp.build(4)) is VectorSimulator
-    monkeypatch.setenv("REPRO_ENGINE", "warp")
-    with pytest.raises(ValueError):
-        exp.build(4)
-    monkeypatch.delenv("REPRO_ENGINE")
-    # auto + a mesh scheme (batch hop rows) -> vector engine.
-    topo = Mesh((4, 4))
-    sim = build_simulator(
-        MeshAdaptiveRouting(topo),
-        StaticInjection(1, RandomTraffic(topo), make_rng(0)),
-    )
-    assert type(sim) is VectorSimulator
-    # auto + the torus (no batch rows) -> compiled generic engine.
-    topo = Torus((4, 4))
-    sim = build_simulator(
-        TorusRouting(topo),
-        StaticInjection(1, RandomTraffic(topo), make_rng(0)),
-    )
-    assert type(sim) is CompiledPacketSimulator
-
-
-def test_engine_argument_beats_environment(monkeypatch):
-    from repro.experiments import HypercubeExperiment
-
-    monkeypatch.setenv("REPRO_ENGINE", "reference")
-    exp = HypercubeExperiment(pattern="random", injection="static", seed=1)
-    assert type(exp.build(4, engine="compiled")) is CompiledPacketSimulator
-
-
-def test_auto_with_occupancy_uses_generic_engine():
-    from repro.experiments import HypercubeExperiment
-
-    sim = HypercubeExperiment(
-        pattern="random", injection="static", seed=1, collect_occupancy=True
-    ).build(4)
-    assert isinstance(sim, PacketSimulator)
-    assert isinstance(sim, CompiledPacketSimulator)
+        VectorSimulator(other, inj, tables=tables)
 
 
 @settings(
