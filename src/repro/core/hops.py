@@ -75,6 +75,7 @@ __all__ = [
     "DELIVER_STEP",
     "SELF_STEP",
     "MOVE_STEP",
+    "NO_STEP",
     "HopKernel",
     "HopRows",
     "TableHopKernel",
@@ -86,6 +87,7 @@ __all__ = [
 DELIVER_STEP = 0  #: move to the delivery queue
 SELF_STEP = 1  #: degenerate self-hop: state advances in place
 MOVE_STEP = 2  #: move into a sibling central queue (capacity permitting)
+NO_STEP = -1  #: padding after a row's last internal step (array form)
 
 
 class HopRows:
@@ -95,7 +97,9 @@ class HopRows:
     ``i``'s external candidate slots in ascending order, padded on the
     right with ``n_slots`` (the engine's permanently occupied sentinel
     slot).  ``hasint`` is an ``(M,)`` bool array: whether the row has
-    internal steps.  Subclasses implement the two per-pick lookups.
+    internal steps.  Subclasses implement the two lookups, which the
+    batched fill phase calls once per cycle each: :meth:`chosen` on
+    every picked candidate, :meth:`internal` on every blocked row.
     """
 
     __slots__ = ("slots", "hasint")
@@ -107,9 +111,12 @@ class HopRows:
         :meth:`~repro.sim.tables.RoutingTables.entry_row` would."""
         raise NotImplementedError
 
-    def internal(self, rows) -> list:
-        """The internal ``(action, queue, state)`` step tuples of each
-        row in ``rows``, as :meth:`HopKernel.central_row` states them."""
+    def internal(self, rows):
+        """The internal steps of each row in ``rows``: ``(action,
+        queue, state)`` int arrays of shape ``(len(rows), w)``, one
+        column per step in :meth:`HopKernel.central_row`'s order,
+        right-padded with action :data:`NO_STEP` (whose queue and state
+        are unspecified)."""
         raise NotImplementedError
 
 
@@ -146,18 +153,17 @@ class TwoPhaseRows(HopRows):
         fold = (phase == 0) & (v != dst) & k.a_done(v, dst)
         return queues, states, queues | fold, states, k.slot_dyn[slots]
 
-    def internal(self, rows) -> list:
-        return [
-            ((DELIVER_STEP, -1, s),) if d
-            else ((MOVE_STEP, q | 1, s),) if h
-            else ()
-            for q, s, d, h in zip(
-                self.qids[rows].tolist(),
-                self.sids[rows].tolist(),
-                self.done[rows].tolist(),
-                self.hasint[rows].tolist(),
-            )
-        ]
+    def internal(self, rows):
+        # One step (w = 1): delivery, or the switch to qB (state kept).
+        qids = self.qids[rows]
+        done = self.done[rows]
+        action = np.where(
+            done,
+            DELIVER_STEP,
+            np.where(self.hasint[rows], MOVE_STEP, NO_STEP),
+        )
+        queue = np.where(done, -1, qids | 1)
+        return action[:, None], queue[:, None], self.sids[rows][:, None]
 
 
 class HopKernel:

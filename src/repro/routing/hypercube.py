@@ -282,7 +282,8 @@ class _HypercubeKernel(TwoPhaseKernel):
             cand_a = zeros
             cand_b = ones
         cand = np.where(phase_a, cand_a, cand_b)
-        slots = np.where(self._dims_of[cand], self._slot[qids], self._pad)
+        slots = self._slot[qids]
+        slots[~self._dims_of[cand]] = self._pad
         slots.sort(axis=1)  # move the padding to the right
         done = x == 0
         # Delivery, or phase A with only ones left: switch to qB.

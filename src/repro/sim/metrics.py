@@ -22,6 +22,13 @@ class LatencyStats:
     def record(self, latency: int) -> None:
         self.values.append(latency)
 
+    def record_many(self, latencies) -> None:
+        """Record latencies in order, as repeated :meth:`record` calls
+        would (an int array is stored as Python ints)."""
+        if isinstance(latencies, np.ndarray):
+            latencies = latencies.tolist()
+        self.values.extend(latencies)
+
     @property
     def count(self) -> int:
         return len(self.values)

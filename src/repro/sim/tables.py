@@ -74,7 +74,7 @@ from typing import Any, Hashable
 
 import numpy as np
 
-from ..core.hops import DELIVER_STEP, HopRows
+from ..core.hops import DELIVER_STEP, NO_STEP, HopRows
 from ..core.queues import QueueId
 from ..core.routing_function import RoutingAlgorithm
 from .plans import RoutingPlanCache
@@ -384,7 +384,8 @@ class RoutingTables:
         batched fill phase gathers whole batches of rows without
         touching Python objects.  ``row_entq``/``row_entst`` hold the
         *entry-resolved* landing queue/state per candidate, so the read
-        phase needs no further lookups.
+        phase needs no further lookups; ``row_int_*`` hold the internal
+        steps, so blocked rows move as array steps too.
 
         Both are allocated on the first :meth:`central_rid` call
         (:meth:`_alloc_rows`): engines whose kernel computes batch rows
@@ -396,18 +397,29 @@ class RoutingTables:
         self._rowid_dense: np.ndarray | None = None
         self._rowid_map: dict[tuple[int, int, int], int] | None = None
 
+    #: Packed row arrays, candidate columns then internal-step columns,
+    #: each -> its padding (``None``: the sentinel slot ``n_slots``).
+    #: Internal steps are ``(action, queue, state)`` in reference order,
+    #: right-padded with action ``NO_STEP``.
+    _ROW_COLUMNS = (
+        {
+            "row_slots": None,
+            "row_queues": -1,
+            "row_states": 0,
+            "row_dyn": 0,
+            "row_entq": -1,
+            "row_entst": 0,
+        },
+        {"row_int_act": NO_STEP, "row_int_q": -1, "row_int_st": 0},
+    )
+
     def _alloc_rows(self) -> None:
-        cap = 256
-        width = 4
-        self.row_slots = np.full((cap, width), self.n_slots, dtype=np.int64)
-        self.row_queues = np.full((cap, width), -1, dtype=np.int64)
-        self.row_states = np.zeros((cap, width), dtype=np.int64)
-        self.row_dyn = np.zeros((cap, width), dtype=np.int64)
-        self.row_entq = np.full((cap, width), -1, dtype=np.int64)
-        self.row_entst = np.zeros((cap, width), dtype=np.int64)
-        self.row_hasint = np.zeros(cap, dtype=np.int64)
-        #: Internal steps per rid (python tuples; only walked on stalls).
-        self.row_internal: list[tuple] = []
+        for pads, width in zip(self._ROW_COLUMNS, (4, 1)):
+            for name, pad in pads.items():
+                fill = self.n_slots if pad is None else pad
+                setattr(
+                    self, name, np.full((256, width), fill, dtype=np.int64)
+                )
         if self.has_rowid_index:
             return
         if self.has_dense_rowids:
@@ -435,29 +447,26 @@ class RoutingTables:
         """Number of central rows packed into the rid arrays."""
         return self._row_n
 
-    def _grow_rows(self, width: int) -> None:
-        cap, w = self.row_slots.shape
+    def _grow_rows(self, width: int, int_width: int) -> None:
+        """Double the row capacity when full and widen the candidate
+        (``width``) and internal-step (``int_width``) columns to fit."""
+        cap = self.row_slots.shape[0]
         new_cap = cap if self._row_n < cap else cap * 2
-        new_w = w
-        while new_w < width:
-            new_w *= 2
-        pads = {
-            "row_slots": self.n_slots,
-            "row_queues": -1,
-            "row_states": 0,
-            "row_dyn": 0,
-            "row_entq": -1,
-            "row_entst": 0,
-        }
-        for name, pad in pads.items():
-            old = getattr(self, name)
-            arr = np.full((new_cap, new_w), pad, dtype=np.int64)
-            arr[:cap, :w] = old
-            setattr(self, name, arr)
-        if new_cap != cap:
-            hasint = np.zeros(new_cap, dtype=np.int64)
-            hasint[:cap] = self.row_hasint
-            self.row_hasint = hasint
+        for pads, need in zip(self._ROW_COLUMNS, (width, int_width)):
+            for name, pad in pads.items():
+                old = getattr(self, name)
+                w = new_w = old.shape[1]
+                while new_w < need:
+                    new_w *= 2
+                if new_w == w and new_cap == cap:
+                    continue
+                arr = np.full(
+                    (new_cap, new_w),
+                    self.n_slots if pad is None else pad,
+                    dtype=np.int64,
+                )
+                arr[:cap, :w] = old
+                setattr(self, name, arr)
 
     def _grow_rowid_states(self, sid: int) -> None:
         """Deepen the dense index to cover state id ``sid``; if that
@@ -478,8 +487,13 @@ class RoutingTables:
     def _pack_row(self, dst_i: int, row: tuple) -> int:
         slots, queues, states, dyn, internal = row
         nc = len(slots)
-        if self._row_n >= self.row_slots.shape[0] or nc > self.row_slots.shape[1]:
-            self._grow_rows(nc)
+        ni = len(internal)
+        if (
+            self._row_n >= self.row_slots.shape[0]
+            or nc > self.row_slots.shape[1]
+            or ni > self.row_int_act.shape[1]
+        ):
+            self._grow_rows(nc, ni)
         rid = self._row_n
         self._row_n = rid + 1
         if nc:
@@ -491,8 +505,11 @@ class RoutingTables:
                 eq, est = self.entry_row(queues[j], dst_i, states[j])
                 self.row_entq[rid, j] = eq
                 self.row_entst[rid, j] = est
-        self.row_hasint[rid] = 1 if internal else 0
-        self.row_internal.append(internal)
+        if ni:
+            acts, qs, sts = zip(*internal)
+            self.row_int_act[rid, :ni] = acts
+            self.row_int_q[rid, :ni] = qs
+            self.row_int_st[rid, :ni] = sts
         return rid
 
     def central_rid(self, qid: int, dst_i: int, sid: int) -> int:
@@ -595,14 +612,10 @@ class RoutingTables:
         if self.kernel is not None:
             total += self.kernel.memory_bytes()
         if self.row_slots is not None:
-            total += (
-                self.row_slots.nbytes
-                + self.row_queues.nbytes
-                + self.row_states.nbytes
-                + self.row_dyn.nbytes
-                + self.row_entq.nbytes
-                + self.row_entst.nbytes
-                + self.row_hasint.nbytes
+            total += sum(
+                getattr(self, name).nbytes
+                for pads in self._ROW_COLUMNS
+                for name in pads
             )
         if self._rowid_dense is not None:
             total += self._rowid_dense.nbytes
@@ -774,7 +787,7 @@ class _RidRows(HopRows):
         self.t = tables
         self.rids = rids
         self.slots = tables.row_slots[rids]
-        self.hasint = tables.row_hasint[rids] != 0
+        self.hasint = tables.row_int_act[rids, 0] != NO_STEP
 
     def chosen(self, rows, cols, slots):
         t = self.t
@@ -787,6 +800,7 @@ class _RidRows(HopRows):
             t.row_dyn[r, cols],
         )
 
-    def internal(self, rows) -> list:
-        row_internal = self.t.row_internal
-        return [row_internal[r] for r in self.rids[rows].tolist()]
+    def internal(self, rows):
+        t = self.t
+        r = self.rids[rows]
+        return t.row_int_act[r], t.row_int_q[r], t.row_int_st[r]

@@ -15,14 +15,14 @@ forms:
   (:meth:`~repro.sim.tables.RoutingTables.injection_rows`, the hop
   kernel's batch arithmetic where it has one) and uids in one step each,
   without building a :class:`~repro.core.message.Message`;
-* the **fill phase** sweeps all busy nodes at once, one
-  ``(position, queue-kind)`` step at a time: one
-  :meth:`~repro.sim.tables.RoutingTables.fill_rows` call yields every
-  node's candidate message's hop row (computed by the hop kernel's
-  batch arithmetic where it has one, gathered from packed rows
-  otherwise), and a per-row argmax over output-buffer freeness
-  performs the greedy matching for the whole network in a handful of
-  array ops;
+* the **fill phase** sweeps all busy nodes at once: one
+  :meth:`~repro.sim.tables.RoutingTables.fill_rows` call yields the
+  hop row of every queued message (computed by the hop kernel's batch
+  arithmetic where it has one, gathered from packed rows otherwise),
+  a per-row argmax over output-buffer freeness, one
+  ``(position, queue-kind)`` step at a time, performs the greedy
+  matching for the whole network, and blocked messages take their
+  internal steps (delivery, sibling-queue moves) as array steps;
 * the **read phase** ranks every occupied input/injection buffer with
   one ``lexsort`` and admits per-queue prefixes against capacity;
 * the **link cycle** moves whole class-groups of links per operation.
@@ -93,7 +93,7 @@ from typing import Hashable
 
 import numpy as np
 
-from ..core.hops import DELIVER_STEP, SELF_STEP
+from ..core.hops import DELIVER_STEP, MOVE_STEP, NO_STEP, SELF_STEP
 from ..core.message import Message, take_message_ids
 from ..core.routing_function import RoutingAlgorithm
 from .engine import CycleLimitExceeded, DeadlockError
@@ -416,8 +416,11 @@ class VectorSimulator:
             if self._uniform_nk and busy.size >= self.batch_fill_min:
                 self._fill_batch(busy, cycle)
             else:
+                delivered: list[int] = []
                 for ui in busy.tolist():
-                    self._fill_node(ui, cycle)
+                    self._fill_node(ui, cycle, delivered)
+                if delivered:
+                    self._deliver(delivered, cycle)
         self._read_inputs(cycle)
         self._link_cycle(cycle)
         if self._recording:
@@ -437,167 +440,218 @@ class VectorSimulator:
 
     # -- node cycle, part 1: queues -> output buffers + internal moves ----
     def _fill_batch(self, busy: np.ndarray, cycle: int) -> None:
-        """All busy nodes at once, one (position, kind) step at a time.
+        """All busy nodes at once: one row gather, lock-step claims.
 
-        Each step touches at most one message per node, and nodes are
-        independent in the fill phase (queues, output buffers, and
-        internal moves never cross nodes), so running the per-node
-        steps in lockstep across the network reproduces each node's
-        sequential message-major sweep exactly.
+        Every queued message of every busy node is gathered in
+        (service position, kind, node) order and gets its central row
+        from one :meth:`RoutingTables.fill_rows` call.  A (position,
+        kind) *group* holds at most one message per node, and nodes are
+        independent in the fill phase (queues, output buffers and
+        internal moves never cross nodes), so claiming output slots
+        group by group, then taking internal steps group by group,
+        reproduces each node's sequential message-major sweep exactly.
+        Only the slot claims and the capacity checks loop over groups;
+        the picked candidates' next hops come from one
+        :meth:`~repro.core.hops.HopRows.chosen` call and the blocked
+        rows' steps from one :meth:`~repro.core.hops.HopRows.internal`
+        call.
         """
         t = self.tables
         nk = self._uniform_nk
-        qbuf = self._qbuf
-        qlen = self._qlen
-        qcount = self._qcount
+        nb = busy.size
         out = self._out
-        load = self._load
         mstate = self._mstate
-        mdst = self._mdst
-        ment_q = self._ment_q
-        ment_st = self._ment_st
-        fill_rows = t.fill_rows
         recording = self._recording
-        rotating = self.policy == "rotating"
 
-        qbase = busy * nk
-        lens = qlen[
-            (qbase[:, None] + np.arange(nk)).ravel()
-        ].reshape(-1, nk)
+        # Local queue l = b * nk + r is busy node b's kind-r queue.
+        qloc = ((busy * nk)[:, None] + np.arange(nk)).ravel()
+        lens = self._qlen[qloc]
         maxlen = int(lens.max())
-        positions = (
-            range(maxlen)
-            if self.service == "fifo"
-            else range(maxlen - 1, -1, -1)
-        )
-        pending: list[tuple[int, int, int, tuple]] = []
-        progressed = False
-        for pos in positions:
-            for r in range(nk):
-                sel = np.flatnonzero(lens[:, r] > pos)
-                if not sel.size:
-                    continue
-                q_sel = qbase[sel] + r
-                mis = qbuf[q_sel, pos]
-                rows = fill_rows(q_sel, mdst[mis], mstate[mis])
-                cand = rows.slots
-                free = out[cand] == -1
-                got = free.any(axis=1)
-                if rotating:
-                    nodes_sel = busy[sel]
-                    n_keys = np.maximum(t.node_out_count[nodes_sel], 1)
-                    rank = (
-                        cand - t.node_out_start[nodes_sel][:, None] - cycle
-                    ) % n_keys[:, None]
-                    rank[~free] = _NO_RANK
-                    pick = np.argmin(rank, axis=1)
-                else:
-                    # "paper": slot-ascending, first free wins (rows
-                    # are slot-sorted, padding sorts last).
-                    pick = np.argmax(free, axis=1)
-                gi = np.flatnonzero(got)
-                if gi.size:
-                    jg = pick[gi]
-                    mg = mis[gi]
-                    sg = cand[gi, jg]
-                    out[sg] = mg
-                    qg = q_sel[gi]
-                    qbuf[qg, pos] = -1  # tombstone; compacted below
-                    qcount[qg] -= 1
-                    load[busy[sel[gi]]] -= 1
-                    nq, nst, eq, est, dyn = rows.chosen(gi, jg, sg)
-                    mstate[mg] = nst
-                    ment_q[mg] = eq
-                    ment_st[mg] = est
-                    progressed = True
-                    if recording:
-                        ev = np.empty((gi.size, 5), dtype=np.int64)
-                        ev[:, 0] = cycle
-                        ev[:, 1] = mg
-                        ev[:, 2] = sg
-                        ev[:, 3] = dyn
-                        ev[:, 4] = nq
-                        self._ev_hop.extend(ev.ravel().tolist())
-                blocked = np.flatnonzero(~got & rows.hasint)
-                if blocked.size:
-                    pending.extend(
-                        zip(
-                            q_sel[blocked].tolist(),
-                            [pos] * blocked.size,
-                            mis[blocked].tolist(),
-                            rows.internal(blocked),
-                        )
-                    )
-        if progressed:
+        seq = np.arange(maxlen)
+        if self.service == "lifo":
+            seq = seq[::-1]
+        # Group g is (position seq[g // nk], kind g % nk); nonzero walks
+        # the groups in sweep order, nodes ascending within each.
+        occ = (
+            lens.reshape(nb, nk).T[None, :, :] > seq[:, None, None]
+        ).reshape(-1, nb)
+        g_of, b_of = np.nonzero(occ)
+        ends = np.cumsum(np.count_nonzero(occ, axis=1))
+        lq = b_of * nk + g_of % nk
+        qids = qloc[lq]
+        pos = seq[g_of // nk]
+        mis = self._qbuf[qids, pos]
+        rows = t.fill_rows(qids, self._mdst[mis], mstate[mis])
+        cand = rows.slots
+
+        # Output-slot claims, group by group: a node's earlier groups
+        # take their slots first.
+        rotating = self.policy == "rotating"
+        if rotating:
+            nodes = busy[b_of]
+            n_keys = np.maximum(t.node_out_count[nodes], 1)[:, None]
+            rank = (cand - t.node_out_start[nodes][:, None] - cycle) % n_keys
+        picked = []
+        every = np.arange(nb)
+        a = 0
+        for b in ends.tolist():
+            if b == a:
+                continue
+            c = cand[a:b]
+            free = out[c] == -1
+            if rotating:
+                pick = np.where(free, rank[a:b], _NO_RANK).argmin(axis=1)
+            else:
+                # "paper": slot-ascending, first free wins (rows are
+                # slot-sorted, padding sorts last).
+                pick = free.argmax(axis=1)
+            got = free[every[: b - a], pick].nonzero()[0]
+            if got.size:
+                jg = pick[got]
+                sg = c[got, jg]
+                out[sg] = mis[a + got]
+                picked.append((a + got, jg, sg))
+            a = b
+
+        gone = np.zeros(mis.size, dtype=bool)  # left its queue this cycle
+        if picked:
+            gi, jg, sg = (np.concatenate(p) for p in zip(*picked))
+            gone[gi] = True
+            mg = mis[gi]
+            nq, nst, eq, est, dyn = rows.chosen(gi, jg, sg)
+            mstate[mg] = nst
+            self._ment_q[mg] = eq
+            self._ment_st[mg] = est
             self._last_progress = cycle
-        if pending:
-            self._run_internal(pending, cycle)
-        self._compact()
+            if recording:
+                ev = np.empty((gi.size, 5), dtype=np.int64)
+                ev[:, 0] = cycle
+                ev[:, 1] = mg
+                ev[:, 2] = sg
+                ev[:, 3] = dyn
+                ev[:, 4] = nq
+                self._ev_hop.extend(ev.ravel().tolist())
 
-    def _run_internal(
-        self, pending: list[tuple[int, int, int, tuple]], cycle: int
-    ) -> None:
-        """Internal moves for the batch fill, in sweep order.
+        appended = 0
+        blocked = np.flatnonzero(~gone & rows.hasint)
+        if blocked.size:
+            appended = self._internal_steps(
+                rows, blocked, np.searchsorted(blocked, ends), lq, mis,
+                gone, lens, cycle,
+            )
 
-        ``pending`` holds ``(queue, position, message, steps)`` with the
-        row's internal ``(action, queue, state)`` steps.  Per node this
-        is the same (position, kind)-ordered pending list the sparse
-        path builds, and internal moves never cross nodes, so the
-        global order is immaterial.
+        # Tombstone the departed, squeeze them out of their queues and
+        # store the new counts.
+        if gone.any():
+            left = np.bincount(lq[gone], minlength=lens.size)
+            tail = lens + appended
+            cnt = tail - left
+            self._qbuf[qids[gone], pos[gone]] = -1
+            dirty = left > 0
+            dq = qloc[dirty]
+            span = int(tail[dirty].max())  # columns past it hold -1
+            rows_q = self._qbuf[dq, :span]
+            # Stable partition: survivors keep their order, same-cycle
+            # MOVE appends stay behind them (the sparse path's order).
+            order = np.argsort(rows_q == -1, axis=1, kind="stable")
+            self._qbuf[dq, :span] = np.take_along_axis(rows_q, order, axis=1)
+            self._qlen[qloc] = cnt
+            self._qcount[qloc] = cnt
+            self._load[busy] = cnt.reshape(nb, nk).sum(axis=1)
+
+    def _internal_steps(
+        self, rows, blocked, ends, lq, mis, gone, lens, cycle
+    ) -> np.ndarray | int:
+        """Internal moves of the ``blocked`` rows, in sweep order.
+
+        ``ends`` closes each (position, kind) group within ``blocked``;
+        ``lq`` and ``lens`` are the local queues of :meth:`_fill_batch`.
+        A row takes its first step that applies: a delivery or a
+        ``SELF_STEP`` always does, a ``MOVE_STEP`` when its sibling
+        queue is below capacity, else the row falls through to its next
+        step.  Only the capacity checks see earlier groups, so only
+        they loop, group by group, and only when a ``MOVE_STEP`` is
+        pending; the steps taken are then applied at once.  Marks the
+        departed in ``gone`` and returns the appends per local queue.
         """
-        t = self.tables
-        cap = self.central_capacity
-        qlen = self._qlen
-        qcount = self._qcount
-        mstate = self._mstate
-        queue_node = t.queue_node
-        recording = self._recording
-        for qid, pos, mi, steps in pending:
-            for action, tq, tst in steps:
-                if action == DELIVER_STEP:
-                    self._qbuf[qid, pos] = -1
-                    qcount[qid] -= 1
-                    self._load[queue_node[qid]] -= 1
-                    self._deliver(mi, cycle)
-                    break
-                if action == SELF_STEP:
-                    mstate[mi] = tst
-                    self._last_progress = cycle
-                    if recording:
-                        self._ev_enqueue.extend((cycle, mi, tq))
-                    break
-                # MOVE_STEP: sibling central queue, capacity permitting.
-                if qcount[tq] < cap:
-                    self._qbuf[qid, pos] = -1
-                    qcount[qid] -= 1
-                    end = int(qlen[tq])
-                    if end >= self._qbuf.shape[1]:
-                        self._grow_qbuf(end)
-                    self._qbuf[tq, end] = mi
-                    qlen[tq] = end + 1
-                    qcount[tq] += 1
-                    mstate[mi] = tst
-                    self._last_progress = cycle
-                    if recording:
-                        self._ev_enqueue.extend((cycle, mi, tq))
-                    break
+        nk = self._uniform_nk
+        act, tq, tst = rows.internal(blocked)
+        move = act == MOVE_STEP
+        src = lq[blocked]
+        # A MOVE target's local queue: same node, the target's kind.
+        tloc = np.where(move, (src - src % nk)[:, None] + tq % nk, 0)
+        if move.any():
+            cap = self.central_capacity
+            # Queue counts as the sweep goes (slot claims already out).
+            room = lens - np.bincount(lq[gone], minlength=lens.size)
+            hit = np.zeros(act.shape, dtype=bool)  # the step each row took
+            every = np.arange(blocked.size)
+            a = 0
+            for b in ends.tolist():
+                if b == a:
+                    continue
+                rest = np.s_[a:b]  # rows still looking for a step
+                for j in range(act.shape[1]):
+                    aj = act[rest, j]
+                    moved = move[rest, j]
+                    if moved.any():
+                        tl = tloc[rest, j]
+                        moved = moved & (room[tl] < cap)
+                        room[tl[moved]] += 1
+                    left = moved | (aj == DELIVER_STEP)
+                    room[src[rest][left]] -= 1
+                    took = left | (aj == SELF_STEP)
+                    hit[rest, j] = took
+                    nxt = ~took & (aj != NO_STEP)
+                    if not nxt.any():
+                        break
+                    rest = every[rest][nxt]
+                a = b
+            k, j = np.nonzero(hit)
+            if not k.size:
+                return 0
+        else:
+            # Deliveries and self-steps always apply: every row takes
+            # its first step.
+            k = np.arange(blocked.size)
+            j = np.zeros_like(k)
 
-    def _compact(self) -> None:
-        """Squeeze in-fill tombstones out of dirty queue rows.
+        self._last_progress = cycle
+        a_k = act[k, j]
+        m_k = mis[blocked[k]]
+        gone[blocked[k[a_k != SELF_STEP]]] = True
+        appended = 0
+        mv = np.flatnonzero(a_k == MOVE_STEP)
+        if mv.size:
+            # Appends land behind each target's row in sweep order.
+            tl = tloc[k[mv], j[mv]]
+            order = np.argsort(tl, kind="stable")
+            tl_s = tl[order]
+            at = np.empty_like(tl)
+            at[order] = (
+                lens[tl_s] + np.arange(tl_s.size) - np.searchsorted(tl_s, tl_s)
+            )
+            high = int(at.max())
+            if high >= self._qbuf.shape[1]:
+                self._grow_qbuf(high)
+            self._qbuf[tq[k[mv], j[mv]], at] = m_k[mv]
+            appended = np.bincount(tl, minlength=lens.size)
+        stay = np.flatnonzero(a_k != DELIVER_STEP)
+        if stay.size:
+            ms = m_k[stay]
+            self._mstate[ms] = tst[k[stay], j[stay]]
+            if self._recording:
+                ev = np.empty((stay.size, 3), dtype=np.int64)
+                ev[:, 0] = cycle
+                ev[:, 1] = ms
+                ev[:, 2] = tq[k[stay], j[stay]]
+                self._ev_enqueue.extend(ev.ravel().tolist())
+        if stay.size < k.size:
+            self._deliver(m_k[a_k == DELIVER_STEP], cycle)
+        return appended
 
-        Stable partition: survivors keep their order, same-cycle MOVE
-        appends stay behind them — the order the sparse path produces.
-        """
-        qlen = self._qlen
-        qcount = self._qcount
-        dirty = np.flatnonzero(qlen != qcount)
-        if dirty.size:
-            rows = self._qbuf[dirty]
-            order = np.argsort(rows == -1, axis=1, kind="stable")
-            self._qbuf[dirty] = np.take_along_axis(rows, order, axis=1)
-            qlen[dirty] = qcount[dirty]
-
-    def _fill_node(self, ui: int, cycle: int) -> None:
+    def _fill_node(self, ui: int, cycle: int, delivered: list[int]) -> None:
+        """One node's fill sweep; its deliveries go to ``delivered``."""
         t = self.tables
         qbuf = self._qbuf
         qlen = self._qlen
@@ -706,7 +760,7 @@ class VectorSimulator:
                     removed.setdefault(qid, []).append(pos)
                     delta[qid] = delta.get(qid, 0) - 1
                     load_delta -= 1
-                    self._deliver(mi, cycle)
+                    delivered.append(mi)
                     break
                 if action == SELF_STEP:
                     mstate[mi] = tst
@@ -945,15 +999,21 @@ class VectorSimulator:
             self._last_progress = cycle
 
     # -- delivery and stats -------------------------------------------------
-    def _deliver(self, mi: int, cycle: int) -> None:
-        self.delivered_count += 1
-        self.active -= 1
+    def _deliver(self, mis, cycle: int) -> None:
+        """Deliver messages ``mis`` (ints, in delivery order)."""
+        k = len(mis)
+        self.delivered_count += k
+        self.active -= k
         self._last_progress = cycle
         if self._recording:
-            self._ev_deliver.extend((cycle, mi))
-        injected = int(self._minj[mi])
-        if injected >= self.measure_from:
-            self.latency.record(cycle - injected)
+            ev = np.empty((k, 2), dtype=np.int64)
+            ev[:, 0] = cycle
+            ev[:, 1] = mis
+            self._ev_deliver.extend(ev.ravel().tolist())
+        injected = self._minj[mis]
+        self.latency.record_many(
+            cycle - injected[injected >= self.measure_from]
+        )
 
     def _sample_occupancy(self) -> None:
         lens = self._qcount

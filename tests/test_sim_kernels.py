@@ -26,6 +26,7 @@ import zlib
 import numpy as np
 import pytest
 
+from repro.core.hops import DELIVER_STEP, NO_STEP, SELF_STEP
 from repro.core.message import reset_message_ids
 from repro.faults import FaultAwareRouting
 from repro.routing import (
@@ -52,6 +53,7 @@ from repro.sim import (
     VectorSimulator,
     make_rng,
 )
+from repro.sim.tables import _RidRows
 from repro.telemetry import TelemetryProbe
 from repro.topology import (
     BenesNetwork,
@@ -144,26 +146,59 @@ def test_kernel_rows_match_plan_cache(name):
         ), (name, "inject", ui, dst, sid)
 
 
+def _decode_internal(act, queue, state):
+    """One row of array internal steps as ``central_row``'s tuple of
+    ``(action, queue, state)`` steps; padding only on the right."""
+    act = act.tolist()
+    n = sum(1 for a in act if a != NO_STEP)
+    assert act[n:] == [NO_STEP] * (len(act) - n), "padding not on the right"
+    return tuple(zip(act[:n], queue.tolist()[:n], state.tolist()[:n]))
+
+
 def test_packed_rid_rows_match_row_tuples():
-    """central_rid's packed arrays re-encode central_row faithfully."""
-    alg = HypercubeAdaptiveRouting(Hypercube(4))
-    tab = RoutingTables(alg)
-    rng = np.random.default_rng(7)
-    pad = tab.n_slots
-    for _ in range(200):
-        qid = int(rng.integers(tab.n_queues))
-        dst = int(rng.integers(len(tab.nodes)))
-        rid = tab.central_rid(qid, dst, 0)
-        ext, tqs, sts, dyn, internal = tab.central_row(qid, dst, 0)
-        width = len(tab.row_slots[rid])
-        assert tuple(tab.row_slots[rid][: len(ext)]) == ext
-        assert all(s == pad for s in tab.row_slots[rid][len(ext) :])
-        assert tuple(tab.row_queues[rid][: len(tqs)]) == tqs
-        assert tuple(tab.row_states[rid][: len(sts)]) == sts
-        assert tuple(tab.row_dyn[rid][: len(dyn)]) == dyn
-        assert bool(tab.row_hasint[rid]) == bool(internal)
-        assert tab.row_internal[rid] == internal
-        assert len(ext) <= width
+    """central_rid's packed arrays, and the fill_rows view over them,
+    re-encode central_row faithfully for every kernel on every key that
+    packs (the symbolic path raises on unreachable keys: exhausted
+    shuffle counters, off-network Benes entries)."""
+    for name in sorted(KERNEL_ALGS):
+        alg = KERNEL_ALGS[name]()
+        tab = RoutingTables(alg)
+        _seed_states(alg, (tab,))
+        pad = tab.n_slots
+        keys = []
+        steps = set()
+        for key in itertools.product(
+            range(tab.n_queues), range(len(tab.nodes)), range(len(tab.states))
+        ):
+            packed = _call(tab.central_rid, *key)
+            if packed[0] == "err":
+                continue
+            rid = packed[1]
+            ext, tqs, sts, dyn, internal = tab.central_row(*key)
+            width = len(tab.row_slots[rid])
+            assert len(ext) <= width
+            assert tuple(tab.row_slots[rid][: len(ext)]) == ext
+            assert all(s == pad for s in tab.row_slots[rid][len(ext) :])
+            assert tuple(tab.row_queues[rid][: len(tqs)]) == tqs
+            assert tuple(tab.row_states[rid][: len(sts)]) == sts
+            assert tuple(tab.row_dyn[rid][: len(dyn)]) == dyn
+            assert _decode_internal(
+                tab.row_int_act[rid], tab.row_int_q[rid], tab.row_int_st[rid]
+            ) == internal, (name, key)
+            steps.update(step[0] for step in internal)
+            keys.append(key)
+        assert DELIVER_STEP in steps, name
+        if name.startswith("shuffle"):
+            assert SELF_STEP in steps, name
+        # The batched fill's view over the same packed rows.
+        qids, dsts, sids = (np.array(c, dtype=np.int64) for c in zip(*keys))
+        rows = _RidRows(tab, tab.central_rids(qids, dsts, sids))
+        for i, key in enumerate(keys):
+            want = tab.central_row(*key)
+            entries = [
+                tab.entry_row(q, key[1], st) for q, st in zip(*want[1:3])
+            ]
+            assert _batch_row(rows, i, pad) == (want, entries), (name, key)
 
 
 def test_vectorized_rid_gather_matches_scalar():
@@ -216,7 +251,8 @@ def _batch_row(rows, i, pad):
     nq, nst, eq, est, dyn = rows.chosen(
         rr, np.arange(k, dtype=np.int64), rows.slots[i, :k]
     )
-    (internal,) = rows.internal(np.array([i], dtype=np.int64))
+    act, queue, state = rows.internal(np.array([i], dtype=np.int64))
+    internal = _decode_internal(act[0], queue[0], state[0])
     assert bool(rows.hasint[i]) == bool(internal)
     row = (
         tuple(slots[:k]),

@@ -2,6 +2,8 @@
 
 import math
 
+import numpy as np
+
 from repro.sim import LatencyStats, SimulationResult
 
 
@@ -102,3 +104,19 @@ def test_result_row_telemetry_columns():
     assert row["link_util"] == 0.1235
     assert row["dyn_hops(%)"] == 25.0
     assert row["occ_mean"] == 1.5 and row["occ_peak"] == 4
+
+
+def test_record_many_equals_repeated_record():
+    batches = [[7, 3, 3], np.array([12, 1, 9, 3], dtype=np.int64), [], [5]]
+    one, many = LatencyStats(), LatencyStats()
+    for batch in batches:
+        for v in batch:
+            one.record(int(v))
+        many.record_many(batch)
+    assert many.values == one.values == [7, 3, 3, 12, 1, 9, 3, 5]
+    assert all(type(v) is int for v in many.values)
+    assert many.count == one.count
+    assert many.mean == one.mean
+    assert many.maximum == one.maximum and many.minimum == one.minimum
+    for p in (0, 50, 90, 99, 100):
+        assert many.percentile(p) == one.percentile(p)

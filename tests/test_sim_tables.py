@@ -336,11 +336,11 @@ def test_dense_rowid_index_moves_to_dict_past_the_cell_budget(monkeypatch):
     n = dense.rows_packed
     assert switched.rows_packed == n
     for name in ("row_slots", "row_queues", "row_states", "row_dyn",
-                 "row_entq", "row_entst", "row_hasint"):
+                 "row_entq", "row_entst", "row_int_act", "row_int_q",
+                 "row_int_st"):
         assert np.array_equal(
             getattr(switched, name)[:n], getattr(dense, name)[:n]
         ), name
-    assert switched.row_internal == dense.row_internal
     assert switched.states == dense.states
     q, d, sid = np.nonzero(dense._rowid_dense >= 0)
     expected = dense._rowid_dense[q, d, sid].tolist()

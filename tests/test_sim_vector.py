@@ -15,6 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.core.hops import MOVE_STEP, SELF_STEP
 from repro.core.message import Message, reset_message_ids
 from repro.core.queues import QueueId, deliver
 from repro.core.routing_function import RoutingAlgorithm
@@ -565,3 +566,226 @@ def test_property_identical_dynamic(key, seed, rate, policy):
         policy=policy,
     )
     assert_identical(ref, vec)
+
+
+# ----------------------------------------------------------------------
+# Internal steps against central-queue capacity, within one cycle
+# ----------------------------------------------------------------------
+class _Pair(Topology):
+    """Two nodes joined by one link each way."""
+
+    name = "pair"
+
+    @property
+    def num_nodes(self):
+        return 2
+
+    def nodes(self):
+        return iter((0, 1))
+
+    def neighbors(self, u):
+        return (1 - u,)
+
+    def link_index(self, u, v):
+        return 0
+
+    def distance(self, u, v):
+        return int(u != v)
+
+
+class _ScriptedRouting(RoutingAlgorithm):
+    """Queues ``A`` and ``B`` per node, driven by the packet's state.
+
+    A state is ``(tag, wait)``.  While ``wait > 0`` the packet takes a
+    self-step (its wait counts down); then tag ``a`` in ``A`` switches
+    to ``B`` (the two-phase schemes' qA -> qB move, which the wait keeps
+    out of the entry fold), tag ``f`` in ``A`` does the same but falls
+    back to a self-step while ``B`` is full, tag ``h`` hops to the other
+    node, and anything else is delivered at its destination.
+    ``kinds`` sets the queue order, so whether a ``B`` delivery is swept
+    before or after an ``A`` switch at the same position is a choice.
+    """
+
+    name = "scripted"
+
+    def __init__(self, topology, kinds):
+        super().__init__(topology)
+        self.kinds = kinds
+
+    def central_queue_kinds(self, node):
+        return self.kinds
+
+    def update_state(self, state, q_from, q_to):
+        tag, wait = state
+        if q_from == q_to:
+            return (tag, max(wait - 1, 0))
+        if q_from.kind == "inj":
+            return state
+        return ("d", 0)
+
+    def injection_targets(self, src, dst, state=None):
+        return frozenset({QueueId(src, "A" if state[0] in "afh" else "B")})
+
+    def static_hops(self, q, dst, state=None):
+        tag, wait = state
+        if wait:
+            return frozenset({q})
+        if q.kind == "A" and tag in "af":
+            return frozenset({QueueId(q.node, "B")})
+        if q.node == dst:
+            return frozenset({deliver(dst)})
+        return frozenset({QueueId(dst, "A"), QueueId(dst, "B")})
+
+    def dynamic_hops(self, q, dst, state=None):
+        if state == ("f", 0) and q.kind == "A":
+            return frozenset({q})
+        return frozenset()
+
+
+class _Script(InjectionModel):
+    """Places ``(cycle, node, dst, state)`` packets at their cycles."""
+
+    def __init__(self, plan):
+        self.plan = plan
+
+    def attempt(self, sim, cycle):
+        for c, u, dst, state in self.plan:
+            if c == cycle:
+                msg = Message(src=u, dst=dst, state=state)
+                sim.place_in_injection_queue(u, msg, cycle)
+
+    def finished(self, sim, cycle):
+        return cycle >= self.plan[-1][0] and sim.active == 0
+
+
+def _scripted_logs(kinds, plan, **kw):
+    """Reference and batched-vector event logs of one scripted run."""
+    logs = []
+    for engine_cls in (PacketSimulator, VectorSimulator):
+        reset_message_ids()
+        alg = _ScriptedRouting(_Pair(), kinds)
+        sim = engine_cls(alg, _Script(plan), **kw)
+        if engine_cls is VectorSimulator:
+            sim.batch_fill_min = 0
+        probe = TelemetryProbe().attach(sim)
+        sim.run(max_cycles=1000)
+        logs.append(probe.log)
+    return logs
+
+
+def _enqueues(log, uid):
+    return [
+        (r["cycle"], r["queue"])
+        for r in log.records()
+        if r["kind"] == "enqueue" and r["uid"] == uid
+    ]
+
+
+@pytest.mark.parametrize("capacity", [1, 2])
+@pytest.mark.parametrize("policy", ["paper", "rotating"])
+@pytest.mark.parametrize("service", ["fifo", "lifo"])
+@pytest.mark.parametrize("delivery", ["ahead", "behind"])
+def test_switch_sees_same_cycle_delivery_in_sweep_order(
+    delivery, service, policy, capacity
+):
+    """Node 0's ``B`` is full at cycle 4 while its head delivers and
+    ``A``'s head switches to ``B``.  The switch finds room only when
+    the delivery is swept first: queue order (B, A) puts it ahead,
+    (A, B) behind.  Hop traffic afterwards runs through the output
+    slot policy."""
+    kinds = ("B", "A") if delivery == "ahead" else ("A", "B")
+    plan = [(0, 0, 0, ("b", 3))]  # y: delivers at cycle 4
+    if capacity == 2:
+        plan.append((1, 0, 0, ("b", 3)))  # fills B, delivers at 5
+    plan.append((2, 0, 0, ("a", 1)))  # x: switches from cycle 4 on
+    plan += [(c, 0, 1, ("h", 0)) for c in range(8, 14)]
+    ref, vec = _scripted_logs(
+        kinds, plan, central_capacity=capacity, service=service,
+        policy=policy,
+    )
+    assert vec.to_jsonl() == ref.to_jsonl()
+    x = capacity  # uids count from 0 in plan order
+    switch = 4 if delivery == "ahead" else 5
+    assert _enqueues(vec, x) == [(2, "A"), (3, "A"), (switch, "B")]
+    delivered = {
+        r["uid"]: r["cycle"] for r in vec.records() if r["kind"] == "deliver"
+    }
+    assert delivered[0] == 4
+
+
+def test_failed_move_falls_through_to_the_next_step():
+    """A row whose ``MOVE_STEP`` finds its sibling queue full takes its
+    next internal step (a self-step here), cycle after cycle, until the
+    move fits: the packed rows carry two internal steps (w > 1)."""
+    plan = [
+        (0, 0, 0, ("b", 4)),  # delivers at cycle 5
+        (1, 0, 0, ("b", 4)),  # delivers at cycle 6
+        (2, 0, 0, ("f", 0)),
+    ]
+    ref, vec = _scripted_logs(("A", "B"), plan, central_capacity=2)
+    assert vec.to_jsonl() == ref.to_jsonl()
+    assert _enqueues(vec, 2) == [
+        (2, "A"), (3, "A"), (4, "A"), (5, "A"), (6, "B")
+    ]
+    tables = RoutingTables(_ScriptedRouting(_Pair(), ("A", "B")))
+    nid = tables.nid
+    sid = tables.state_id(("f", 0))
+    rid = tables.central_rid(tables.qid_of[(nid[0], "A")], nid[0], sid)
+    assert tables.row_int_act[rid, :2].tolist() == [MOVE_STEP, SELF_STEP]
+
+
+@pytest.mark.parametrize("key", ["hypercube", "shuffle"])
+def test_batched_cycle_gathers_rows_once(key, monkeypatch):
+    """A batched fill makes one ``fill_rows`` call for every queued
+    message and at most one ``chosen`` and one ``internal`` call (the
+    hypercube on kernel batch rows, the shuffle-exchange on packed
+    rows)."""
+    build, alg_cls = TOPOLOGIES[key]
+    topo = build()
+    sim = VectorSimulator(
+        alg_cls(topo),
+        DynamicInjection(1.0, RandomTraffic(topo), make_rng(8), duration=60),
+    )
+    sim.batch_fill_min = 0
+    calls = {"fill_rows": 0, "chosen": 0, "internal": 0}
+    tables = sim.tables
+    fill_rows = tables.fill_rows
+
+    def counted(rows, name):
+        method = getattr(rows, name)
+
+        def call(*args):
+            calls[name] += 1
+            return method(*args)
+
+        return call
+
+    class _Counted:
+        def __init__(self, rows):
+            self.slots = rows.slots
+            self.hasint = rows.hasint
+            self.chosen = counted(rows, "chosen")
+            self.internal = counted(rows, "internal")
+
+    def counting_fill_rows(qids, dsts, sids):
+        calls["fill_rows"] += 1
+        queued = int(sim._qcount.sum())
+        assert qids.size == queued  # every queued message, at once
+        return _Counted(fill_rows(qids, dsts, sids))
+
+    monkeypatch.setattr(tables, "fill_rows", counting_fill_rows)
+    fill_batch = sim._fill_batch
+    per_cycle = []
+
+    def counting_fill_batch(busy, cycle):
+        before = dict(calls)
+        fill_batch(busy, cycle)
+        per_cycle.append({k: calls[k] - before[k] for k in calls})
+
+    monkeypatch.setattr(sim, "_fill_batch", counting_fill_batch)
+    sim.run(max_cycles=100_000)
+    assert per_cycle
+    assert all(c["fill_rows"] == 1 for c in per_cycle)
+    assert all(c["chosen"] <= 1 and c["internal"] <= 1 for c in per_cycle)
+    assert sum(c["chosen"] for c in per_cycle) > 0
+    assert sum(c["internal"] for c in per_cycle) > 0
