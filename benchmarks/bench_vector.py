@@ -306,13 +306,17 @@ def write_kernel_bench(path: Path = KERNEL_BENCH_PATH, repeats=REPEATS) -> dict:
     return payload
 
 
-def perf_smoke() -> float:
-    """CI-sized saturated check: the kernel path must still win.
+def perf_smoke() -> tuple[float, float]:
+    """CI-sized checks that the vector engine still wins, saturated and
+    sparse.
 
-    A single small cell (hypercube-n8, ``lambda = 1`` random, 120
-    cycles) with a deliberately generous floor (1.5x the compiled
-    engine's throughput, as a multiple of the reference's) that only
-    trips if the batched kernel path stops engaging at all.  Runs in
+    Two small cells, each with a deliberately generous floor (1.5x the
+    compiled engine's throughput, as a multiple of the reference's):
+    hypercube-n8 at ``lambda = 1`` random for 120 cycles trips only if
+    the batched kernel path stops engaging at all, and a 120-cycle
+    ``hypercube-n10-hotspot-lam0.01`` (a few busy nodes per cycle) only
+    if the node cycle stops paying off on sparse traffic.  Both
+    engines must deliver the same packets in the same cycles.  Runs in
     well under a minute on a CI VM.
     """
     row = _bench_kernel_workload(
@@ -329,7 +333,14 @@ def perf_smoke() -> float:
         f"perf smoke: saturated hypercube-n8 speedup {speedup} < "
         f"{least}x floor"
     )
-    return speedup
+    key = "hypercube-n10-hotspot-lam0.01"
+    _, *cell, _ = next(w for w in WORKLOADS if w[0] == key)
+    sparse = _bench_workload(key, *cell, 120)["vector_speedup"]
+    least = floor(key, 1.5)
+    assert sparse >= least, (
+        f"perf smoke: sparse {key} speedup {sparse} < {least}x floor"
+    )
+    return speedup, sparse
 
 
 @pytest.mark.perf
@@ -370,7 +381,8 @@ if __name__ == "__main__":
     import sys
 
     if "--smoke" in sys.argv:
-        print(f"perf smoke passed: {perf_smoke()}x")
+        saturated, sparse = perf_smoke()
+        print(f"perf smoke passed: {saturated}x saturated, {sparse}x sparse")
     else:
         print(json.dumps(write_bench(), indent=2))
         print(f"wrote {BENCH_PATH}")

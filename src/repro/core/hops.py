@@ -233,7 +233,7 @@ class TableHopKernel(HopKernel):
     def __init__(self, layout: "RoutingTables"):
         self.t = layout
         n = len(layout.nodes)
-        nk = len(layout.node_qids[0]) if n else 0
+        nk = int(layout.node_q_count[0]) if n else 0
         kinds = tuple(layout.queue_kind[:nk])
         self.nk = nk
         self.kinds = kinds

@@ -20,19 +20,20 @@ object on the hot path:
   engine remains available for unhashable-state algorithms).
 
 The static structure is a handful of int arrays (``queue_node``,
-``slot_src`` / ``slot_dst`` / ``slot_cls``, ``node_out_start`` /
-``node_out_count``, ``node_in_count``, ``slot_in_pos``,
-``link_first_slot``, ``link_groups``), computed with ``repeat`` /
-``cumsum`` / ``bincount`` and one stable sort from two closed-form
-hooks: :meth:`~repro.topology.base.Topology.link_table` (neighbour ids
-per node, ``link_index`` order, ``-1`` for no link) and
+``node_q_start`` / ``node_q_count``, ``slot_src`` / ``slot_dst`` /
+``slot_cls``, ``node_out_start`` / ``node_out_count``,
+``node_in_count``, ``slot_in_pos``, ``link_first_slot``,
+``link_groups``), computed with ``repeat`` / ``cumsum`` / ``bincount``
+and one stable sort from two closed-form hooks:
+:meth:`~repro.topology.base.Topology.link_table` (neighbour ids per
+node, ``link_index`` order, ``-1`` for no link) and
 :meth:`~repro.core.routing_function.RoutingAlgorithm.link_class_table`
 (each link's ``buffer_classes`` as a code into a short vocabulary).
-Python lists remain where sparse loops index them (``queue_kind``,
-``node_qids``).  The label-keyed views — ``nid``, ``qid_of``,
-``queue_objs``, ``queue_labels``, ``slot_labels``, ``node_in_slots``,
-``link_classes`` — are built on first use, and :meth:`RoutingTables.slot_id` indexes one sending
-node's slots on its first lookup.
+Queue kinds stay a list of names (``queue_kind``).  The label-keyed
+views — ``nid``, ``qid_of``, ``queue_objs``, ``queue_labels``,
+``slot_labels``, ``node_in_slots``, ``link_classes`` — are built on
+first use, and :meth:`RoutingTables.slot_id` indexes one sending node's
+slots on its first lookup.
 
 On top of the static structure, three lazily-memoized row tables are
 lowered from :class:`~repro.sim.plans.RoutingPlanCache` (which this
@@ -155,23 +156,15 @@ class RoutingTables:
 
         # ---- central queues: global ids, node-major ----------------------
         kinds = [algorithm.central_queue_kinds(u) for u in self.nodes]
-        qcount = np.fromiter(map(len, kinds), dtype=np.int64, count=n)
+        #: Each node's queues are ``node_q_start + 0..node_q_count-1``.
+        self.node_q_count = np.fromiter(
+            map(len, kinds), dtype=np.int64, count=n
+        )
+        self.node_q_start = _exclusive_cumsum(self.node_q_count)
         #: Owning node id per global queue id.
-        self.queue_node = np.repeat(ids, qcount)
+        self.queue_node = np.repeat(ids, self.node_q_count)
         self.queue_kind: list[str] = list(chain.from_iterable(kinds))
         self.n_queues = len(self.queue_kind)
-        if n and (qcount == qcount[0]).all():
-            width = int(qcount[0])
-            qids = np.arange(self.n_queues).reshape(n, width).tolist()
-        else:
-            flat = list(range(self.n_queues))
-            qids = [
-                flat[a : a + c]
-                for a, c in zip(
-                    _exclusive_cumsum(qcount).tolist(), qcount.tolist()
-                )
-            ]
-        self.node_qids: list[list[int]] = qids
 
         # ---- links: the topology's and algorithm's closed forms --------
         nbr = topo.link_table()
@@ -626,16 +619,16 @@ class RoutingTables:
     def _structure_bytes(self) -> int:
         """Measured bytes of the static structure and its built views."""
         arrays = (
-            self.queue_node, self.slot_src, self.slot_dst, self.slot_cls,
-            self.slot_in_pos, self.node_out_start, self.node_out_count,
-            self.node_in_count, self.link_first_slot,
+            self.queue_node, self.node_q_start, self.node_q_count,
+            self.slot_src, self.slot_dst, self.slot_cls, self.slot_in_pos,
+            self.node_out_start, self.node_out_count, self.node_in_count,
+            self.link_first_slot,
             *self.link_groups.values(),
         )
         held = [
             (self.nodes, 1),
             (self.queue_kind, 0),
             (self.class_names, 0),
-            (self.node_qids, 2),
             (self._slot_index, 2),
         ]
         held += [

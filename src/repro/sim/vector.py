@@ -27,10 +27,9 @@ forms:
   one ``lexsort`` and admits per-queue prefixes against capacity;
 * the **link cycle** moves whole class-groups of links per operation.
 
-Sparse cycles dispatch to per-node python loops instead (the batch
-constant does not pay off under a few dozen actors); both paths
-replicate the reference engine exactly, so the hybrid switch is
-invisible in the output.
+Every cycle takes this one path, however few nodes are busy, and on
+any per-node queue layout: a node's queues are addressed by its offset
+``node_q_start`` plus the kind index, padded to the widest node.
 
 **Identity guarantees.**  Packet-for-packet identical to
 :class:`~repro.sim.engine.PacketSimulator` at equal seeds on every
@@ -40,15 +39,14 @@ byte-identical canonical telemetry event log
 fill phase runs a message-major greedy matching — each entry, in
 service order, claims the lowest free slot among its own candidates,
 which is provably equal to the reference engine's buffer-major loop
-under aligned preference orders — the batch form runs the same
-(position, kind) steps across nodes, which commute because queues,
-output buffers, and internal moves never cross nodes.  The read phase
-replays the rotating input fairness: the batched rank
-``(source position - cycle) mod (inputs + 1)`` equals the reference
-rotation, and per-queue prefix admission equals the sequential loop
-because rejected reads have no side effects.  The link cycle's class
-rotation is ``cycle % k`` per ``k``-class link — the same ``rotated``
-the reference engine uses.
+under aligned preference orders — and runs the same (position, kind)
+steps across nodes, which commute because queues, output buffers, and
+internal moves never cross nodes.  The read phase replays the rotating
+input fairness: the batched rank ``(source position - cycle) mod
+(inputs + 1)`` equals the reference rotation, and per-queue prefix
+admission equals the sequential loop because rejected reads have no
+side effects.  The link cycle's class rotation is ``cycle % k`` per
+``k``-class link — the same ``rotated`` the reference engine uses.
 
 **Selection.**  ``auto`` in
 :func:`~repro.experiments.runner.build_simulator` picks this engine for
@@ -152,21 +150,19 @@ class VectorSimulator:
 
         #: Node labels in reference order (injection models iterate this).
         self.nodes: list[Hashable] = t.nodes
-        # Python lists of the per-node tables for the sparse loops.
-        self._n_in = t.node_in_count.tolist()
-        self._out_start = t.node_out_start.tolist()
-        self._out_count = t.node_out_count.tolist()
         # Per class-count k: contiguous per-class slot columns, so the
         # link cycle gathers without re-slicing each cycle.
         self._link_cols: dict[int, list[np.ndarray]] = {
             k: [np.ascontiguousarray(mat[:, j]) for j in range(k)]
             for k, mat in t.link_groups.items()
         }
-        # Homogeneous layouts (every node has the same queue kinds, so
-        # qid = node * nk + kind) unlock the batched fill sweep.
-        kind_counts = {len(qs) for qs in t.node_qids}
-        self._uniform_nk = (
-            kind_counts.pop() if len(kind_counts) == 1 else 0
+        # Row ui: node ui's queue ids in kind order, padded to the
+        # widest node with the sentinel queue n_queues (always empty).
+        kind = np.arange(t.node_q_count.max(initial=0))
+        self._qgrid = np.where(
+            kind < t.node_q_count[:, None],
+            t.node_q_start[:, None] + kind,
+            t.n_queues,
         )
 
         # ---- dynamic state ---------------------------------------------
@@ -175,12 +171,13 @@ class VectorSimulator:
         # (including in-fill tombstones), `_qcount` the live count;
         # rows are compacted (qlen == qcount, entries contiguous from
         # column 0) between phases.  Width 2*cap+2 covers the worst
-        # mid-fill case (cap live + cap same-cycle MOVE appends).
+        # mid-fill case (cap live + cap same-cycle MOVE appends).  The
+        # counts carry one extra cell for the sentinel queue.
         n_nodes = len(self.nodes)
         width = 2 * central_capacity + 2
         self._qbuf = np.full((t.n_queues, width), -1, dtype=np.int64)
-        self._qlen = np.zeros(t.n_queues, dtype=np.int64)
-        self._qcount = np.zeros(t.n_queues, dtype=np.int64)
+        self._qlen = np.zeros(t.n_queues + 1, dtype=np.int64)
+        self._qcount = np.zeros(t.n_queues + 1, dtype=np.int64)
         #: Queued messages per node (busy = nonzero entries).
         self._load = np.zeros(n_nodes, dtype=np.int64)
         #: Injection buffers (message index or -1).
@@ -192,10 +189,8 @@ class VectorSimulator:
         self._out[t.n_slots] = -2
         self._in = np.full(t.n_slots, -1, dtype=np.int64)
 
-        # Parallel per-message storage (index = registration order).
-        # Numpy columns for the batch paths; python lists where only
-        # the python paths touch them.  No Message object is kept: a
-        # packet is its row.
+        # Parallel per-message numpy columns (index = registration
+        # order).  No Message object is kept: a packet is its row.
         self._mn = 0
         cap0 = 1024
         self._muid = np.empty(cap0, dtype=np.int64)
@@ -203,21 +198,10 @@ class VectorSimulator:
         self._mstate = np.empty(cap0, dtype=np.int64)
         self._minj = np.empty(cap0, dtype=np.int64)
         # Entry queue/state the message will request on arrival —
-        # resolved at hop time (external moves) or injection time.
+        # resolved at hop time (external moves) or injection time;
+        # queue -1 for an injection row without exactly one target.
         self._ment_q = np.empty(cap0, dtype=np.int64)
         self._ment_st = np.empty(cap0, dtype=np.int64)
-        self._msig_q: list[int] = []
-        self._msig_st: list[int] = []
-        self._mrow: list[tuple | None] = []
-        # Set once an injection row is empty or non-singleton; the
-        # batched read cannot replay the multi-target retry loop, so
-        # reads stay on the sparse path from then on.
-        self._inj_multi = False
-
-        #: Hybrid dispatch floors: batch phases win once this many
-        #: nodes (fill) / buffered messages (read) act in one cycle.
-        self.batch_fill_min = 24
-        self.batch_read_min = 48
 
         # Bookkeeping (same contract as the reference engine).
         self.cycle = 0
@@ -316,16 +300,10 @@ class VectorSimulator:
         self._mdst[mi] = dst_i
         self._mstate[mi] = sid
         self._minj[mi] = cycle
-        self._msig_q.append(-1)
-        self._msig_st.append(-1)
-        self._mrow.append(None)
         row = self.tables.injection_row(ui, dst_i, sid)
-        if len(row) == 1:
-            self._ment_q[mi], self._ment_st[mi] = row[0]
-        else:
-            self._ment_q[mi] = -1
-            self._ment_st[mi] = 0
-            self._inj_multi = True
+        self._ment_q[mi], self._ment_st[mi] = (
+            row[0] if len(row) == 1 else (-1, 0)
+        )
         self._mn = mi + 1
         self._inj[ui] = mi
         self.injected_count += 1
@@ -345,7 +323,7 @@ class VectorSimulator:
         the placed packets (:func:`~repro.core.message.take_message_ids`),
         and the placed mask is returned.  Entry queues come from
         :meth:`RoutingTables.injection_rows`; a row without exactly one
-        target leaves ``-1`` there and sends reads down the sparse path.
+        target leaves ``-1`` there, and the read phase resolves it.
         """
         placed = self._inj[src_ids] == -1
         if not placed.all():
@@ -380,11 +358,6 @@ class VectorSimulator:
         self._minj[lo:hi] = cycle
         self._ment_q[lo:hi] = ent_q
         self._ment_st[lo:hi] = ent_st
-        if (ent_q < 0).any():
-            self._inj_multi = True
-        self._msig_q.extend([-1] * k)
-        self._msig_st.extend([-1] * k)
-        self._mrow.extend([None] * k)
         mis = np.arange(lo, hi)
         self._mn = hi
         self._inj[src_ids] = mis
@@ -413,15 +386,8 @@ class VectorSimulator:
         self.injection.attempt(self, cycle)
         busy = np.flatnonzero(self._load)
         if busy.size:
-            if self._uniform_nk and busy.size >= self.batch_fill_min:
-                self._fill_batch(busy, cycle)
-            else:
-                delivered: list[int] = []
-                for ui in busy.tolist():
-                    self._fill_node(ui, cycle, delivered)
-                if delivered:
-                    self._deliver(delivered, cycle)
-        self._read_inputs(cycle)
+            self._fill_batch(busy, cycle)
+        self._read_batch(cycle)
         self._link_cycle(cycle)
         if self._recording:
             self._flush_events()
@@ -457,14 +423,15 @@ class VectorSimulator:
         call.
         """
         t = self.tables
-        nk = self._uniform_nk
         nb = busy.size
+        nk = self._qgrid.shape[1]
         out = self._out
         mstate = self._mstate
         recording = self._recording
 
-        # Local queue l = b * nk + r is busy node b's kind-r queue.
-        qloc = ((busy * nk)[:, None] + np.arange(nk)).ravel()
+        # Local queue l = b * nk + r is busy node b's kind-r queue (the
+        # sentinel queue past node b's last kind).
+        qloc = self._qgrid[busy].ravel()
         lens = self._qlen[qloc]
         maxlen = int(lens.max())
         seq = np.arange(maxlen)
@@ -536,8 +503,8 @@ class VectorSimulator:
         blocked = np.flatnonzero(~gone & rows.hasint)
         if blocked.size:
             appended = self._internal_steps(
-                rows, blocked, np.searchsorted(blocked, ends), lq, mis,
-                gone, lens, cycle,
+                rows, blocked, np.searchsorted(blocked, ends), lq, qids,
+                mis, gone, lens, cycle,
             )
 
         # Tombstone the departed, squeeze them out of their queues and
@@ -552,7 +519,7 @@ class VectorSimulator:
             span = int(tail[dirty].max())  # columns past it hold -1
             rows_q = self._qbuf[dq, :span]
             # Stable partition: survivors keep their order, same-cycle
-            # MOVE appends stay behind them (the sparse path's order).
+            # MOVE appends stay behind them (the reference's order).
             order = np.argsort(rows_q == -1, axis=1, kind="stable")
             self._qbuf[dq, :span] = np.take_along_axis(rows_q, order, axis=1)
             self._qlen[qloc] = cnt
@@ -560,12 +527,13 @@ class VectorSimulator:
             self._load[busy] = cnt.reshape(nb, nk).sum(axis=1)
 
     def _internal_steps(
-        self, rows, blocked, ends, lq, mis, gone, lens, cycle
+        self, rows, blocked, ends, lq, qids, mis, gone, lens, cycle
     ) -> np.ndarray | int:
         """Internal moves of the ``blocked`` rows, in sweep order.
 
         ``ends`` closes each (position, kind) group within ``blocked``;
-        ``lq`` and ``lens`` are the local queues of :meth:`_fill_batch`.
+        ``lq``, ``qids`` and ``lens`` are the local queues, global
+        queues and local lengths of :meth:`_fill_batch`.
         A row takes its first step that applies: a delivery or a
         ``SELF_STEP`` always does, a ``MOVE_STEP`` when its sibling
         queue is below capacity, else the row falls through to its next
@@ -574,12 +542,12 @@ class VectorSimulator:
         pending; the steps taken are then applied at once.  Marks the
         departed in ``gone`` and returns the appends per local queue.
         """
-        nk = self._uniform_nk
         act, tq, tst = rows.internal(blocked)
         move = act == MOVE_STEP
         src = lq[blocked]
-        # A MOVE target's local queue: same node, the target's kind.
-        tloc = np.where(move, (src - src % nk)[:, None] + tq % nk, 0)
+        # A MOVE target is a queue of the same node, so its local queue
+        # is as far from the source's as its global id is.
+        tloc = np.where(move, (src - qids[blocked])[:, None] + tq, 0)
         if move.any():
             cap = self.central_capacity
             # Queue counts as the sweep goes (slot claims already out).
@@ -650,174 +618,8 @@ class VectorSimulator:
             self._deliver(m_k[a_k == DELIVER_STEP], cycle)
         return appended
 
-    def _fill_node(self, ui: int, cycle: int, delivered: list[int]) -> None:
-        """One node's fill sweep; its deliveries go to ``delivered``."""
-        t = self.tables
-        qbuf = self._qbuf
-        qlen = self._qlen
-        qcount = self._qcount
-        qlists: dict[int, list[int]] = {}
-        active = []
-        maxlen = 0
-        for qid in t.node_qids[ui]:
-            length = int(qlen[qid])
-            if length:
-                q = qbuf[qid, :length].tolist()
-                qlists[qid] = q
-                active.append((qid, q))
-                if length > maxlen:
-                    maxlen = length
-
-        out = self._out
-        base = self._out_start[ui]
-        n_keys = self._out_count[ui]
-        start = (
-            cycle % n_keys
-            if (self.policy == "rotating" and n_keys)
-            else 0
-        )
-        mstate = self._mstate
-        mdst = self._mdst
-        msig_q = self._msig_q
-        msig_st = self._msig_st
-        mrow = self._mrow
-        central_row = t.central_row
-        entry_row = t.entry_row
-        recording = self._recording
-        removed: dict[int, list[int]] = {}
-        appended: set[int] = set()
-        delta: dict[int, int] = {}
-        pending: list[tuple] = []
-        load_delta = 0
-
-        # Message-major assignment in service order (positions
-        # ascending for FIFO / descending for LIFO, queue-id ascending
-        # as the tie-break), on ints.
-        positions = (
-            range(maxlen)
-            if self.service == "fifo"
-            else range(maxlen - 1, -1, -1)
-        )
-        for pos in positions:
-            for qid, q in active:
-                if pos >= len(q):
-                    continue
-                mi = q[pos]
-                st = int(mstate[mi])
-                if msig_q[mi] == qid and msig_st[mi] == st:
-                    row = mrow[mi]
-                else:
-                    row = central_row(qid, int(mdst[mi]), st)
-                    msig_q[mi] = qid
-                    msig_st[mi] = st
-                    mrow[mi] = row
-                ext_slots = row[0]
-                chosen = -1
-                if ext_slots:
-                    if start:
-                        # "rotating": minimum rank from the cycle's
-                        # starting slot.
-                        best = n_keys
-                        for j, s in enumerate(ext_slots):
-                            if out[s] == -1:
-                                rnk = s - base - start
-                                if rnk < 0:
-                                    rnk += n_keys
-                                if rnk < best:
-                                    best = rnk
-                                    chosen = j
-                    else:
-                        # "paper": slot-ascending, first free wins.
-                        for j, s in enumerate(ext_slots):
-                            if out[s] == -1:
-                                chosen = j
-                                break
-                if chosen >= 0:
-                    s = ext_slots[chosen]
-                    removed.setdefault(qid, []).append(pos)
-                    delta[qid] = delta.get(qid, 0) - 1
-                    load_delta -= 1
-                    nst = row[2][chosen]
-                    mstate[mi] = nst
-                    tq = row[1][chosen]
-                    eq, est = entry_row(tq, int(mdst[mi]), nst)
-                    self._ment_q[mi] = eq
-                    self._ment_st[mi] = est
-                    out[s] = mi
-                    self._last_progress = cycle
-                    if recording:
-                        self._ev_hop.extend(
-                            (cycle, mi, s, row[3][chosen], tq)
-                        )
-                elif row[4]:
-                    pending.append((qid, pos, mi, row[4]))
-
-        # Internal moves (phase change, delivery, self-state updates).
-        cap = self.central_capacity
-        for qid, pos, mi, internal in pending:
-            for action, tq, tst in internal:
-                if action == DELIVER_STEP:
-                    removed.setdefault(qid, []).append(pos)
-                    delta[qid] = delta.get(qid, 0) - 1
-                    load_delta -= 1
-                    delivered.append(mi)
-                    break
-                if action == SELF_STEP:
-                    mstate[mi] = tst
-                    self._last_progress = cycle
-                    if recording:
-                        self._ev_enqueue.extend((cycle, mi, tq))
-                    break
-                # MOVE_STEP: sibling central queue, capacity permitting.
-                tlist = qlists.setdefault(tq, [])
-                if len(tlist) + delta.get(tq, 0) < cap:
-                    removed.setdefault(qid, []).append(pos)
-                    delta[qid] = delta.get(qid, 0) - 1
-                    mstate[mi] = tst
-                    tlist.append(mi)
-                    appended.add(tq)
-                    self._last_progress = cycle
-                    if recording:
-                        self._ev_enqueue.extend((cycle, mi, tq))
-                    break
-
-        # One write-back per touched queue (deferred pops, compacted).
-        if removed or appended:
-            for qid in set(removed) | appended:
-                q = qlists[qid]
-                drop = removed.get(qid)
-                if drop:
-                    keep = set(drop)
-                    q = [m for i, m in enumerate(q) if i not in keep]
-                length = len(q)
-                old = int(qlen[qid])
-                if length > qbuf.shape[1]:
-                    self._grow_qbuf(length)
-                    qbuf = self._qbuf
-                if length:
-                    qbuf[qid, :length] = q
-                if length < old:
-                    qbuf[qid, length:old] = -1
-                qlen[qid] = length
-                qcount[qid] = length
-        if load_delta:
-            self._load[ui] += load_delta
-
     # -- node cycle, part 2: input + injection buffers -> queues ----------
-    def _read_inputs(self, cycle: int) -> None:
-        arrivals = np.flatnonzero(self._in != -1)
-        inj_nodes = np.flatnonzero(self._inj != -1)
-        count = arrivals.size + inj_nodes.size
-        if not count:
-            return
-        if count >= self.batch_read_min and not self._inj_multi:
-            self._read_batch(arrivals, inj_nodes, cycle)
-        else:
-            self._read_sparse(arrivals, inj_nodes, cycle)
-
-    def _read_batch(
-        self, arrivals: np.ndarray, inj_nodes: np.ndarray, cycle: int
-    ) -> None:
+    def _read_batch(self, cycle: int) -> None:
         """All occupied input/injection buffers in one admission pass.
 
         Rank ``(source position - cycle) mod (inputs + 1)`` is the
@@ -826,8 +628,15 @@ class VectorSimulator:
         admitting per-target-queue prefixes against free capacity
         equals the sequential loop: a rejected read has no side
         effects, and an admission only consumes capacity in its own
-        queue.
+        queue.  An injection row with several targets therefore takes
+        the first one, in row order, that still has room after the
+        node's arrivals ranked ahead of it, and then joins that queue's
+        prefix at its rank.
         """
+        arrivals = np.flatnonzero(self._in != -1)
+        inj_nodes = np.flatnonzero(self._inj != -1)
+        if not (arrivals.size or inj_nodes.size):
+            return
         nodes_parts = []
         rank_parts = []
         mi_parts = []
@@ -853,25 +662,41 @@ class VectorSimulator:
 
         order = np.lexsort((rank_all, nodes_all))
         mi_o = mi_all[order]
+        node_o = nodes_all[order]
         tq_o = self._ment_q[mi_o]
+        st_o = self._ment_st[mi_o]
+        cap = self.central_capacity
+        multi = np.flatnonzero(tq_o < 0)
+        if multi.size:
+            # Resolved into these temporaries only: a refused packet
+            # (queue left at -1) retries its whole row next cycle.
+            heads = np.searchsorted(node_o, node_o[multi])
+            for i, head in zip(multi.tolist(), heads.tolist()):
+                mi = int(mi_o[i])
+                ahead = tq_o[head:i]
+                for q, st in t.injection_row(
+                    int(node_o[i]), int(self._mdst[mi]), int(self._mstate[mi])
+                ):
+                    if self._qcount[q] + np.count_nonzero(ahead == q) < cap:
+                        tq_o[i] = q
+                        st_o[i] = st
+                        break
         group = np.argsort(tq_o, kind="stable")
         tq_s = tq_o[group]
-        mi_s = mi_o[group]
-        src_s = src_all[order][group]
-        node_s = nodes_all[order][group]
         total = tq_s.size
         starts = np.flatnonzero(np.r_[True, tq_s[1:] != tq_s[:-1]])
         counts = np.diff(np.r_[starts, total])
         seq = np.arange(total) - np.repeat(starts, counts)
         admit = np.flatnonzero(
-            seq < self.central_capacity - self._qcount[tq_s]
+            (seq < cap - self._qcount[tq_s]) & (tq_s >= 0)
         )
         if not admit.size:
             return
+        ga = group[admit]
         tq_a = tq_s[admit]
-        mi_a = mi_s[admit]
-        src_a = src_s[admit]
-        node_a = node_s[admit]
+        mi_a = mi_o[ga]
+        src_a = src_all[order[ga]]
+        node_a = node_o[ga]
         pos = self._qlen[tq_a] + seq[admit]
         high = int(pos.max())
         if high >= self._qbuf.shape[1]:
@@ -880,7 +705,7 @@ class VectorSimulator:
         np.add.at(self._qlen, tq_a, 1)
         np.add.at(self._qcount, tq_a, 1)
         np.add.at(self._load, node_a, 1)
-        self._mstate[mi_a] = self._ment_st[mi_a]
+        self._mstate[mi_a] = st_o[ga]
         from_link = src_a >= 0
         self._in[src_a[from_link]] = -1
         self._inj[node_a[~from_link]] = -1
@@ -891,83 +716,6 @@ class VectorSimulator:
             ev[:, 1] = mi_a
             ev[:, 2] = tq_a
             self._ev_enqueue.extend(ev.ravel().tolist())
-
-    def _read_sparse(
-        self, arrivals: np.ndarray, inj_nodes: np.ndarray, cycle: int
-    ) -> None:
-        t = self.tables
-        # Per receiving node: (input position, slot) of each arrival.
-        per_node: dict[int, list[tuple[int, int]]] = {}
-        if arrivals.size:
-            for v, p, s in zip(
-                t.slot_dst[arrivals].tolist(),
-                t.slot_in_pos[arrivals].tolist(),
-                arrivals.tolist(),
-            ):
-                per_node.setdefault(v, []).append((p, s))
-        targets = set(per_node)
-        targets.update(inj_nodes.tolist())
-
-        qbuf = self._qbuf
-        qlen = self._qlen
-        qcount = self._qcount
-        cap = self.central_capacity
-        mstate = self._mstate
-        mdst = self._mdst
-        ment_q = self._ment_q
-        ment_st = self._ment_st
-        injection_row = t.injection_row
-        recording = self._recording
-        in_buf = self._in
-        inj = self._inj
-        for ui in targets:
-            n_in = self._n_in[ui]
-            total = n_in + 1  # + the injection buffer
-            start = cycle % total
-            # Occupied sources in the reference engine's rotated order:
-            # rank = (source position - start) mod total; slot lists are
-            # ascending, the injection buffer sits at position n_in.
-            items = [
-                ((p - start) % total, s) for p, s in per_node.get(ui, ())
-            ]
-            if inj[ui] != -1:
-                items.append(((n_in - start) % total, -1))
-            if len(items) > 1:
-                items.sort()
-            filled = 0
-            for _rank, s in items:
-                if s == -1:  # the injection buffer
-                    mi = int(inj[ui])
-                    if ment_q[mi] >= 0:
-                        cands = ((int(ment_q[mi]), int(ment_st[mi])),)
-                    else:  # no or several targets: the full row
-                        cands = injection_row(
-                            ui, int(mdst[mi]), int(mstate[mi])
-                        )
-                else:
-                    mi = int(in_buf[s])
-                    cands = ((int(ment_q[mi]), int(ment_st[mi])),)
-                for tq, tst in cands:
-                    if qcount[tq] < cap:
-                        if s == -1:
-                            inj[ui] = -1
-                        else:
-                            in_buf[s] = -1
-                        mstate[mi] = tst
-                        end = int(qlen[tq])
-                        if end >= qbuf.shape[1]:
-                            self._grow_qbuf(end)
-                            qbuf = self._qbuf
-                        qbuf[tq, end] = mi
-                        qlen[tq] = end + 1
-                        qcount[tq] += 1
-                        filled += 1
-                        self._last_progress = cycle
-                        if recording:
-                            self._ev_enqueue.extend((cycle, mi, tq))
-                        break
-            if filled:
-                self._load[ui] += filled
 
     # -- link cycle --------------------------------------------------------
     def _link_cycle(self, cycle: int) -> None:
@@ -1016,7 +764,7 @@ class VectorSimulator:
         )
 
     def _sample_occupancy(self) -> None:
-        lens = self._qcount
+        lens = self._qcount[:-1]
         if self._occ_sum is None:
             self._occ_sum = np.zeros(self.tables.n_queues, dtype=np.int64)
             self._occ_peak = np.zeros(self.tables.n_queues, dtype=np.int64)
@@ -1052,7 +800,7 @@ class VectorSimulator:
 
     # -- telemetry ---------------------------------------------------------
     def _probe_sample(self, probe) -> None:
-        lens = self._qcount
+        lens = self._qcount[:-1]
         hist = probe._occ_hist
         if hist is not None:
             for occ, count in enumerate(np.bincount(lens).tolist()):

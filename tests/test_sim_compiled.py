@@ -56,15 +56,14 @@ TOPOLOGIES = {
 
 
 def run_plans(alg, inj, tables=None, **kw):
-    """Run the vector engine on plan-cache rows, batched phases forced
-    on every cycle, and the dict row-id index; check that path was the
-    one taken."""
+    """Run the vector engine on plan-cache rows and the dict row-id
+    index; check that path was the one taken."""
     if tables is None:
         tables = RoutingTables(alg, use_kernel=False)
     with mock.patch.object(tables_mod, "_DENSE_ROWID_CELLS", 0):
-        sim = VectorSimulator(alg, inj, tables=tables, **kw)
-        sim.batch_fill_min = sim.batch_read_min = 0
-        result = sim.run(max_cycles=500_000)
+        result = VectorSimulator(alg, inj, tables=tables, **kw).run(
+            max_cycles=500_000
+        )
     assert tables.kernel is None and tables.plans.size > 0
     assert tables.rows_packed > 0 and not tables.has_dense_rowids
     return result

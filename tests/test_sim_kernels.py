@@ -13,11 +13,10 @@ compilation hook, ``docs/ARCHITECTURE.md``):
   the packed-row fallback behind ``RoutingTables.fill_rows``, must
   equal the scalar ``central_row`` / ``entry_row`` on every key of
   small hypercubes and meshes, reachable or not.
-* **Saturated identity** — at ``lambda = 1`` the batched vector node
-  cycle (fill sweep + lexsort read admission forced on) must produce
+* **Saturated identity** — at ``lambda = 1`` the vector engine's
+  batched node cycle (fill sweep + lexsort read admission) must produce
   byte-identical canonical event logs and equal latency multisets
-  against the reference engine on all five topology families, and the
-  batch/sparse dispatch itself must be output-invariant.
+  against the reference engine on all five topology families.
 """
 
 import itertools
@@ -447,9 +446,7 @@ TOPOLOGIES = {
 }
 
 
-def _instrumented_run(
-    key, engine, batch: bool | None = None, seed=11, alg_cls=None, **sim_kw
-):
+def _instrumented_run(key, engine, seed=11, alg_cls=None, **sim_kw):
     build, default_cls = TOPOLOGIES[key]
     reset_message_ids()
     topo = build()
@@ -462,12 +459,6 @@ def _instrumented_run(
         sim = PacketSimulator(alg, model, **sim_kw)
     else:
         sim = VectorSimulator(alg, model, **sim_kw)
-        if batch is True:  # force the batched fill + read paths
-            sim.batch_fill_min = 1
-            sim.batch_read_min = 1
-        elif batch is False:  # force the sparse per-node paths
-            sim.batch_fill_min = 10**9
-            sim.batch_read_min = 10**9
     probe.attach(sim)
     result = sim.run(max_cycles=200_000)
     return probe, result, sim
@@ -476,24 +467,12 @@ def _instrumented_run(
 @pytest.mark.parametrize("key", sorted(TOPOLOGIES))
 def test_saturated_batched_event_logs_byte_identical(key):
     ref_p, ref_r, _ = _instrumented_run(key, "reference")
-    vec_p, vec_r, _ = _instrumented_run(key, "vector", batch=True)
+    vec_p, vec_r, _ = _instrumented_run(key, "vector")
     assert ref_p.log.to_jsonl() == vec_p.log.to_jsonl()
     assert sorted(ref_r.latency.values) == sorted(vec_r.latency.values)
     assert ref_r.cycles == vec_r.cycles
     assert ref_r.injected == vec_r.injected
     assert ref_r.delivered == vec_r.delivered
-
-
-@pytest.mark.parametrize("key", sorted(TOPOLOGIES))
-def test_batch_sparse_dispatch_invariant(key):
-    """The hybrid dispatch threshold never changes observable output."""
-    a_p, a_r, _ = _instrumented_run(key, "vector", batch=True)
-    b_p, b_r, _ = _instrumented_run(key, "vector", batch=False)
-    assert a_p.log.to_jsonl() == b_p.log.to_jsonl()
-    assert a_r.latency.values == b_r.latency.values or sorted(
-        a_r.latency.values
-    ) == sorted(b_r.latency.values)
-    assert a_r.cycles == b_r.cycles
 
 
 CUBE_CASES = {
@@ -513,9 +492,7 @@ def test_saturated_cube_batch_rows_byte_identical(case):
     """Kernel batch rows under every hypercube variant and engine knob."""
     kw = CUBE_CASES[case]
     ref_p, ref_r, _ = _instrumented_run("hypercube", "reference", **kw)
-    vec_p, vec_r, sim = _instrumented_run(
-        "hypercube", "vector", batch=True, **kw
-    )
+    vec_p, vec_r, sim = _instrumented_run("hypercube", "vector", **kw)
     assert ref_p.log.to_jsonl() == vec_p.log.to_jsonl()
     assert sorted(ref_r.latency.values) == sorted(vec_r.latency.values)
     assert ref_r.cycles == vec_r.cycles
@@ -528,7 +505,7 @@ def test_saturated_mesh_batch_rows_byte_identical(case):
     """Mesh kernel batch rows under the static-only variants."""
     kw = dict(alg_cls=MESH_VARIANTS[case])
     ref_p, ref_r, _ = _instrumented_run("mesh", "reference", **kw)
-    vec_p, vec_r, sim = _instrumented_run("mesh", "vector", batch=True, **kw)
+    vec_p, vec_r, sim = _instrumented_run("mesh", "vector", **kw)
     assert ref_p.log.to_jsonl() == vec_p.log.to_jsonl()
     assert sorted(ref_r.latency.values) == sorted(vec_r.latency.values)
     assert ref_r.cycles == vec_r.cycles
@@ -539,7 +516,7 @@ def test_saturated_mesh_batch_rows_byte_identical(case):
 
 def test_saturated_adaptive_cube_packs_no_rows():
     """Batch fills read the kernel's rows: nothing packed, no index."""
-    _, result, sim = _instrumented_run("hypercube", "vector", batch=True)
+    _, result, sim = _instrumented_run("hypercube", "vector")
     assert result.delivered > 0
     assert sim.tables.rows_packed == 0
     assert not sim.tables.has_rowid_index

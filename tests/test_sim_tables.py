@@ -65,7 +65,7 @@ def spec_structure(alg) -> dict:
     topo = alg.topology
     nodes = list(topo.nodes())
     nid = {u: i for i, u in enumerate(nodes)}
-    node_qids, queue_node, queue_kind, qid_of = [], [], [], {}
+    node_queues, queue_node, queue_kind, qid_of = [], [], [], {}
     for ui, u in enumerate(nodes):
         ids = []
         for kind in alg.central_queue_kinds(u):
@@ -74,7 +74,7 @@ def spec_structure(alg) -> dict:
             queue_node.append(ui)
             queue_kind.append(kind)
             ids.append(qid)
-        node_qids.append(ids)
+        node_queues.append(ids)
 
     slot_src, slot_dst, slot_cls, slot_of = [], [], [], {}
     node_out_start, node_out_count = [], []
@@ -107,7 +107,7 @@ def spec_structure(alg) -> dict:
     return {
         "nodes": nodes,
         "nid": nid,
-        "node_qids": node_qids,
+        "node_queues": node_queues,
         "queue_node": queue_node,
         "queue_kind": queue_kind,
         "qid_of": qid_of,
@@ -140,7 +140,11 @@ def assert_structure_matches_spec(alg) -> None:
     assert t.n_queues == len(want["queue_node"])
     assert t.n_slots == len(want["slot_src"])
     assert t.n_links == len(want["link_classes"])
-    assert t.node_qids == want["node_qids"]
+    assert t.node_q_start.dtype == t.node_q_count.dtype == np.int64
+    assert [
+        list(range(a, a + c))
+        for a, c in zip(t.node_q_start.tolist(), t.node_q_count.tolist())
+    ] == want["node_queues"]
     assert t.queue_node.tolist() == want["queue_node"]
     assert t.queue_kind == want["queue_kind"]
     assert t.slot_src.tolist() == want["slot_src"]
@@ -305,8 +309,7 @@ def test_probe_reads_the_link_count_from_the_tables():
 
 def _rowid_run(monkeypatch, cells=None):
     """A shuffle-exchange λ=1 run on packed rows (its shuffle counter
-    keeps interning states), batched fill forced on every cycle;
-    returns its tables and event log."""
+    keeps interning states); returns its tables and event log."""
     if cells is not None:
         monkeypatch.setattr(tables_mod, "_DENSE_ROWID_CELLS", cells)
     reset_message_ids()
@@ -315,7 +318,6 @@ def _rowid_run(monkeypatch, cells=None):
         ShuffleExchangeRouting(topo),
         DynamicInjection(1.0, RandomTraffic(topo), make_rng(5), duration=150),
     )
-    sim.batch_fill_min = 0
     probe = TelemetryProbe().attach(sim)
     sim.run(max_cycles=100_000)
     return sim.tables, probe.log.to_jsonl()

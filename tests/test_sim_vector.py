@@ -440,8 +440,8 @@ class _RedundantInjectionRouting(HypercubeAdaptiveRouting):
     """Adaptive cube routing whose phase-B injections also list ``A``.
 
     ``A`` with no zero left folds into ``B`` on entry, so routing is
-    unchanged, but every such injection row has two targets: the vector
-    engine must fall back to the per-key multi-target read path.
+    unchanged, but every such injection row has two targets, which the
+    vector engine's read phase resolves in row order.
     """
 
     def injection_targets(self, src, dst, state=None):
@@ -497,14 +497,26 @@ def _dynamic_log(case, engine_cls, rate, **kw):
 
 @pytest.mark.parametrize("rate", [0.4, 1.0])
 @pytest.mark.parametrize("case", sorted(BATCH_INJECTION_CASES))
-def test_batched_injection_event_logs_byte_identical(case, rate):
+def test_batched_injection_event_logs_byte_identical(case, rate, monkeypatch):
+    entries = []  # entry queue of every placed packet
+    place_batch = VectorSimulator.place_batch
+
+    def recording_place_batch(sim, src_ids, dst_ids, cycle):
+        lo = sim._mn
+        placed = place_batch(sim, src_ids, dst_ids, cycle)
+        entries.extend(sim._ment_q[lo : sim._mn].tolist())
+        return placed
+
+    monkeypatch.setattr(VectorSimulator, "place_batch", recording_place_batch)
     ref_log, ref, _, ref_uid = _dynamic_log(case, PacketSimulator, rate)
     vec_log, vec, sim, vec_uid = _dynamic_log(case, VectorSimulator, rate)
     assert vec.injected > 0
     assert ref_log == vec_log
     assert_identical(ref, vec)
     assert ref_uid == vec_uid  # both engines took the same uids
-    assert sim._inj_multi == (case == "multi-target")
+    assert len(entries) == vec.injected
+    # Queue -1 marks a multi-target row, resolved in the read phase.
+    assert (min(entries) < 0) == (case == "multi-target")
 
 
 def test_vector_dynamic_injection_builds_no_message(monkeypatch):
@@ -552,9 +564,10 @@ def test_property_identical_static(key, packets, seed, capacity, service):
     suppress_health_check=[HealthCheck.too_slow],
 )
 @given(
-    key=st.sampled_from(["mesh", "torus", "shuffle"]),
+    key=st.sampled_from(sorted(TOPOLOGIES)),
     seed=st.integers(0, 10_000),
-    rate=st.sampled_from([0.3, 0.7, 1.0]),
+    # 0.02: a few busy nodes per cycle, the sparsest regime.
+    rate=st.sampled_from([0.02, 0.3, 0.7, 1.0]),
     policy=st.sampled_from(["paper", "rotating"]),
 )
 def test_property_identical_dynamic(key, seed, rate, policy):
@@ -658,15 +671,38 @@ class _Script(InjectionModel):
         return cycle >= self.plan[-1][0] and sim.active == 0
 
 
-def _scripted_logs(kinds, plan, **kw):
-    """Reference and batched-vector event logs of one scripted run."""
+class _Backlog(InjectionModel):
+    """Offers each ``(cycle, node, dst, state)`` packet from its cycle
+    on, each node's in plan order, once its injection buffer is free."""
+
+    def __init__(self, plan):
+        self.waiting = list(plan)
+
+    def attempt(self, sim, cycle):
+        seen = set()
+        for item in list(self.waiting):
+            c, u, dst, state = item
+            if c > cycle or u in seen:
+                continue
+            seen.add(u)
+            if sim.injection_queue_free(u):
+                msg = Message(src=u, dst=dst, state=state)
+                sim.place_in_injection_queue(u, msg, cycle)
+                self.waiting.remove(item)
+
+    def finished(self, sim, cycle):
+        return not self.waiting and sim.active == 0
+
+
+def _scripted_logs(
+    kinds, plan, alg_cls=_ScriptedRouting, model_cls=_Script, **kw
+):
+    """Reference and vector event logs of one scripted run."""
     logs = []
     for engine_cls in (PacketSimulator, VectorSimulator):
         reset_message_ids()
-        alg = _ScriptedRouting(_Pair(), kinds)
-        sim = engine_cls(alg, _Script(plan), **kw)
-        if engine_cls is VectorSimulator:
-            sim.batch_fill_min = 0
+        alg = alg_cls(_Pair(), kinds)
+        sim = engine_cls(alg, model_cls(plan), **kw)
         probe = TelemetryProbe().attach(sim)
         sim.run(max_cycles=1000)
         logs.append(probe.log)
@@ -734,6 +770,71 @@ def test_failed_move_falls_through_to_the_next_step():
     assert tables.row_int_act[rid, :2].tolist() == [MOVE_STEP, SELF_STEP]
 
 
+class _UnevenRouting(_ScriptedRouting):
+    """:class:`_ScriptedRouting` on a queue layout that differs per
+    node: node 1 owns an extra, unused ``C`` queue ahead of the scripted
+    kinds, so the nodes differ in kind count and in kind offsets.  Tag
+    ``m`` injects with two targets, ``A`` before ``B``, and then travels
+    like tag ``h``."""
+
+    name = "scripted-uneven"
+
+    def central_queue_kinds(self, node):
+        return self.kinds if node == 0 else ("C",) + self.kinds
+
+    def injection_targets(self, src, dst, state=None):
+        if state[0] == "m":
+            return frozenset({QueueId(src, "A"), QueueId(src, "B")})
+        return super().injection_targets(src, dst, state)
+
+
+@pytest.mark.parametrize("capacity", [1, 2])
+@pytest.mark.parametrize("policy", ["paper", "rotating"])
+@pytest.mark.parametrize("service", ["fifo", "lifo"])
+def test_uneven_queue_layout_event_logs_byte_identical(
+    service, policy, capacity
+):
+    """Nodes with two and three central queues share one batched fill.
+    At each node, ``B``'s head delivers at cycle 4 and ``A``'s head
+    moves to ``B`` in the same cycle; then two-target injections
+    compete with arrivals for ``A`` and fall back to ``B``."""
+    assert RoutingTables(
+        _UnevenRouting(_Pair(), ("B", "A"))
+    ).node_q_count.tolist() == [2, 3]
+    plan = []
+    for u in (0, 1):
+        plan.append((0, u, u, ("b", 3)))  # delivers at cycle 4
+        if capacity == 2:
+            plan.append((1, u, u, ("b", 3)))  # fills B, delivers at 5
+        plan.append((2, u, u, ("a", 1)))  # moves A -> B at cycle 4
+    # Hop traffic both ways: tag h waits two cycles in A first.
+    plan += [(c, u, 1 - u, ("h", 2)) for c in range(6, 10) for u in (0, 1)]
+    plan += [(c, u, 1 - u, ("m", 0)) for c in range(6, 14) for u in (0, 1)]
+    ref, vec = _scripted_logs(
+        ("B", "A"), plan, alg_cls=_UnevenRouting, model_cls=_Backlog,
+        central_capacity=capacity, service=service, policy=policy,
+    )
+    assert vec.to_jsonl() == ref.to_jsonl()
+    records = vec.records()
+    movers = [
+        r["uid"] for r in records if r["kind"] == "inject" and r["cycle"] == 2
+    ]
+    assert len(movers) == 2
+    for uid in movers:
+        assert _enqueues(vec, uid) == [(2, "A"), (3, "A"), (4, "B")]
+    delivered = [
+        r["node"] for r in records if r["kind"] == "deliver" and r["cycle"] == 4
+    ]
+    assert sorted(delivered) == [0, 1]
+    # Some two-target injection found A full and entered B.
+    injected = {r["uid"] for r in records if r["kind"] == "inject"}
+    first = {}
+    for r in records:
+        if r["kind"] == "enqueue" and r["uid"] in injected:
+            first.setdefault(r["uid"], r["queue"])
+    assert "B" in {first[uid] for uid in injected if uid > max(movers)}
+
+
 @pytest.mark.parametrize("key", ["hypercube", "shuffle"])
 def test_batched_cycle_gathers_rows_once(key, monkeypatch):
     """A batched fill makes one ``fill_rows`` call for every queued
@@ -746,7 +847,6 @@ def test_batched_cycle_gathers_rows_once(key, monkeypatch):
         alg_cls(topo),
         DynamicInjection(1.0, RandomTraffic(topo), make_rng(8), duration=60),
     )
-    sim.batch_fill_min = 0
     calls = {"fill_rows": 0, "chosen": 0, "internal": 0}
     tables = sim.tables
     fill_rows = tables.fill_rows
