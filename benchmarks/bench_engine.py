@@ -17,6 +17,12 @@ Run standalone (writes the JSON)::
 or through pytest (the ``perf`` marker keeps it out of tier-1)::
 
     PYTHONPATH=src python -m pytest benchmarks/bench_engine.py -m perf -s
+
+``--smoke`` (CI) times only the two packed-row workloads, shuffle-n6
+and torus-6x6, for 150 cycles, writes nothing, and holds shuffle-n6 to
+the same floor as the full run::
+
+    PYTHONPATH=src python benchmarks/bench_engine.py --smoke
 """
 
 from __future__ import annotations
@@ -54,6 +60,13 @@ ENGINES = ("reference", "vector")
 CYCLES = 300
 REPEATS = 3
 
+#: Vector-over-reference floor on the generic-topology workloads.
+FLOOR = 3.0
+
+#: The smoke's workloads: no batch rows, so every row is packed.
+SMOKE_KEYS = ("shuffle-n6", "torus-6x6")
+SMOKE_CYCLES = 150
+
 
 def run_engine(engine, make_topology, algorithm_cls, cycles=CYCLES):
     """Time one run; returns (node-cycles/s, SimulationResult)."""
@@ -68,12 +81,15 @@ def run_engine(engine, make_topology, algorithm_cls, cycles=CYCLES):
     return topo.num_nodes * result.cycles / elapsed, result
 
 
-def collect(cycles=CYCLES, repeats=REPEATS) -> dict:
-    """Best-of-``repeats`` node-cycles/s for every workload x engine."""
+def collect(cycles=CYCLES, repeats=REPEATS, keys=None) -> dict:
+    """Best-of-``repeats`` node-cycles/s for every workload (or those
+    named in ``keys``) x engine."""
     out: dict[str, dict] = {}
     for key, make_topology, algorithm_cls in WORKLOADS:
+        if keys is not None and key not in keys:
+            continue
         row: dict[str, float] = {}
-        delivered: dict[str, int] = {}
+        delivered: dict[str, tuple[int, int]] = {}
         for engine in ENGINES:
             best = 0.0
             for _ in range(repeats):
@@ -82,12 +98,13 @@ def collect(cycles=CYCLES, repeats=REPEATS) -> dict:
                 )
                 best = max(best, ncs)
             row[engine] = round(best, 1)
-            delivered[engine] = result.delivered
-        # Same workload, identical engines => identical delivery counts.
+            delivered[engine] = (result.delivered, result.cycles)
+        # Same workload, identical engines => the same packets delivered
+        # in the same number of cycles.
         assert len(set(delivered.values())) == 1, delivered
         out[key] = {
             "node_cycles_per_s": row,
-            "delivered": delivered["reference"],
+            "delivered": delivered["reference"][0],
             "vector_speedup": round(row["vector"] / row["reference"], 2),
         }
     return out
@@ -105,6 +122,19 @@ def write_bench(path: Path = BENCH_PATH, cycles=CYCLES) -> dict:
     return payload
 
 
+def perf_smoke() -> dict:
+    """CI-sized timing of the packed-row path: both engines on
+    shuffle-n6 and torus-6x6 must deliver the same packets in the same
+    cycles, and the vector engine must stay ``FLOOR`` x the reference
+    on shuffle-n6."""
+    results = collect(cycles=SMOKE_CYCLES, keys=SMOKE_KEYS)
+    speedup = results["shuffle-n6"]["vector_speedup"]
+    assert speedup >= FLOOR, (
+        f"perf smoke: shuffle-n6 vector speedup {speedup} < {FLOOR}x"
+    )
+    return results
+
+
 @pytest.mark.perf
 def test_engine_benchmark():
     """Regenerate BENCH_engine.json; the fast engine must stay >=3x the
@@ -114,9 +144,15 @@ def test_engine_benchmark():
     print(json.dumps(payload, indent=2))
     for key in ("mesh-8x8", "shuffle-n6"):
         speedup = payload["results"][key]["vector_speedup"]
-        assert speedup >= 3.0, f"{key}: vector speedup {speedup} < 3x"
+        assert speedup >= FLOOR, f"{key}: vector speedup {speedup} < {FLOOR}x"
 
 
 if __name__ == "__main__":
-    print(json.dumps(write_bench(), indent=2))
-    print(f"wrote {BENCH_PATH}")
+    import sys
+
+    if "--smoke" in sys.argv:
+        print(json.dumps(perf_smoke(), indent=2))
+        print("packed-row perf smoke passed")
+    else:
+        print(json.dumps(write_bench(), indent=2))
+        print(f"wrote {BENCH_PATH}")

@@ -35,21 +35,22 @@ views — ``nid``, ``qid_of``, ``queue_objs``, ``queue_labels``,
 first use, and :meth:`RoutingTables.slot_id` indexes one sending node's
 slots on its first lookup.
 
-On top of the static structure, three lazily-memoized row tables are
-lowered from :class:`~repro.sim.plans.RoutingPlanCache` (which this
-class wraps as the fallback for rows no hop kernel computes, so the
-first-wins external-candidate semantics, statics-before-dynamics order
-and the forced-phase-switch entry fold are one piece of code):
+On top of the static structure, three row tables are lowered from
+:class:`~repro.sim.plans.RoutingPlanCache` (which this class wraps as
+the fallback for rows no hop kernel computes, so the first-wins
+external-candidate semantics, statics-before-dynamics order and the
+forced-phase-switch entry fold are one piece of code):
 
 * :meth:`central_row` — ``(queue, dst, state) ->`` parallel tuples of
   external candidates (slot / next queue / next state / dynamic flag,
-  slot-ascending) plus internal ``(action, queue, state)`` steps;
+  slot-ascending) plus internal ``(action, queue, state)`` steps; built
+  on demand and stored only in packed form (below);
 * :meth:`entry_row` — where a packet nominally heading for a queue
-  actually lands after the entry fold;
+  actually lands after the entry fold (memoized);
 * :meth:`injection_row` — resolved injection targets in the reference
-  engine's ``sorted(targets)`` order (:meth:`injection_rows` resolves
-  a whole cycle's injections at once, from the kernel's batch rows
-  where it has them).
+  engine's ``sorted(targets)`` order, memoized (:meth:`injection_rows`
+  resolves a whole cycle's injections at once, from the kernel's batch
+  rows where it has them).
 
 Rows contain only ints, so the engine's per-message work is integer
 compares and array indexing; identity with the reference engine is
@@ -59,10 +60,12 @@ The batched fill phase asks for whole steps of central rows at once
 through :meth:`RoutingTables.fill_rows`.  When the hop kernel computes
 batch rows (:meth:`~repro.core.hops.HopKernel.fill_rows`; the hypercube
 and mesh schemes), they come straight from numpy arithmetic and nothing
-is stored.  Otherwise :meth:`RoutingTables.central_rids` builds each
-missing row once, packs it into parallel ``(row id, candidate)`` numpy
-arrays, and gathers by row id.  The packed arrays and the row-id index
-are allocated on first use, so a run on batch rows never holds them.
+is stored.  Otherwise :meth:`RoutingTables.central_rids` looks the
+batch's keys up in one sorted int64 key index, builds each missing row
+once, packs it into parallel ``(row id, candidate)`` numpy arrays, and
+gathers by row id; these arrays are the only store of central rows.
+They and the index are allocated on first use, so a run on batch rows
+never holds them.
 """
 
 from __future__ import annotations
@@ -81,11 +84,6 @@ from ..core.routing_function import RoutingAlgorithm
 from .plans import RoutingPlanCache
 
 __all__ = ["EngineCapabilityError", "RoutingTables"]
-
-#: Ceiling on the dense ``(queue, dst, state)`` row-id index (cells);
-#: larger networks, or state spaces that would deepen the index past
-#: it, use a dict-keyed row-id map.
-_DENSE_ROWID_CELLS = 16_777_216
 
 
 class EngineCapabilityError(TypeError):
@@ -231,7 +229,6 @@ class RoutingTables:
         # ---- state interning + row memos -------------------------------
         self.states: list[Any] = []
         self._state_ids: dict[Any, int] = {}
-        self._central: dict[tuple[int, int, int], tuple] = {}
         self._entry: dict[tuple[int, int, int], tuple[int, int]] = {}
         self._inject: dict[tuple[int, int, int], tuple] = {}
         self._init_rows()
@@ -363,14 +360,15 @@ class RoutingTables:
 
     @property
     def size(self) -> int:
-        """Total number of memoized rows (all three tables)."""
-        return len(self._central) + len(self._entry) + len(self._inject)
+        """Total number of stored rows: packed central rows plus the
+        entry and injection memos."""
+        return self._row_n + len(self._entry) + len(self._inject)
 
     # ------------------------------------------------------------------
     # Packed row ids (the batched engine's central-row representation)
     # ------------------------------------------------------------------
     def _init_rows(self) -> None:
-        """Forget the packed central-row arrays + row-id index.
+        """Forget the packed central rows and their key index.
 
         A *row id* (rid) names one built central row; the candidate
         data lives in parallel ``(rid, candidate)`` numpy arrays so the
@@ -380,15 +378,18 @@ class RoutingTables:
         phase needs no further lookups; ``row_int_*`` hold the internal
         steps, so blocked rows move as array steps too.
 
-        Both are allocated on the first :meth:`central_rid` call
-        (:meth:`_alloc_rows`): engines whose kernel computes batch rows
-        (:meth:`fill_rows`) never pack a row, and the dense index grows
-        with ``queues x nodes x states`` up to ``_DENSE_ROWID_CELLS``.
+        The index is one sorted int64 key column, ``_row_keys``, with
+        each key's rid in ``_row_ids``.  A key is
+        ``(sid * n_queues + qid) * n_nodes + dst``: the state id is
+        outermost, so interning new states never re-keys it.  Both the
+        rows and the index are allocated on the first
+        :meth:`central_rids` call (:meth:`_alloc_rows`): engines whose
+        kernel computes batch rows (:meth:`fill_rows`) never pack a row.
         """
         self._row_n = 0
         self.row_slots: np.ndarray | None = None
-        self._rowid_dense: np.ndarray | None = None
-        self._rowid_map: dict[tuple[int, int, int], int] | None = None
+        self._row_keys: np.ndarray | None = None
+        self._row_ids: np.ndarray | None = None
 
     #: Packed row arrays, candidate columns then internal-step columns,
     #: each -> its padding (``None``: the sentinel slot ``n_slots``).
@@ -413,27 +414,10 @@ class RoutingTables:
                 setattr(
                     self, name, np.full((256, width), fill, dtype=np.int64)
                 )
-        if self.has_rowid_index:
-            return
-        if self.has_dense_rowids:
-            self._rowid_dense = np.full(
-                (self.n_queues, len(self.nodes), 1), -1, dtype=np.int64
-            )
-        else:
-            self._rowid_map = {}
-
-    @property
-    def has_dense_rowids(self) -> bool:
-        """Whether row ids are (or will be) indexed by a dense numpy
-        gather table rather than a dict."""
-        if self.has_rowid_index:
-            return self._rowid_dense is not None
-        return 0 < self.n_queues * len(self.nodes) <= _DENSE_ROWID_CELLS
-
-    @property
-    def has_rowid_index(self) -> bool:
-        """Whether the row-id index has been allocated."""
-        return self._rowid_dense is not None or self._rowid_map is not None
+        # One sentinel key above every real key, so ``searchsorted``
+        # always lands on an entry.
+        self._row_keys = np.array([np.iinfo(np.int64).max], dtype=np.int64)
+        self._row_ids = np.array([-1], dtype=np.int64)
 
     @property
     def rows_packed(self) -> int:
@@ -460,22 +444,6 @@ class RoutingTables:
                 )
                 arr[:cap, :w] = old
                 setattr(self, name, arr)
-
-    def _grow_rowid_states(self, sid: int) -> None:
-        """Deepen the dense index to cover state id ``sid``; if that
-        would cross ``_DENSE_ROWID_CELLS``, move to the dict index."""
-        tab = self._rowid_dense
-        depth = max(sid + 1, len(self.states), tab.shape[2] * 2)
-        if tab.shape[0] * tab.shape[1] * depth > _DENSE_ROWID_CELLS:
-            keys = np.nonzero(tab >= 0)
-            self._rowid_map = dict(
-                zip(zip(*(k.tolist() for k in keys)), tab[keys].tolist())
-            )
-            self._rowid_dense = None
-            return
-        new = np.full((tab.shape[0], tab.shape[1], depth), -1, dtype=np.int64)
-        new[:, :, : tab.shape[2]] = tab
-        self._rowid_dense = new
 
     def _pack_row(self, dst_i: int, row: tuple) -> int:
         slots, queues, states, dyn, internal = row
@@ -507,57 +475,38 @@ class RoutingTables:
 
     def central_rid(self, qid: int, dst_i: int, sid: int) -> int:
         """Packed row id for ``(qid, dst_i, sid)`` (built on first use)."""
-        if self.row_slots is None:
-            self._alloc_rows()
-        tab = self._rowid_dense
-        if tab is not None and sid >= tab.shape[2]:
-            self._grow_rowid_states(sid)
-            tab = self._rowid_dense
-        if tab is not None:
-            rid = int(tab[qid, dst_i, sid])
-        else:
-            rid = self._rowid_map.get((qid, dst_i, sid), -1)
-        if rid >= 0:
-            return rid
-        rid = self._pack_row(dst_i, self.central_row(qid, dst_i, sid))
-        if self._rowid_dense is not None:
-            self._rowid_dense[qid, dst_i, sid] = rid
-        else:
-            self._rowid_map[(qid, dst_i, sid)] = rid
-        return rid
+        key = np.array([qid, dst_i, sid], dtype=np.int64)
+        return int(self.central_rids(key[:1], key[1:2], key[2:])[0])
 
     def central_rids(
         self, qids: np.ndarray, dsts: np.ndarray, sids: np.ndarray
     ) -> np.ndarray:
-        """Vectorized :meth:`central_rid`.
+        """Packed row ids for a batch of keys (built on first use).
 
-        One numpy gather + a python miss loop in dense row-id mode; an
-        all-python loop in dict mode (networks past the dense ceiling),
-        where the candidate-selection math downstream still vectorizes.
+        One ``searchsorted`` + compare + gather on the key index.  Each
+        distinct missing key is built and packed once, in the order of
+        its first occurrence, and the new keys are merged into the index
+        once per call.
         """
         if self.row_slots is None:
             self._alloc_rows()
-        tab = self._rowid_dense
-        if tab is not None and len(self.states) > tab.shape[2]:
-            self._grow_rowid_states(len(self.states) - 1)
-            tab = self._rowid_dense
-        if tab is None:
-            get = self._rowid_map.get
-            out = np.empty(len(qids), dtype=np.int64)
-            for i in range(len(qids)):
-                key = (int(qids[i]), int(dsts[i]), int(sids[i]))
-                rid = get(key, -1)
-                if rid < 0:
-                    rid = self.central_rid(*key)
-                out[i] = rid
-            return out
-        rids = tab[qids, dsts, sids]
-        misses = np.flatnonzero(rids < 0)
+        keys = (sids * self.n_queues + qids) * len(self.nodes) + dsts
+        at = np.searchsorted(self._row_keys, keys)
+        rids = self._row_ids[at]
+        misses = np.flatnonzero(self._row_keys[at] != keys)
         if misses.size:
-            for i in misses.tolist():
-                rids[i] = self.central_rid(
-                    int(qids[i]), int(dsts[i]), int(sids[i])
-                )
+            missed = keys[misses].tolist()
+            built: dict[int, int] = {}
+            for i, key in zip(misses.tolist(), missed):
+                if key not in built:
+                    dst_i = int(dsts[i])
+                    row = self.central_row(int(qids[i]), dst_i, int(sids[i]))
+                    built[key] = self._pack_row(dst_i, row)
+            rids[misses] = [built[key] for key in missed]
+            new, new_rids = np.array(sorted(built.items())).T
+            at = np.searchsorted(self._row_keys, new)
+            self._row_keys = np.insert(self._row_keys, at, new)
+            self._row_ids = np.insert(self._row_ids, at, new_rids)
         return rids
 
     def fill_rows(
@@ -584,7 +533,6 @@ class RoutingTables:
         engine never runs fault epochs; the analyzer rebuilds per
         epoch).
         """
-        self._central.clear()
         self._entry.clear()
         self._inject.clear()
         self.plans.clear()
@@ -594,26 +542,24 @@ class RoutingTables:
         """Bytes of the structure, rows, row index and kernel tables
         (telemetry).
 
-        Numpy arrays (structure, packed rows, row-id index, kernel
-        tables) are counted by ``nbytes``; the structure's lists, the
-        per-node slot indices and whichever label-keyed views have been
-        built by their measured size.  The per-entry cost of the three
-        memo dicts (key tuple + value tuples) is estimated at a flat
-        200 bytes.
+        Numpy arrays (structure, packed rows, key index, kernel tables)
+        are counted by ``nbytes``; the structure's lists, the per-node
+        slot indices and whichever label-keyed views have been built by
+        their measured size.  The per-entry cost of the entry and
+        injection memo dicts (key tuple + value tuple) is estimated at a
+        flat 200 bytes.
         """
-        total = 200 * self.size + self._structure_bytes()
+        total = 200 * (len(self._entry) + len(self._inject))
+        total += self._structure_bytes()
         if self.kernel is not None:
             total += self.kernel.memory_bytes()
         if self.row_slots is not None:
+            total += self._row_keys.nbytes + self._row_ids.nbytes
             total += sum(
                 getattr(self, name).nbytes
                 for pads in self._ROW_COLUMNS
                 for name in pads
             )
-        if self._rowid_dense is not None:
-            total += self._rowid_dense.nbytes
-        elif self._rowid_map is not None:
-            total += 100 * len(self._rowid_map)
         return total
 
     def _structure_bytes(self) -> int:
@@ -652,14 +598,10 @@ class RoutingTables:
         before dynamics, exactly :class:`RoutingPlanCache`), plus the
         internal ``(action, queue_id, state_id)`` steps in reference
         order (``queue_id`` is -1 for delivery).
-        """
-        key = (qid, dst_i, sid)
-        row = self._central.get(key)
-        if row is None:
-            row = self._central[key] = self._build_central(qid, dst_i, sid)
-        return row
 
-    def _build_central(self, qid: int, dst_i: int, sid: int) -> tuple:
+        Built on every call: :meth:`central_rids` calls it once per key,
+        on a miss, and stores the packed form only.
+        """
         if self.kernel is not None:
             row = self.kernel.central_row(qid, dst_i, sid)
             if row is not None:

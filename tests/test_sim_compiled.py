@@ -3,19 +3,15 @@
 Every key an algorithm's integer hop kernel declines (fault epochs,
 Beneš, the buffer-pool schemes) is served by rows that
 :class:`~repro.sim.tables.RoutingTables` lowers from the symbolic
-:class:`~repro.sim.plans.RoutingPlanCache`, and indexed by the dict
-row-id index once the dense one would exceed ``_DENSE_ROWID_CELLS``.
-This suite runs the vector engine on exactly that path — no kernel
-(``use_kernel=False``) and the dense index budget set to zero — and
-requires it to be *packet-for-packet identical* to
-:class:`PacketSimulator` on the mesh, torus, shuffle-exchange,
-hypercube and CCC: same latency multiset, same cycle counts, same
-injection statistics, for FIFO/LIFO service, paper/rotating buffer
-policy and any central-queue capacity.  ``tests/test_sim_vector.py``
-runs the same cases on the kernel rows and the dense index.
+:class:`~repro.sim.plans.RoutingPlanCache` and packed behind the one
+sorted key index.  This suite runs the vector engine on exactly that
+path — no kernel (``use_kernel=False``) — and requires it to be
+*packet-for-packet identical* to :class:`PacketSimulator` on the mesh,
+torus, shuffle-exchange, hypercube and CCC: same latency multiset, same
+cycle counts, same injection statistics, for FIFO/LIFO service,
+paper/rotating buffer policy and any central-queue capacity.
+``tests/test_sim_vector.py`` runs the same cases on the kernel rows.
 """
-
-from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -37,7 +33,6 @@ from repro.sim import (
     VectorSimulator,
     make_rng,
 )
-from repro.sim import tables as tables_mod
 from repro.topology import (
     CubeConnectedCycles,
     Hypercube,
@@ -56,16 +51,15 @@ TOPOLOGIES = {
 
 
 def run_plans(alg, inj, tables=None, **kw):
-    """Run the vector engine on plan-cache rows and the dict row-id
-    index; check that path was the one taken."""
+    """Run the vector engine on packed plan-cache rows; check that path
+    was the one taken."""
     if tables is None:
         tables = RoutingTables(alg, use_kernel=False)
-    with mock.patch.object(tables_mod, "_DENSE_ROWID_CELLS", 0):
-        result = VectorSimulator(alg, inj, tables=tables, **kw).run(
-            max_cycles=500_000
-        )
+    result = VectorSimulator(alg, inj, tables=tables, **kw).run(
+        max_cycles=500_000
+    )
     assert tables.kernel is None and tables.plans.size > 0
-    assert tables.rows_packed > 0 and not tables.has_dense_rowids
+    assert tables.rows_packed > 0
     return result
 
 

@@ -200,25 +200,57 @@ def test_packed_rid_rows_match_row_tuples():
             assert _batch_row(rows, i, pad) == (want, entries), (name, key)
 
 
-def test_vectorized_rid_gather_matches_scalar():
-    """central_rids (batch gather) == central_rid, dense and dict mode."""
-    alg = MeshAdaptiveRouting(Mesh((4, 4)))
+def _states_interned_by(alg, states, key):
+    """States a fresh table holding ``states`` interns while building
+    ``key``'s central row (``None`` if the build raises)."""
     tab = RoutingTables(alg)
-    rng = np.random.default_rng(11)
-    qids = rng.integers(tab.n_queues, size=64)
-    dsts = rng.integers(len(tab.nodes), size=64)
-    sids = np.zeros(64, dtype=np.int64)
-    batch = tab.central_rids(qids, dsts, sids)
-    scalar = [
-        tab.central_rid(int(q), int(d), 0) for q, d in zip(qids, dsts)
-    ]
-    assert batch.tolist() == scalar
-    # Dict mode: force the non-dense row-id path and re-check.
-    tab2 = RoutingTables(alg)
-    tab2._rowid_dense = None
-    tab2._rowid_map = {}
-    batch2 = tab2.central_rids(qids, dsts, sids)
-    assert batch2.tolist() == scalar
+    for state in states:
+        tab.state_id(state)
+    if _call(tab.central_row, *key)[0] != "ok":
+        return None
+    return tab.states[len(states):]
+
+
+def test_vectorized_rid_gather_matches_scalar():
+    """One central_rids batch mixing hits, misses, duplicate keys and a
+    state id first interned by the batch's own row builds: every key
+    gets the rid central_rid gives it, each new key is packed once, and
+    the packed rows re-encode central_row."""
+    alg = ShuffleExchangeRouting(ShuffleExchange(4))
+    tab = RoutingTables(alg)
+    init = alg.initial_state(tab.nodes[1], tab.nodes[6])
+    keys = list(
+        itertools.product(range(tab.n_queues), range(len(tab.nodes)), [0])
+    )
+    interned = {key: _states_interned_by(alg, [init], key) for key in keys}
+    grower = next(key for key in keys if interned[key])
+    plain = [key for key in keys if interned[key] == []]
+    hits, miss = plain[:2], plain[2]
+    new_state = interned[grower][0]
+    born = next(
+        key
+        for key in itertools.product(
+            range(tab.n_queues), range(len(tab.nodes)), [1]
+        )
+        if _states_interned_by(alg, [init, new_state], key) is not None
+    )
+    assert tab.state_id(init) == 0
+    for key in hits:
+        tab.central_rid(*key)
+    assert len(tab.states) == 1
+    batch = [hits[0], grower, born, hits[1], grower, miss, born, hits[0]]
+    before = tab.rows_packed
+    qids, dsts, sids = (np.array(c, dtype=np.int64) for c in zip(*batch))
+    rids = tab.central_rids(qids, dsts, sids)
+    assert tab.states[1] == new_state
+    assert tab.rows_packed == before + 3
+    assert rids.tolist() == [tab.central_rid(*key) for key in batch]
+    assert tab.rows_packed == before + 3
+    rows = _RidRows(tab, rids)
+    for i, key in enumerate(batch):
+        want = tab.central_row(*key)
+        entries = [tab.entry_row(q, key[1], st) for q, st in zip(*want[1:3])]
+        assert _batch_row(rows, i, tab.n_slots) == (want, entries), key
 
 
 # ----------------------------------------------------------------------
@@ -279,9 +311,9 @@ def _assert_batch_rows_match_scalar_rows(alg):
         entries = [kern.entry_row(q, key[1], st) for q, st in zip(*want[1:3])]
         assert _batch_row(batch, i, kern.n_slots) == (want, entries), key
         assert _batch_row(gathered, i, fall.n_slots) == (want, entries), key
-    # The kernel batch packed nothing and allocated no row-id index.
+    # The kernel batch packed nothing: the row arrays were never allocated.
     assert kern.rows_packed == 0
-    assert not kern.has_rowid_index
+    assert kern.row_slots is None
 
 
 @pytest.mark.parametrize("variant", sorted(CUBE_VARIANTS))
@@ -511,7 +543,7 @@ def test_saturated_mesh_batch_rows_byte_identical(case):
     assert ref_r.cycles == vec_r.cycles
     assert ref_r.delivered == vec_r.delivered
     assert sim.tables.rows_packed == 0
-    assert not sim.tables.has_rowid_index
+    assert sim.tables.row_slots is None
 
 
 def test_saturated_adaptive_cube_packs_no_rows():
@@ -519,5 +551,4 @@ def test_saturated_adaptive_cube_packs_no_rows():
     _, result, sim = _instrumented_run("hypercube", "vector")
     assert result.delivered > 0
     assert sim.tables.rows_packed == 0
-    assert not sim.tables.has_rowid_index
     assert sim.tables.row_slots is None

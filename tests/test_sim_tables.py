@@ -42,7 +42,6 @@ from repro.sim import (
     VectorSimulator,
     make_rng,
 )
-from repro.sim import tables as tables_mod
 from repro.sim.tables import RoutingTables
 from repro.statics import synthesize_routing
 from repro.telemetry import TelemetryProbe
@@ -307,45 +306,37 @@ def test_probe_reads_the_link_count_from_the_tables():
     assert counts["VectorSimulator"] == counts["PacketSimulator"] == 34
 
 
-def _rowid_run(monkeypatch, cells=None):
-    """A shuffle-exchange λ=1 run on packed rows (its shuffle counter
-    keeps interning states); returns its tables and event log."""
-    if cells is not None:
-        monkeypatch.setattr(tables_mod, "_DENSE_ROWID_CELLS", cells)
+def _rowid_run(engine_cls=VectorSimulator):
+    """A shuffle-exchange λ=1 run (its shuffle counter keeps interning
+    states); returns the simulator and its event log."""
     reset_message_ids()
     topo = ShuffleExchange(4)
-    sim = VectorSimulator(
+    sim = engine_cls(
         ShuffleExchangeRouting(topo),
         DynamicInjection(1.0, RandomTraffic(topo), make_rng(5), duration=150),
     )
     probe = TelemetryProbe().attach(sim)
     sim.run(max_cycles=100_000)
-    return sim.tables, probe.log.to_jsonl()
+    return sim, probe.log.to_jsonl()
 
 
-def test_dense_rowid_index_moves_to_dict_past_the_cell_budget(monkeypatch):
-    """The dense row-id index counts its state depth against
-    ``_DENSE_ROWID_CELLS``: growth that would cross the budget moves
-    every row id to the dict index, and rows, lookups and the event log
-    stay what the dense index gives."""
-    dense, log = _rowid_run(monkeypatch)
-    assert dense.has_dense_rowids
-    assert dense._rowid_dense.shape[2] > 2
-    budget = dense.n_queues * len(dense.nodes) * 2
-    switched, switched_log = _rowid_run(monkeypatch, budget)
-    assert not switched.has_dense_rowids and switched._rowid_map
-    assert switched_log == log
-    n = dense.rows_packed
-    assert switched.rows_packed == n
-    for name in ("row_slots", "row_queues", "row_states", "row_dyn",
-                 "row_entq", "row_entst", "row_int_act", "row_int_q",
-                 "row_int_st"):
-        assert np.array_equal(
-            getattr(switched, name)[:n], getattr(dense, name)[:n]
-        ), name
-    assert switched.states == dense.states
-    q, d, sid = np.nonzero(dense._rowid_dense >= 0)
-    expected = dense._rowid_dense[q, d, sid].tolist()
-    assert switched.central_rids(q, d, sid).tolist() == expected
-    keys = zip(q.tolist(), d.tolist(), sid.tolist())
-    assert [switched.central_rid(*key) for key in keys] == expected
+def test_one_key_index_serves_a_state_growing_run():
+    """Packed rows behind the one sorted key index: a run that keeps
+    interning states logs byte-identically to the reference engine, and
+    every packed key looks up (batched and one by one) to the row id the
+    run stored, without building a row."""
+    sim, log = _rowid_run()
+    _, ref_log = _rowid_run(PacketSimulator)
+    assert log == ref_log
+    t = sim.tables
+    assert len(t.states) > 2
+    n = t.rows_packed
+    assert n > 0
+    keys, stored = t._row_keys[:-1], t._row_ids[:-1]
+    assert sorted(stored.tolist()) == list(range(n))
+    rest, d = np.divmod(keys, len(t.nodes))
+    sid, q = np.divmod(rest, t.n_queues)
+    assert t.central_rids(q, d, sid).tolist() == stored.tolist()
+    triples = zip(q.tolist(), d.tolist(), sid.tolist())
+    assert [t.central_rid(*key) for key in triples] == stored.tolist()
+    assert t.rows_packed == n
