@@ -50,6 +50,13 @@ resolves a whole cycle's injections at once, and must equal
 only answer for when that row has exactly one target) on every key.
 The two-phase kernels answer it through :class:`TwoPhaseKernel`.
 
+The two-phase kernels answer batch rows *only*: every engine injection
+goes through ``injection_rows`` and every vector fill through
+``fill_rows``, so no engine asks them for a scalar row, and their
+scalar methods decline every key to the plan-cache translation.  The
+other kernels (torus, shuffle-exchange, CCC, Beneš, buffer pool) state
+scalar rows and no batch rows.
+
 :class:`TableHopKernel` implements the generic row assembly (first-wins
 slot filtering, the entry fold, injection resolution) on top of two
 per-algorithm primitives — :meth:`TableHopKernel.candidates` and
@@ -323,8 +330,14 @@ class TableHopKernel(HopKernel):
         return tuple(out)
 
 
-class TwoPhaseKernel(TableHopKernel):
+class TwoPhaseKernel(HopKernel):
     """Shared batch hooks of the two-phase kernels (hypercube, mesh).
+
+    These kernels answer batch rows only: every scalar row method
+    declines, so a scalar key (the static analyzer, the fault adapter,
+    tests) takes the plan-cache translation.  Queue kinds must be
+    ``kinds`` (``(qA, qB)``) at every node, or :attr:`ok` is False and
+    ``compile_hops()`` returns no kernel.
 
     A packet enters ``qA`` at its source while it has an increasing
     correction left toward its destination and ``qB`` otherwise, with
@@ -333,6 +346,11 @@ class TwoPhaseKernel(TableHopKernel):
     implement :meth:`a_done` and :meth:`fill_rows` (returning
     :class:`TwoPhaseRows`).
     """
+
+    def __init__(self, layout: "RoutingTables", kinds: tuple[str, str]):
+        self.t = layout
+        n = len(layout.nodes)
+        self.ok = n > 0 and layout.queue_kind == list(kinds) * n
 
     def a_done(self, v, dst):
         """Whether each node ``v`` has no phase-A correction left

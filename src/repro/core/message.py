@@ -49,10 +49,6 @@ class Message:
     #: While in flight between nodes: the queue this packet is heading
     #: to (decided when it was placed in the output buffer).
     target: Any = None
-    #: Service-class tag for open-loop serving workloads
-    #: (`repro.serve`): engines never read it, the telemetry layer
-    #: buckets latency by it.  ``None`` for batch-experiment traffic.
-    qos: str | None = None
 
     @property
     def delivered(self) -> bool:

@@ -34,6 +34,7 @@ from typing import Hashable
 
 from ..core.queues import QueueId
 from ..sim.engine import DeadlockError, PacketSimulator, SimulationHalt
+from ..sim.injection import StaticInjection
 from ..telemetry.snapshots import find_wait_cycle
 from .models import EMPTY_FAULTS, FaultSet
 
@@ -255,17 +256,19 @@ class DeadlockWatchdog(SimObserver):
         # never even enter the network.  A backlog entry is starved
         # when its node's injection pipeline is permanently parked
         # (head packet undeliverable) or its node is down.
-        backlog = getattr(sim.injection, "backlog", None)
-        if isinstance(backlog, dict):
-            for u, msgs in backlog.items():
-                if not msgs:
+        model = sim.injection
+        if isinstance(model, StaticInjection):
+            nodes = sim.nodes
+            for ui, u in enumerate(nodes):
+                dsts = model.backlog(ui)
+                if not dsts.size:
                     continue
                 head = sim.inj[u]
                 node_parked = u in fs.dead_nodes or (
                     head is not None and not reachable(u, head.dst)
                 )
-                for msg in msgs:
-                    if not reachable(u, msg.dst):
+                for d in dsts.tolist():
+                    if not reachable(u, nodes[d]):
                         report.backlog_unreachable += 1
                     elif node_parked:
                         report.backlog_starved += 1

@@ -206,14 +206,11 @@ class _HypercubeKernel(TwoPhaseKernel):
 
     Global queue id factors as ``node * 2 + phase`` (phase 0 = ``qA``,
     1 = ``qB``); node labels equal node indices, so the hop relation is
-    pure bit arithmetic.  Down-phase-B hops (clearing a 1 via a
-    down-link) survive here and are slot-dropped by the generic
-    assembly, exactly as the symbolic path drops them.
-
-    :meth:`fill_rows` states the same relation over whole arrays of
-    keys.  With ``x = u ^ dst``, ``ones = u & x`` (bits to clear) and
-    ``zeros = x ^ ones`` (bits to set), a message's external candidates
-    are one bit mask over the dimensions:
+    pure bit arithmetic over whole arrays of keys (batch rows only:
+    scalar keys take the plan-cache translation).  With ``x = u ^ dst``,
+    ``ones = u & x`` (bits to clear) and ``zeros = x ^ ones`` (bits to
+    set), a message's external candidates are one bit mask over the
+    dimensions:
 
     * phase A: ``zeros`` (oblivious: its lowest bit), plus ``ones`` as
       dynamic links when adaptive and ``zeros`` is non-zero;
@@ -228,13 +225,10 @@ class _HypercubeKernel(TwoPhaseKernel):
     """
 
     def __init__(self, layout, alg: HypercubeHungRouting, adaptive, oblivious):
-        super().__init__(layout)
-        self.mask = alg.topology._mask
+        super().__init__(layout, (QA, QB))
         self.adaptive = adaptive
         self.oblivious = oblivious
-        if self.kinds != (QA, QB) or layout.nodes != list(
-            range(len(layout.nodes))
-        ):
+        if layout.nodes != list(range(len(layout.nodes))):
             self.ok = False
         if self.ok:
             self._build_slot_table(layout, alg.topology.n)
@@ -289,45 +283,6 @@ class _HypercubeKernel(TwoPhaseKernel):
         # Delivery, or phase A with only ones left: switch to qB.
         hasint = (zeros == 0) & (phase_a | done)
         return TwoPhaseRows(self, slots, hasint, qids, dsts, sids, done)
-
-    def candidates(self, qid: int, dst: int, sid: int):
-        u = qid >> 1
-        if u == dst:
-            return ((-1, sid),), ()
-        if qid & 1 == 0:  # phase A
-            zeros = ~u & dst & self.mask
-            if not zeros:
-                # Only incorrect ones remain: change phase in place.
-                return (((u << 1) | 1, sid),), ()
-            if self.oblivious and zeros & (zeros - 1):
-                zeros &= -zeros  # lowest eligible dimension only
-            st = []
-            while zeros:
-                low = zeros & -zeros
-                st.append(((u ^ low) << 1, sid))
-                zeros ^= low
-            dy = []
-            if self.adaptive:
-                ones = u & ~dst & self.mask
-                while ones:
-                    low = ones & -ones
-                    dy.append(((u ^ low) << 1, sid))
-                    ones ^= low
-            return tuple(st), tuple(dy)
-        diffs = u ^ dst  # phase B
-        if self.oblivious and diffs & (diffs - 1):
-            diffs &= -diffs
-        st = []
-        while diffs:
-            low = diffs & -diffs
-            st.append((((u ^ low) << 1) | 1, sid))
-            diffs ^= low
-        return tuple(st), ()
-
-    def inject_candidates(self, ui: int, dst: int, sid: int):
-        if ~ui & dst & self.mask:
-            return ((ui << 1, sid),)
-        return (((ui << 1) | 1, sid),)
 
 
 #: Exact classes the kernel vouches for -> (adaptive, oblivious).

@@ -153,14 +153,11 @@ class MeshObliviousRouting(MeshRestrictedRouting):
 class _MeshKernel(TwoPhaseKernel):
     """Integer hop kernel for the two-phase mesh schemes.
 
-    Node indices are lexicographic coordinate ranks, so a ``+1`` step
-    in dimension ``i`` is ``+stride[i]`` on the index; global queue id
-    factors as ``node * 2 + phase``.  The node-index order equals the
-    coordinate-tuple order, so the oblivious tie-break (lowest node)
-    is ``min`` over candidate indices.
-
-    :meth:`fill_rows` states the same relation over whole arrays of
-    keys by comparing coordinates, one candidate column per dimension:
+    Node indices are lexicographic coordinate ranks and global queue id
+    factors as ``node * 2 + phase``.  :meth:`fill_rows` states the hop
+    relation over whole arrays of keys (batch rows only: scalar keys
+    take the plan-cache translation) by comparing coordinates, one
+    candidate column per dimension:
 
     * phase A: the increasing corrections (oblivious: the *highest*
       such dimension, whose step has the smallest stride and so the
@@ -176,19 +173,11 @@ class _MeshKernel(TwoPhaseKernel):
     """
 
     def __init__(self, layout, alg: MeshRestrictedRouting, adaptive, oblivious):
-        super().__init__(layout)
-        shape = alg.topology.shape
-        self.k = alg.k
-        strides = [1] * self.k
-        for i in range(self.k - 2, -1, -1):
-            strides[i] = strides[i + 1] * shape[i + 1]
-        self.strides = tuple(strides)
+        super().__init__(layout, (QA, QB))
         self.adaptive = adaptive
         self.oblivious = oblivious
-        if self.kinds != (QA, QB):
-            self.ok = False
         if self.ok:
-            self._build_slot_table(layout, shape)
+            self._build_slot_table(layout, alg.topology.shape)
 
     def _build_slot_table(self, layout, shape) -> None:
         # Link-table column 2i is the +1 step along dimension i, column
@@ -242,43 +231,6 @@ class _MeshKernel(TwoPhaseKernel):
         # Delivery, or phase A with no increase left: switch to qB.
         hasint = done | (phase_a[:, 0] & ~any_up)
         return TwoPhaseRows(self, slots, hasint, qids, dsts, sids, done)
-
-    def candidates(self, qid: int, dst_i: int, sid: int):
-        ui = qid >> 1
-        if ui == dst_i:
-            return ((-1, sid),), ()
-        nodes = self.t.nodes
-        u = nodes[ui]
-        d = nodes[dst_i]
-        strides = self.strides
-        rng = range(self.k)
-        if qid & 1 == 0:  # phase A
-            st = [((ui + strides[i]) << 1, sid) for i in rng if d[i] > u[i]]
-            if not st:
-                # Only decreasing corrections remain: phase flip in place.
-                return ((qid | 1, sid),), ()
-            if self.oblivious and len(st) > 1:
-                st = [min(st)]
-            dy = ()
-            if self.adaptive:
-                dy = tuple(
-                    ((ui - strides[i]) << 1, sid) for i in rng if d[i] < u[i]
-                )
-            return tuple(st), dy
-        st = [  # phase B
-            (((ui - strides[i]) << 1) | 1, sid) for i in rng if d[i] < u[i]
-        ]
-        if self.oblivious and len(st) > 1:
-            st = [min(st)]
-        return tuple(st), ()
-
-    def inject_candidates(self, ui: int, dst_i: int, sid: int):
-        nodes = self.t.nodes
-        u = nodes[ui]
-        d = nodes[dst_i]
-        if any(d[i] > u[i] for i in range(self.k)):
-            return ((ui << 1, sid),)
-        return (((ui << 1) | 1, sid),)
 
 
 class Mesh2DRestrictedRouting(MeshRestrictedRouting):

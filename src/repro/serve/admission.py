@@ -22,21 +22,23 @@ plain integers on this object — picklable, engine-agnostic, published
 into the Prometheus registry by the service loop each tick
 (``repro_admission_*``; see docs/OBSERVABILITY.md).
 
-Determinism: decisions depend only on offer order and injection-queue
-occupancy, both of which are identical across engines at equal seeds,
-so admission outcomes (and therefore message uids) replay exactly.
+Determinism: each cycle's decisions depend only on the offer order and
+one injection-queue free mask taken before the pass (``admit`` clears a
+node's entry as it admits there), both identical across engines at
+equal seeds; the admitted offers come back in admission order and take
+their uids in that order, so admission outcomes and message uids
+replay exactly.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Hashable
 
 from .scenario import AdmissionConfig
 
 
 class Offer:
-    """One offered packet: where from, where to, which class."""
+    """One offered packet: source and destination node ids, class."""
 
     __slots__ = ("src", "dst", "qos", "offered_cycle")
 
@@ -53,8 +55,8 @@ class AdmissionController:
     def __init__(self, config: AdmissionConfig):
         self.config = config
         self.policy = config.policy
-        #: Per-node FIFO of deferred offers (defer / shed-by-class).
-        self.deferred: dict[Hashable, deque] = {}
+        #: Per-node-id FIFO of deferred offers (defer / shed-by-class).
+        self.deferred: dict[int, deque] = {}
         self.deferred_total = 0
         # -- counters, all keyed by qos class ---------------------------
         self.offered: dict[str, int] = {}
@@ -97,25 +99,30 @@ class AdmissionController:
     # ------------------------------------------------------------------
     # The per-cycle admission pass
     # ------------------------------------------------------------------
-    def admit(self, sim, cycle: int, offers: list[Offer], place) -> None:
+    def admit(self, free, cycle: int, offers: list[Offer]) -> list[Offer]:
         """Retry deferred offers, then gate this cycle's new ones.
 
-        ``place(offer, cycle)`` actually injects (the workload driver
-        owns message construction so uids are assigned only on
-        acceptance).  Deferred offers are retried in node order of
-        first deferral, FIFO within a node — ahead of every new offer,
-        so a deferred packet can never be starved by fresh arrivals at
-        its own node.
+        ``free`` is this cycle's injection-queue free mask, indexed by
+        node id (``Offer.src``); admitting an offer clears its node's
+        entry, so a node takes at most one packet per cycle.  Returns
+        the admitted offers in admission order: the workload driver
+        numbers and places them, so uids are assigned only on
+        acceptance.  Deferred offers are retried in node order of first
+        deferral, FIFO within a node — ahead of every new offer, so a
+        deferred packet can never be starved by fresh arrivals at its
+        own node.
         """
+        admitted: list[Offer] = []
         if self.deferred_total:
             emptied = []
             for node, fifo in self.deferred.items():
-                if fifo and sim.injection_queue_free(node):
+                if fifo and free[node]:
+                    free[node] = False
                     offer = fifo.popleft()
                     self.deferred_total -= 1
                     self.defer_wait_cycles += cycle - offer.offered_cycle
                     self._count(self.accepted, offer.qos)
-                    place(offer, cycle)
+                    admitted.append(offer)
                 if not fifo:
                     emptied.append(node)
             for node in emptied:
@@ -125,11 +132,10 @@ class AdmissionController:
         best = self._best_deferred_priority() if shedding else None
         for offer in offers:
             self._count(self.offered, offer.qos)
-            if sim.injection_queue_free(offer.src) and not self.deferred.get(
-                offer.src
-            ):
+            if free[offer.src] and not self.deferred.get(offer.src):
+                free[offer.src] = False
                 self._count(self.accepted, offer.qos)
-                place(offer, cycle)
+                admitted.append(offer)
                 continue
             # Backpressure: the injection queue is occupied (or older
             # deferred offers at this node are still ahead in line).
@@ -156,6 +162,7 @@ class AdmissionController:
             self._count(self.deferred_count, offer.qos)
             if shedding and (best is None or prio < best):
                 best = prio
+        return admitted
 
     def cancel_backlog(self) -> int:
         """Drop every deferred offer (drain begins); returns the count.

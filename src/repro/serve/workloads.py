@@ -21,6 +21,11 @@ Per cycle, for each population in declaration order:
    (:mod:`repro.sim.sampling`) the closed-loop model uses;
 3. tag each offer with the population's QoS class and submit it.
 
+The admission controller decides every offer against one
+injection-queue free mask per cycle and returns the admitted ones in
+admission order; the driver numbers them, records their classes in
+``uid_qos`` and places them with one ``place_batch`` call.
+
 Determinism: each population owns two named RNG streams derived from
 the scenario seed (user counts and arrivals), populations are
 processed in declaration order, and admission decisions depend only on
@@ -40,10 +45,12 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable
 
-from ..core.message import Message
+import numpy as np
+
+from ..core.message import take_message_ids
 from ..sim.injection import InjectionModel
 from ..sim.rng import make_rng
-from ..sim.sampling import draw_arrivals, draw_user_count
+from ..sim.sampling import draw_arrival_ids, draw_user_count
 from .admission import AdmissionController, Offer
 from .scenario import Population, Scenario, make_pattern
 
@@ -160,29 +167,31 @@ class OpenLoopInjection(InjectionModel):
                 pop.resample(cycle, self.n_nodes)
             if pop.rate <= 0.0:
                 continue
-            for src, dst in draw_arrivals(
+            src, dst = draw_arrival_ids(
                 sim.nodes, pop.rate, pop.pattern, pop.arrivals_rng
-            ):
-                offers.append(Offer(src, dst, pop.spec.qos, cycle))
+            )
+            qos = pop.spec.qos
+            offers.extend(
+                Offer(s, d, qos, cycle)
+                for s, d in zip(src.tolist(), dst.tolist())
+            )
         self.attempts += len(offers)
         self.tick_offers += len(offers)
-        self.admission.admit(sim, cycle, offers, self._place(sim))
-
-    def _place(self, sim):
-        alg = self.algorithm
-
-        def place(offer: Offer, cycle: int) -> None:
-            msg = Message(
-                src=offer.src,
-                dst=offer.dst,
-                state=alg.initial_state(offer.src, offer.dst),
-                qos=offer.qos,
-            )
-            self.uid_qos[msg.uid] = offer.qos
-            self.successes += 1
-            sim.place_in_injection_queue(offer.src, msg, cycle)
-
-        return place
+        free = sim.injection_free(np.arange(self.n_nodes))
+        admitted = self.admission.admit(free, cycle, offers)
+        k = len(admitted)
+        if not k:
+            return
+        first = take_message_ids(k)
+        for uid, offer in enumerate(admitted, first):
+            self.uid_qos[uid] = offer.qos
+        self.successes += k
+        sim.place_batch(
+            np.fromiter((o.src for o in admitted), dtype=np.int64, count=k),
+            np.fromiter((o.dst for o in admitted), dtype=np.int64, count=k),
+            np.arange(first, first + k),
+            cycle,
+        )
 
     def finished(self, sim: "PacketSimulator", cycle: int) -> bool:
         if not self.draining:

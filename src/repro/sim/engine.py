@@ -199,52 +199,69 @@ class PacketSimulator:
     # ------------------------------------------------------------------
     # Injection-model interface
     # ------------------------------------------------------------------
-    def injection_queue_free(self, u: Hashable) -> bool:
-        if self.dead_nodes and u in self.dead_nodes:
-            return False  # a down node generates nothing
-        return self.inj[u] is None
-
     def add_observer(self, observer) -> None:
         """Attach a cycle observer (fault injector, watchdog, ...)."""
         self.observers.append(observer)
 
-    def place_in_injection_queue(
-        self, u: Hashable, msg: Message, cycle: int
-    ) -> None:
-        if self.inj[u] is not None:
-            raise RuntimeError(f"injection queue at {u} occupied")
-        msg.injected_cycle = cycle
-        if self.trace:
-            msg.hops = [QueueId(u, "inj")]
-        self.inj[u] = msg
-        self.injected_count += 1
-        self.active += 1
-        self._last_progress = cycle
-        if self._events is not None:
-            self._events.append(("inject", cycle, msg.uid, u, msg.dst))
+    def injection_free(self, src_ids: np.ndarray) -> np.ndarray:
+        """Whether each node id's injection queue is free (bool mask).
+
+        Ids index :attr:`nodes`; a down node refuses (it generates
+        nothing).
+        """
+        nodes = self.nodes
+        inj = self.inj
+        dead = self.dead_nodes
+        return np.fromiter(
+            (
+                inj[u] is None and u not in dead
+                for u in map(nodes.__getitem__, src_ids.tolist())
+            ),
+            dtype=bool,
+            count=len(src_ids),
+        )
 
     def place_batch(
-        self, src_ids: np.ndarray, dst_ids: np.ndarray, cycle: int
-    ) -> np.ndarray:
+        self,
+        src_ids: np.ndarray,
+        dst_ids: np.ndarray,
+        uids: np.ndarray,
+        cycle: int,
+    ) -> None:
         """Inject one packet per ``(src_ids[i], dst_ids[i])`` pair.
 
-        Ids index :attr:`nodes`; sources must be distinct.  A packet is
-        placed when its source's injection queue is free (a dead node
-        refuses), in array order, with a fresh :class:`Message` in the
-        algorithm's initial state, so uids are taken in array order
-        among the placed packets.  Returns the placed mask.
+        Ids index :attr:`nodes`.  Every source's injection queue must be
+        free (:meth:`injection_free`), so sources are distinct.  Packet
+        ``i`` is a fresh :class:`Message` with uid ``uids[i]`` (taken by
+        the caller with :func:`~repro.core.message.take_message_ids`)
+        in the algorithm's initial state.
         """
         nodes = self.nodes
         alg = self.algorithm
-        placed = np.zeros(len(src_ids), dtype=bool)
-        for i, (s, d) in enumerate(zip(src_ids.tolist(), dst_ids.tolist())):
+        inj = self.inj
+        events = self._events
+        packets = zip(src_ids.tolist(), dst_ids.tolist(), uids.tolist())
+        for s, d, uid in packets:
             u = nodes[s]
-            if self.injection_queue_free(u):
-                dst = nodes[d]
-                msg = Message(src=u, dst=dst, state=alg.initial_state(u, dst))
-                self.place_in_injection_queue(u, msg, cycle)
-                placed[i] = True
-        return placed
+            dst = nodes[d]
+            if inj[u] is not None:
+                raise RuntimeError(f"injection queue at {u} occupied")
+            msg = Message(
+                src=u,
+                dst=dst,
+                uid=uid,
+                injected_cycle=cycle,
+                state=alg.initial_state(u, dst),
+            )
+            if self.trace:
+                msg.hops = [QueueId(u, "inj")]
+            inj[u] = msg
+            if events is not None:
+                events.append(("inject", cycle, uid, u, dst))
+        if len(src_ids):
+            self.injected_count += len(src_ids)
+            self.active += len(src_ids)
+            self._last_progress = cycle
 
     # ------------------------------------------------------------------
     # One routing cycle

@@ -8,9 +8,9 @@ and the open-loop workload driver of the streaming traffic service
 the same order, because byte-identical replays across engines hinge on
 identical draw sequences.  Both therefore go through one function,
 :func:`draw_arrival_ids`, which works on int node ids (indices into
-``topology.nodes()`` order): the closed-loop model hands its id arrays
-straight to the engine, and :func:`draw_arrivals` is a label view over
-the same draw, so the two cannot drift apart.
+``topology.nodes()`` order), so the two cannot drift apart: the
+closed-loop model hands its id arrays straight to the engine, the
+open-loop driver turns them into admission offers.
 
 Also here: the user-count distributions of the serving scenarios
 (Poisson / normal / log-normal), parameterized by *mean* (and variance
@@ -83,21 +83,6 @@ def draw_arrival_ids(
     if keep.all():
         return src, dst
     return src[keep], dst[keep]
-
-
-def draw_arrivals(
-    nodes: Sequence[Hashable],
-    rate: float,
-    pattern: TrafficPattern,
-    rng: np.random.Generator,
-) -> list[tuple[Hashable, Hashable]]:
-    """One cycle of seeded ``(source, destination)`` label offers.
-
-    The label view of :func:`draw_arrival_ids` (same draws, same
-    order, fixed points dropped).
-    """
-    src, dst = draw_arrival_ids(nodes, rate, pattern, rng)
-    return [(nodes[s], nodes[d]) for s, d in zip(src.tolist(), dst.tolist())]
 
 
 def draw_user_count(

@@ -106,8 +106,11 @@ def _measured_bytes(obj, depth: int) -> int:
 
     Walks without bookkeeping, so measuring allocates nothing; the
     depth stops it above objects shared with the topology and the
-    algorithm (labels inside tuples, kind names).
+    algorithm (labels inside tuples, kind names).  Small ints
+    (-5..256) are interpreter-wide singletons and count nothing.
     """
+    if type(obj) is int and -5 <= obj <= 256:
+        return 0
     total = sys.getsizeof(obj)
     if depth:
         if isinstance(obj, dict):
@@ -544,12 +547,12 @@ class RoutingTables:
 
         Numpy arrays (structure, packed rows, key index, kernel tables)
         are counted by ``nbytes``; the structure's lists, the per-node
-        slot indices and whichever label-keyed views have been built by
-        their measured size.  The per-entry cost of the entry and
-        injection memo dicts (key tuple + value tuple) is estimated at a
-        flat 200 bytes.
+        slot indices, whichever label-keyed views have been built and
+        the entry and injection memos (keys, row tuples and their ints)
+        by their measured size.
         """
-        total = 200 * (len(self._entry) + len(self._inject))
+        total = _measured_bytes(self._entry, 2)
+        total += _measured_bytes(self._inject, 3)
         total += self._structure_bytes()
         if self.kernel is not None:
             total += self.kernel.memory_bytes()

@@ -8,10 +8,10 @@ int matrix, link buffers are numpy int arrays holding message indices,
 and the injection and all three phases of the cycle have batched numpy
 forms:
 
-* **injection**: :meth:`VectorSimulator.place_batch` takes a cycle's
-  ``(src, dst)`` id arrays from
-  :class:`~repro.sim.injection.DynamicInjection` and writes them into
-  the message columns by slice — free mask, state ids, entry queues
+* **injection**: every injection model hands a cycle's packets over
+  as ``(src, dst, uid)`` id arrays (:meth:`VectorSimulator.place_batch`,
+  after one :meth:`~VectorSimulator.injection_free` mask), and they are
+  written into the message columns by slice — state ids, entry queues
   (:meth:`~repro.sim.tables.RoutingTables.injection_rows`, the hop
   kernel's batch arithmetic where it has one) and uids in one step each,
   without building a :class:`~repro.core.message.Message`;
@@ -65,10 +65,7 @@ silently degrades; see the engine matrix in ``docs/ARCHITECTURE.md``):
   engine, which ``repro.faults.experiments.make_fault_simulator``
   always builds;
 * no per-hop tracing (``trace=True``) and no ``delivered_messages``
-  capture; a :class:`~repro.core.message.Message` handed to
-  :meth:`~VectorSimulator.place_in_injection_queue` gets its
-  ``injected_cycle`` but is not kept, so its ``delivered_cycle`` stays
-  ``-1`` (results and event logs carry every latency).
+  capture (results and event logs carry every latency).
 
 **Telemetry.**  Events are buffered *columnar* during a cycle — flat
 int lists per event kind, no tuple or label allocation on the hot
@@ -92,7 +89,6 @@ from typing import Hashable
 import numpy as np
 
 from ..core.hops import DELIVER_STEP, MOVE_STEP, NO_STEP, SELF_STEP
-from ..core.message import Message, take_message_ids
 from ..core.routing_function import RoutingAlgorithm
 from .engine import CycleLimitExceeded, DeadlockError
 from .injection import InjectionModel
@@ -229,10 +225,6 @@ class VectorSimulator:
         self.occupancy_samples = 0
 
     @property
-    def _nid(self) -> dict[Hashable, int]:
-        return self.tables.nid
-
-    @property
     def link_classes(self) -> dict[tuple, tuple[str, ...]]:
         """``(u, v) -> classes`` per directed link (built on first use)."""
         return self.tables.link_classes
@@ -276,62 +268,29 @@ class VectorSimulator:
     # ------------------------------------------------------------------
     # Injection-model interface
     # ------------------------------------------------------------------
-    def injection_queue_free(self, u: Hashable) -> bool:
-        return bool(self._inj[self._nid[u]] == -1)
-
-    def place_in_injection_queue(
-        self, u: Hashable, msg: Message, cycle: int
-    ) -> None:
-        """Place one prebuilt message (static backlogs, serve admission).
-
-        The engine copies what it needs into its columns and keeps no
-        reference to ``msg``.
-        """
-        ui = self._nid[u]
-        if self._inj[ui] != -1:
-            raise RuntimeError(f"injection queue at {u} occupied")
-        msg.injected_cycle = cycle
-        mi = self._mn
-        if mi == self._mdst.size:
-            self._grow_msgs()
-        dst_i = self._nid[msg.dst]
-        sid = self.tables.state_id(msg.state)
-        self._muid[mi] = msg.uid
-        self._mdst[mi] = dst_i
-        self._mstate[mi] = sid
-        self._minj[mi] = cycle
-        row = self.tables.injection_row(ui, dst_i, sid)
-        self._ment_q[mi], self._ment_st[mi] = (
-            row[0] if len(row) == 1 else (-1, 0)
-        )
-        self._mn = mi + 1
-        self._inj[ui] = mi
-        self.injected_count += 1
-        self.active += 1
-        self._last_progress = cycle
-        if self._recording:
-            self._ev_inject.extend((cycle, mi, ui))
+    def injection_free(self, src_ids: np.ndarray) -> np.ndarray:
+        """Whether each node id's injection buffer is free (bool mask)."""
+        return self._inj[src_ids] == -1
 
     def place_batch(
-        self, src_ids: np.ndarray, dst_ids: np.ndarray, cycle: int
-    ) -> np.ndarray:
-        """Inject a batch of packets as array rows; no :class:`Message`.
+        self,
+        src_ids: np.ndarray,
+        dst_ids: np.ndarray,
+        uids: np.ndarray,
+        cycle: int,
+    ) -> None:
+        """Inject a batch of packets as message-column rows.
 
-        Same contract as :meth:`PacketSimulator.place_batch`: sources
-        are distinct node ids, a packet is placed when its source's
-        injection buffer is free, uids are taken in array order among
-        the placed packets (:func:`~repro.core.message.take_message_ids`),
-        and the placed mask is returned.  Entry queues come from
+        Builds no :class:`~repro.core.message.Message`.  Same contract
+        as :meth:`PacketSimulator.place_batch`: sources are distinct
+        node ids whose injection buffers are free, and packet ``i`` gets
+        uid ``uids[i]``.  Entry queues come from
         :meth:`RoutingTables.injection_rows`; a row without exactly one
         target leaves ``-1`` there, and the read phase resolves it.
         """
-        placed = self._inj[src_ids] == -1
-        if not placed.all():
-            src_ids = src_ids[placed]
-            dst_ids = dst_ids[placed]
         k = src_ids.size
         if not k:
-            return placed
+            return
         t = self.tables
         alg = self.algorithm
         if type(alg).initial_state is RoutingAlgorithm.initial_state:
@@ -351,8 +310,7 @@ class VectorSimulator:
         hi = lo + k
         while hi > self._mdst.size:
             self._grow_msgs()
-        first = take_message_ids(k)
-        self._muid[lo:hi] = np.arange(first, first + k)
+        self._muid[lo:hi] = uids
         self._mdst[lo:hi] = dst_ids
         self._mstate[lo:hi] = sids
         self._minj[lo:hi] = cycle
@@ -370,7 +328,6 @@ class VectorSimulator:
             ev[:, 1] = mis
             ev[:, 2] = src_ids
             self._ev_inject.extend(ev.ravel().tolist())
-        return placed
 
     # ------------------------------------------------------------------
     # One routing cycle

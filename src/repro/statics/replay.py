@@ -16,12 +16,12 @@ not a modeling artifact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable
 
-from ..core.message import Message
+import numpy as np
+
 from ..core.routing_function import RoutingAlgorithm
 from ..sim.engine import DeadlockError, PacketSimulator
-from ..sim.injection import InjectionModel
+from ..sim.injection import StaticInjection
 from .witness import FORCED_WAIT, CycleWitness
 
 #: Packets injected per witness row.  Two packets drain through the
@@ -31,42 +31,26 @@ from .witness import FORCED_WAIT, CycleWitness
 DEFAULT_PACKETS_PER_ROW = 4
 
 
-class WitnessReplayInjection(InjectionModel):
+class WitnessReplayInjection(StaticInjection):
     """Static backlog realizing one witness: per row, packets sourced
-    at the row's node heading for the row's destination."""
+    at the row's node heading for the row's destination.  Each node
+    injects its packets newest first."""
 
     def __init__(self, witness: CycleWitness, packets_per_row: int):
         self.witness = witness
         self.packets_per_row = packets_per_row
         self.name = f"witness-replay(x{packets_per_row})"
-        self.backlog: dict[Hashable, list[Message]] = {}
         self.total = 0
 
-    def setup(self, sim: PacketSimulator) -> None:
-        alg = sim.algorithm
-        self.backlog = {}
-        self.total = 0
-        for row in self.witness.rows:
-            src = row.queue.node
-            msgs = self.backlog.setdefault(src, [])
-            for _ in range(self.packets_per_row):
-                msgs.append(
-                    Message(
-                        src=src,
-                        dst=row.dst,
-                        state=alg.initial_state(src, row.dst),
-                    )
-                )
-                self.total += 1
+    def pairs(self, sim: PacketSimulator) -> tuple[np.ndarray, np.ndarray]:
+        nid = {u: i for i, u in enumerate(sim.nodes)}
+        rows = [(nid[r.queue.node], nid[r.dst]) for r in self.witness.rows]
+        pairs = np.array(rows, dtype=np.int64).reshape(-1, 2)
+        pairs = np.repeat(pairs, self.packets_per_row, axis=0)
+        return pairs[:, 0], pairs[:, 1]
 
-    def attempt(self, sim: PacketSimulator, cycle: int) -> None:
-        for u in sim.nodes:
-            backlog = self.backlog.get(u)
-            if backlog and sim.injection_queue_free(u):
-                sim.place_in_injection_queue(u, backlog.pop(), cycle)
-
-    def finished(self, sim: PacketSimulator, cycle: int) -> bool:
-        return sim.delivered_count >= self.total
+    def injection_order(self, src: np.ndarray) -> np.ndarray:
+        return np.lexsort((-np.arange(src.size), src))
 
 
 @dataclass

@@ -317,8 +317,8 @@ class TelemetryProbe:
             ).set(tables.rows_packed)
             reg.gauge(
                 "repro_tables_bytes",
-                help="Integer routing-table bytes: arrays and lists "
-                "measured, memo rows estimated",
+                help="Integer routing-table bytes: arrays, lists and "
+                "memo rows measured",
             ).set(tables_bytes)
             compile_stats = {
                 "kernel": tables.kernel is not None,

@@ -1,8 +1,9 @@
 """Engine tests: Section-7.1 timing semantics and delivery guarantees."""
 
+import numpy as np
 import pytest
 
-from repro.core import Message
+from repro.core.message import take_message_ids
 from repro.routing import (
     HypercubeAdaptiveRouting,
     HypercubeHungRouting,
@@ -32,14 +33,10 @@ class SingleMessage(InjectionModel):
         self.sent = False
 
     def attempt(self, sim, cycle):
-        if not self.sent and sim.injection_queue_free(self.src):
-            alg = sim.algorithm
-            msg = Message(
-                src=self.src,
-                dst=self.dst,
-                state=alg.initial_state(self.src, self.dst),
-            )
-            sim.place_in_injection_queue(self.src, msg, cycle)
+        src = np.array([sim.nodes.index(self.src)])
+        if not self.sent and sim.injection_free(src)[0]:
+            dst = np.array([sim.nodes.index(self.dst)])
+            sim.place_batch(src, dst, np.array([take_message_ids(1)]), cycle)
             self.sent = True
 
     def finished(self, sim, cycle):

@@ -14,6 +14,7 @@ from repro.sim import (
     PacketSimulator,
     RandomTraffic,
     StaticInjection,
+    TrafficPattern,
     make_rng,
 )
 from repro.sim.injection import InjectionModel
@@ -182,7 +183,7 @@ def test_mesh_engine_integration_small():
     assert res.delivered == res.injected
 
 
-class ComplementTrafficLike:
+class ComplementTrafficLike(TrafficPattern):
     """Mesh analogue of the complement: mirror both coordinates."""
 
     name = "mesh-mirror"

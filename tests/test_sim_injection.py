@@ -32,7 +32,7 @@ def test_static_backlog_size():
     sim, _ = make_sim(3, inj)
     inj.setup(sim)
     assert inj.total == 3 * 8
-    assert all(len(v) == 3 for v in inj.backlog.values())
+    assert all(inj.backlog(ui).size == 3 for ui in range(8))
 
 
 def test_static_skips_permutation_fixed_points():

@@ -429,6 +429,7 @@ def test_oblivious_mesh_tie_break_keeps_the_lowest_node():
     ``-e_i``) the *lowest* pending down-dimension.
     """
     tab = RoutingTables(MeshObliviousRouting(Mesh((3, 3))))
+    assert tab.state_id(None) == 0  # scalar rows take the plan cache
     nid = tab.nid
     for src, dst, phase, nxt in (
         ((0, 0), (2, 2), 0, (0, 1)),  # phase A: dimension 1, not 0
@@ -457,6 +458,7 @@ def test_oblivious_phase_b_with_zeros_left_has_no_candidate():
     would pick.
     """
     tab = RoutingTables(HypercubeObliviousRouting(Hypercube(2)))
+    assert tab.state_id(None) == 0  # scalar rows take the plan cache
     qid, dst = (0b10 << 1) | 1, 0b01
     assert tab.central_row(qid, dst, 0) == ((), (), (), (), ())
     rows = tab.fill_rows(

@@ -16,7 +16,7 @@ from repro.sim.rng import make_rng
 from repro.sim.sampling import (
     USER_DISTRIBUTIONS,
     bernoulli_fires,
-    draw_arrivals,
+    draw_arrival_ids,
     draw_user_count,
 )
 from repro.sim.traffic import RandomTraffic
@@ -65,7 +65,7 @@ def test_firing_preserves_node_order():
 
 
 # ----------------------------------------------------------------------
-# draw_arrivals
+# draw_arrival_ids
 # ----------------------------------------------------------------------
 def test_draw_arrivals_filters_fixed_points_and_tags_sources():
     cube = Hypercube(4)
@@ -74,9 +74,10 @@ def test_draw_arrivals_filters_fixed_points_and_tags_sources():
     pattern = RandomTraffic(cube)
     seen = 0
     for _ in range(200):
-        for src, dst in draw_arrivals(nodes, 0.3, pattern, rng):
-            assert src != dst
-            seen += 1
+        src, dst = draw_arrival_ids(nodes, 0.3, pattern, rng)
+        assert (src != dst).all()
+        assert (src[1:] > src[:-1]).all()  # one offer per node, in order
+        seen += src.size
     assert seen > 0
 
 
@@ -87,7 +88,8 @@ def test_draw_arrivals_empirical_rate():
     pattern = RandomTraffic(cube)
     rate, cycles = 0.2, 600
     total = sum(
-        len(draw_arrivals(nodes, rate, pattern, rng)) for _ in range(cycles)
+        draw_arrival_ids(nodes, rate, pattern, rng)[0].size
+        for _ in range(cycles)
     )
     n = len(nodes) * cycles
     # Uniform random over 16 nodes has a 1/16 fixed-point chance, so

@@ -12,6 +12,8 @@ it exactly.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -286,6 +288,43 @@ def test_views_are_built_on_first_use():
     assert t.nid[5] == 5
     assert "nid" in t.__dict__
     assert t.memory_bytes() > before  # built views are counted
+
+
+def _fresh_bytes(*memos) -> int:
+    """Bytes a fresh copy of the given int-tuple memos allocates."""
+
+    def copy(obj):
+        if isinstance(obj, tuple):
+            return tuple(copy(x) for x in obj)
+        return int(str(obj))  # a new object unless a shared small int
+
+    tracemalloc.start()
+    try:
+        copies = [{copy(k): copy(v) for k, v in m.items()} for m in memos]
+        return tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+        del copies
+
+
+def test_memo_rows_are_measured_not_estimated():
+    """memory_bytes() counts the entry and injection memos at the bytes
+    they hold: the memos' share of it matches what a fresh copy of both
+    allocates, within 1%."""
+    alg = TorusRouting(Torus((6, 6)))
+    t = RoutingTables(alg)
+    nodes = t.nodes
+    for s in range(len(nodes)):
+        for d in range(len(nodes)):
+            sid = t.state_id(alg.initial_state(nodes[s], nodes[d]))
+            t.injection_row(s, d, sid)
+            t.entry_row(int(t.node_q_start[s]), d, sid)
+    assert len(t._entry) and len(t._inject)
+    fresh = _fresh_bytes(t._entry, t._inject)
+    with_memos = t.memory_bytes()
+    t._entry.clear()
+    t._inject.clear()
+    assert abs(with_memos - t.memory_bytes() - fresh) <= 0.01 * fresh
 
 
 def test_probe_reads_the_link_count_from_the_tables():

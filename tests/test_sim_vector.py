@@ -11,12 +11,15 @@ capability errors the engine raises instead of silently degrading, and
 engine selection (``REPRO_ENGINE`` and ``auto``).
 """
 
+from collections import deque
+
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.hops import MOVE_STEP, SELF_STEP
-from repro.core.message import Message, reset_message_ids
+from repro.core.message import Message, reset_message_ids, take_message_ids
 from repro.core.queues import QueueId, deliver
 from repro.core.routing_function import RoutingAlgorithm
 from repro.topology.base import Topology
@@ -227,13 +230,8 @@ class _AtDestination(InjectionModel):
 
     def attempt(self, sim, cycle):
         if not self.placed:
-            alg = sim.algorithm
-            msg = Message(
-                src=self.node,
-                dst=self.node,
-                state=alg.initial_state(self.node, self.node),
-            )
-            sim.place_in_injection_queue(self.node, msg, cycle)
+            ui = np.array([sim.nodes.index(self.node)])
+            sim.place_batch(ui, ui, np.array([take_message_ids(1)]), cycle)
             self.placed = True
 
     def finished(self, sim, cycle):
@@ -292,7 +290,10 @@ def test_shared_tables_across_runs():
         inj = StaticInjection(2, RandomTraffic(topo), make_rng(seed))
         sim = VectorSimulator(alg, inj, tables=tables)
         results.append(sim.run(max_cycles=500_000))
-    assert tables.size > 0
+        assert sim.tables is tables
+    # The mesh kernel answers every fill and injection row in batch, so
+    # the shared tables memoize no per-key row.
+    assert tables.size == 0
     ref = PacketSimulator(
         alg, StaticInjection(2, RandomTraffic(topo), make_rng(1))
     ).run(max_cycles=500_000)
@@ -501,11 +502,10 @@ def test_batched_injection_event_logs_byte_identical(case, rate, monkeypatch):
     entries = []  # entry queue of every placed packet
     place_batch = VectorSimulator.place_batch
 
-    def recording_place_batch(sim, src_ids, dst_ids, cycle):
+    def recording_place_batch(sim, src_ids, dst_ids, uids, cycle):
         lo = sim._mn
-        placed = place_batch(sim, src_ids, dst_ids, cycle)
+        place_batch(sim, src_ids, dst_ids, uids, cycle)
         entries.extend(sim._ment_q[lo : sim._mn].tolist())
-        return placed
 
     monkeypatch.setattr(VectorSimulator, "place_batch", recording_place_batch)
     ref_log, ref, _, ref_uid = _dynamic_log(case, PacketSimulator, rate)
@@ -519,7 +519,8 @@ def test_batched_injection_event_logs_byte_identical(case, rate, monkeypatch):
     assert (min(entries) < 0) == (case == "multi-target")
 
 
-def test_vector_dynamic_injection_builds_no_message(monkeypatch):
+def _count_built_messages(monkeypatch) -> list:
+    """A list that grows by one per :class:`Message` constructed."""
     built = []
     init = Message.__init__
 
@@ -528,11 +529,86 @@ def test_vector_dynamic_injection_builds_no_message(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(Message, "__init__", counting_init)
+    return built
+
+
+def test_vector_dynamic_injection_builds_no_message(monkeypatch):
+    built = _count_built_messages(monkeypatch)
     _, result, _, _ = _dynamic_log("complement", VectorSimulator, 1.0)
     assert result.injected > 0
     assert len(built) == 1  # only the uid probe after the run
     _, result, _, _ = _dynamic_log("complement", PacketSimulator, 1.0)
     assert len(built) == 2 + result.injected
+
+
+def test_vector_static_injection_builds_no_message(monkeypatch):
+    """A static backlog is id arrays: the vector engine builds no
+    :class:`Message`, the reference engine one per injected packet."""
+    built = _count_built_messages(monkeypatch)
+    for engine_cls in (VectorSimulator, PacketSimulator):
+        topo = Torus((4, 4))
+        model = StaticInjection(3, RandomTraffic(topo), make_rng(4))
+        result = engine_cls(TorusRouting(topo), model).run(max_cycles=10_000)
+        assert result.delivered == result.injected == 48
+        assert len(built) == (0 if engine_cls is VectorSimulator else 48)
+
+
+def test_vector_serve_admission_builds_no_message(monkeypatch):
+    """Admitted serve offers are placed as id arrays too: the vector
+    engine builds no :class:`Message`, the reference engine one per
+    admitted packet."""
+    from repro.serve import TrafficService, load_scenario
+
+    raw = {
+        "name": "no-message",
+        "seed": 5,
+        "topology": {"family": "mesh", "size": 4},
+        "populations": [
+            {"name": "a", "qos": "a", "users": {"mean": 30},
+             "rate_per_user": 0.05},
+        ],
+        "service": {
+            "duration_cycles": 80,
+            "record": True,
+            "admission": {"policy": "defer"},
+        },
+    }
+    built = _count_built_messages(monkeypatch)
+    for engine in ("vector", "reference"):
+        del built[:]
+        svc = TrafficService(load_scenario(raw), engine=engine)
+        svc.serve()
+        injected = svc.result.injected
+        assert injected > 0
+        assert len(built) == (0 if engine == "vector" else injected)
+
+
+@pytest.mark.parametrize("engine_cls", [PacketSimulator, VectorSimulator])
+def test_static_uids_number_each_nodes_packets_in_generation_order(
+    engine_cls,
+):
+    """``StaticInjection(3)`` reserves its uids at setup, node by node
+    and each node's packets in the order their destinations were drawn,
+    and a node injects its packets in that same order."""
+    topo = Hypercube(4)
+    pattern = RandomTraffic(topo)
+    rng = make_rng(9)
+    drawn = [(u, pattern.draw(u, rng)) for u in topo.nodes() for _ in range(3)]
+    reset_message_ids()
+    model = StaticInjection(3, RandomTraffic(topo), make_rng(9))
+    sim = engine_cls(HypercubeAdaptiveRouting(topo), model)
+    probe = TelemetryProbe().attach(sim)
+    sim.run(max_cycles=10_000)
+    injects = sorted(
+        (r["uid"], r["cycle"], r["node"], r["dst"])
+        for r in probe.log.records()
+        if r["kind"] == "inject"
+    )
+    assert [uid for uid, _, _, _ in injects] == list(range(len(drawn)))
+    assert [(u, d) for _, _, u, d in injects] == drawn
+    for u in topo.nodes():
+        cycles = [c for _, c, node, _ in injects if node == u]
+        assert cycles == sorted(cycles) and len(set(cycles)) == 3
 
 
 # ----------------------------------------------------------------------
@@ -624,9 +700,15 @@ class _ScriptedRouting(RoutingAlgorithm):
     def __init__(self, topology, kinds):
         super().__init__(topology)
         self.kinds = kinds
+        #: The scripted models queue each packet's state here; the
+        #: engines take it, in placement order, as its initial state.
+        self.next_states = deque()
 
     def central_queue_kinds(self, node):
         return self.kinds
+
+    def initial_state(self, src, dst):
+        return self.next_states.popleft()
 
     def update_state(self, state, q_from, q_to):
         tag, wait = state
@@ -655,6 +737,23 @@ class _ScriptedRouting(RoutingAlgorithm):
         return frozenset()
 
 
+def _place_scripted(sim, packets, cycle):
+    """Place ``(node, dst, state)`` packets in order, with fresh uids.
+
+    The pair's node labels are its node ids; each state reaches the
+    engine through the scripted algorithm's ``initial_state``.
+    """
+    if not packets:
+        return
+    src, dst, states = zip(*packets)
+    sim.algorithm.next_states.extend(states)
+    first = take_message_ids(len(packets))
+    sim.place_batch(
+        np.array(src), np.array(dst),
+        np.arange(first, first + len(packets)), cycle,
+    )
+
+
 class _Script(InjectionModel):
     """Places ``(cycle, node, dst, state)`` packets at their cycles."""
 
@@ -662,10 +761,9 @@ class _Script(InjectionModel):
         self.plan = plan
 
     def attempt(self, sim, cycle):
-        for c, u, dst, state in self.plan:
-            if c == cycle:
-                msg = Message(src=u, dst=dst, state=state)
-                sim.place_in_injection_queue(u, msg, cycle)
+        _place_scripted(
+            sim, [(u, d, st) for c, u, d, st in self.plan if c == cycle], cycle
+        )
 
     def finished(self, sim, cycle):
         return cycle >= self.plan[-1][0] and sim.active == 0
@@ -679,16 +777,17 @@ class _Backlog(InjectionModel):
         self.waiting = list(plan)
 
     def attempt(self, sim, cycle):
-        seen = set()
-        for item in list(self.waiting):
-            c, u, dst, state = item
-            if c > cycle or u in seen:
-                continue
-            seen.add(u)
-            if sim.injection_queue_free(u):
-                msg = Message(src=u, dst=dst, state=state)
-                sim.place_in_injection_queue(u, msg, cycle)
-                self.waiting.remove(item)
+        heads = {}  # node -> its first due item, in plan order
+        for item in self.waiting:
+            if item[0] <= cycle:
+                heads.setdefault(item[1], item)
+        heads = list(heads.values())
+        src = np.array([u for _, u, _, _ in heads], dtype=np.int64)
+        free = sim.injection_free(src)
+        go = [item for item, ok in zip(heads, free.tolist()) if ok]
+        _place_scripted(sim, [(u, d, st) for _, u, d, st in go], cycle)
+        for item in go:
+            self.waiting.remove(item)
 
     def finished(self, sim, cycle):
         return not self.waiting and sim.active == 0
