@@ -45,23 +45,6 @@ def _fire_ids(n: int, rate: float, rng: np.random.Generator) -> np.ndarray:
     return np.flatnonzero(rng.random(n) < rate)
 
 
-def bernoulli_fires(
-    nodes: Sequence[Hashable], rate: float, rng: np.random.Generator
-) -> Sequence[Hashable]:
-    """Nodes that attempt an injection this cycle (Bernoulli(rate) each).
-
-    The label view of the firing draw: ``nodes`` itself at
-    ``rate >= 1`` (no RNG consumed), ``()`` at ``rate <= 0``, else the
-    firing nodes in node order from one ``rng.random(len(nodes))``
-    vector.
-    """
-    if rate >= 1.0:
-        return nodes
-    if rate <= 0.0:
-        return ()
-    return [nodes[i] for i in _fire_ids(len(nodes), rate, rng).tolist()]
-
-
 def draw_arrival_ids(
     nodes: Sequence[Hashable],
     rate: float,

@@ -67,29 +67,42 @@ silently degrades; see the engine matrix in ``docs/ARCHITECTURE.md``):
 * no per-hop tracing (``trace=True``) and no ``delivered_messages``
   capture (results and event logs carry every latency).
 
-**Telemetry.**  Events are buffered *columnar* during a cycle — flat
-int lists per event kind, no tuple or label allocation on the hot
-path — and materialized at the end of every :meth:`step`,
-stable-sorted by ``(cycle, uid)`` and handed to the probe's sink.
-Batches arrive in cycle order, so the sink receives exactly the
-canonical order of
-:meth:`~repro.telemetry.events.EventLog.canonical` (JSONL output is
-byte-identical with the generic engines), metrics-only probes update
-live (a serve scrape matches the generic engines tick for tick), and
-the buffers never hold more than one cycle.  Occupancy histograms are
-fed via bucketed bulk counts (``Histogram.observe_many``) and the
-occupancy series row by row, at the same sampling points the probe's
-own ``on_cycle`` would use.
+**Telemetry.**  Events are buffered *columnar* during a cycle — per
+event kind, the cycle's chunks of message-index, queue and slot
+arrays, no tuple or label allocation on the hot path — and flushed at
+the end of every :meth:`step`, so the buffers never hold more than one
+cycle and the sink sees each cycle as it happens.  What the flush
+builds depends on the sink:
+
+* a metrics-only :class:`~repro.telemetry.probe._MetricsSink` gets
+  array aggregates (:meth:`~repro.telemetry.probe._MetricsSink.add_columns`):
+  counts of injections and static/dynamic hops, the phase transitions
+  counted against a per-message last-queue-kind column, and the
+  delivered uids with their latencies.  No event tuple is built, no
+  sort is done, and the label views the tuples need
+  (``slot_labels``, ``queue_labels``) are never built; the registry
+  ends each cycle exactly as if it had taken every event one by one,
+  so a serve scrape matches the reference engine's tick for tick;
+* any other sink (an event log) gets raw event tuples,
+  stable-sorted by uid within the cycle, which is exactly the
+  canonical order of :meth:`~repro.telemetry.events.EventLog.canonical`
+  (JSONL output is byte-identical with the reference engine).
+
+Occupancy histograms are fed by one bulk update per sample
+(``Histogram.observe_array``) and the occupancy series row by row, at
+the same sampling points the probe's own ``on_cycle`` would use.
 """
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Hashable
 
 import numpy as np
 
 from ..core.hops import DELIVER_STEP, MOVE_STEP, NO_STEP, SELF_STEP
 from ..core.routing_function import RoutingAlgorithm
+from ..telemetry.probe import TelemetryProbe, _MetricsSink
 from .engine import CycleLimitExceeded, DeadlockError
 from .injection import InjectionModel
 from .metrics import LatencyStats, SimulationResult
@@ -99,6 +112,17 @@ __all__ = ["VectorSimulator"]
 
 #: Rank larger than any rotating-policy slot rank (masks occupied slots).
 _NO_RANK = 1 << 40
+
+_EMPTY = np.empty(0, dtype=np.int64)
+
+
+def _columns(chunks: list[tuple], width: int) -> tuple[np.ndarray, ...]:
+    """An event buffer's chunks joined into ``width`` columns."""
+    if len(chunks) == 1:
+        return chunks[0]
+    if not chunks:
+        return (_EMPTY,) * width
+    return tuple(np.concatenate(col) for col in zip(*chunks))
 
 
 class VectorSimulator:
@@ -198,6 +222,10 @@ class VectorSimulator:
         # queue -1 for an injection row without exactly one target.
         self._ment_q = np.empty(cap0, dtype=np.int64)
         self._ment_st = np.empty(cap0, dtype=np.int64)
+        # Queue-kind code of the message's last enqueue or hop (-1:
+        # none yet); kept by the metrics-only flush, which counts phase
+        # transitions from it as the sink's per-uid last kind would.
+        self._mkind = np.empty(cap0, dtype=np.int8)
 
         # Bookkeeping (same contract as the reference engine).
         self.cycle = 0
@@ -213,11 +241,14 @@ class VectorSimulator:
         self._probe = None
         self._recording = False
 
-        # Columnar event buffers (flat int lists; flushed every cycle).
-        self._ev_inject: list[int] = []  # (cycle, mi, node) triples
-        self._ev_enqueue: list[int] = []  # (cycle, mi, qid) triples
-        self._ev_hop: list[int] = []  # (cycle, mi, slot, dyn, qid) 5-tuples
-        self._ev_deliver: list[int] = []  # (cycle, mi) pairs
+        # Columnar event buffers: per event kind, the current cycle's
+        # chunks of equal-length column arrays (flushed every cycle, so
+        # every buffered event belongs to the cycle being stepped).
+        self._ev_inject: list[tuple] = []  # (mi, node)
+        self._ev_enqueue: list[tuple] = []  # (mi, qid)
+        self._ev_hop: list[tuple] = []  # (mi, slot, dyn, qid)
+        self._ev_deliver: list[tuple] = []  # (mi,)
+        self._qkind_code = None  # int8 kind code per queue, on first use
 
         # Occupancy accounting (engine-level collect_occupancy).
         self._occ_sum = None
@@ -234,8 +265,6 @@ class VectorSimulator:
     # ------------------------------------------------------------------
     def add_observer(self, observer) -> None:
         """Accept a telemetry probe; reject everything else loudly."""
-        from ..telemetry.probe import TelemetryProbe
-
         if isinstance(observer, TelemetryProbe):
             self._probe = observer
             return
@@ -258,10 +287,11 @@ class VectorSimulator:
     def _grow_msgs(self) -> None:
         cap = self._mdst.size * 2
         for name in (
-            "_muid", "_mdst", "_mstate", "_minj", "_ment_q", "_ment_st"
+            "_muid", "_mdst", "_mstate", "_minj", "_ment_q", "_ment_st",
+            "_mkind",
         ):
             col = getattr(self, name)
-            grown = np.empty(cap, dtype=np.int64)
+            grown = np.empty(cap, dtype=col.dtype)
             grown[: col.size] = col
             setattr(self, name, grown)
 
@@ -316,6 +346,7 @@ class VectorSimulator:
         self._minj[lo:hi] = cycle
         self._ment_q[lo:hi] = ent_q
         self._ment_st[lo:hi] = ent_st
+        self._mkind[lo:hi] = -1
         mis = np.arange(lo, hi)
         self._mn = hi
         self._inj[src_ids] = mis
@@ -323,11 +354,7 @@ class VectorSimulator:
         self.active += k
         self._last_progress = cycle
         if self._recording:
-            ev = np.empty((k, 3), dtype=np.int64)
-            ev[:, 0] = cycle
-            ev[:, 1] = mis
-            ev[:, 2] = src_ids
-            self._ev_inject.extend(ev.ravel().tolist())
+            self._ev_inject.append((mis, src_ids))
 
     # ------------------------------------------------------------------
     # One routing cycle
@@ -448,13 +475,7 @@ class VectorSimulator:
             self._ment_st[mg] = est
             self._last_progress = cycle
             if recording:
-                ev = np.empty((gi.size, 5), dtype=np.int64)
-                ev[:, 0] = cycle
-                ev[:, 1] = mg
-                ev[:, 2] = sg
-                ev[:, 3] = dyn
-                ev[:, 4] = nq
-                self._ev_hop.extend(ev.ravel().tolist())
+                self._ev_hop.append((mg, sg, dyn, nq))
 
         appended = 0
         blocked = np.flatnonzero(~gone & rows.hasint)
@@ -566,11 +587,7 @@ class VectorSimulator:
             ms = m_k[stay]
             self._mstate[ms] = tst[k[stay], j[stay]]
             if self._recording:
-                ev = np.empty((stay.size, 3), dtype=np.int64)
-                ev[:, 0] = cycle
-                ev[:, 1] = ms
-                ev[:, 2] = tq[k[stay], j[stay]]
-                self._ev_enqueue.extend(ev.ravel().tolist())
+                self._ev_enqueue.append((ms, tq[k[stay], j[stay]]))
         if stay.size < k.size:
             self._deliver(m_k[a_k == DELIVER_STEP], cycle)
         return appended
@@ -668,11 +685,7 @@ class VectorSimulator:
         self._inj[node_a[~from_link]] = -1
         self._last_progress = cycle
         if self._recording:
-            ev = np.empty((mi_a.size, 3), dtype=np.int64)
-            ev[:, 0] = cycle
-            ev[:, 1] = mi_a
-            ev[:, 2] = tq_a
-            self._ev_enqueue.extend(ev.ravel().tolist())
+            self._ev_enqueue.append((mi_a, tq_a))
 
     # -- link cycle --------------------------------------------------------
     def _link_cycle(self, cycle: int) -> None:
@@ -704,17 +717,14 @@ class VectorSimulator:
             self._last_progress = cycle
 
     # -- delivery and stats -------------------------------------------------
-    def _deliver(self, mis, cycle: int) -> None:
-        """Deliver messages ``mis`` (ints, in delivery order)."""
-        k = len(mis)
+    def _deliver(self, mis: np.ndarray, cycle: int) -> None:
+        """Deliver messages ``mis`` (in delivery order)."""
+        k = mis.size
         self.delivered_count += k
         self.active -= k
         self._last_progress = cycle
         if self._recording:
-            ev = np.empty((k, 2), dtype=np.int64)
-            ev[:, 0] = cycle
-            ev[:, 1] = mis
-            self._ev_deliver.extend(ev.ravel().tolist())
+            self._ev_deliver.append((mis,))
         injected = self._minj[mis]
         self.latency.record_many(
             cycle - injected[injected >= self.measure_from]
@@ -760,9 +770,7 @@ class VectorSimulator:
         lens = self._qcount[:-1]
         hist = probe._occ_hist
         if hist is not None:
-            for occ, count in enumerate(np.bincount(lens).tolist()):
-                if count:
-                    hist.observe_many(occ, count)
+            hist.observe_array(lens)
         if probe.series_enabled:
             # Queue ids are node-major in reference order, so this is
             # the generic engines' (node, kind) sampling order.
@@ -779,61 +787,88 @@ class VectorSimulator:
         """Buffered columns -> canonical raw event tuples.
 
         Concatenation order (inject, enqueue, hop, deliver) plus a
-        stable sort by ``(cycle, uid)`` reproduces
-        :meth:`EventLog.canonical` exactly: the only same-``(cycle,
-        uid)`` pair an engine can emit is inject-then-enqueue, and the
-        concat order preserves it.  Per-message columns are gathered
-        only at the indices the buffers name, so the cost is
-        proportional to the batch, not to every packet ever injected.
+        stable sort by uid reproduces :meth:`EventLog.canonical`
+        exactly: the buffers hold one cycle, and the only same-``(cycle,
+        uid)`` pair an engine can emit is inject-then-enqueue, which the
+        concat order preserves.  Per-message columns are gathered only
+        at the indices the buffers name, so the cost is proportional to
+        the batch, not to every packet ever injected.
         """
+        c = self.cycle
         t = self.tables
         nodes = t.nodes
         muid = self._muid
+        mdst = self._mdst
         qkind = t.queue_kind
         evs: list[tuple] = []
-        buf = self._ev_inject
-        mis = buf[1::3]
+        mis, src = _columns(self._ev_inject, 2)
         evs.extend(
             ("inject", c, uid, nodes[ui], nodes[d])
-            for c, uid, ui, d in zip(
-                buf[0::3],
-                muid[mis].tolist(),
-                buf[2::3],
-                self._mdst[mis].tolist(),
+            for uid, ui, d in zip(
+                muid[mis].tolist(), src.tolist(), mdst[mis].tolist()
             )
         )
-        buf = self._ev_enqueue
+        mis, qids = _columns(self._ev_enqueue, 2)
         qnode = t.queue_labels
         evs.extend(
             ("enqueue", c, uid, qnode[qid], qkind[qid])
-            for c, uid, qid in zip(
-                buf[0::3], muid[buf[1::3]].tolist(), buf[2::3]
-            )
+            for uid, qid in zip(muid[mis].tolist(), qids.tolist())
         )
-        buf = self._ev_hop
+        mis, slots, dyn, qids = _columns(self._ev_hop, 4)
         evs.extend(
-            ("hop", c, uid, u, v, cls, bool(dyn), qkind[tq])
-            for c, uid, (u, v, cls), dyn, tq in zip(
-                buf[0::5],
-                muid[buf[1::5]].tolist(),
-                map(t.slot_labels.__getitem__, buf[2::5]),
-                buf[3::5],
-                buf[4::5],
+            ("hop", c, uid, u, v, cls, d, qkind[tq])
+            for uid, (u, v, cls), d, tq in zip(
+                muid[mis].tolist(),
+                map(t.slot_labels.__getitem__, slots.tolist()),
+                (dyn != 0).tolist(),
+                qids.tolist(),
             )
         )
-        buf = self._ev_deliver
-        mis = buf[1::2]
+        (mis,) = _columns(self._ev_deliver, 1)
         evs.extend(
             ("deliver", c, uid, nodes[d], c - inj)
-            for c, uid, d, inj in zip(
-                buf[0::2],
+            for uid, d, inj in zip(
                 muid[mis].tolist(),
-                self._mdst[mis].tolist(),
+                mdst[mis].tolist(),
                 self._minj[mis].tolist(),
             )
         )
-        evs.sort(key=lambda ev: (ev[1], ev[2]))
+        evs.sort(key=itemgetter(2))
         return evs
+
+    def _flush_columns(self, sink) -> None:
+        """Metrics-only flush: array aggregates, no event tuple.
+
+        A packet has at most one enqueue or hop per cycle (a queued
+        packet hops or steps internally, a buffered one is read), so
+        one gather, compare and scatter of :attr:`_mkind` counts the
+        batch's queue-kind changes exactly as the sink's per-uid
+        sequence would, in any order.
+        """
+        if self._qkind_code is None:
+            code: dict[str, int] = {}  # a handful of kinds: int8 holds them
+            self._qkind_code = np.array(
+                [
+                    code.setdefault(kind, len(code))
+                    for kind in self.tables.queue_kind
+                ],
+                dtype=np.int8,
+            )
+        h_mis, _, dyn, h_qids = _columns(self._ev_hop, 4)
+        mis, qids = _columns(self._ev_enqueue + [(h_mis, h_qids)], 2)
+        kind = self._qkind_code[qids]
+        last = self._mkind[mis]
+        self._mkind[mis] = kind
+        n_dyn = int(np.count_nonzero(dyn))
+        (d_mis,) = _columns(self._ev_deliver, 1)
+        sink.add_columns(
+            injected=sum(chunk[0].size for chunk in self._ev_inject),
+            hops_static=dyn.size - n_dyn,
+            hops_dynamic=n_dyn,
+            transitions=int(np.count_nonzero((last != kind) & (last >= 0))),
+            latencies=self.cycle - self._minj[d_mis],
+            uids=self._muid[d_mis],
+        )
 
     def _flush_events(self) -> None:
         """Hand the buffered events to the sink and empty the buffers.
@@ -842,21 +877,27 @@ class VectorSimulator:
         batch holds one cycle and batches arrive in cycle order: the
         sink sees the canonical stream as it happens (live serve
         metrics) and the buffers never outgrow one cycle's traffic.
+        A metrics-only sink gets the batch as columns
+        (:meth:`_flush_columns`); any other sink gets event tuples.
         """
-        evs = self._materialize_events()
-        for buf in (
+        bufs = (
             self._ev_inject, self._ev_enqueue, self._ev_hop, self._ev_deliver
-        ):
-            buf.clear()
-        if not evs:
+        )
+        if not any(bufs):
             return
         sink = self._events
-        extend = getattr(sink, "extend", None)
-        if extend is not None:
-            extend(evs)
+        if isinstance(sink, _MetricsSink):
+            self._flush_columns(sink)
         else:
-            for ev in evs:
-                sink.append(ev)
+            evs = self._materialize_events()
+            extend = getattr(sink, "extend", None)
+            if extend is not None:
+                extend(evs)
+            else:
+                for ev in evs:
+                    sink.append(ev)
+        for buf in bufs:
+            buf.clear()
 
     # ------------------------------------------------------------------
     # Full runs

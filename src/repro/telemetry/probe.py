@@ -7,7 +7,8 @@ engine accepts a probe and drives it itself) and
 * installs an event sink (``sim._events``) the engine feeds raw event
   tuples through — a full :class:`~repro.telemetry.events.EventLog`
   when ``events=True``, or a streaming metrics-only sink (O(1) memory)
-  when ``events=False``;
+  when ``events=False``, which the vector engine feeds per-cycle
+  columns instead of tuples;
 * samples per-queue occupancy every ``occupancy_every`` cycles into a
   histogram and, optionally, a ``(cycle, node, kind, occupancy)`` time
   series for the CSV exporter;
@@ -34,6 +35,8 @@ from __future__ import annotations
 
 from typing import Hashable
 
+import numpy as np
+
 from .events import SCHEMA_VERSION, EventLog
 from .registry import LATENCY_BUCKETS, OCCUPANCY_BUCKETS, MetricRegistry
 from .snapshots import find_wait_cycle, wait_for_graph
@@ -59,7 +62,8 @@ class _MetricsSink:
 
     Used as the engine sink in metrics-only mode (``events=False``) and
     as the replay target when a full event log is folded into metrics
-    at run end — one aggregation code path either way.
+    at run end — one aggregation code path either way.  The vector
+    engine feeds it whole batches through :meth:`add_columns` instead.
     """
 
     __slots__ = (
@@ -134,20 +138,7 @@ class _MetricsSink:
             if self._qos_of is not None:
                 qos = self._qos_of(ev[2])
                 if qos is not None:
-                    hist = self._qos_hists.get(qos)
-                    if hist is None:
-                        hist = self._qos_hists[qos] = (
-                            self._registry.histogram(
-                                "repro_qos_latency_cycles",
-                                LATENCY_BUCKETS,
-                                labels={"qos": qos},
-                                help=(
-                                    "Injection-to-delivery latency per "
-                                    "service class (repro.serve)"
-                                ),
-                            )
-                        )
-                    hist.observe(ev[4])
+                    self._qos_hist(qos).observe(ev[4])
             self._last_kind.pop(ev[2], None)
         elif kind == "drop":
             self.dropped.inc()
@@ -159,6 +150,53 @@ class _MetricsSink:
         if last is not None and last != kind:
             self.transitions.inc()
         self._last_kind[uid] = kind
+
+    def add_columns(
+        self,
+        injected: int,
+        hops_static: int,
+        hops_dynamic: int,
+        transitions: int,
+        latencies: np.ndarray,
+        uids: np.ndarray,
+    ) -> None:
+        """One batch of events as counts and arrays (no tuples).
+
+        The vector engine's metrics-only flush: it counts the batch's
+        injections, hops and queue-kind changes itself (the
+        transitions :meth:`_track` would count) and hands over the
+        delivered packets' ``uids`` with their ``latencies``.  The
+        resulting registry state equals :meth:`append` of every event
+        of the batch.
+        """
+        self.injected.inc(injected)
+        self.hops_static.inc(hops_static)
+        self.hops_dynamic.inc(hops_dynamic)
+        self.transitions.inc(transitions)
+        self.delivered.inc(latencies.size)
+        self.latency.observe_array(latencies)
+        qos_of = self._qos_of
+        if qos_of is None or not uids.size:
+            return
+        rows: dict[str, list[int]] = {}
+        for i, uid in enumerate(uids.tolist()):
+            qos = qos_of(uid)
+            if qos is not None:
+                rows.setdefault(qos, []).append(i)
+        for qos, idx in rows.items():
+            self._qos_hist(qos).observe_array(latencies[idx])
+
+    def _qos_hist(self, qos: str):
+        hist = self._qos_hists.get(qos)
+        if hist is None:
+            hist = self._qos_hists[qos] = self._registry.histogram(
+                "repro_qos_latency_cycles",
+                LATENCY_BUCKETS,
+                labels={"qos": qos},
+                help="Injection-to-delivery latency per service class "
+                "(repro.serve)",
+            )
+        return hist
 
 
 class TelemetryProbe:

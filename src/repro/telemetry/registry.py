@@ -24,6 +24,8 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
+import numpy as np
+
 #: Default latency buckets (routing cycles).
 LATENCY_BUCKETS = (2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000)
 
@@ -86,6 +88,7 @@ class Histogram:
         "labels",
         "help",
         "buckets",
+        "_bounds",
         "counts",
         "sum",
         "count",
@@ -106,6 +109,7 @@ class Histogram:
         self.buckets = tuple(sorted(buckets))
         if not self.buckets:
             raise ValueError("histogram needs at least one bucket bound")
+        self._bounds = np.array(self.buckets)
         self.counts = [0] * (len(self.buckets) + 1)  # + the +Inf bucket
         self.sum = 0
         self.count = 0
@@ -126,26 +130,31 @@ class Histogram:
         if self.max is None or value > self.max:
             self.max = value
 
-    def observe_many(self, value: int | float, count: int) -> None:
-        """Record ``count`` identical observations in one update.
+    def observe_array(self, values: np.ndarray) -> None:
+        """Record every value of an int array in one update.
 
-        Exactly equivalent to calling :meth:`observe` ``count`` times;
-        used by the vector engine's bulk occupancy sampling.
+        Exactly equivalent to calling :meth:`observe` once per value
+        (the sum, min and max stay Python ints); an empty array is a
+        no-op.  Used by the vector engine's occupancy sampling and its
+        columnar latency flush.
         """
-        if count <= 0:
+        if not values.size:
             return
-        i = 0
-        for bound in self.buckets:
-            if value <= bound:
-                break
-            i += 1
-        self.counts[i] += count
-        self.sum += value * count
-        self.count += count
-        if self.min is None or value < self.min:
-            self.min = value
-        if self.max is None or value > self.max:
-            self.max = value
+        # First bound >= value; past the last bound is the +Inf bucket.
+        hit = np.bincount(
+            self._bounds.searchsorted(values), minlength=len(self.counts)
+        )
+        counts = self.counts
+        for i, c in enumerate(hit.tolist()):
+            counts[i] += c
+        self.sum += values.sum().item()
+        self.count += values.size
+        lo = values.min().item()
+        hi = values.max().item()
+        if self.min is None or lo < self.min:
+            self.min = lo
+        if self.max is None or hi > self.max:
+            self.max = hi
 
     @property
     def mean(self) -> float:
@@ -196,7 +205,7 @@ class _NullMetric:
     def observe(self, value: int | float) -> None:
         pass
 
-    def observe_many(self, value: int | float, count: int) -> None:
+    def observe_array(self, values) -> None:
         pass
 
     def snapshot(self) -> dict:

@@ -202,7 +202,8 @@ def _event_series(text: str) -> list[str]:
 def test_live_metrics_equal_across_engines_every_tick():
     """Metrics-only serving streams event-derived metrics live on the
     vector engine: every tick's scrape equals the reference engine's,
-    and the vector engine holds no buffered event past its step."""
+    the vector engine holds no buffered event chunk past its step, and
+    it feeds the sink columns, not tuples."""
     scn = scenario_raw(duration_cycles=200, tick_cycles=10, record=False)
     scn["topology"] = {"family": "mesh", "size": 5}
     snapshots = {}
@@ -231,6 +232,11 @@ def test_live_metrics_equal_across_engines_every_tick():
 
             sim.step = checked_step
         assert svc.serve() == EXIT_CLEAN
+        if engine == "vector":
+            # The batches reached the sink as columns: the kind codes
+            # were built and no hop tuple (slot labels) ever was.
+            assert sim._qkind_code is not None
+            assert "slot_labels" not in sim.tables.__dict__
         snapshots[engine] = ticks
     assert len(snapshots["reference"]) > 10
     assert snapshots["reference"] == snapshots["vector"]

@@ -10,23 +10,24 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.sim.rng import make_rng
 from repro.sim.sampling import (
     USER_DISTRIBUTIONS,
-    bernoulli_fires,
+    _fire_ids,
     draw_arrival_ids,
     draw_user_count,
 )
 from repro.sim.traffic import RandomTraffic
 from repro.topology import Hypercube
 
-NODES = tuple(range(64))
+N = 64
 
 
 # ----------------------------------------------------------------------
-# bernoulli_fires
+# _fire_ids: the Bernoulli firing draw under draw_arrival_ids
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("rate", [0.05, 0.25, 0.5, 0.9])
 def test_empirical_rate_matches_lambda(rate):
@@ -39,8 +40,8 @@ def test_empirical_rate_matches_lambda(rate):
     """
     rng = make_rng(42, f"sampling-{rate}")
     cycles = 400
-    fired = sum(len(bernoulli_fires(NODES, rate, rng)) for _ in range(cycles))
-    n = len(NODES) * cycles
+    fired = sum(_fire_ids(N, rate, rng).size for _ in range(cycles))
+    n = N * cycles
     se = math.sqrt(rate * (1 - rate) / n)
     assert abs(fired / n - rate) < 5 * se
 
@@ -48,20 +49,21 @@ def test_empirical_rate_matches_lambda(rate):
 def test_rate_one_fires_everyone_without_consuming_rng():
     rng = make_rng(0, "sampling-one")
     before = rng.bit_generator.state["state"]["state"]
-    assert bernoulli_fires(NODES, 1.0, rng) == NODES
+    assert _fire_ids(N, 1.0, rng).tolist() == list(range(N))
+    assert _fire_ids(N, 2.0, rng).tolist() == list(range(N))
     assert rng.bit_generator.state["state"]["state"] == before
 
 
 def test_rate_zero_fires_no_one():
     rng = make_rng(0, "sampling-zero")
-    assert bernoulli_fires(NODES, 0.0, rng) == ()
-    assert bernoulli_fires(NODES, -0.5, rng) == ()
+    assert _fire_ids(N, 0.0, rng).size == 0
+    assert _fire_ids(N, -0.5, rng).size == 0
 
 
 def test_firing_preserves_node_order():
     rng = make_rng(3, "sampling-order")
-    fired = bernoulli_fires(NODES, 0.5, rng)
-    assert list(fired) == sorted(fired)
+    fired = _fire_ids(N, 0.5, rng)
+    assert fired.size and (np.diff(fired) > 0).all()
 
 
 # ----------------------------------------------------------------------
@@ -152,8 +154,6 @@ def test_dynamic_injection_stream_unchanged():
     rng_a = make_rng(7, "dyn-equiv")
     rng_b = make_rng(7, "dyn-equiv")
     for _ in range(50):
-        fired = bernoulli_fires(NODES, rate, rng_a)
-        vec = rng_b.random(len(NODES))
-        assert list(fired) == [
-            u for u, x in zip(NODES, vec) if x < rate
-        ]
+        fired = _fire_ids(N, rate, rng_a)
+        vec = rng_b.random(N)
+        assert fired.tolist() == [i for i, x in enumerate(vec) if x < rate]

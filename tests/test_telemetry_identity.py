@@ -13,7 +13,11 @@ import pytest
 
 from repro.faults import FaultSchedule, link_down, link_stall, node_down
 from repro.faults.experiments import make_fault_simulator
-from repro.routing import HypercubeAdaptiveRouting, Mesh2DAdaptiveRouting
+from repro.routing import (
+    HypercubeAdaptiveRouting,
+    Mesh2DAdaptiveRouting,
+    TorusRouting,
+)
 from repro.sim import (
     PacketSimulator,
     RandomTraffic,
@@ -22,12 +26,19 @@ from repro.sim import (
     make_rng,
 )
 from repro.core.message import reset_message_ids
-from repro.telemetry import TelemetryProbe, read_jsonl
-from repro.topology import Hypercube, Mesh2D
+from repro.telemetry import TelemetryProbe, prometheus_text, read_jsonl
+from repro.topology import Hypercube, Mesh2D, Torus
 
 FAMILIES = {
     "hypercube": (lambda: Hypercube(4), HypercubeAdaptiveRouting),
     "mesh": (lambda: Mesh2D(5), Mesh2DAdaptiveRouting),
+}
+
+#: Healthy-run families (no fault schedule): the torus's dateline
+#: classes give four queue kinds per node, not two.
+HEALTHY_FAMILIES = {
+    **FAMILIES,
+    "torus": (lambda: Torus((4, 4)), TorusRouting),
 }
 
 SCHEDULES = {
@@ -158,7 +169,7 @@ def _run_healthy_direct(key, engine_cls, seed=3, events=True):
     both engines on equal footing.
     """
     reset_message_ids()
-    build, alg_cls = FAMILIES[key]
+    build, alg_cls = HEALTHY_FAMILIES[key]
     topo = build()
     model = StaticInjection(2, RandomTraffic(topo), make_rng(seed))
     probe = TelemetryProbe(events=events)
@@ -168,7 +179,7 @@ def _run_healthy_direct(key, engine_cls, seed=3, events=True):
     return probe, result
 
 
-@pytest.mark.parametrize("key", sorted(FAMILIES))
+@pytest.mark.parametrize("key", sorted(HEALTHY_FAMILIES))
 def test_vector_event_log_byte_identical(key):
     """The vector engine's buffered columnar events must flush to the
     same canonical JSONL bytes as the reference engine's."""
@@ -179,20 +190,28 @@ def test_vector_event_log_byte_identical(key):
     assert vres.telemetry == vec.summary
 
 
-def test_vector_metrics_only_probe_matches_event_replay():
+@pytest.mark.parametrize("key", sorted(HEALTHY_FAMILIES))
+def test_vector_metrics_only_probe_matches_event_replay(key):
     """The vector engine's bulk metrics path (columnar flush into the
-    streaming sink) must aggregate exactly like the event-log replay."""
+    streaming sink) must aggregate exactly like the event-log replay,
+    down to the exported text (Python ints, not numpy scalars)."""
     snapshots = {}
+    texts = {}
     for events in (True, False):
-        probe, _ = _run_healthy_direct(
-            "hypercube", VectorSimulator, events=events
-        )
+        probe, _ = _run_healthy_direct(key, VectorSimulator, events=events)
         snapshots[events] = probe.registry.snapshot()
+        texts[events] = [
+            line
+            for line in prometheus_text(probe.registry).splitlines()
+            if "repro_tables_" not in line
+        ]
         if not events:
             assert probe.log is None
     assert _traffic_metrics(snapshots[True]) == _traffic_metrics(
         snapshots[False]
     )
+    assert texts[True] == texts[False]
+    assert snapshots[False]["repro_phase_transitions_total"]["value"] > 0
 
 
 def test_timeline_reconstruction_consistent_across_engines():

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.telemetry import (
@@ -55,6 +56,25 @@ def test_histogram_empty():
     assert h.snapshot()["count"] == 0
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_histogram_observe_array_equals_observe_loop(seed):
+    """The bulk update is the per-value loop, +Inf overflow included,
+    an empty array changes nothing, and the sum stays a Python int (so
+    Prometheus prints ``123``, not ``123.0``)."""
+    rng = np.random.default_rng(seed)
+    bulk = Histogram("x", buckets=(1, 5, 10, 50))
+    loop = Histogram("x", buckets=(1, 5, 10, 50))
+    for size in (0, 1, 7, 300):
+        values = rng.integers(0, 120, size=size)  # many above 50
+        bulk.observe_array(values)
+        for v in values.tolist():
+            loop.observe(v)
+        assert bulk.snapshot() == loop.snapshot()
+    assert bulk.counts[-1] > 0
+    assert type(bulk.sum) is int
+    assert type(bulk.min) is int and type(bulk.max) is int
+
+
 def test_histogram_requires_buckets():
     with pytest.raises(ValueError):
         Histogram("x", buckets=())
@@ -65,6 +85,7 @@ def test_null_metric_is_noop():
     NULL_METRIC.inc(7)
     NULL_METRIC.set(3)
     NULL_METRIC.observe(9)
+    NULL_METRIC.observe_array(np.arange(3))
     assert NULL_METRIC.value == 0
     assert NULL_METRIC.count == 0
 
