@@ -218,10 +218,14 @@ class _HypercubeKernel(TwoPhaseKernel):
       down-link hops are dropped; oblivious keeps the lowest bit of
       ``x`` and drops it too when it is a zero.
 
-    ``_slot[qid, d]`` is the slot a candidate along dimension ``d``
-    uses (a down-link's ``qA`` class, an up-link's ``qB`` class, or the
-    up-link's dynamic class from an adaptive phase-A queue), so slots
-    ascend with the dimension.
+    ``_slot_flat[qid * (n + 1) + d]`` is the slot a candidate along
+    dimension ``d`` uses (a down-link's ``qA`` class, an up-link's
+    ``qB`` class, or the up-link's dynamic class from an adaptive
+    phase-A queue), and ``d = n`` is the pad slot ``n_slots``.  Row
+    ``m`` of ``_dims`` lists the dimensions of bit mask ``m`` in
+    ascending order, padded with ``n``.  Slots ascend with the
+    dimension, so one gather yields slot-sorted rows with the padding
+    on the right.
     """
 
     def __init__(self, layout, alg: HypercubeHungRouting, adaptive, oblivious):
@@ -236,23 +240,34 @@ class _HypercubeKernel(TwoPhaseKernel):
     def _build_slot_table(self, layout, n: int) -> None:
         # Link-table column d is dimension d; a link's first slot is its
         # (qA,) class down, its qB class up, the dynamic class after it.
-        nodes = np.arange(len(layout.nodes), dtype=np.int64)
+        n_nodes = len(layout.nodes)
+        nodes = np.arange(n_nodes, dtype=np.int64)
         up = (nodes[:, None] & (1 << np.arange(n, dtype=np.int64))) != 0
         base = layout.link_first_slot
-        slot = np.empty((2 * len(nodes), n), dtype=np.int64)
-        slot[0::2] = (base + up) if self.adaptive else base
-        slot[1::2] = base
-        self._slot = slot
-        # Row m: the dimensions in bit mask m (candidate masks < N).
-        self._dims_of = up
-        self._pad = layout.n_slots
+        # The flat array owns the data (a view's bytes go uncounted).
+        self._slot_flat = np.empty(2 * n_nodes * (n + 1), dtype=np.int64)
+        slot = self._slot_flat.reshape(2 * n_nodes, n + 1)
+        slot[0::2, :n] = (base + up) if self.adaptive else base
+        slot[1::2, :n] = base
+        slot[:, n] = layout.n_slots
+        self._n = n
+        # Doubling over the dimensions: masks [2^d, 2^(d+1)) are masks
+        # [0, 2^d) plus dimension d, listed after their popcount dims.
+        dims = np.empty((n_nodes, n), dtype=np.uint8)
+        dims[0] = n
+        count = up.sum(axis=1)  # popcount of each mask
+        for d in range(n):
+            lo = 1 << d
+            dims[lo : 2 * lo] = dims[:lo]
+            dims[np.arange(lo, 2 * lo), count[:lo]] = d
+        self._dims = dims
         self._slot_columns()
 
     def memory_bytes(self) -> int:
         if not self.ok:
             return 0
         return sum(
-            a.nbytes for a in (self._slot, self._dims_of, self.slot_dyn)
+            a.nbytes for a in (self._slot_flat, self._dims, self.slot_dyn)
         )
 
     def a_done(self, v, dst):
@@ -276,9 +291,8 @@ class _HypercubeKernel(TwoPhaseKernel):
             cand_a = zeros
             cand_b = ones
         cand = np.where(phase_a, cand_a, cand_b)
-        slots = self._slot[qids]
-        slots[~self._dims_of[cand]] = self._pad
-        slots.sort(axis=1)  # move the padding to the right
+        row = (qids * (self._n + 1))[:, None]
+        slots = self._slot_flat[row + self._dims[cand]]
         done = x == 0
         # Delivery, or phase A with only ones left: switch to qB.
         hasint = (zeros == 0) & (phase_a | done)

@@ -23,8 +23,9 @@ forms:
   ``(position, queue-kind)`` step at a time, performs the greedy
   matching for the whole network, and blocked messages take their
   internal steps (delivery, sibling-queue moves) as array steps;
-* the **read phase** ranks every occupied input/injection buffer with
-  one ``lexsort`` and admits per-queue prefixes against capacity;
+* the **read phase** sorts every occupied input/injection buffer once,
+  by ``target queue * rank_span + rotation rank``, and admits
+  per-queue prefixes against capacity;
 * the **link cycle** moves whole class-groups of links per operation.
 
 Every cycle takes this one path, however few nodes are busy, and on
@@ -176,6 +177,8 @@ class VectorSimulator:
             k: [np.ascontiguousarray(mat[:, j]) for j in range(k)]
             for k, mat in t.link_groups.items()
         }
+        # Read-phase sort key span: ranks lie in [0, max inputs].
+        self._rank_span = int(t.node_in_count.max(initial=0)) + 1
         # Row ui: node ui's queue ids in kind order, padded to the
         # widest node with the sentinel queue n_queues (always empty).
         kind = np.arange(t.node_q_count.max(initial=0))
@@ -598,90 +601,76 @@ class VectorSimulator:
 
         Rank ``(source position - cycle) mod (inputs + 1)`` is the
         reference engine's rotated read order (the injection buffer
-        sits at position ``inputs``).  Sorting by (node, rank) and
-        admitting per-target-queue prefixes against free capacity
-        equals the sequential loop: a rejected read has no side
-        effects, and an admission only consumes capacity in its own
-        queue.  An injection row with several targets therefore takes
-        the first one, in row order, that still has room after the
-        node's arrivals ranked ahead of it, and then joins that queue's
-        prefix at its rank.
+        sits at position ``inputs``).  One sort by ``target queue *
+        rank_span + rank`` and admitting per-target-queue prefixes
+        against free capacity equals the sequential loop: a queue
+        belongs to one node, so each prefix is in that node's read
+        order, a rejected read has no side effects, and an admission
+        only consumes capacity in its own queue.  An injection row with
+        several targets therefore takes the first one, in row order,
+        that still has room after the node's arrivals ranked ahead of
+        it, and then joins that queue's prefix at its rank; only a
+        cycle with such rows builds the (node, rank) order to resolve
+        them.
         """
         arrivals = np.flatnonzero(self._in != -1)
         inj_nodes = np.flatnonzero(self._inj != -1)
         if not (arrivals.size or inj_nodes.size):
             return
-        nodes_parts = []
-        rank_parts = []
-        mi_parts = []
-        src_parts = []
         t = self.tables
-        if arrivals.size:
-            a_nodes = t.slot_dst[arrivals]
-            a_total = t.node_in_count[a_nodes] + 1
-            nodes_parts.append(a_nodes)
-            rank_parts.append((t.slot_in_pos[arrivals] - cycle) % a_total)
-            mi_parts.append(self._in[arrivals])
-            src_parts.append(arrivals)
-        if inj_nodes.size:
-            i_total = t.node_in_count[inj_nodes] + 1
-            nodes_parts.append(inj_nodes)
-            rank_parts.append((i_total - 1 - cycle) % i_total)
-            mi_parts.append(self._inj[inj_nodes])
-            src_parts.append(np.full(inj_nodes.size, -1, dtype=np.int64))
-        nodes_all = np.concatenate(nodes_parts)
-        rank_all = np.concatenate(rank_parts)
-        mi_all = np.concatenate(mi_parts)
-        src_all = np.concatenate(src_parts)
-
-        order = np.lexsort((rank_all, nodes_all))
-        mi_o = mi_all[order]
-        node_o = nodes_all[order]
-        tq_o = self._ment_q[mi_o]
-        st_o = self._ment_st[mi_o]
+        a_nodes = t.slot_dst[arrivals]
+        a_total = t.node_in_count[a_nodes] + 1
+        i_total = t.node_in_count[inj_nodes] + 1
+        nodes_all = np.concatenate((a_nodes, inj_nodes))
+        rank_all = np.concatenate((
+            (t.slot_in_pos[arrivals] - cycle) % a_total,
+            (i_total - 1 - cycle) % i_total,
+        ))
+        mi_all = np.concatenate((self._in[arrivals], self._inj[inj_nodes]))
+        tq = self._ment_q[mi_all]
+        st = self._ment_st[mi_all]
         cap = self.central_capacity
-        multi = np.flatnonzero(tq_o < 0)
-        if multi.size:
+        span = self._rank_span
+        if (tq < 0).any():
             # Resolved into these temporaries only: a refused packet
             # (queue left at -1) retries its whole row next cycle.
-            heads = np.searchsorted(node_o, node_o[multi])
-            for i, head in zip(multi.tolist(), heads.tolist()):
-                mi = int(mi_o[i])
-                ahead = tq_o[head:i]
-                for q, st in t.injection_row(
-                    int(node_o[i]), int(self._mdst[mi]), int(self._mstate[mi])
+            order = np.argsort(nodes_all * span + rank_all)
+            node_o = nodes_all[order]
+            tq_o = tq[order]
+            for i in np.flatnonzero(tq_o < 0).tolist():
+                mi = int(mi_all[order[i]])
+                node = int(node_o[i])
+                ahead = tq_o[np.searchsorted(node_o, node) : i]
+                for q, qst in t.injection_row(
+                    node, int(self._mdst[mi]), int(self._mstate[mi])
                 ):
                     if self._qcount[q] + np.count_nonzero(ahead == q) < cap:
                         tq_o[i] = q
-                        st_o[i] = st
+                        st[order[i]] = qst
                         break
-        group = np.argsort(tq_o, kind="stable")
-        tq_s = tq_o[group]
-        total = tq_s.size
-        starts = np.flatnonzero(np.r_[True, tq_s[1:] != tq_s[:-1]])
-        counts = np.diff(np.r_[starts, total])
-        seq = np.arange(total) - np.repeat(starts, counts)
-        admit = np.flatnonzero(
-            (seq < cap - self._qcount[tq_s]) & (tq_s >= 0)
-        )
+            tq[order] = tq_o
+        group = np.argsort(tq * span + rank_all)
+        tq_s = tq[group]
+        seq = np.arange(tq_s.size) - np.searchsorted(tq_s, tq_s)
+        admit = np.flatnonzero((seq < cap - self._qcount[tq_s]) & (tq_s >= 0))
         if not admit.size:
             return
         ga = group[admit]
         tq_a = tq_s[admit]
-        mi_a = mi_o[ga]
-        src_a = src_all[order[ga]]
-        node_a = node_o[ga]
+        mi_a = mi_all[ga]
+        node_a = nodes_all[ga]
         pos = self._qlen[tq_a] + seq[admit]
         high = int(pos.max())
         if high >= self._qbuf.shape[1]:
             self._grow_qbuf(high)
         self._qbuf[tq_a, pos] = mi_a
-        np.add.at(self._qlen, tq_a, 1)
-        np.add.at(self._qcount, tq_a, 1)
-        np.add.at(self._load, node_a, 1)
-        self._mstate[mi_a] = st_o[ga]
-        from_link = src_a >= 0
-        self._in[src_a[from_link]] = -1
+        added = np.bincount(tq_a, minlength=self._qlen.size)
+        self._qlen += added
+        self._qcount += added
+        self._load += np.bincount(node_a, minlength=self._load.size)
+        self._mstate[mi_a] = st[ga]
+        from_link = ga < arrivals.size
+        self._in[arrivals[ga[from_link]]] = -1
         self._inj[node_a[~from_link]] = -1
         self._last_progress = cycle
         if self._recording:

@@ -147,10 +147,12 @@ class Histogram:
         counts = self.counts
         for i, c in enumerate(hit.tolist()):
             counts[i] += c
-        self.sum += values.sum().item()
-        self.count += values.size
-        lo = values.min().item()
-        hi = values.max().item()
+        # Builtins: cheaper than numpy reductions on a cycle's few values.
+        vals = values.tolist()
+        self.sum += sum(vals)
+        self.count += len(vals)
+        lo = min(vals)
+        hi = max(vals)
         if self.min is None or lo < self.min:
             self.min = lo
         if self.max is None or hi > self.max:

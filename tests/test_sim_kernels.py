@@ -14,7 +14,7 @@ compilation hook, ``docs/ARCHITECTURE.md``):
   equal the scalar ``central_row`` / ``entry_row`` on every key of
   small hypercubes and meshes, reachable or not.
 * **Saturated identity** — at ``lambda = 1`` the vector engine's
-  batched node cycle (fill sweep + lexsort read admission) must produce
+  batched node cycle (fill sweep + one-sort read admission) must produce
   byte-identical canonical event logs and equal latency multisets
   against the reference engine on all five topology families.
 """
@@ -320,6 +320,72 @@ def _assert_batch_rows_match_scalar_rows(alg):
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_cube_batch_rows_match_scalar_rows_on_every_key(n, variant):
     _assert_batch_rows_match_scalar_rows(CUBE_VARIANTS[variant](Hypercube(n)))
+
+
+def _sorted_cube_slots(alg, tab, qids, dsts):
+    """The cube kernel's slot rows built the sort-based way: each
+    queue's per-dimension slots, the pad written where the candidate
+    mask has no bit, then sorted so the padding lands on the right."""
+    n = alg.topology.n
+    nodes = np.arange(len(tab.nodes), dtype=np.int64)
+    bits = (nodes[:, None] >> np.arange(n)) & 1 == 1  # row m: bits of m
+    base = tab.link_first_slot
+    table = np.empty((2 * nodes.size, n), dtype=np.int64)
+    adaptive = type(alg) is HypercubeAdaptiveRouting
+    table[0::2] = base + bits if adaptive else base
+    table[1::2] = base
+    u = qids >> 1
+    phase_a = (qids & 1) == 0
+    x = u ^ dsts
+    ones = u & x
+    zeros = x ^ ones
+    if type(alg) is HypercubeObliviousRouting:
+        cand = np.where(phase_a, zeros & -zeros, x & -x & ones)
+    elif adaptive:
+        cand = np.where(phase_a, np.where(zeros != 0, x, 0), ones)
+    else:
+        cand = np.where(phase_a, zeros, ones)
+    slots = table[qids]
+    slots[~bits[cand]] = tab.n_slots
+    slots.sort(axis=1)
+    return slots
+
+
+@pytest.mark.parametrize("variant", sorted(CUBE_VARIANTS))
+@pytest.mark.parametrize("n", [9, 13])
+def test_cube_gathered_rows_equal_sorted_rows(n, variant):
+    """The kernel's one-gather slot rows equal the sort-based rows on
+    10k random keys of a large cube (the exhaustive scalar-row check
+    above stops at n = 5)."""
+    alg = CUBE_VARIANTS[variant](Hypercube(n))
+    tab = RoutingTables(alg)
+    rng = np.random.default_rng(n)
+    qids = rng.integers(0, tab.n_queues, size=10_000)
+    dsts = rng.integers(0, len(tab.nodes), size=10_000)
+    rows = tab.kernel.fill_rows(qids, dsts, np.zeros_like(qids))
+    want = _sorted_cube_slots(alg, tab, qids, dsts)
+    assert rows.slots.dtype == want.dtype
+    np.testing.assert_array_equal(rows.slots, want)
+    # Both sides agree on a fair share of non-empty and padded rows.
+    assert 0 < (rows.slots[:, 0] < tab.n_slots).mean() < 1
+    assert (rows.slots[:, -1] == tab.n_slots).mean() > 0.5
+
+
+@pytest.mark.parametrize("variant", sorted(CUBE_VARIANTS))
+@pytest.mark.parametrize("n", [4, 9])
+def test_cube_kernel_memory_bytes_are_its_arrays(n, variant):
+    """``memory_bytes()`` is the measured size of every array the cube
+    kernel owns (arrays it shares with the tables are theirs)."""
+    tab = RoutingTables(CUBE_VARIANTS[variant](Hypercube(n)))
+    kern = tab.kernel
+    shared = {id(a) for a in vars(tab).values() if isinstance(a, np.ndarray)}
+    owned = [
+        a for a in vars(kern).values()
+        if isinstance(a, np.ndarray) and id(a) not in shared
+    ]
+    assert len(owned) == 3  # slot table, dimension table, dynamic flags
+    assert kern.memory_bytes() == sum(a.nbytes for a in owned)
+    assert kern._dims.nbytes == n << n  # one byte per (mask, dimension)
 
 
 MESH_VARIANTS = {

@@ -934,6 +934,46 @@ def test_uneven_queue_layout_event_logs_byte_identical(
     assert "B" in {first[uid] for uid in injected if uid > max(movers)}
 
 
+@pytest.mark.parametrize("service", ["fifo", "lifo"])
+def test_refused_two_target_injections_at_both_nodes_retry(service):
+    """At capacity 1 both nodes' two-target injections find ``A`` and
+    ``B`` full in the same cycles, so their unresolved read entries
+    share a sort key below every queue's.  Each waits in its injection
+    buffer and enters on a later cycle; afterwards the injections
+    compete with arrivals ranked ahead of and behind them, which only
+    the (node, rank) resolution order gets right."""
+    plan = []
+    for u in (0, 1):
+        plan.append((0, u, u, ("b", 6)))  # holds B, delivers at cycle 7
+        plan.append((1, u, u, ("a", 8)))  # holds A, then moves to B
+    plan += [(c, u, 1 - u, ("m", 0)) for c in range(2, 14) for u in (0, 1)]
+    ref, vec = _scripted_logs(
+        ("A", "B"), plan, alg_cls=_UnevenRouting, model_cls=_Backlog,
+        central_capacity=1, service=service,
+    )
+    assert vec.to_jsonl() == ref.to_jsonl()
+    records = vec.records()
+    injected = {
+        r["uid"]: (r["cycle"], r["node"])
+        for r in records
+        if r["kind"] == "inject"
+    }
+    entered = {}
+    for r in records:
+        if r["kind"] == "enqueue":
+            entered.setdefault(r["uid"], r["cycle"])
+    assert set(entered) == set(injected) == {
+        r["uid"] for r in records if r["kind"] == "deliver"
+    }
+    # Cycles in which each node held a refused injection.
+    refused = {0: set(), 1: set()}
+    for uid, (cycle, node) in injected.items():
+        assert entered[uid] >= cycle
+        refused[node].update(range(cycle, entered[uid]))
+    assert set(range(2, 7)) <= refused[0] & refused[1]
+    assert refused[0] ^ refused[1]  # and some refusals at one node only
+
+
 @pytest.mark.parametrize("key", ["hypercube", "shuffle"])
 def test_batched_cycle_gathers_rows_once(key, monkeypatch):
     """A batched fill makes one ``fill_rows`` call for every queued
