@@ -18,9 +18,9 @@ or through pytest (the ``perf`` marker keeps it out of tier-1)::
 
     PYTHONPATH=src python -m pytest benchmarks/bench_engine.py -m perf -s
 
-``--smoke`` (CI) times only the two packed-row workloads, shuffle-n6
-and torus-6x6, for 150 cycles, writes nothing, and holds shuffle-n6 to
-the same floor as the full run::
+``--smoke`` (CI) times only shuffle-n6 (packed rows) and torus-6x6
+(grid-kernel batch rows) for 150 cycles, writes nothing, and holds
+both to the same floor as the full run::
 
     PYTHONPATH=src python benchmarks/bench_engine.py --smoke
 """
@@ -63,7 +63,8 @@ REPEATS = 3
 #: Vector-over-reference floor on the generic-topology workloads.
 FLOOR = 3.0
 
-#: The smoke's workloads: no batch rows, so every row is packed.
+#: The smoke's workloads: packed rows (shuffle-n6) and the grid
+#: kernel's torus batch rows (torus-6x6).
 SMOKE_KEYS = ("shuffle-n6", "torus-6x6")
 SMOKE_CYCLES = 150
 
@@ -123,15 +124,16 @@ def write_bench(path: Path = BENCH_PATH, cycles=CYCLES) -> dict:
 
 
 def perf_smoke() -> dict:
-    """CI-sized timing of the packed-row path: both engines on
-    shuffle-n6 and torus-6x6 must deliver the same packets in the same
-    cycles, and the vector engine must stay ``FLOOR`` x the reference
-    on shuffle-n6."""
+    """CI-sized timing of the packed-row and torus batch-row paths:
+    both engines on shuffle-n6 and torus-6x6 must deliver the same
+    packets in the same cycles, and the vector engine must stay
+    ``FLOOR`` x the reference on both."""
     results = collect(cycles=SMOKE_CYCLES, keys=SMOKE_KEYS)
-    speedup = results["shuffle-n6"]["vector_speedup"]
-    assert speedup >= FLOOR, (
-        f"perf smoke: shuffle-n6 vector speedup {speedup} < {FLOOR}x"
-    )
+    for key in SMOKE_KEYS:
+        speedup = results[key]["vector_speedup"]
+        assert speedup >= FLOOR, (
+            f"perf smoke: {key} vector speedup {speedup} < {FLOOR}x"
+        )
     return results
 
 
@@ -142,7 +144,7 @@ def test_engine_benchmark():
     payload = write_bench()
     print()
     print(json.dumps(payload, indent=2))
-    for key in ("mesh-8x8", "shuffle-n6"):
+    for key in ("mesh-8x8", "shuffle-n6", "torus-6x6"):
         speedup = payload["results"][key]["vector_speedup"]
         assert speedup >= FLOOR, f"{key}: vector speedup {speedup} < {FLOOR}x"
 
@@ -152,7 +154,7 @@ if __name__ == "__main__":
 
     if "--smoke" in sys.argv:
         print(json.dumps(perf_smoke(), indent=2))
-        print("packed-row perf smoke passed")
+        print("packed-row and torus perf smoke passed")
     else:
         print(json.dumps(write_bench(), indent=2))
         print(f"wrote {BENCH_PATH}")

@@ -41,8 +41,8 @@ candidate's landing queue equals
 :meth:`~repro.sim.tables.RoutingTables.entry_row`.  Returning ``None``
 declines the batch; the tables then gather packed rows by row id
 (``RoutingTables.central_rids``), the path every kernel-less algorithm
-takes.  The two-phase kernels (hypercube, mesh) share one view,
-:class:`TwoPhaseRows`.
+takes.  The two-phase kernels (hypercube; mesh and torus, which share
+one coordinate kernel) share one view, :class:`TwoPhaseRows`.
 
 Injection has the same batch form: :meth:`HopKernel.injection_rows`
 resolves a whole cycle's injections at once, and must equal
@@ -54,8 +54,8 @@ The two-phase kernels answer batch rows *only*: every engine injection
 goes through ``injection_rows`` and every vector fill through
 ``fill_rows``, so no engine asks them for a scalar row, and their
 scalar methods decline every key to the plan-cache translation.  The
-other kernels (torus, shuffle-exchange, CCC, Beneš, buffer pool) state
-scalar rows and no batch rows.
+other kernels (shuffle-exchange, CCC, Beneš, buffer pool) state scalar
+rows and no batch rows.
 
 :class:`TableHopKernel` implements the generic row assembly (first-wins
 slot filtering, the entry fold, injection resolution) on top of two
@@ -88,6 +88,7 @@ __all__ = [
     "TableHopKernel",
     "TwoPhaseKernel",
     "TwoPhaseRows",
+    "mask_dims",
 ]
 
 #: Internal-step action codes (shared by plan cache, tables and kernels).
@@ -128,15 +129,15 @@ class HopRows:
 
 
 class TwoPhaseRows(HopRows):
-    """Batch rows of a two-phase kernel (the hypercube and mesh schemes).
+    """Batch rows of a two-phase kernel (hypercube, mesh, torus).
 
-    Queue ids factor as ``node * 2 + phase`` (phase 0 = ``qA``, 1 =
-    ``qB``).  Every hop keeps the state and the phase; a phase-A hop
-    lands in ``qB`` when the neighbour is not the destination and has no
-    phase-A correction left (the entry fold).  The only internal steps
-    are delivery and the in-place switch from ``qA`` to ``qB``.  The
-    kernel supplies ``slot_node`` / ``slot_dyn`` (the neighbour and
-    dynamic flag of each candidate slot) and :meth:`a_done`.
+    Queue ids factor as ``node * nk + kind``, phase A an even kind and
+    phase B the odd kind after it.  Every hop keeps the state; a static
+    hop lands in its slot's kind, a dynamic one in the current kind,
+    and a phase-A landing folds to phase B when the neighbour is not
+    the destination and has no phase-A correction left (the entry
+    fold).  The only internal steps are delivery and the in-place
+    switch to phase B.  See :class:`TwoPhaseKernel` for the hooks.
     """
 
     __slots__ = ("kernel", "qids", "dsts", "sids", "done")
@@ -153,15 +154,20 @@ class TwoPhaseRows(HopRows):
     def chosen(self, rows, cols, slots):
         k = self.kernel
         v = k.slot_node[slots]
-        phase = self.qids[rows] & 1
+        sk = k.slot_kind[slots]
+        dyn = sk < 0
+        if k.nk == 2:  # one class: a dynamic hop stays in phase A
+            kind = np.maximum(sk, 0)
+        else:
+            kind = np.where(dyn, self.qids[rows] % k.nk, sk)
         dst = self.dsts[rows]
         states = self.sids[rows]
-        queues = (v << 1) | phase
-        fold = (phase == 0) & (v != dst) & k.a_done(v, dst)
-        return queues, states, queues | fold, states, k.slot_dyn[slots]
+        queues = v * k.nk + kind
+        fold = ((kind & 1) == 0) & (v != dst) & k.a_done(v, dst, states)
+        return queues, states, queues + fold, states, dyn.view(np.int8)
 
     def internal(self, rows):
-        # One step (w = 1): delivery, or the switch to qB (state kept).
+        # One step (w = 1): delivery, or the switch to phase B (kind+1).
         qids = self.qids[rows]
         done = self.done[rows]
         action = np.where(
@@ -331,42 +337,65 @@ class TableHopKernel(HopKernel):
 
 
 class TwoPhaseKernel(HopKernel):
-    """Shared batch hooks of the two-phase kernels (hypercube, mesh).
+    """Shared batch hooks of the two-phase kernels (hypercube, grid).
 
     These kernels answer batch rows only: every scalar row method
     declines, so a scalar key (the static analyzer, the fault adapter,
     tests) takes the plan-cache translation.  Queue kinds must be
-    ``kinds`` (``(qA, qB)``) at every node, or :attr:`ok` is False and
-    ``compile_hops()`` returns no kernel.
+    ``kinds`` (phase A, phase B per class) at every node, or :attr:`ok`
+    is False and ``compile_hops()`` returns no kernel.
 
-    A packet enters ``qA`` at its source while it has an increasing
-    correction left toward its destination and ``qB`` otherwise, with
-    its state unchanged, and neither entry folds further — so a whole
-    batch of injection rows is one :meth:`a_done` call.  Subclasses
-    implement :meth:`a_done` and :meth:`fill_rows` (returning
-    :class:`TwoPhaseRows`).
+    A packet enters class 0 at its source: phase A while it has an
+    increasing correction left toward its destination and phase B
+    otherwise, with its state unchanged, and neither entry folds
+    further — so a whole batch of injection rows is one :meth:`a_done`
+    call.  Subclasses implement :meth:`a_done` and :meth:`fill_rows`
+    (returning :class:`TwoPhaseRows`).
     """
 
-    def __init__(self, layout: "RoutingTables", kinds: tuple[str, str]):
+    def __init__(self, layout: "RoutingTables", kinds: tuple[str, ...]):
         self.t = layout
+        self.kinds = kinds
+        self.nk = len(kinds)
         n = len(layout.nodes)
         self.ok = n > 0 and layout.queue_kind == list(kinds) * n
 
-    def a_done(self, v, dst):
+    def a_done(self, v, dst, sids):
         """Whether each node ``v`` has no phase-A correction left
-        toward ``dst`` (bool array)."""
+        toward ``dst`` for a message in state ``sids`` (bool array)."""
         raise NotImplementedError
 
     def _slot_columns(self) -> None:
-        """The :class:`TwoPhaseRows` slot columns, from the layout:
-        ``slot_node`` (the receiving node) and ``slot_dyn`` (1 on the
-        dynamic class) of every slot."""
+        """The :class:`TwoPhaseRows` slot columns: each slot's
+        ``slot_node`` (receiving node) and int8 ``slot_kind`` (its
+        class's kind index, ``-1`` on the dynamic class)."""
         t = self.t
         self.slot_node = t.slot_dst
-        self.slot_dyn = np.zeros(t.n_slots, dtype=np.int64)
-        if DYNAMIC_CLASS in t.class_names:
-            dyn = t.class_names.index(DYNAMIC_CLASS)
-            self.slot_dyn[t.slot_cls == dyn] = 1
+        codes = [
+            self.kinds.index(c) if c in self.kinds else -1
+            for c in t.class_names
+        ]
+        self.slot_kind = np.array(codes, dtype=np.int8)[t.slot_cls]
 
     def injection_rows(self, srcs, dsts, sids):
-        return (srcs << 1) | self.a_done(srcs, dsts), sids
+        return srcs * self.nk + self.a_done(srcs, dsts, sids), sids
+
+
+def mask_dims(n: int) -> np.ndarray:
+    """``(2**n, n)`` uint8 table: row ``m`` lists the set bits of mask
+    ``m`` ascending, padded with ``n`` — one gather compacts a kernel's
+    slot-ascending candidate columns, padding right, with no sort.
+
+    Built by doubling: masks ``[2^d, 2^(d+1))`` are masks ``[0, 2^d)``
+    plus dimension ``d``, listed after their popcount dimensions.
+    """
+    size = 1 << n
+    dims = np.empty((size, n), dtype=np.uint8)
+    dims[0] = n
+    count = np.zeros(size, dtype=np.uint8)  # popcount of each mask
+    for d in range(n):
+        lo = 1 << d
+        dims[lo : 2 * lo] = dims[:lo]
+        dims[np.arange(lo, 2 * lo), count[:lo]] = d
+        count[lo : 2 * lo] = count[:lo] + 1
+    return dims

@@ -35,7 +35,7 @@ from typing import Any, Hashable
 
 import numpy as np
 
-from ..core.hops import TwoPhaseKernel, TwoPhaseRows
+from ..core.hops import TwoPhaseKernel, TwoPhaseRows, mask_dims
 from ..core.queues import QueueId, deliver
 from ..core.routing_function import DYNAMIC_CLASS, RoutingAlgorithm
 from ..topology.hypercube import Hypercube
@@ -251,26 +251,17 @@ class _HypercubeKernel(TwoPhaseKernel):
         slot[1::2, :n] = base
         slot[:, n] = layout.n_slots
         self._n = n
-        # Doubling over the dimensions: masks [2^d, 2^(d+1)) are masks
-        # [0, 2^d) plus dimension d, listed after their popcount dims.
-        dims = np.empty((n_nodes, n), dtype=np.uint8)
-        dims[0] = n
-        count = up.sum(axis=1)  # popcount of each mask
-        for d in range(n):
-            lo = 1 << d
-            dims[lo : 2 * lo] = dims[:lo]
-            dims[np.arange(lo, 2 * lo), count[:lo]] = d
-        self._dims = dims
+        self._dims = mask_dims(n)
         self._slot_columns()
 
     def memory_bytes(self) -> int:
         if not self.ok:
             return 0
         return sum(
-            a.nbytes for a in (self._slot_flat, self._dims, self.slot_dyn)
+            a.nbytes for a in (self._slot_flat, self._dims, self.slot_kind)
         )
 
-    def a_done(self, v, dst):
+    def a_done(self, v, dst, sids):
         """Whether node ``v`` has no zero left to set toward ``dst``."""
         return (~v & dst) == 0
 
@@ -292,7 +283,7 @@ class _HypercubeKernel(TwoPhaseKernel):
             cand_b = ones
         cand = np.where(phase_a, cand_a, cand_b)
         row = (qids * (self._n + 1))[:, None]
-        slots = self._slot_flat[row + self._dims[cand]]
+        slots = self._slot_flat[row + np.take(self._dims, cand, axis=0)]
         done = x == 0
         # Delivery, or phase A with only ones left: switch to qB.
         hasint = (zeros == 0) & (phase_a | done)

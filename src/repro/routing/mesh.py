@@ -24,10 +24,11 @@ from typing import Any
 
 import numpy as np
 
-from ..core.hops import TwoPhaseKernel, TwoPhaseRows
+from ..core.hops import TwoPhaseKernel, TwoPhaseRows, mask_dims
 from ..core.queues import QueueId, deliver
 from ..core.routing_function import RoutingAlgorithm
 from ..topology.mesh import Coord, Mesh, Mesh2D
+from ..topology.torus import Torus
 
 QA = "A"
 QB = "B"
@@ -99,7 +100,7 @@ class MeshRestrictedRouting(RoutingAlgorithm):
         variant = _KERNEL_VARIANTS.get(type(self))
         if variant is None or type(self.topology) not in (Mesh, Mesh2D):
             return None
-        kernel = _MeshKernel(layout, self, *variant)
+        kernel = GridKernel(layout, self, *variant)
         return kernel if kernel.ok else None
 
 
@@ -150,86 +151,127 @@ class MeshObliviousRouting(MeshRestrictedRouting):
         return frozenset({movers[0]})
 
 
-class _MeshKernel(TwoPhaseKernel):
-    """Integer hop kernel for the two-phase mesh schemes.
+class GridKernel(TwoPhaseKernel):
+    """Integer hop kernel of the two-phase mesh schemes and the torus.
 
-    Node indices are lexicographic coordinate ranks and global queue id
-    factors as ``node * 2 + phase``.  :meth:`fill_rows` states the hop
-    relation over whole arrays of keys (batch rows only: scalar keys
-    take the plan-cache translation) by comparing coordinates, one
-    candidate column per dimension:
+    A mesh is a torus with one dateline class and no wrap links, so one
+    kernel states both hop relations over whole arrays of keys (batch
+    rows only: scalar keys take the plan-cache translation).  Node ids
+    are lexicographic coordinate ranks; queue id ``node * nk + kind``
+    has kind ``2c`` (phase A) or ``2c + 1`` (phase B) of class ``c``.
+    A message moves along dimension ``i`` in a fixed direction:
+    ``sign(dst - u)`` on a mesh, the routing state on a torus (a
+    per-state-id table; a ``None`` state takes ``initial_state(u,
+    dst)``).  A pending move is *up*, *down* or a dateline *cross*.
+    Phase A, while an up move remains, takes the up moves (oblivious:
+    the *highest* such dimension, whose smaller stride gives the lowest
+    node), the crosses and, when adaptive, the down moves as dynamic
+    links; with no up move left it switches to phase B in place.
+    Phase B takes the down moves (oblivious: the *lowest* dimension)
+    and the crosses.  A cross lands in the next class's phase A.
 
-    * phase A: the increasing corrections (oblivious: the *highest*
-      such dimension, whose step has the smallest stride and so the
-      lowest node), plus the decreasing ones as dynamic links when
-      adaptive and an increase remains;
-    * phase B: the decreasing corrections (oblivious: the *lowest*
-      such dimension).
-
-    Every link carries the classes ``(qA, qB, dynamic)``, so
-    ``_up_a[u, i]`` (the up-link's ``qA`` slot), ``_down_b[u, i]`` and
-    ``_down_dyn[u, i]`` (the down-link's ``qB`` and dynamic slots) are
-    the only slots a candidate along dimension ``i`` can use.
+    Moves are bit masks over the link-table columns (bit ``2i`` the +1
+    step along dimension ``i``, bit ``2i+1`` the -1 step); which
+    columns are wrap links depends on the node alone (``_inner``), and
+    so, given the queue, does each column's slot:
+    ``_slot_flat[qid * (2k+1) + col]``, with column ``2k`` the pad slot.
+    Slots ascend with the column, so one gather through ``_cols``
+    (:func:`~repro.core.hops.mask_dims` of the ``2k`` columns, ``4^k``
+    rows) yields slot-ascending rows, padding on the right, as in the
+    hypercube kernel.  A torus state is kept as its columns' mask.
     """
 
-    def __init__(self, layout, alg: MeshRestrictedRouting, adaptive, oblivious):
-        super().__init__(layout, (QA, QB))
+    def __init__(self, layout, alg, adaptive: bool, oblivious: bool):
+        topo = alg.topology
+        super().__init__(layout, alg.central_queue_kinds(layout.nodes[0]))
         self.adaptive = adaptive
         self.oblivious = oblivious
-        if self.ok:
-            self._build_slot_table(layout, alg.topology.shape)
-
-    def _build_slot_table(self, layout, shape) -> None:
-        # Link-table column 2i is the +1 step along dimension i, column
-        # 2i+1 the -1 step; each link's slots are (qA, qB, dynamic).
+        self.wrap = isinstance(topo, Torus)
+        self.k = k = topo.k
+        if not self.ok:
+            return
+        nk = self.nk
+        self._shape = shape = np.array(topo.shape, dtype=np.int64)
         idx = np.arange(len(layout.nodes), dtype=np.int64)
-        self._coords = np.stack(np.unravel_index(idx, shape), axis=1)
-        first = layout.link_first_slot
-        self._up_a = np.ascontiguousarray(first[:, 0::2])
-        self._down_b = first[:, 1::2] + 1
-        self._down_dyn = self._down_b + 1
-        self._pad = layout.n_slots
+        self._coords = coords = np.stack(
+            np.unravel_index(idx, topo.shape), axis=1
+        )
+        self._w_up = 1 << 2 * np.arange(k, dtype=np.int64)
+        self._w_down = self._w_up << 1
+        self._ups = int(self._w_up.sum())  # every +1 column
+        inner = np.empty((len(idx), 2 * k), dtype=bool)
+        inner[:, 0::2] = coords < shape - 1
+        inner[:, 1::2] = coords > 0
+        self._inner = inner @ (1 << np.arange(2 * k, dtype=np.int64))
+        # The landing kind's slot offset per (node, kind, column): a
+        # cross's next class in phase A, a -1 step from phase A the
+        # dynamic class, any other step its own kind.
+        kind = np.arange(nk)[:, None]
+        nxt = 2 * np.minimum(kind // 2 + 1, nk // 2 - 1)
+        step = np.where((np.arange(2 * k) & 1) > (kind & 1), nk, kind)
+        slot = np.empty((len(idx), nk, 2 * k + 1), dtype=np.int64)
+        slot[:, :, : 2 * k] = layout.link_first_slot[:, None, :] + np.where(
+            inner[:, None, :], step, nxt
+        )
+        slot[:, :, 2 * k] = layout.n_slots
+        self._slot_flat = slot.reshape(-1)
+        self._cols = np.ascontiguousarray(mask_dims(2 * k)[:, :k])
+        self._dir_cols = np.zeros(0, dtype=np.int64)
         self._slot_columns()
 
     def memory_bytes(self) -> int:
-        if not self.ok:
-            return 0
-        return sum(
-            a.nbytes
-            for a in (
-                self._coords, self._up_a, self._down_b, self._down_dyn,
-                self.slot_dyn,
-            )
-        )
+        owned = (self._coords, self._inner, self._slot_flat, self._cols)
+        return sum(a.nbytes for a in owned + (self.slot_kind, self._dir_cols))
 
-    def a_done(self, v, dst):
-        """Whether node ``v`` has no increase left toward ``dst``."""
-        return (self._coords[dst] <= self._coords[v]).all(axis=1)
+    def _moves(self, u, dsts, sids):
+        """``(pending, up, down)`` column masks at node ``u``: the
+        pending moves, and those stepping +1 / -1 without a cross."""
+        # take: a row gather, several times faster than fancy indexing.
+        uc = np.take(self._coords, u, axis=0)
+        dc = np.take(self._coords, dsts, axis=0)
+        if not self.wrap:
+            plus = dc > uc
+            minus = dc < uc
+            if self.oblivious:
+                plus &= np.cumsum(plus[:, ::-1], axis=1)[:, ::-1] == 1
+                minus &= np.cumsum(minus, axis=1) == 1
+            up = plus @ self._w_up
+            down = minus @ self._w_down
+            return up | down, up, down
+        states = self.t.states
+        if len(states) > len(self._dir_cols):
+            # A torus state is its direction vector, kept as the mask of
+            # the columns it steps along, or None (-1).
+            dirs = np.array([st or (0,) * self.k for st in states])
+            cols = (dirs > 0) @ self._w_up + (dirs < 0) @ self._w_down
+            self._dir_cols = np.where([st is None for st in states], -1, cols)
+        cols = self._dir_cols[sids]
+        none = cols < 0
+        if none.any():
+            # initial_state(u, dst): the shorter way round, ties to +1.
+            fwd = (dc - uc) % self._shape
+            init = np.where(2 * fwd <= self._shape, self._w_up, self._w_down)
+            cols = np.where(none, init.sum(axis=1), cols)
+        moves = cols & ((uc != dc) @ (self._w_up | self._w_down))
+        inner = moves & self._inner[u]
+        return moves, inner & self._ups, inner & ~self._ups
+
+    def a_done(self, v, dst, sids):
+        """Whether node ``v`` has no up move left toward ``dst``."""
+        return self._moves(v, dst, sids)[1] == 0
 
     def fill_rows(self, qids, dsts, sids) -> TwoPhaseRows:
-        u = qids >> 1
-        phase_a = ((qids & 1) == 0)[:, None]
-        uc = self._coords[u]
-        dc = self._coords[dsts]
-        ups = dc > uc
-        downs = dc < uc
-        any_up = ups.any(axis=1)
-        static_a = ups
-        static_b = downs
-        if self.oblivious:
-            # Phase A: the highest pending up-dimension; phase B: the
-            # lowest pending down-dimension (both the lowest node).
-            static_a = ups & (np.cumsum(ups[:, ::-1], axis=1)[:, ::-1] == 1)
-            static_b = downs & (np.cumsum(downs, axis=1) == 1)
-        slots = np.where(phase_a & static_a, self._up_a[u], self._pad)
-        slots = np.where(~phase_a & static_b, self._down_b[u], slots)
-        if self.adaptive:
-            dynamic = phase_a & any_up[:, None] & downs
-            slots = np.where(dynamic, self._down_dyn[u], slots)
-        slots.sort(axis=1)  # move the padding to the right
+        u = qids // self.nk
+        moves, up, down = self._moves(u, dsts, sids)
+        phase_a = (qids & 1) == 0  # nk is even: the kind's parity
+        any_up = up != 0
+        moves_a = moves if self.adaptive else moves ^ down
+        cand = np.where(phase_a, np.where(any_up, moves_a, 0), moves ^ up)
+        row = (qids * (2 * self.k + 1))[:, None]
+        slots = self._slot_flat[row + np.take(self._cols, cand, axis=0)]
         done = u == dsts
-        # Delivery, or phase A with no increase left: switch to qB.
-        hasint = done | (phase_a[:, 0] & ~any_up)
+        # Delivery, or phase A with no up move left: switch to phase B.
+        hasint = done | (phase_a & ~any_up)
         return TwoPhaseRows(self, slots, hasint, qids, dsts, sids, done)
 
 

@@ -37,11 +37,11 @@ from __future__ import annotations
 
 from typing import Any
 
-from ..core.hops import TableHopKernel
 from ..core.queues import QueueId, deliver
 from ..core.routing_function import RoutingAlgorithm
 from ..topology.mesh import Coord
 from ..topology.torus import Torus
+from .mesh import GridKernel
 
 
 def _kind(phase: str, cls: int) -> str:
@@ -166,90 +166,5 @@ class TorusRouting(RoutingAlgorithm):
     def compile_hops(self, layout):
         if type(self) is not TorusRouting or type(self.topology) is not Torus:
             return None
-        kernel = _TorusKernel(layout, self)
+        kernel = GridKernel(layout, self, adaptive=True, oblivious=False)
         return kernel if kernel.ok else None
-
-
-class _TorusKernel(TableHopKernel):
-    """Integer hop kernel for the dateline-class torus scheme.
-
-    Kind index factors as ``2 * class + phase`` (phase 0 = A, 1 = B);
-    node indices are lexicographic coordinate ranks, so a wrap-aware
-    step in dimension ``i`` is stride arithmetic.  The per-message
-    direction vector is the (never-updated) routing state, recovered
-    from the layout's state intern table.
-    """
-
-    def __init__(self, layout, alg: TorusRouting):
-        super().__init__(layout)
-        self.alg = alg
-        topo = alg.topology
-        self.k = alg.k
-        self.classes = alg.classes
-        self.shape = tuple(topo.shape)
-        strides = [1] * self.k
-        for i in range(self.k - 2, -1, -1):
-            strides[i] = strides[i + 1] * self.shape[i + 1]
-        self.strides = tuple(strides)
-        expected = tuple(
-            _kind(p, c) for c in range(self.classes) for p in ("A", "B")
-        )
-        if self.kinds != expected:
-            self.ok = False
-
-    def _moves_i(self, ui: int, u: Coord, d: Coord, dirs):
-        """``(v_index, kind)`` per pending minimal move, dims ascending."""
-        strides = self.strides
-        shape = self.shape
-        out = []
-        for i in range(self.k):
-            ci = u[i]
-            delta = dirs[i]
-            if ci == d[i] or delta == 0:
-                continue
-            s = shape[i]
-            vi = ui + strides[i] * ((ci + delta) % s - ci)
-            if (ci == s - 1) if delta > 0 else (ci == 0):
-                out.append((vi, 2))  # crosses the dateline
-            elif delta > 0:
-                out.append((vi, 0))  # up
-            else:
-                out.append((vi, 1))  # down
-        return out
-
-    def _dirs(self, ui: int, dst_i: int, sid: int):
-        dirs = self.t.states[sid]
-        if dirs is None:
-            dirs = self.alg.initial_state(
-                self.t.nodes[ui], self.t.nodes[dst_i]
-            )
-        return dirs
-
-    def candidates(self, qid: int, dst_i: int, sid: int):
-        nk = self.nk
-        ui, ki = divmod(qid, nk)
-        if ui == dst_i:
-            return ((-1, sid),), ()
-        c, phase = divmod(ki, 2)
-        nodes = self.t.nodes
-        moves = self._moves_i(ui, nodes[ui], nodes[dst_i], self._dirs(ui, dst_i, sid))
-        nc2 = 2 * min(c + 1, self.classes - 1)  # A kind of the next class
-        if phase == 0:  # A
-            ups = [(vi * nk + 2 * c, sid) for vi, kind in moves if kind == 0]
-            if not ups:
-                return ((qid + 1, sid),), ()  # B_c in place
-            st = ups + [(vi * nk + nc2, sid) for vi, kind in moves if kind == 2]
-            dy = tuple(
-                (vi * nk + 2 * c, sid) for vi, kind in moves if kind == 1
-            )
-            return tuple(st), dy
-        st = [  # phase B
-            (vi * nk + 2 * c + 1, sid) for vi, kind in moves if kind == 1
-        ] + [(vi * nk + nc2, sid) for vi, kind in moves if kind == 2]
-        return tuple(st), ()
-
-    def inject_candidates(self, ui: int, dst_i: int, sid: int):
-        nodes = self.t.nodes
-        moves = self._moves_i(ui, nodes[ui], nodes[dst_i], self._dirs(ui, dst_i, sid))
-        phase = 0 if any(kind == 0 for _vi, kind in moves) else 1
-        return ((ui * self.nk + phase, sid),)

@@ -12,11 +12,13 @@ compilation hook, ``docs/ARCHITECTURE.md``):
 * **Batch-row equivalence** — a kernel's ``fill_rows`` batch rows, and
   the packed-row fallback behind ``RoutingTables.fill_rows``, must
   equal the scalar ``central_row`` / ``entry_row`` on every key of
-  small hypercubes and meshes, reachable or not.
+  small hypercubes, meshes and tori, reachable or not (on a torus, in
+  every ring-direction state); batch injection rows likewise.
 * **Saturated identity** — at ``lambda = 1`` the vector engine's
   batched node cycle (fill sweep + one-sort read admission) must produce
   byte-identical canonical event logs and equal latency multisets
-  against the reference engine on all five topology families.
+  against the reference engine on all five topology families, with no
+  packed row on the kernels that compute batch rows.
 """
 
 import itertools
@@ -146,12 +148,11 @@ def test_kernel_rows_match_plan_cache(name):
 
 
 def _decode_internal(act, queue, state):
-    """One row of array internal steps as ``central_row``'s tuple of
-    ``(action, queue, state)`` steps; padding only on the right."""
-    act = act.tolist()
+    """One row of internal steps (int lists) as ``central_row``'s tuple
+    of ``(action, queue, state)`` steps; padding only on the right."""
     n = sum(1 for a in act if a != NO_STEP)
     assert act[n:] == [NO_STEP] * (len(act) - n), "padding not on the right"
-    return tuple(zip(act[:n], queue.tolist()[:n], state.tolist()[:n]))
+    return tuple(zip(act[:n], queue[:n], state[:n]))
 
 
 def test_packed_rid_rows_match_row_tuples():
@@ -182,7 +183,9 @@ def test_packed_rid_rows_match_row_tuples():
             assert tuple(tab.row_states[rid][: len(sts)]) == sts
             assert tuple(tab.row_dyn[rid][: len(dyn)]) == dyn
             assert _decode_internal(
-                tab.row_int_act[rid], tab.row_int_q[rid], tab.row_int_st[rid]
+                tab.row_int_act[rid].tolist(),
+                tab.row_int_q[rid].tolist(),
+                tab.row_int_st[rid].tolist(),
             ) == internal, (name, key)
             steps.update(step[0] for step in internal)
             keys.append(key)
@@ -192,12 +195,12 @@ def test_packed_rid_rows_match_row_tuples():
         # The batched fill's view over the same packed rows.
         qids, dsts, sids = (np.array(c, dtype=np.int64) for c in zip(*keys))
         rows = _RidRows(tab, tab.central_rids(qids, dsts, sids))
-        for i, key in enumerate(keys):
+        for key, got in zip(keys, _batch_rows(rows, pad)):
             want = tab.central_row(*key)
             entries = [
                 tab.entry_row(q, key[1], st) for q, st in zip(*want[1:3])
             ]
-            assert _batch_row(rows, i, pad) == (want, entries), (name, key)
+            assert got == (want, entries), (name, key)
 
 
 def _states_interned_by(alg, states, key):
@@ -247,10 +250,10 @@ def test_vectorized_rid_gather_matches_scalar():
     assert rids.tolist() == [tab.central_rid(*key) for key in batch]
     assert tab.rows_packed == before + 3
     rows = _RidRows(tab, rids)
-    for i, key in enumerate(batch):
+    for key, got in zip(batch, _batch_rows(rows, tab.n_slots)):
         want = tab.central_row(*key)
         entries = [tab.entry_row(q, key[1], st) for q, st in zip(*want[1:3])]
-        assert _batch_row(rows, i, tab.n_slots) == (want, entries), key
+        assert got == (want, entries), key
 
 
 # ----------------------------------------------------------------------
@@ -272,45 +275,69 @@ def _all_keys(tab):
     return keys[:, 0].copy(), keys[:, 1].copy(), keys[:, 2].copy()
 
 
-def _batch_row(rows, i, pad):
-    """Row ``i`` of a HopRows batch in ``central_row`` form, plus the
-    entry-resolved landing pair of each candidate."""
-    slots = rows.slots[i].tolist()
-    k = sum(1 for s in slots if s != pad)
-    assert slots[k:] == [pad] * (len(slots) - k), "padding not on the right"
-    rr = np.full(k, i, dtype=np.int64)
-    nq, nst, eq, est, dyn = rows.chosen(
-        rr, np.arange(k, dtype=np.int64), rows.slots[i, :k]
+def _batch_rows(rows, pad):
+    """Every row of a HopRows batch in ``central_row`` form, plus the
+    entry-resolved landing pair of each candidate: one ``chosen`` call
+    over every candidate, one ``internal`` call over every row."""
+    slots = rows.slots
+    real = slots != pad
+    width = real.sum(axis=1)
+    assert (
+        real == (np.arange(slots.shape[1]) < width[:, None])
+    ).all(), "padding not on the right"
+    rr, cc = np.nonzero(real)
+    nq, nst, eq, est, dyn = (
+        a.tolist() for a in rows.chosen(rr, cc, slots[rr, cc])
     )
-    act, queue, state = rows.internal(np.array([i], dtype=np.int64))
-    internal = _decode_internal(act[0], queue[0], state[0])
-    assert bool(rows.hasint[i]) == bool(internal)
-    row = (
-        tuple(slots[:k]),
-        tuple(nq.tolist()),
-        tuple(nst.tolist()),
-        tuple(dyn.tolist()),
-        internal,
+    act, queue, state = (
+        a.tolist() for a in rows.internal(np.arange(len(slots)))
     )
-    return row, list(zip(eq.tolist(), est.tolist()))
+    out = []
+    a = 0
+    for i, (row, w) in enumerate(zip(slots.tolist(), width.tolist())):
+        b = a + w
+        internal = _decode_internal(act[i], queue[i], state[i])
+        assert bool(rows.hasint[i]) == bool(internal)
+        row = (
+            tuple(row[:w]),
+            tuple(nq[a:b]),
+            tuple(nst[a:b]),
+            tuple(dyn[a:b]),
+            internal,
+        )
+        out.append((row, list(zip(eq[a:b], est[a:b]))))
+        a = b
+    return out
+
+
+def _key_states(alg):
+    """The states every key is checked in: each ring-direction vector a
+    torus message can carry, plus ``None`` (directions from the current
+    node); elsewhere ``None`` and states the scheme ignores, which must
+    pass through unchanged."""
+    if isinstance(alg, TorusRouting):
+        return [None, *itertools.product((-1, 0, 1), repeat=alg.k)]
+    return [None, "s1", 7]
 
 
 def _assert_batch_rows_match_scalar_rows(alg):
     kern = RoutingTables(alg)
     fall = RoutingTables(alg, use_kernel=False)
     assert kern.kernel is not None
-    # Extra states check that the state passes through unchanged.
     for tab in (kern, fall):
-        for state in (None, "s1", 7):
+        for state in _key_states(alg):
             tab.state_id(state)
     qids, dsts, sids = _all_keys(kern)
-    batch = kern.kernel.fill_rows(qids, dsts, sids)
-    gathered = fall.fill_rows(qids, dsts, sids)
-    for i, key in enumerate(zip(qids.tolist(), dsts.tolist(), sids.tolist())):
-        want = kern.central_row(*key)
-        entries = [kern.entry_row(q, key[1], st) for q, st in zip(*want[1:3])]
-        assert _batch_row(batch, i, kern.n_slots) == (want, entries), key
-        assert _batch_row(gathered, i, fall.n_slots) == (want, entries), key
+    batch = _batch_rows(kern.kernel.fill_rows(qids, dsts, sids), kern.n_slots)
+    gathered = _batch_rows(fall.fill_rows(qids, dsts, sids), fall.n_slots)
+    keys = zip(qids.tolist(), dsts.tolist(), sids.tolist())
+    for key, got, packed in zip(keys, batch, gathered):
+        # The kernel declines scalar keys: both tables' scalar rows are
+        # the plan-cache translation, which the gather just built.
+        want = fall.central_row(*key)
+        entries = [fall.entry_row(q, key[1], st) for q, st in zip(*want[1:3])]
+        assert got == (want, entries), key
+        assert packed == (want, entries), key
     # The kernel batch packed nothing: the row arrays were never allocated.
     assert kern.rows_packed == 0
     assert kern.row_slots is None
@@ -412,6 +439,22 @@ def test_mesh2d_batch_rows_match_scalar_rows_on_every_key(alg_cls):
     _assert_batch_rows_match_scalar_rows(alg_cls(Mesh2D(3, 4)))
 
 
+TORUS_SHAPES = [(3,), (5,), (3, 3), (4, 3), (4, 4), (3, 4, 3)]
+
+
+def _shape_id(shape):
+    return "x".join(map(str, shape))
+
+
+@pytest.mark.parametrize("classes", [None, 2, 1], ids=str)
+@pytest.mark.parametrize("shape", TORUS_SHAPES, ids=_shape_id)
+def test_torus_batch_rows_match_scalar_rows_on_every_key(shape, classes):
+    """The grid kernel's torus rows: every dateline class, every ring
+    direction a state can fix, crosses into the next class (saturating
+    at the last) and the phase-A entry fold."""
+    _assert_batch_rows_match_scalar_rows(TorusRouting(Torus(shape), classes))
+
+
 # ----------------------------------------------------------------------
 # Batch injection rows: injection_rows vs scalar injection_row
 # ----------------------------------------------------------------------
@@ -419,7 +462,7 @@ def _assert_injection_rows_match_scalar_rows(alg):
     kern = RoutingTables(alg)
     fall = RoutingTables(alg, use_kernel=False)
     for tab in (kern, fall):
-        for state in (None, "s1", 7):
+        for state in _key_states(alg):
             tab.state_id(state)
     n = len(kern.nodes)
     keys = np.array(
@@ -460,10 +503,18 @@ def test_mesh_injection_rows_match_scalar_rows_on_every_key(shape, variant):
     )
 
 
+@pytest.mark.parametrize("classes", [None, 2, 1], ids=str)
+@pytest.mark.parametrize("shape", TORUS_SHAPES, ids=_shape_id)
+def test_torus_injection_rows_match_scalar_rows_on_every_key(shape, classes):
+    _assert_injection_rows_match_scalar_rows(
+        TorusRouting(Torus(shape), classes)
+    )
+
+
 def test_kernelless_injection_rows_resolve_key_by_key():
-    """A kernel without the batch hook (the torus) declines it, and the
-    tables resolve the batch through the per-key rows."""
-    alg = TorusRouting(Torus((4, 3)))
+    """A kernel without the batch hook (the shuffle-exchange's) declines
+    it, and the tables resolve the batch through the per-key rows."""
+    alg = ShuffleExchangeRouting(ShuffleExchange(4))
     tab = RoutingTables(alg)
     one = np.zeros(1, dtype=np.int64)
     assert tab.kernel is not None
@@ -541,6 +592,11 @@ TOPOLOGIES = {
     "hypercube": (lambda: Hypercube(4), HypercubeAdaptiveRouting),
     "mesh": (lambda: Mesh((5, 5)), MeshAdaptiveRouting),
     "torus": (lambda: Torus((4, 4)), TorusRouting),
+    "torus-3d": (lambda: Torus((3, 4, 3)), TorusRouting),
+    "torus-4q": (
+        lambda: Torus((4, 5)),
+        lambda topo: TorusRouting(topo, classes=2),
+    ),
     "shuffle": (lambda: ShuffleExchange(4), ShuffleExchangeRouting),
     "ccc": (lambda: CubeConnectedCycles(3), CCCAdaptiveRouting),
 }
@@ -567,12 +623,16 @@ def _instrumented_run(key, engine, seed=11, alg_cls=None, **sim_kw):
 @pytest.mark.parametrize("key", sorted(TOPOLOGIES))
 def test_saturated_batched_event_logs_byte_identical(key):
     ref_p, ref_r, _ = _instrumented_run(key, "reference")
-    vec_p, vec_r, _ = _instrumented_run(key, "vector")
+    vec_p, vec_r, sim = _instrumented_run(key, "vector")
     assert ref_p.log.to_jsonl() == vec_p.log.to_jsonl()
     assert sorted(ref_r.latency.values) == sorted(vec_r.latency.values)
     assert ref_r.cycles == vec_r.cycles
     assert ref_r.injected == vec_r.injected
     assert ref_r.delivered == vec_r.delivered
+    if key.startswith("torus"):
+        # The grid kernel's batch rows: nothing packed, no row index.
+        assert sim.tables.rows_packed == 0
+        assert sim.tables.row_slots is None
 
 
 CUBE_CASES = {
