@@ -156,10 +156,7 @@ class TwoPhaseRows(HopRows):
         v = k.slot_node[slots]
         sk = k.slot_kind[slots]
         dyn = sk < 0
-        if k.nk == 2:  # one class: a dynamic hop stays in phase A
-            kind = np.maximum(sk, 0)
-        else:
-            kind = np.where(dyn, self.qids[rows] % k.nk, sk)
+        kind = np.where(dyn, self.qids[rows] % k.nk, sk)
         dst = self.dsts[rows]
         states = self.sids[rows]
         queues = v * k.nk + kind

@@ -257,11 +257,11 @@ class FaultAwareRouting(RoutingAlgorithm):
         """Epoch-gated pass-through of the inner algorithm's kernel.
 
         While the live fault set is empty the adapter's hop relations
-        *are* the inner algorithm's, so the inner kernel's rows stay
-        valid; under any active fault the gate declines every key and
-        the symbolic filtering above takes over.  ``set_active``
-        registers the layout so an epoch change drops its packed rows
-        and memos (``clear_rows``).
+        *are* the inner algorithm's, so the inner kernel's rows, batch
+        rows included, stay valid; under any active fault the gate
+        declines every key and batch and the symbolic filtering above
+        takes over.  ``set_active`` registers the layout so an epoch
+        change drops its packed rows and memos (``clear_rows``).
         """
         if type(self) is not FaultAwareRouting:
             return None
@@ -289,6 +289,16 @@ class _FaultGatedKernel(HopKernel):
             self._epoch = fs
             self.t.clear_rows()
         return not fs.any
+
+    def fill_rows(self, qids, dsts, sids):
+        if not self._healthy():
+            return None
+        return self.inner.fill_rows(qids, dsts, sids)
+
+    def injection_rows(self, srcs, dsts, sids):
+        if not self._healthy():
+            return None
+        return self.inner.injection_rows(srcs, dsts, sids)
 
     def central_row(self, qid: int, dst_i: int, sid: int):
         if not self._healthy():

@@ -170,15 +170,18 @@ class GridKernel(TwoPhaseKernel):
     Phase B takes the down moves (oblivious: the *lowest* dimension)
     and the crosses.  A cross lands in the next class's phase A.
 
-    Moves are bit masks over the link-table columns (bit ``2i`` the +1
-    step along dimension ``i``, bit ``2i+1`` the -1 step); which
-    columns are wrap links depends on the node alone (``_inner``), and
-    so, given the queue, does each column's slot:
+    A message's moves are dimension bit masks (bit ``i``: a move along
+    dimension ``i``), with ``neg`` marking the dimensions it steps -1
+    along; a torus state is kept as the mask of its +1 and (shifted by
+    ``k``) its -1 dimensions.  Which steps are wrap links depends on the
+    node alone (``_inner``), and so, given the queue, does the slot of
+    each link-table column (``2i`` the +1 link, ``2i+1`` the -1 link):
     ``_slot_flat[qid * (2k+1) + col]``, with column ``2k`` the pad slot.
-    Slots ascend with the column, so one gather through ``_cols``
-    (:func:`~repro.core.hops.mask_dims` of the ``2k`` columns, ``4^k``
-    rows) yields slot-ascending rows, padding on the right, as in the
-    hypercube kernel.  A torus state is kept as its columns' mask.
+    A row's slots ascend with the dimension, so ``_dims``
+    (:func:`~repro.core.hops.mask_dims`, ``2^k`` rows) lists its
+    dimensions, each picks its link's column from ``neg``, and one
+    gather yields slot-ascending rows with the padding on the right, as
+    in the hypercube kernel.
     """
 
     def __init__(self, layout, alg, adaptive: bool, oblivious: bool):
@@ -196,13 +199,14 @@ class GridKernel(TwoPhaseKernel):
         self._coords = coords = np.stack(
             np.unravel_index(idx, topo.shape), axis=1
         )
-        self._w_up = 1 << 2 * np.arange(k, dtype=np.int64)
-        self._w_down = self._w_up << 1
-        self._ups = int(self._w_up.sum())  # every +1 column
-        inner = np.empty((len(idx), 2 * k), dtype=bool)
+        self._bits = 1 << np.arange(k, dtype=np.int64)
+        self._all = (1 << k) - 1
+        inner = np.empty((len(idx), 2 * k), dtype=bool)  # by column
         inner[:, 0::2] = coords < shape - 1
         inner[:, 1::2] = coords > 0
-        self._inner = inner @ (1 << np.arange(2 * k, dtype=np.int64))
+        # Non-wrap steps: +1 dimensions, and -1 dimensions shifted by k.
+        self._inner = inner[:, 0::2] @ self._bits
+        self._inner |= (inner[:, 1::2] @ self._bits) << k
         # The landing kind's slot offset per (node, kind, column): a
         # cross's next class in phase A, a -1 step from phase A the
         # dynamic class, any other step its own kind.
@@ -215,17 +219,18 @@ class GridKernel(TwoPhaseKernel):
         )
         slot[:, :, 2 * k] = layout.n_slots
         self._slot_flat = slot.reshape(-1)
-        self._cols = np.ascontiguousarray(mask_dims(2 * k)[:, :k])
-        self._dir_cols = np.zeros(0, dtype=np.int64)
+        self._dims = mask_dims(k).astype(np.int64)  # int64: no mixed casts
+        self._dir_masks = np.zeros(0, dtype=np.int64)
         self._slot_columns()
 
     def memory_bytes(self) -> int:
-        owned = (self._coords, self._inner, self._slot_flat, self._cols)
-        return sum(a.nbytes for a in owned + (self.slot_kind, self._dir_cols))
+        owned = (self._coords, self._inner, self._slot_flat, self._dims)
+        return sum(a.nbytes for a in owned + (self.slot_kind, self._dir_masks))
 
     def _moves(self, u, dsts, sids):
-        """``(pending, up, down)`` column masks at node ``u``: the
-        pending moves, and those stepping +1 / -1 without a cross."""
+        """``(pending, up, down, neg)`` dimension masks at node ``u``:
+        the pending moves, those stepping +1 / -1 without a cross, and
+        those stepping -1."""
         # take: a row gather, several times faster than fancy indexing.
         uc = np.take(self._coords, u, axis=0)
         dc = np.take(self._coords, dsts, axis=0)
@@ -235,26 +240,31 @@ class GridKernel(TwoPhaseKernel):
             if self.oblivious:
                 plus &= np.cumsum(plus[:, ::-1], axis=1)[:, ::-1] == 1
                 minus &= np.cumsum(minus, axis=1) == 1
-            up = plus @ self._w_up
-            down = minus @ self._w_down
-            return up | down, up, down
+            up = plus @ self._bits
+            down = minus @ self._bits
+            return up | down, up, down, down
+        k = self.k
         states = self.t.states
-        if len(states) > len(self._dir_cols):
+        if len(states) > len(self._dir_masks):
             # A torus state is its direction vector, kept as the mask of
-            # the columns it steps along, or None (-1).
-            dirs = np.array([st or (0,) * self.k for st in states])
-            cols = (dirs > 0) @ self._w_up + (dirs < 0) @ self._w_down
-            self._dir_cols = np.where([st is None for st in states], -1, cols)
-        cols = self._dir_cols[sids]
-        none = cols < 0
+            # its +1 and (shifted by k) -1 dimensions, or None (-1).
+            dirs = np.array([st or (0,) * k for st in states])
+            masks = (dirs > 0) @ self._bits | ((dirs < 0) @ self._bits) << k
+            none = [st is None for st in states]
+            self._dir_masks = np.where(none, -1, masks)
+        dirs = self._dir_masks[sids]
+        none = dirs < 0
         if none.any():
             # initial_state(u, dst): the shorter way round, ties to +1.
             fwd = (dc - uc) % self._shape
-            init = np.where(2 * fwd <= self._shape, self._w_up, self._w_down)
-            cols = np.where(none, init.sum(axis=1), cols)
-        moves = cols & ((uc != dc) @ (self._w_up | self._w_down))
-        inner = moves & self._inner[u]
-        return moves, inner & self._ups, inner & ~self._ups
+            shorter_up = 2 * fwd <= self._shape
+            init = np.where(shorter_up, self._bits, self._bits << k)
+            dirs = np.where(none, init.sum(axis=1), dirs)
+        pending = (uc != dc) @ self._bits
+        steps = dirs & (pending | pending << k)
+        inner = steps & self._inner[u]
+        neg = steps >> k
+        return (steps | neg) & self._all, inner & self._all, inner >> k, neg
 
     def a_done(self, v, dst, sids):
         """Whether node ``v`` has no up move left toward ``dst``."""
@@ -262,13 +272,14 @@ class GridKernel(TwoPhaseKernel):
 
     def fill_rows(self, qids, dsts, sids) -> TwoPhaseRows:
         u = qids // self.nk
-        moves, up, down = self._moves(u, dsts, sids)
+        moves, up, down, neg = self._moves(u, dsts, sids)
         phase_a = (qids & 1) == 0  # nk is even: the kind's parity
         any_up = up != 0
         moves_a = moves if self.adaptive else moves ^ down
         cand = np.where(phase_a, np.where(any_up, moves_a, 0), moves ^ up)
-        row = (qids * (2 * self.k + 1))[:, None]
-        slots = self._slot_flat[row + np.take(self._cols, cand, axis=0)]
+        dims = np.take(self._dims, cand, axis=0)
+        col = dims + dims + ((neg[:, None] >> dims) & 1)
+        slots = self._slot_flat[(qids * (2 * self.k + 1))[:, None] + col]
         done = u == dsts
         # Delivery, or phase A with no up move left: switch to phase B.
         hasint = done | (phase_a & ~any_up)

@@ -29,7 +29,7 @@ import pytest
 
 from repro.core.hops import DELIVER_STEP, NO_STEP, SELF_STEP
 from repro.core.message import reset_message_ids
-from repro.faults import FaultAwareRouting
+from repro.faults import FaultAwareRouting, FaultSet
 from repro.routing import (
     BenesAdaptiveRouting,
     BenesObliviousRouting,
@@ -315,6 +315,7 @@ def _key_states(alg):
     torus message can carry, plus ``None`` (directions from the current
     node); elsewhere ``None`` and states the scheme ignores, which must
     pass through unchanged."""
+    alg = getattr(alg, "inner", alg)  # a fault adapter's states
     if isinstance(alg, TorusRouting):
         return [None, *itertools.product((-1, 0, 1), repeat=alg.k)]
     return [None, "s1", 7]
@@ -439,6 +440,18 @@ def test_mesh2d_batch_rows_match_scalar_rows_on_every_key(alg_cls):
     _assert_batch_rows_match_scalar_rows(alg_cls(Mesh2D(3, 4)))
 
 
+def test_grid_kernel_tables_stay_linear_on_a_side_two_mesh():
+    """A 4,096-node mesh of side 2 has k = 12 dimensions, so N = 2^k:
+    a table over every mask of the 2k link columns (4^k rows) would be
+    quadratic in N.  The dimension table has 2^k rows, and the kernel's
+    bytes stay within twice its (N * nk, 2k + 1) slot table."""
+    k = 12
+    kern = RoutingTables(MeshAdaptiveRouting(Mesh((2,) * k))).kernel
+    assert kern._dims.shape == (1 << k, k)  # per (mask, dimension)
+    assert kern._slot_flat.nbytes == 8 * (2 << k) * (2 * k + 1)
+    assert kern.memory_bytes() < 2 * kern._slot_flat.nbytes
+
+
 TORUS_SHAPES = [(3,), (5,), (3, 3), (4, 3), (4, 4), (3, 4, 3)]
 
 
@@ -509,6 +522,30 @@ def test_torus_injection_rows_match_scalar_rows_on_every_key(shape, classes):
     _assert_injection_rows_match_scalar_rows(
         TorusRouting(Torus(shape), classes)
     )
+
+
+@pytest.mark.parametrize(
+    "inner",
+    [
+        HypercubeAdaptiveRouting(Hypercube(3)),
+        MeshAdaptiveRouting(Mesh((3, 3))),
+        TorusRouting(Torus((3, 3))),
+    ],
+    ids=lambda alg: alg.name,
+)
+def test_fault_adapter_forwards_batch_rows_while_healthy(inner):
+    """A healthy fault adapter answers its inner kernel's batch rows on
+    every key; under a dead link its kernel declines every batch."""
+    alg = FaultAwareRouting(inner)
+    _assert_batch_rows_match_scalar_rows(alg)
+    _assert_injection_rows_match_scalar_rows(alg)
+    tab = RoutingTables(alg)
+    u = tab.nodes[0]
+    v = inner.topology.neighbors(u)[0]
+    alg.set_active(FaultSet(dead_links=[(u, v), (v, u)]))
+    one = np.zeros(1, dtype=np.int64)
+    assert tab.kernel.fill_rows(one, one + 1, one) is None
+    assert tab.kernel.injection_rows(one, one + 1, one) is None
 
 
 def test_kernelless_injection_rows_resolve_key_by_key():
