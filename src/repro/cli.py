@@ -200,12 +200,15 @@ def cmd_faults(args) -> int:
         "latency_x",
         "reroute_overhead",
         "cycles",
+        "halt",
+        "stuck",
+        "stuck_deliverable",
         "link_util",
         "dyn_hops(%)",
         "occ_mean",
         "occ_peak",
     )
-    print(format_rows([{k: r[k] for k in keep if k in r} for r in rows]))
+    print(format_rows(rows, [k for k in keep if any(k in r for r in rows)]))
     if args.verify:
         build, make_alg = RESILIENCE_FAMILIES[args.family]
         topo = build(args.size)
@@ -219,7 +222,7 @@ def cmd_faults(args) -> int:
         print("verify under faults:", fv.summary())
         for err in fv.report.errors[:10]:
             print("  !", err)
-    return 0
+    return 1 if any("halt" in r for r in rows) else 0
 
 
 def cmd_telemetry(args) -> int:

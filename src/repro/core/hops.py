@@ -1,70 +1,69 @@
-"""Integer hop kernels: the ``compile_hops()`` compilation target.
+"""The row assembler and its integer hop kernels.
 
 The routing functions of this repo are *pure*: every candidate set is a
-deterministic function of ``(queue, destination, state)``.  The generic
-engines evaluate them symbolically (frozensets of
-:class:`~repro.core.queues.QueueId`), and
-:class:`~repro.sim.plans.RoutingPlanCache` memoizes the resolved
-answer — but the memo-miss path still allocates Python objects, which
-is what bounds the vector engine under saturated traffic
-(docs/PERFORMANCE.md).  A *hop kernel* is the same hop relation
-re-expressed directly over the dense integer identifiers of
-:class:`~repro.sim.tables.RoutingTables`, so a row miss costs integer
-arithmetic instead of frozenset/QueueId churn.
+deterministic function of ``(queue, destination, state)``, the keys of
+the paper's extended routing function (Section 2).
+:class:`~repro.sim.tables.RoutingTables` turns each key into an integer
+*row* over its dense queue, slot and state ids, and one class builds
+every such row: :class:`HopKernel`.
 
-Contract (see docs/ARCHITECTURE.md, "Table compilation"):
+Its three row methods — :meth:`HopKernel.central_row`,
+:meth:`HopKernel.entry_row` and :meth:`HopKernel.injection_row` — are
+the engine semantics, stated once: first-wins per physical buffer
+(statics before dynamics; a candidate without a buffer is dropped
+*after* first-wins), external candidates slot-ascending, the
+forced-phase-switch entry fold of
+``PacketSimulator._fold_entry_queue``, and injection targets in the
+reference engine's ``sorted(targets)`` order, each entry-folded.  They
+read candidates from two primitives with two sources:
 
-* :meth:`HopKernel.central_row`, :meth:`HopKernel.entry_row` and
-  :meth:`HopKernel.injection_row` must return *exactly* the rows the
-  plan-cache translation in :class:`~repro.sim.tables.RoutingTables`
-  would build — same candidate order (statics before dynamics,
-  first-wins per physical buffer, external candidates slot-ascending),
-  same entry fold, same injection order — because engines and the
-  static analyzer consume both paths interchangeably;
-* any method may return ``None`` for any key: the caller falls back to
-  the plan-cache translation for that row.  Kernels use this to decline
-  keys whose symbolic evaluation raises intentionally (exhausted
-  shuffle counters, off-network Benes injections), so error messages
-  stay byte-identical with the generic engines;
-* a ``compile_hops()`` implementation must return ``None`` (no kernel)
-  whenever it cannot vouch for identity — unknown subclass, unexpected
-  topology, inhomogeneous queue structure.  Fallback is always safe.
+* the base :meth:`HopKernel.candidates` and
+  :meth:`HopKernel.inject_candidates` evaluate the symbolic routing
+  function (``static_hops``, ``dynamic_hops``, ``buffer_class``,
+  ``update_state``, ``injection_targets``) and map queues through the
+  tables' interning, so a plain ``HopKernel`` serves any algorithm;
+* a kernel subclass (shuffle-exchange, CCC, Beneš, buffer pool)
+  re-states the same candidates over integer ids, and returns ``None``
+  for a key it declines (exhausted shuffle counters, off-network Beneš
+  injections), which hands that key back to the symbolic primitive —
+  so errors on declined keys are the symbolic path's, byte for byte.
+
+A candidate is ``(queue, state, cls)``: the next queue's id (``-1``
+for the delivery queue), the successor state — its id, or a
+:class:`Successor` for a state that may not be interned yet (the
+symbolic source defers every ``update_state`` call this way) — and,
+for an external hop, its buffer class.  The assembler interns
+successor states only where a row needs them — first-wins winners
+with a buffer, internal steps, entry-fold steps — so the order in
+which ``RoutingTables.states`` grows does not depend on the source.
+
+A ``compile_hops()`` implementation must return ``None`` (no kernel;
+the tables then assemble rows with a plain ``HopKernel``) whenever it
+cannot vouch for identity — unknown subclass, unexpected topology,
+unexpected queue kinds.
 
 A kernel may also offer *batch rows*: :meth:`HopKernel.fill_rows`
 computes the central rows of a whole fill step at once, as numpy
 arithmetic, and returns a :class:`HopRows` view the batched fill phase
 consumes directly — no per-key memo, no packed row storage.  Its
-obligation is the same identity: on *every* key, reachable or not, the
-batch row equals :meth:`~repro.sim.tables.RoutingTables.central_row`
-(slots, next queues/states, dynamic flags, internal steps) and each
-candidate's landing queue equals
-:meth:`~repro.sim.tables.RoutingTables.entry_row`.  Returning ``None``
-declines the batch; the tables then gather packed rows by row id
-(``RoutingTables.central_rids``), the path every kernel-less algorithm
-takes.  The two-phase kernels (hypercube; mesh and torus, which share
-one coordinate kernel) share one view, :class:`TwoPhaseRows`.
+obligation is identity with the assembler: on *every* key, reachable
+or not, the batch row equals :meth:`HopKernel.central_row` (slots,
+next queues/states, dynamic flags, internal steps) and each
+candidate's landing queue equals :meth:`HopKernel.entry_row`.
+Returning ``None`` declines the batch; the tables then gather packed
+rows by row id (``RoutingTables.central_rids``).  The two-phase
+kernels (hypercube; mesh and torus, which share one coordinate kernel)
+share one view, :class:`TwoPhaseRows`.
 
 Injection has the same batch form: :meth:`HopKernel.injection_rows`
 resolves a whole cycle's injections at once, and must equal
-:meth:`~repro.sim.tables.RoutingTables.injection_row` (which it may
-only answer for when that row has exactly one target) on every key.
-The two-phase kernels answer it through :class:`TwoPhaseKernel`.
-
-The two-phase kernels answer batch rows *only*: every engine injection
-goes through ``injection_rows`` and every vector fill through
-``fill_rows``, so no engine asks them for a scalar row, and their
-scalar methods decline every key to the plan-cache translation.  The
-other kernels (shuffle-exchange, CCC, Beneš, buffer pool) state scalar
-rows and no batch rows.
-
-:class:`TableHopKernel` implements the generic row assembly (first-wins
-slot filtering, the entry fold, injection resolution) on top of two
-per-algorithm primitives — :meth:`TableHopKernel.candidates` and
-:meth:`TableHopKernel.inject_candidates` — so an algorithm's kernel
-only re-states its hop relation, not the engine semantics.
+:meth:`HopKernel.injection_row` (which it may only answer for when
+that row has exactly one target) on every key.  The two-phase kernels
+answer it through :class:`TwoPhaseKernel`; their scalar rows come from
+the symbolic primitives.
 
 This module also owns the internal-step action codes shared by the
-plan cache and the kernels.
+tables and the kernels.
 """
 
 from __future__ import annotations
@@ -73,7 +72,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .routing_function import DYNAMIC_CLASS
+from .queues import DELIVER, INJECT, QueueId
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (sim imports core)
     from ..sim.tables import RoutingTables
@@ -85,13 +84,13 @@ __all__ = [
     "NO_STEP",
     "HopKernel",
     "HopRows",
-    "TableHopKernel",
+    "Successor",
     "TwoPhaseKernel",
     "TwoPhaseRows",
     "mask_dims",
 ]
 
-#: Internal-step action codes (shared by plan cache, tables and kernels).
+#: Internal-step action codes (shared by the tables and the kernels).
 DELIVER_STEP = 0  #: move to the delivery queue
 SELF_STEP = 1  #: degenerate self-hop: state advances in place
 MOVE_STEP = 2  #: move into a sibling central queue (capacity permitting)
@@ -176,15 +175,53 @@ class TwoPhaseRows(HopRows):
         return action[:, None], queue[:, None], self.sids[rows][:, None]
 
 
-class HopKernel:
-    """Base class for compiled hop relations.
+class Successor:
+    """A successor state a row interns only when it needs it.
 
-    Subclasses override the three row methods; each may return ``None``
-    per key to decline (the caller falls back to the plan-cache
-    translation, which must then produce the identical row or raise the
-    identical error the symbolic evaluation would).  Kernels whose hop
-    relation is plain arithmetic also override :meth:`fill_rows`.
+    ``Successor(value)`` is a state value; ``Successor(state, update,
+    q, q2)`` is ``update(state, q, q2)``, evaluated first — the symbolic
+    candidates defer ``update_state`` this way, as the reference engine
+    evaluates it only for the hop a packet takes.
     """
+
+    __slots__ = ("state", "update", "q", "q2")
+
+    def __init__(self, state, update=None, q=None, q2=None):
+        self.state = state
+        self.update = update
+        self.q = q
+        self.q2 = q2
+
+    def sid(self, layout: "RoutingTables") -> int:
+        """The state's id in ``layout``, interned on first use."""
+        state = self.state
+        if self.update is not None:
+            state = self.update(state, self.q, self.q2)
+        return layout.state_id(state)
+
+
+class HopKernel:
+    """The row assembler over one :class:`~repro.sim.tables.RoutingTables`.
+
+    The three row methods assemble rows from :meth:`candidates` and
+    :meth:`inject_candidates`, which evaluate the symbolic routing
+    function.  A kernel subclass overrides those two primitives to
+    compute candidates over integer ids, returning ``None`` per key to
+    hand it back to the symbolic ones; kernels whose hop relation is
+    plain arithmetic also override :meth:`fill_rows` and
+    :meth:`injection_rows`.
+    """
+
+    def __init__(self, layout: "RoutingTables"):
+        self.t = layout
+        # A view that indexes to Python ints, with no copy.
+        self._queue_node = memoryview(layout.queue_node)
+
+    def has_kinds(self, kinds: tuple[str, ...]) -> bool:
+        """Whether every node's central queues are ``kinds``, in order,
+        so queue ids factor as ``node * len(kinds) + kind index``."""
+        n = len(self.t.nodes)
+        return n > 0 and self.t.queue_kind == list(kinds) * n
 
     def fill_rows(self, qids, dsts, sids) -> HopRows | None:
         """Batch central rows for int arrays of keys, or ``None``."""
@@ -194,10 +231,9 @@ class HopKernel:
         """Batch injection rows for int arrays of keys, or ``None``.
 
         ``(queues, states)`` int arrays: the one resolved target of
-        each key's :meth:`~repro.sim.tables.RoutingTables.injection_row`.
-        Only kernels whose every injection row has exactly one target
-        may answer; ``None`` declines the batch (the tables then resolve
-        it key by key).
+        each key's :meth:`injection_row`.  Only kernels whose every
+        injection row has exactly one target may answer; ``None``
+        declines the batch (the tables then resolve it key by key).
         """
         return None
 
@@ -205,142 +241,150 @@ class HopKernel:
         """Bytes of precomputed kernel tables (telemetry estimate)."""
         return 0
 
-    def central_row(self, qid: int, dst_i: int, sid: int):
-        return None
-
-    def entry_row(self, qid: int, dst_i: int, sid: int):
-        return None
-
-    def injection_row(self, ui: int, dst_i: int, sid: int):
-        return None
-
-
-class TableHopKernel(HopKernel):
-    """Generic row assembly over per-algorithm integer primitives.
-
-    A subclass states the raw hop relation via
-
-    * :meth:`candidates` — ``(static, dynamic)`` sequences of
-      ``(next_queue_gid, new_state_id)`` pairs (``-1`` for the delivery
-      queue), *before* slot filtering, in the same candidate order the
-      symbolic ``static_hops`` / ``dynamic_hops`` would surface them;
-    * :meth:`inject_candidates` — injection targets in the reference
-      engine's ``sorted(targets)`` order, with the injection
-      ``update_state`` already applied;
-
-    and this base class replays the engine semantics: first-wins per
-    ``(neighbor, class)``, drop candidates without a physical buffer
-    *after* first-wins, external candidates slot-ascending, the
-    forced-phase-switch entry fold, injection entry resolution.
-
-    Requires a *homogeneous* queue structure (same
-    ``central_queue_kinds`` tuple at every node) so global queue ids
-    factor as ``node_index * n_kinds + kind_index``; construction sets
-    :attr:`ok` False otherwise and ``compile_hops()`` should then
-    return ``None``.
-    """
-
-    def __init__(self, layout: "RoutingTables"):
-        self.t = layout
-        n = len(layout.nodes)
-        nk = int(layout.node_q_count[0]) if n else 0
-        kinds = tuple(layout.queue_kind[:nk])
-        self.nk = nk
-        self.kinds = kinds
-        self.ok = nk > 0 and layout.queue_kind == list(kinds) * n
-
-    # -- per-algorithm primitives --------------------------------------
+    # -- candidate sources ---------------------------------------------
     def candidates(self, qid: int, dst_i: int, sid: int):
-        """``(static, dynamic)`` candidate pairs, or ``None`` to decline."""
-        raise NotImplementedError
+        """``(static, dynamic)`` lists of ``(queue, state, cls)``
+        candidates, in the symbolic ``static_hops`` / ``dynamic_hops``
+        order, before first-wins; ``None`` declines the key.
+
+        An external hop to a queue kind its node does not declare has
+        queue ``-2 - node``.  The assembler drops it when it loses
+        first-wins or has no buffer, as the reference engine never
+        looks such a hop up, and raises ``KeyError`` when it wins one."""
+        t = self.t
+        alg = t.algorithm
+        nid = t.nid
+        qid_of = t.qid_of
+        q = t.queue_objs[qid]
+        state = t.states[sid]
+        u = q.node
+        out = []
+        for dyn, hops in ((False, alg.static_hops), (True, alg.dynamic_hops)):
+            cl = []
+            for q2 in hops(q, t.nodes[dst_i], state):
+                v, kind = q2
+                if v == u and kind == DELIVER:
+                    cl.append((-1, sid, None))
+                    continue
+                st = Successor(state, alg.update_state, q, q2)
+                vi = nid[v]
+                if v == u:
+                    cl.append((qid_of[(vi, kind)], st, None))
+                else:
+                    cls = alg.buffer_class(q, q2, dyn)
+                    cl.append((qid_of.get((vi, kind), -2 - vi), st, cls))
+            out.append(cl)
+        return out
 
     def inject_candidates(self, ui: int, dst_i: int, sid: int):
-        """Injection ``(queue_gid, state_id)`` pairs, or ``None``."""
-        raise NotImplementedError
+        """Injection ``(queue, state)`` targets in ``sorted(targets)``
+        order, the injection ``update_state`` applied; ``None``
+        declines the key."""
+        t = self.t
+        alg = t.algorithm
+        u = t.nodes[ui]
+        state = t.states[sid]
+        inj = QueueId(u, INJECT)
+        return [
+            (
+                t.qid_of[(t.nid[q2.node], q2.kind)],
+                Successor(state, alg.update_state, inj, q2),
+            )
+            for q2 in sorted(alg.injection_targets(u, t.nodes[dst_i], state))
+        ]
 
-    # -- generic row assembly ------------------------------------------
-    def central_row(self, qid: int, dst_i: int, sid: int):
+    # -- row assembly ----------------------------------------------------
+    # A candidate's state is a state id, or a Successor interned (in
+    # candidate order, external winners before internal steps) only
+    # where a row needs it.
+    def central_row(self, qid: int, dst_i: int, sid: int) -> tuple:
+        """``(ext_slots, ext_queues, ext_states, ext_dyn, internal)``:
+        four parallel tuples of external candidates, slot-ascending,
+        plus the internal ``(action, queue, state)`` steps in candidate
+        order (``queue`` is -1 for delivery)."""
         cands = self.candidates(qid, dst_i, sid)
         if cands is None:
-            return None
-        statics, dynamics = cands
-        nk = self.nk
-        kinds = self.kinds
-        slot_id = self.t.slot_id
-        ui = qid // nk
-        ext: list[tuple[int, int, int, int]] = []
-        internal: list[tuple[int, int, int]] = []
-        seen: set[tuple[int, str]] | None = None
-        for dyn, cl in ((0, statics), (1, dynamics)):
-            for q2, nsid in cl:
-                if q2 < 0:
-                    internal.append((DELIVER_STEP, -1, sid))
+            cands = HopKernel.candidates(self, qid, dst_i, sid)
+        t = self.t
+        queue_node = self._queue_node
+        ui = queue_node[qid]
+        ext = []
+        internal = []
+        seen = None
+        for dyn, cl in enumerate(cands):
+            for q2, st, cls in cl:
+                if q2 == -1:
+                    internal.append((DELIVER_STEP, -1, st))
                     continue
-                vi = q2 // nk
+                vi = queue_node[q2] if q2 >= 0 else -2 - q2
                 if vi == ui:
-                    if q2 == qid:
-                        internal.append((SELF_STEP, q2, nsid))
-                    else:
-                        internal.append((MOVE_STEP, q2, nsid))
+                    action = SELF_STEP if q2 == qid else MOVE_STEP
+                    internal.append((action, q2, st))
                     continue
-                cls = DYNAMIC_CLASS if dyn else kinds[q2 % nk]
                 key = (vi, cls)
                 if seen is None:
                     seen = {key}
                 elif key in seen:
-                    continue  # first-wins per (neighbor, class)
+                    continue  # first-wins per buffer
                 else:
                     seen.add(key)
-                s = slot_id(ui, vi, cls)
+                s = t.slot_id(ui, vi, cls)
                 if s is not None:
-                    ext.append((s, q2, nsid, dyn))
+                    if q2 < 0:
+                        raise KeyError(
+                            f"hop to an undeclared queue at {t.nodes[vi]!r}"
+                        )
+                    if type(st) is Successor:
+                        st = st.sid(t)
+                    ext.append((s, q2, st, dyn))
         ext.sort()
-        return (
-            tuple(c[0] for c in ext),
-            tuple(c[1] for c in ext),
-            tuple(c[2] for c in ext),
-            tuple(c[3] for c in ext),
-            tuple(internal),
+        cols = tuple(zip(*ext)) if ext else ((), (), (), ())
+        steps = tuple(
+            (a, q2, st.sid(t) if type(st) is Successor else st)
+            for a, q2, st in internal
         )
+        return (*cols, steps)
 
-    def entry_row(self, qid: int, dst_i: int, sid: int):
-        # The forced-phase-switch fold of RoutingPlanCache._resolve_entry.
-        nk = self.nk
-        node = qid // nk
+    def entry_row(self, qid: int, dst_i: int, sid: int) -> tuple[int, int]:
+        """Where a packet nominally targeting ``qid`` lands: forced
+        single static moves to a sibling central queue are folded in,
+        so a phase change costs no extra cycle."""
+        queue_node = self._queue_node
+        node = queue_node[qid]
         for _ in range(8):  # bounded by the internal-chain length
             cands = self.candidates(qid, dst_i, sid)
             if cands is None:
-                return None
+                cands = HopKernel.candidates(self, qid, dst_i, sid)
             statics, dynamics = cands
             if dynamics or len(statics) != 1:
                 break
-            q2, nsid = statics[0]
-            if q2 < 0 or q2 == qid or q2 // nk != node:
+            q2, st, _cls = statics[0]
+            if q2 < 0 or q2 == qid or queue_node[q2] != node:
                 break
-            qid, sid = q2, nsid
+            qid, sid = q2, st.sid(self.t) if type(st) is Successor else st
         return (qid, sid)
 
-    def injection_row(self, ui: int, dst_i: int, sid: int):
+    def injection_row(self, ui: int, dst_i: int, sid: int) -> tuple:
+        """``((queue, state), ...)``: each injection target, entry-folded."""
         cl = self.inject_candidates(ui, dst_i, sid)
         if cl is None:
-            return None
-        out = []
-        for q2, nsid in cl:
-            resolved = self.entry_row(q2, dst_i, nsid)
-            if resolved is None:
-                return None
-            out.append(resolved)
-        return tuple(out)
+            cl = HopKernel.inject_candidates(self, ui, dst_i, sid)
+        t = self.t
+        return tuple(
+            self.entry_row(
+                q2, dst_i, st.sid(t) if type(st) is Successor else st
+            )
+            for q2, st in cl
+        )
 
 
 class TwoPhaseKernel(HopKernel):
     """Shared batch hooks of the two-phase kernels (hypercube, grid).
 
-    These kernels answer batch rows only: every scalar row method
-    declines, so a scalar key (the static analyzer, the fault adapter,
-    tests) takes the plan-cache translation.  Queue kinds must be
-    ``kinds`` (phase A, phase B per class) at every node, or :attr:`ok`
-    is False and ``compile_hops()`` returns no kernel.
+    These kernels compute batch rows only; a scalar key (the fault
+    adapter under faults, tests) takes the symbolic candidates.  Queue
+    kinds must be ``kinds`` (phase A, phase B per class) at every node,
+    or :attr:`ok` is False and ``compile_hops()`` returns no kernel.
 
     A packet enters class 0 at its source: phase A while it has an
     increasing correction left toward its destination and phase B
@@ -351,11 +395,10 @@ class TwoPhaseKernel(HopKernel):
     """
 
     def __init__(self, layout: "RoutingTables", kinds: tuple[str, ...]):
-        self.t = layout
+        super().__init__(layout)
         self.kinds = kinds
         self.nk = len(kinds)
-        n = len(layout.nodes)
-        self.ok = n > 0 and layout.queue_kind == list(kinds) * n
+        self.ok = self.has_kinds(kinds)
 
     def a_done(self, v, dst, sids):
         """Whether each node ``v`` has no phase-A correction left

@@ -185,10 +185,10 @@ class RoutingAlgorithm(ABC):
 
         ``layout`` is a :class:`~repro.sim.tables.RoutingTables`
         instance.  Return a :class:`~repro.core.hops.HopKernel` whose
-        rows are *identical* to the plan-cache translation (same
-        candidate order, entry fold and injection order — see the
-        contract in :mod:`repro.core.hops`), or ``None`` to keep the
-        symbolic fallback.  Implementations must return ``None`` for
+        candidates (and batch rows, if any) are *identical* to the
+        symbolic ones its base class evaluates (see
+        :mod:`repro.core.hops`), or ``None`` to keep the symbolic
+        candidates.  Implementations must return ``None`` for
         unrecognized subclasses or topologies: correctness first, the
         kernel is purely a performance lever.
         """

@@ -274,10 +274,12 @@ class FaultAwareRouting(RoutingAlgorithm):
 
 
 class _FaultGatedKernel(HopKernel):
-    """Delegate to the healthy inner kernel; decline under faults."""
+    """Forward the inner kernel's rows while healthy; under a fault,
+    decline every batch and hand every key to the symbolic candidates
+    (the adapter's filtered hop relation)."""
 
     def __init__(self, layout, adapter: FaultAwareRouting, inner: HopKernel):
-        self.t = layout
+        super().__init__(layout)
         self.adapter = adapter
         self.inner = inner
         self._epoch: FaultSet = adapter.active
@@ -300,20 +302,15 @@ class _FaultGatedKernel(HopKernel):
             return None
         return self.inner.injection_rows(srcs, dsts, sids)
 
-    def central_row(self, qid: int, dst_i: int, sid: int):
+    def candidates(self, qid: int, dst_i: int, sid: int):
         if not self._healthy():
             return None
-        return self.inner.central_row(qid, dst_i, sid)
+        return self.inner.candidates(qid, dst_i, sid)
 
-    def entry_row(self, qid: int, dst_i: int, sid: int):
+    def inject_candidates(self, ui: int, dst_i: int, sid: int):
         if not self._healthy():
             return None
-        return self.inner.entry_row(qid, dst_i, sid)
-
-    def injection_row(self, ui: int, dst_i: int, sid: int):
-        if not self._healthy():
-            return None
-        return self.inner.injection_row(ui, dst_i, sid)
+        return self.inner.inject_candidates(ui, dst_i, sid)
 
 
 class FaultInjector:

@@ -36,7 +36,7 @@ from ..topology.hypercube import Hypercube
 from ..topology.mesh import Mesh2D
 from .adapters import FaultAwareRouting, FaultInjector
 from .models import FaultSchedule
-from .watchdog import DeadlockWatchdog
+from .watchdog import DeadlockDetected, DeadlockReport, DeadlockWatchdog
 
 
 def make_fault_simulator(
@@ -167,8 +167,9 @@ RESILIENCE_FAMILIES: dict[
 }
 
 
-def _sweep_cell(cell: tuple) -> ResilienceResult:
-    """Module-level worker (picklable for process pools)."""
+def _sweep_cell(cell: tuple) -> ResilienceResult | DeadlockReport:
+    """Module-level worker (picklable for process pools); a cell the
+    watchdog stops with :class:`DeadlockDetected` returns its report."""
     (family, size, count, seed, packets, detour, telemetry) = cell
     build, make_alg = RESILIENCE_FAMILIES[family]
     topo = build(size)
@@ -182,15 +183,18 @@ def _sweep_cell(cell: tuple) -> ResilienceResult:
         RandomTraffic(topo),
         make_rng(seed, f"resilience-{family}-{size}"),
     )
-    return run_with_faults(
-        alg,
-        model,
-        schedule,
-        detour=detour,
-        measure_overhead=True,
-        max_cycles=2_000_000,
-        telemetry=telemetry,
-    )
+    try:
+        return run_with_faults(
+            alg,
+            model,
+            schedule,
+            detour=detour,
+            measure_overhead=True,
+            max_cycles=2_000_000,
+            telemetry=telemetry,
+        )
+    except DeadlockDetected as exc:
+        return exc.report
 
 
 def degradation_sweep(
@@ -211,6 +215,10 @@ def degradation_sweep(
     sweep replays exactly; per-cell RNG derivation keeps parallel and
     serial runs identical.  ``telemetry`` attaches a metrics-only
     probe per cell, adding occupancy/utilization columns to the rows.
+    A cell the watchdog stops with a deadlock (or livelock) report
+    gives a row with ``halt`` set to the report's kind, the ``cycles``
+    it was raised at, the packets still ``stuck`` and how many of them
+    were deliverable (``stuck_deliverable``); the other cells are kept.
     """
     if family not in RESILIENCE_FAMILIES:
         raise ValueError(
@@ -228,6 +236,18 @@ def degradation_sweep(
     baseline = None
     rows = []
     for count, rr in zip(counts, results):
+        if isinstance(rr, DeadlockReport):
+            rows.append(
+                {
+                    "failed_links": count,
+                    "halt": rr.kind,
+                    "cycles": rr.cycle,
+                    "stuck": rr.active,
+                    "stuck_deliverable": rr.stuck_deliverable,
+                    "faults": rr.fault_summary,
+                }
+            )
+            continue
         if count == 0:
             baseline = rr.result.l_avg
         row = rr.row()

@@ -23,7 +23,7 @@ from typing import Any, Hashable
 
 import numpy as np
 
-from ..core.hops import TableHopKernel
+from ..core.hops import HopKernel
 from ..core.queues import QueueId, deliver
 from ..core.routing_function import RoutingAlgorithm
 from ..sim.traffic import TrafficPattern
@@ -101,7 +101,7 @@ class BenesObliviousRouting(BenesAdaptiveRouting):
         return hops
 
 
-class _BenesKernel(TableHopKernel):
+class _BenesKernel(HopKernel):
     """Integer hop kernel for leveled Beneš routing.
 
     Nodes are level-major (``index = level * rows + row``) and there is
@@ -116,29 +116,28 @@ class _BenesKernel(TableHopKernel):
         self.n = n
         self.rows = 1 << n
         self.oblivious = oblivious
-        if self.kinds != (Q,) or layout.nodes != [
+        self.ok = self.has_kinds((Q,)) and layout.nodes == [
             (l, r) for l in range(2 * n + 1) for r in range(self.rows)
-        ]:
-            self.ok = False
+        ]
 
     def candidates(self, qid: int, dst_i: int, sid: int):
         if qid == dst_i:
-            return ((-1, sid),), ()
+            return ((-1, sid, None),), ()
         rows = self.rows
         l, r = divmod(qid, rows)
         if l < self.n:
             # Free half: straight and cross out-links.
             straight = qid + rows
             if self.oblivious:
-                return ((straight, sid),), ()
+                return ((straight, sid, Q),), ()
             bit = 1 << (self.n - 1 - l)
-            return ((straight, sid), (straight ^ bit, sid)), ()
+            return ((straight, sid, Q), (straight ^ bit, sid, Q)), ()
         if l >= 2 * self.n:
             return None  # symbolic path raises "no stage at level ..."
         j = l - self.n  # forced half: stage n+j fixes row bit j
         want = (dst_i % rows >> j) & 1
         bit = 1 << j
-        return (((l + 1) * rows + ((r & ~bit) | (want << j)), sid),), ()
+        return (((l + 1) * rows + ((r & ~bit) | (want << j)), sid, Q),), ()
 
     def inject_candidates(self, ui: int, dst_i: int, sid: int):
         if ui >= self.rows or dst_i < 2 * self.n * self.rows:

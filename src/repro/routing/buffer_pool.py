@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Any, Hashable
 
-from ..core.hops import TableHopKernel
+from ..core.hops import HopKernel
 from ..core.queues import QueueId, deliver
 from ..core.routing_function import RoutingAlgorithm
 from ..topology.base import Topology
@@ -78,7 +78,7 @@ class StructuredBufferPoolRouting(RoutingAlgorithm):
         return kernel if kernel.ok else None
 
 
-class _BufferPoolKernel(TableHopKernel):
+class _BufferPoolKernel(HopKernel):
     """Integer hop kernel for the hop-level buffer pool.
 
     Topology-agnostic: kind index equals the hop level, and minimal
@@ -91,13 +91,14 @@ class _BufferPoolKernel(TableHopKernel):
         super().__init__(layout)
         self.alg = alg
         self.levels = alg.levels
-        if self.kinds != tuple(_level_kind(h) for h in range(self.levels)):
-            self.ok = False
+        self.ok = self.has_kinds(
+            tuple(_level_kind(h) for h in range(self.levels))
+        )
 
     def candidates(self, qid: int, dst_i: int, sid: int):
-        ui, h = divmod(qid, self.nk)
+        ui, h = divmod(qid, self.levels)
         if ui == dst_i:
-            return ((-1, sid),), ()
+            return ((-1, sid, None),), ()
         if h + 1 >= self.levels:
             return None  # symbolic path raises "exceeded buffer-pool levels"
         t = self.t
@@ -105,12 +106,12 @@ class _BufferPoolKernel(TableHopKernel):
         u = t.nodes[ui]
         dst = t.nodes[dst_i]
         du = topo.distance(u, dst)
-        st = tuple(
-            (t.nid[v] * self.nk + h + 1, sid)
+        kind = _level_kind(h + 1)
+        return tuple(
+            (t.nid[v] * self.levels + h + 1, sid, kind)
             for v in topo.neighbors(u)
             if topo.distance(v, dst) == du - 1
-        )
-        return st, ()
+        ), ()
 
     def inject_candidates(self, ui: int, dst_i: int, sid: int):
-        return ((ui * self.nk, sid),)
+        return ((ui * self.levels, sid),)

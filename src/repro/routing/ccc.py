@@ -31,9 +31,9 @@ from __future__ import annotations
 
 from typing import Any
 
-from ..core.hops import TableHopKernel
+from ..core.hops import HopKernel
 from ..core.queues import QueueId, deliver
-from ..core.routing_function import RoutingAlgorithm
+from ..core.routing_function import DYNAMIC_CLASS, RoutingAlgorithm
 from ..topology.ccc import CubeConnectedCycles, Node
 
 
@@ -141,7 +141,7 @@ class CCCAdaptiveRouting(RoutingAlgorithm):
         return kernel if kernel.ok else None
 
 
-class _CCCKernel(TableHopKernel):
+class _CCCKernel(HopKernel):
     """Integer hop kernel for the two-phase CCC scheme.
 
     Node ``(w, p)`` has index ``w * n + p`` (cycle-position-major
@@ -150,16 +150,17 @@ class _CCCKernel(TableHopKernel):
     factors as ``2 * (phase - 1) + cls``.  Stateless.
     """
 
+    KINDS = ("P1a", "P1b", "P2a", "P2b")
+
     def __init__(self, layout, alg: CCCAdaptiveRouting):
         super().__init__(layout)
         n = alg.n
         self.n = n
         self.mask = alg.topology._mask
         self.adaptive = alg.adaptive
-        if self.kinds != ("P1a", "P1b", "P2a", "P2b") or layout.nodes != [
+        self.ok = self.has_kinds(self.KINDS) and layout.nodes == [
             (w, p) for w in range(1 << n) for p in range(n)
-        ]:
-            self.ok = False
+        ]
 
     def _cycle_hop_i(self, w: int, p: int, phase2: int, cls: int) -> int:
         np_ = p + 1
@@ -172,8 +173,9 @@ class _CCCKernel(TableHopKernel):
     def candidates(self, qid: int, dst_i: int, sid: int):
         ui, ki = divmod(qid, 4)
         if ui == dst_i:
-            return ((-1, sid),), ()
+            return ((-1, sid, None),), ()
         n = self.n
+        kinds = self.KINDS
         w, p = divmod(ui, n)
         dst_w = dst_i // n
         phase2, cls = divmod(ki, 2)
@@ -181,17 +183,20 @@ class _CCCKernel(TableHopKernel):
         if not phase2:
             rising = ~w & dst_w & self.mask
             if not rising:
-                return ((ui * 4 + 2, sid),), ()  # switch to P2a in place
+                return ((ui * 4 + 2, sid, None),), ()  # switch to P2a in place
             dy = ()
             if self.adaptive and ((w & ~dst_w) >> p) & 1:
-                dy = ((partner, sid),)  # early 1 -> 0 over a dynamic link
+                # Early 1 -> 0 over a dynamic link.
+                dy = ((partner, sid, DYNAMIC_CLASS),)
             if (rising >> p) & 1:
-                return ((partner, sid),), dy  # mandatory 0 -> 1
-            return ((self._cycle_hop_i(w, p, 0, cls), sid),), dy
+                return ((partner, sid, kinds[0]),), dy  # mandatory 0 -> 1
+            hop = self._cycle_hop_i(w, p, 0, cls)
+            return ((hop, sid, kinds[hop % 4]),), dy
         falling = w & ~dst_w & self.mask
         if (falling >> p) & 1:
-            return ((partner + 2, sid),), ()  # mandatory 1 -> 0 (P2a)
-        return ((self._cycle_hop_i(w, p, 1, cls), sid),), ()
+            return ((partner + 2, sid, kinds[2]),), ()  # mandatory 1 -> 0 (P2a)
+        hop = self._cycle_hop_i(w, p, 1, cls)
+        return ((hop, sid, kinds[hop % 4]),), ()
 
     def inject_candidates(self, ui: int, dst_i: int, sid: int):
         n = self.n

@@ -207,7 +207,7 @@ class _HypercubeKernel(TwoPhaseKernel):
     Global queue id factors as ``node * 2 + phase`` (phase 0 = ``qA``,
     1 = ``qB``); node labels equal node indices, so the hop relation is
     pure bit arithmetic over whole arrays of keys (batch rows only:
-    scalar keys take the plan-cache translation).  With ``x = u ^ dst``,
+    scalar keys take the symbolic candidates).  With ``x = u ^ dst``,
     ``ones = u & x`` (bits to clear) and ``zeros = x ^ ones`` (bits to
     set), a message's external candidates are one bit mask over the
     dimensions:

@@ -156,7 +156,7 @@ class GridKernel(TwoPhaseKernel):
 
     A mesh is a torus with one dateline class and no wrap links, so one
     kernel states both hop relations over whole arrays of keys (batch
-    rows only: scalar keys take the plan-cache translation).  Node ids
+    rows only: scalar keys take the symbolic candidates).  Node ids
     are lexicographic coordinate ranks; queue id ``node * nk + kind``
     has kind ``2c`` (phase A) or ``2c + 1`` (phase B) of class ``c``.
     A message moves along dimension ``i`` in a fixed direction:

@@ -43,9 +43,9 @@ from __future__ import annotations
 from math import gcd
 from typing import Any
 
-from ..core.hops import TableHopKernel
+from ..core.hops import HopKernel, Successor
 from ..core.queues import QueueId, deliver
-from ..core.routing_function import RoutingAlgorithm
+from ..core.routing_function import DYNAMIC_CLASS, RoutingAlgorithm
 from ..topology.shuffle_exchange import ShuffleExchange, shuffle_cycle
 
 
@@ -210,22 +210,20 @@ class ShuffleExchangeRouting(RoutingAlgorithm):
         return kernel if kernel.ok else None
 
 
-class _ShuffleExchangeKernel(TableHopKernel):
+class _ShuffleExchangeKernel(HopKernel):
     """Integer hop kernel for the shuffle-exchange scheme.
 
     Node labels equal node indices; kind index factors as
     ``(phase - 1) * classes + cls``.  The shuffle successor and the
     break-node bump are precomputed per node; the shuffle count (the
-    routing state) comes from the layout's state intern table, and
-    count advances intern ``k + 1`` through the same
-    :meth:`~repro.sim.tables.RoutingTables.state_id` the symbolic path
-    uses.  Keys with an exhausted count (``k >= 2n``) are declined so
-    the symbolic path raises its usual error.
+    routing state) comes from the layout's state intern table, and a
+    shuffle hop's successor is the count ``k + 1``.  Keys with an
+    exhausted count (``k >= 2n``) are declined so the symbolic path
+    raises its usual error.
     """
 
     def __init__(self, layout, alg: ShuffleExchangeRouting):
         super().__init__(layout)
-        self.alg = alg
         topo = alg.topology
         n = alg.n
         self.n = n
@@ -233,11 +231,14 @@ class _ShuffleExchangeKernel(TableHopKernel):
         self.classes = alg.classes
         self.adaptive = alg.adaptive
         size = 1 << n
-        expected = tuple(
+        self.kinds = tuple(
             _kind(p, c) for p in (1, 2) for c in range(self.classes)
         )
-        if self.kinds != expected or layout.nodes != list(range(size)):
-            self.ok = False
+        self.nk = len(self.kinds)
+        self.ok = self.has_kinds(self.kinds) and layout.nodes == list(
+            range(size)
+        )
+        if not self.ok:
             return
         self.rol = [topo.shuffle(u) for u in range(size)]
         self.bump = [
@@ -249,7 +250,7 @@ class _ShuffleExchangeKernel(TableHopKernel):
         nk = self.nk
         u, ki = divmod(qid, nk)
         if u == dst:
-            return ((-1, sid),), ()
+            return ((-1, sid, None),), ()
         k = self.t.states[sid]
         if k is None or k >= self.n2:
             # Decline: the symbolic path raises its usual error (state
@@ -257,17 +258,20 @@ class _ShuffleExchangeKernel(TableHopKernel):
             return None
         n = self.n
         classes = self.classes
+        kinds = self.kinds
         phase2 = ki >= classes  # True in phase 2
         want = (dst >> ((n - k % n) % n)) & 1
         lsb = u & 1
         dy = ()
         if self.adaptive and not phase2 and lsb == 1 and want == 0:
-            dy = (((u ^ 1) * nk, sid),)  # early 1 -> 0 over a dynamic link
+            # Early 1 -> 0 over a dynamic link.
+            dy = (((u ^ 1) * nk, sid, DYNAMIC_CLASS),)
         if lsb != want:
             if not phase2 and want == 1:
-                return (((u ^ 1) * nk, sid),), dy  # mandatory 0 -> 1
+                return (((u ^ 1) * nk, sid, kinds[0]),), dy  # mandatory 0 -> 1
             if phase2:
-                return (((u ^ 1) * nk + classes, sid),), dy  # mandatory 1 -> 0
+                # Mandatory 1 -> 0.
+                return (((u ^ 1) * nk + classes, sid, kinds[classes]),), dy
         v = self.rol[u]  # shuffle onwards
         if (k + 1 < n) == phase2:  # the shuffle flips the phase
             kind_idx = 0 if k + 1 < n else classes
@@ -276,7 +280,7 @@ class _ShuffleExchangeKernel(TableHopKernel):
             if self.bump[u]:
                 cls = min(cls + 1, classes - 1)
             kind_idx = (classes if phase2 else 0) + cls
-        return ((v * nk + kind_idx, self.t.state_id(k + 1)),), dy
+        return ((v * nk + kind_idx, Successor(k + 1), kinds[kind_idx]),), dy
 
     def inject_candidates(self, ui: int, dst: int, sid: int):
         return ((ui * self.nk, sid),)  # always P1C0

@@ -7,7 +7,6 @@ from .engine import (
     SimulationHalt,
 )
 from .injection import DynamicInjection, InjectionModel, StaticInjection
-from .plans import CentralPlan, RoutingPlanCache
 from .tables import EngineCapabilityError, RoutingTables
 from .vector import VectorSimulator
 from .metrics import LatencyStats, SimulationResult
@@ -34,8 +33,6 @@ __all__ = [
     "VectorSimulator",
     "RoutingTables",
     "EngineCapabilityError",
-    "RoutingPlanCache",
-    "CentralPlan",
     "DeadlockError",
     "CycleLimitExceeded",
     "SimulationHalt",

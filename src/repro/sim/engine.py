@@ -417,7 +417,7 @@ class PacketSimulator:
                         )
                     break
 
-    def _resolve_entry_queue(self, q2: QueueId, state, dst):
+    def _fold_entry_queue(self, q2: QueueId, state, dst):
         """Fold forced internal phase switches into queue entry.
 
         Section 7.1 says the node "moves their messages to the
@@ -457,7 +457,7 @@ class PacketSimulator:
                 placed = False
                 for q2 in sorted(targets):
                     st = alg.update_state(msg.state, QueueId(u, "inj"), q2)
-                    q2, st = self._resolve_entry_queue(q2, st, msg.dst)
+                    q2, st = self._fold_entry_queue(q2, st, msg.dst)
                     if len(queues[q2.kind]) < self.central_capacity:
                         msg.state = st
                         msg.record_hop(q2)
@@ -476,7 +476,7 @@ class PacketSimulator:
                 if msg is None:
                     continue
                 nominal = msg.target
-                q2, st = self._resolve_entry_queue(nominal, msg.state, msg.dst)
+                q2, st = self._fold_entry_queue(nominal, msg.state, msg.dst)
                 if len(queues[q2.kind]) < self.central_capacity:
                     self.in_buf[src] = None
                     msg.target = None

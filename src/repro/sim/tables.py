@@ -35,11 +35,14 @@ views — ``nid``, ``qid_of``, ``queue_objs``, ``queue_labels``,
 first use, and :meth:`RoutingTables.slot_id` indexes one sending node's
 slots on its first lookup.
 
-On top of the static structure, three row tables are lowered from
-:class:`~repro.sim.plans.RoutingPlanCache` (which this class wraps as
-the fallback for rows no hop kernel computes, so the first-wins
-external-candidate semantics, statics-before-dynamics order and the
-forced-phase-switch entry fold are one piece of code):
+On top of the static structure sit three row tables, all built by
+one row assembler, :class:`~repro.core.hops.HopKernel`: the
+algorithm's hop kernel when ``compile_hops()`` gives one, a plain
+``HopKernel`` otherwise.  Either way first-wins per physical buffer,
+statics-before-dynamics order, the forced-phase-switch entry fold and
+injection resolution are one piece of code; only the candidates come
+from a kernel's integer arithmetic or from the symbolic routing
+function.
 
 * :meth:`central_row` — ``(queue, dst, state) ->`` parallel tuples of
   external candidates (slot / next queue / next state / dynamic flag,
@@ -78,10 +81,9 @@ from typing import Any, Hashable
 
 import numpy as np
 
-from ..core.hops import DELIVER_STEP, NO_STEP, HopRows
+from ..core.hops import NO_STEP, HopKernel, HopRows
 from ..core.queues import QueueId
 from ..core.routing_function import RoutingAlgorithm
-from .plans import RoutingPlanCache
 
 __all__ = ["EngineCapabilityError", "RoutingTables"]
 
@@ -147,7 +149,6 @@ class RoutingTables:
     def __init__(self, algorithm: RoutingAlgorithm, use_kernel: bool = True):
         t_start = time.perf_counter()
         self.algorithm = algorithm
-        self.plans = RoutingPlanCache(algorithm)
         topo = algorithm.topology
 
         # ---- node interning (reference engine node order) -------------
@@ -236,14 +237,18 @@ class RoutingTables:
         self._inject: dict[tuple[int, int, int], tuple] = {}
         self._init_rows()
 
-        # ---- compiled hop kernel (optional fast path) ------------------
-        #: The algorithm's integer hop kernel, or ``None`` (plan-cache
-        #: translation only).  See :mod:`repro.core.hops`.
+        # ---- the row assembler -----------------------------------------
+        #: The algorithm's integer hop kernel, or ``None`` (symbolic
+        #: candidates only).  See :mod:`repro.core.hops`.
         self.kernel = None
         if use_kernel:
             hook = getattr(algorithm, "compile_hops", None)
             if hook is not None:
                 self.kernel = hook(self)
+        #: The one object every row comes from.
+        self.assembler = (
+            self.kernel if self.kernel is not None else HopKernel(self)
+        )
         #: Wall-clock seconds to build the structure + compile the
         #: kernel (telemetry gauge ``repro_tables_compile_seconds``).
         self.compile_seconds = time.perf_counter() - t_start
@@ -521,10 +526,9 @@ class RoutingTables:
         packed storage); otherwise a view over packed rows gathered by
         :meth:`central_rids`.  Both are identical on every key.
         """
-        if self.kernel is not None:
-            rows = self.kernel.fill_rows(qids, dsts, sids)
-            if rows is not None:
-                return rows
+        rows = self.assembler.fill_rows(qids, dsts, sids)
+        if rows is not None:
+            return rows
         return _RidRows(self, self.central_rids(qids, dsts, sids))
 
     def clear_rows(self) -> None:
@@ -538,7 +542,6 @@ class RoutingTables:
         """
         self._entry.clear()
         self._inject.clear()
-        self.plans.clear()
         self._init_rows()
 
     def memory_bytes(self) -> int:
@@ -593,101 +596,31 @@ class RoutingTables:
     # Row tables
     # ------------------------------------------------------------------
     def central_row(self, qid: int, dst_i: int, sid: int) -> tuple:
-        """Fill-phase row for a message in central queue ``qid``.
-
-        Returns ``(ext_slots, ext_queues, ext_states, ext_dyn,
-        internal)`` — four parallel tuples of external candidates
-        sorted slot-ascending (first-wins per physical buffer, statics
-        before dynamics, exactly :class:`RoutingPlanCache`), plus the
-        internal ``(action, queue_id, state_id)`` steps in reference
-        order (``queue_id`` is -1 for delivery).
+        """Fill-phase row for a message in central queue ``qid``:
+        :meth:`~repro.core.hops.HopKernel.central_row`.
 
         Built on every call: :meth:`central_rids` calls it once per key,
         on a miss, and stores the packed form only.
         """
-        if self.kernel is not None:
-            row = self.kernel.central_row(qid, dst_i, sid)
-            if row is not None:
-                return row
-        plan = self.plans.central_plan(
-            self.queue_objs[qid], self.nodes[dst_i], self.states[sid]
-        )
-        ui = int(self.queue_node[qid])
-        ext = []
-        for (v, cls), (q2, new_state, dyn) in plan.external.items():
-            # Candidates without a physical buffer are unreachable in
-            # the reference engine too; drop them (after first-wins).
-            s = self.slot_id(ui, self.nid[v], cls)
-            if s is not None:
-                ext.append(
-                    (
-                        s,
-                        self.qid_of[(self.nid[q2.node], q2.kind)],
-                        self.state_id(new_state),
-                        1 if dyn else 0,
-                    )
-                )
-        ext.sort()
-        internal = tuple(
-            (
-                action,
-                -1
-                if action == DELIVER_STEP
-                else self.qid_of[(ui, q2.kind)],
-                sid if action == DELIVER_STEP else self.state_id(st),
-            )
-            for action, q2, st in plan.internal
-        )
-        return (
-            tuple(c[0] for c in ext),
-            tuple(c[1] for c in ext),
-            tuple(c[2] for c in ext),
-            tuple(c[3] for c in ext),
-            internal,
-        )
+        return self.assembler.central_row(qid, dst_i, sid)
 
     def entry_row(self, qid: int, dst_i: int, sid: int) -> tuple[int, int]:
-        """Where a packet nominally targeting ``qid`` actually lands.
-
-        The forced-phase-switch fold of
-        ``PacketSimulator._resolve_entry_queue``, on ints.
-        """
+        """Where a packet nominally targeting ``qid`` actually lands
+        (:meth:`~repro.core.hops.HopKernel.entry_row`, memoized)."""
         key = (qid, dst_i, sid)
         row = self._entry.get(key)
         if row is None:
-            if self.kernel is not None:
-                row = self.kernel.entry_row(qid, dst_i, sid)
-            if row is None:
-                q2, st = self.plans.entry(
-                    self.queue_objs[qid], self.nodes[dst_i], self.states[sid]
-                )
-                row = (
-                    self.qid_of[(self.nid[q2.node], q2.kind)],
-                    self.state_id(st),
-                )
-            self._entry[key] = row
+            row = self._entry[key] = self.assembler.entry_row(*key)
         return row
 
     def injection_row(self, ui: int, dst_i: int, sid: int) -> tuple:
         """Resolved injection targets: ``((queue_id, state_id), ...)``
-        in the reference engine's ``sorted(targets)`` order."""
+        in the reference engine's ``sorted(targets)`` order
+        (:meth:`~repro.core.hops.HopKernel.injection_row`, memoized)."""
         key = (ui, dst_i, sid)
         row = self._inject.get(key)
         if row is None:
-            if self.kernel is not None:
-                row = self.kernel.injection_row(ui, dst_i, sid)
-            if row is None:
-                plan = self.plans.injection_plan(
-                    self.nodes[ui], self.nodes[dst_i], self.states[sid]
-                )
-                row = tuple(
-                    (
-                        self.qid_of[(self.nid[q2.node], q2.kind)],
-                        self.state_id(st),
-                    )
-                    for _kind, q2, st in plan
-                )
-            self._inject[key] = row
+            row = self._inject[key] = self.assembler.injection_row(*key)
         return row
 
     def injection_rows(
@@ -700,10 +633,9 @@ class RoutingTables:
         has no or several targets.  The kernel's batch rows when it
         computes them (no memo); otherwise resolved key by key.
         """
-        if self.kernel is not None:
-            rows = self.kernel.injection_rows(srcs, dsts, sids)
-            if rows is not None:
-                return rows
+        rows = self.assembler.injection_rows(srcs, dsts, sids)
+        if rows is not None:
+            return rows
         queues = np.full(len(srcs), -1, dtype=np.int64)
         states = np.zeros(len(srcs), dtype=np.int64)
         keys = zip(srcs.tolist(), dsts.tolist(), sids.tolist())

@@ -123,3 +123,29 @@ def test_degradation_sweep_large(family, size, counts):
         assert not math.isnan(row["reroute_overhead"])
     # overhead grows (weakly) with damage on average: last >= first
     assert rows[-1]["reroute_overhead"] >= rows[0]["reroute_overhead"]
+
+
+def test_deadlocked_cell_is_a_row_not_an_abort(capsys):
+    """``repro faults --family mesh --size 8 --counts 0,4,8 --packets 4
+    --verify --telemetry``: the 8-link cell deadlocks (cycle 1031, one
+    deliverable packet stuck).  It becomes a row that says so, the 0-
+    and 4-link rows are kept, the table prints, and the exit code is
+    non-zero."""
+    from repro.cli import main
+
+    code = main(
+        "faults --family mesh --size 8 --counts 0,4,8 --packets 4 "
+        "--verify --telemetry".split()
+    )
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "verify under faults" in out
+    head, _sep, *body = out.split("\n\n")[0].splitlines()
+    cols = head.split()
+    assert cols[:3] == ["failed_links", "delivered", "generated"]
+    assert cols[8:12] == ["cycles", "halt", "stuck", "stuck_deliverable"]
+    healthy, four, eight = (line.split() for line in body)
+    assert healthy[:5] == ["0", "256", "256", "1.0", "1.0"]
+    assert four[:5] == ["4", "256", "256", "1.0", "1.0"]
+    # The deadlocked cell fills only the watchdog's columns.
+    assert eight == ["8", "1031", "deadlock", "1", "1"]

@@ -1,11 +1,12 @@
-"""Cross-validation of the compiled routing-plan path against the reference.
+"""Cross-validation of the symbolic row path against the reference.
 
 Every key an algorithm's integer hop kernel declines (fault epochs,
-Beneš, the buffer-pool schemes) is served by rows that
-:class:`~repro.sim.tables.RoutingTables` lowers from the symbolic
-:class:`~repro.sim.plans.RoutingPlanCache` and packed behind the one
-sorted key index.  This suite runs the vector engine on exactly that
-path — no kernel (``use_kernel=False``) — and requires it to be
+exhausted shuffle counters, off-network Beneš keys), and every key of
+an algorithm without a kernel, is served by rows the row assembler
+(:class:`~repro.core.hops.HopKernel`) builds from the symbolic routing
+function and :class:`~repro.sim.tables.RoutingTables` packs behind the
+one sorted key index.  This suite runs the vector engine on exactly
+that path — no kernel (``use_kernel=False``) — and requires it to be
 *packet-for-packet identical* to :class:`PacketSimulator` on the mesh,
 torus, shuffle-exchange, hypercube and CCC: same latency multiset, same
 cycle counts, same injection statistics, for FIFO/LIFO service,
@@ -17,6 +18,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.core.hops import HopKernel
+from repro.core.message import reset_message_ids
+from repro.core.queues import QueueId
 from repro.routing import (
     CCCAdaptiveRouting,
     HypercubeAdaptiveRouting,
@@ -33,6 +37,8 @@ from repro.sim import (
     VectorSimulator,
     make_rng,
 )
+from repro.statics import synthesize_routing
+from repro.telemetry import TelemetryProbe
 from repro.topology import (
     CubeConnectedCycles,
     Hypercube,
@@ -51,14 +57,14 @@ TOPOLOGIES = {
 
 
 def run_plans(alg, inj, tables=None, **kw):
-    """Run the vector engine on packed plan-cache rows; check that path
+    """Run the vector engine on packed symbolic rows; check that path
     was the one taken."""
     if tables is None:
         tables = RoutingTables(alg, use_kernel=False)
     result = VectorSimulator(alg, inj, tables=tables, **kw).run(
         max_cycles=500_000
     )
-    assert tables.kernel is None and tables.plans.size > 0
+    assert tables.kernel is None and type(tables.assembler) is HopKernel
     assert tables.rows_packed > 0
     return result
 
@@ -135,17 +141,19 @@ def test_small_capacity_identical():
 
 
 def test_shared_plan_cache_across_runs():
-    """One plan-cache-backed RoutingTables can back a whole sweep."""
+    """One kernel-less RoutingTables can back a whole sweep."""
     build, alg_cls = TOPOLOGIES["mesh"]
     topo = build()
     alg = alg_cls(topo)
     tables = RoutingTables(alg, use_kernel=False)
     results = []
+    packed = []
     for seed in (0, 1):
         inj = StaticInjection(2, RandomTraffic(topo), make_rng(seed))
         results.append(run_plans(alg, inj, tables=tables))
-    assert tables.plans.size > 0
-    # The second run reuses (and possibly extends) the first run's plans.
+        packed.append(tables.rows_packed)
+    # The second run reuses (and possibly extends) the first run's rows.
+    assert 0 < packed[0] <= packed[1]
     ref = PacketSimulator(
         alg, StaticInjection(2, RandomTraffic(topo), make_rng(1))
     ).run(max_cycles=500_000)
@@ -156,7 +164,7 @@ def test_plan_cache_algorithm_mismatch_rejected():
     build, alg_cls = TOPOLOGIES["mesh"]
     topo = build()
     tables = RoutingTables(alg_cls(topo), use_kernel=False)
-    assert tables.plans.algorithm is tables.algorithm
+    assert tables.assembler.t is tables
     other = alg_cls(build())
     inj = StaticInjection(1, RandomTraffic(topo), make_rng(0))
     with pytest.raises(ValueError):
@@ -203,3 +211,98 @@ def test_property_identical_dynamic(key, seed, rate, policy):
         policy=policy,
     )
     assert_identical(ref, compiled)
+
+
+class _EchoedHopsRouting(MeshAdaptiveRouting):
+    """Offers every static hop again as a dynamic hop over the same
+    buffer class, so each external candidate has a twin for the same
+    buffer: first-wins must keep the static one."""
+
+    def dynamic_hops(self, q, dst, state=None):
+        return self.static_hops(q, dst, state)
+
+    def buffer_class(self, q_from, q_to, dynamic):
+        return q_to.kind
+
+
+class _GhostTwinRouting(_EchoedHopsRouting):
+    """Each static hop's dynamic twin targets a queue kind no node
+    declares, over the static hop's buffer: the twin loses first-wins,
+    so neither engine may look its queue up."""
+
+    def dynamic_hops(self, q, dst, state=None):
+        return [
+            QueueId(q2.node, "ghost-" + q2.kind)
+            for q2 in self.static_hops(q, dst, state)
+            if q2.node != q.node
+        ]
+
+    def buffer_class(self, q_from, q_to, dynamic):
+        return q_to.kind.removeprefix("ghost-")
+
+
+def test_first_wins_keeps_the_static_twin():
+    topo = Mesh((3, 3))
+    for cls in (_EchoedHopsRouting, _GhostTwinRouting):
+        tables = RoutingTables(cls(topo), use_kernel=False)
+        sid = tables.state_id(None)
+        externals = 0
+        for qid in range(tables.n_queues):
+            for dst in range(len(tables.nodes)):
+                slots, queues, _states, dyn, _steps = tables.central_row(
+                    qid, dst, sid
+                )
+                assert len(set(slots)) == len(slots) and not any(dyn)
+                assert all(q >= 0 for q in queues)
+                externals += len(slots)
+        assert externals > 0
+        inj = lambda t: StaticInjection(3, RandomTraffic(t), make_rng(2))
+        ref = PacketSimulator(cls(topo), inj(topo)).run(max_cycles=500_000)
+        assert_identical(ref, run_plans(cls(topo), inj(topo)))
+
+
+@st.composite
+def strongly_connected_digraphs(draw):
+    """Edge lists of small strongly connected digraphs: a random
+    Hamiltonian cycle plus random chords."""
+    n = draw(st.integers(2, 7))
+    order = draw(st.permutations(range(n)))
+    edges = {(order[i], order[(i + 1) % n]) for i in range(n)}
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    edges.update(
+        (u, v) for u, v in draw(st.lists(pairs, max_size=2 * n)) if u != v
+    )
+    return sorted(edges)
+
+
+def _logged_run(alg, seed, engine_cls, **kw):
+    reset_message_ids()
+    model = DynamicInjection(
+        1.0, RandomTraffic(alg.topology), make_rng(seed), duration=40
+    )
+    probe = TelemetryProbe()
+    sim = engine_cls(alg, model, **kw)
+    probe.attach(sim)
+    result = sim.run(max_cycles=20_000)
+    return probe.log.to_jsonl(), result
+
+
+@settings(
+    max_examples=10, deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(edges=strongly_connected_digraphs(), seed=st.integers(0, 10_000))
+def test_property_synthesized_routing_logs_identical(edges, seed):
+    """Generated digraphs routed by ``synthesize_routing`` (no kernel,
+    so every row comes from the symbolic candidates) give byte-identical
+    canonical event logs on both engines at lambda = 1."""
+    ref_log, ref = _logged_run(
+        synthesize_routing(edges), seed, PacketSimulator
+    )
+    alg = synthesize_routing(edges)
+    tables = RoutingTables(alg, use_kernel=False)
+    vec_log, vec = _logged_run(alg, seed, VectorSimulator, tables=tables)
+    assert ref.delivered > 0
+    assert vec_log == ref_log
+    assert vec.cycles == ref.cycles
+    assert tables.rows_packed > 0

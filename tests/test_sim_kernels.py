@@ -1,19 +1,23 @@
 """Integer hop kernels: row equivalence and saturated-traffic identity.
 
-Two layers of guarantees for ``compile_hops()`` (the integer-kernel
+Every row comes from one assembler, :class:`~repro.core.hops.HopKernel`,
+with two candidate sources: a kernel's integer primitives, or the
+symbolic routing function (``use_kernel=False``, and every key a kernel
+declines).  The guarantees for ``compile_hops()`` (the integer-kernel
 compilation hook, ``docs/ARCHITECTURE.md``):
 
-* **Row equivalence** — for every shipped algorithm, the kernel-built
+* **Row equivalence** — for every shipped algorithm, the kernel's
   :class:`~repro.sim.tables.RoutingTables` rows must be *identical* to
-  the symbolic ``RoutingPlanCache`` translation (``use_kernel=False``)
-  over random ``(queue, destination, state)`` triples — including keys
-  whose symbolic evaluation raises (declined keys fall back to the
-  symbolic path, so exception type and message match too).
+  the symbolic rows over random ``(queue, destination, state)``
+  triples — including keys whose symbolic evaluation raises (declined
+  keys fall back to the symbolic candidates, so exception type and
+  message match too) — and must intern new states in the same order.
+  Kernels with batch rows are checked through them.
 * **Batch-row equivalence** — a kernel's ``fill_rows`` batch rows, and
-  the packed-row fallback behind ``RoutingTables.fill_rows``, must
-  equal the scalar ``central_row`` / ``entry_row`` on every key of
-  small hypercubes, meshes and tori, reachable or not (on a torus, in
-  every ring-direction state); batch injection rows likewise.
+  the packed rows behind ``RoutingTables.fill_rows``, must equal the
+  symbolic ``central_row`` / ``entry_row`` on every key of small
+  hypercubes, meshes and tori, reachable or not (on a torus, in every
+  ring-direction state); batch injection rows likewise.
 * **Saturated identity** — at ``lambda = 1`` the vector engine's
   batched node cycle (fill sweep + one-sort read admission) must produce
   byte-identical canonical event logs and equal latency multisets
@@ -67,7 +71,7 @@ from repro.topology import (
 )
 
 # ----------------------------------------------------------------------
-# Row equivalence: kernel vs symbolic plan-cache translation
+# Row equivalence: kernel vs symbolic candidates
 # ----------------------------------------------------------------------
 KERNEL_ALGS = {
     "hypercube-adaptive": lambda: HypercubeAdaptiveRouting(Hypercube(4)),
@@ -96,13 +100,14 @@ def _call(fn, *args):
         return ("err", type(exc).__name__, str(exc))
 
 
-def _seed_states(alg, tabs):
+def _seed_states(alg, tabs, every_count=True):
     """Intern the same states in the same order into every table.
 
     Initial states for a spread of (src, dst) pairs, plus — for the
-    shuffle-exchange scheme, whose state is the shuffle count — every
-    count a message can carry (including the exhausted ones, which the
-    kernel declines back to the symbolic error path).
+    shuffle-exchange scheme, whose state is the shuffle count — the
+    exhausted counts (which the kernel declines back to the symbolic
+    error path) and, with ``every_count``, every count a message can
+    carry.
     """
     nodes = tabs[0].nodes
     step = max(1, len(nodes) // 7)
@@ -112,39 +117,62 @@ def _seed_states(alg, tabs):
             for tab in tabs:
                 tab.state_id(state)
     if isinstance(alg, ShuffleExchangeRouting):
-        for k in range(2 * alg.n + 2):
+        n2 = 2 * alg.n
+        for k in range(n2 + 2) if every_count else (n2, n2 + 1):
             for tab in tabs:
                 tab.state_id(k)
 
 
 @pytest.mark.parametrize("name", sorted(KERNEL_ALGS))
 def test_kernel_rows_match_plan_cache(name):
+    """A kernel's rows equal the symbolic rows (``use_kernel=False``)
+    on 250 random ``(queue, destination, state)`` keys, raising keys
+    included.  Kernels with batch rows (the two-phase kernels, and the
+    fault adapter over one) are checked through ``fill_rows`` and
+    ``injection_rows``, since their scalar rows are the symbolic ones;
+    the others through the scalar rows, with the state table interned
+    in the same order on both sides after every row."""
     alg = KERNEL_ALGS[name]()
     kern = RoutingTables(alg)
     fall = RoutingTables(alg, use_kernel=False)
     assert kern.kernel is not None, f"{name}: compile_hops declined"
     assert fall.kernel is None
-    _seed_states(alg, (kern, fall))
+    _seed_states(alg, (kern, fall), every_count=False)
     assert kern.states == fall.states
 
     rng = np.random.default_rng(zlib.crc32(name.encode()))
     n_q = kern.n_queues
     n_nodes = len(kern.nodes)
-    n_states = len(kern.states)
-    for _ in range(250):
-        qid = int(rng.integers(n_q))
-        dst = int(rng.integers(n_nodes))
-        sid = int(rng.integers(n_states))
+    qids = rng.integers(n_q, size=250)
+    dsts = rng.integers(n_nodes, size=250)
+    srcs = rng.integers(n_nodes, size=250)
+    sids = rng.integers(len(kern.states), size=250)
+    batch = kern.kernel.fill_rows(qids, dsts, sids)
+    if batch is not None:
+        batch = _batch_rows(batch, kern.n_slots)
+        queues, states = kern.kernel.injection_rows(srcs, dsts, sids)
+        keys = zip(qids.tolist(), dsts.tolist(), sids.tolist(), srcs.tolist())
+        for i, (qid, dst, sid, ui) in enumerate(keys):
+            want = fall.central_row(qid, dst, sid)
+            entries = [fall.entry_row(q, dst, st) for q, st in zip(*want[1:3])]
+            assert batch[i] == (want, entries), (name, qid, dst, sid)
+            got = ((int(queues[i]), int(states[i])),)
+            assert got == fall.injection_row(ui, dst, sid), (name, ui, dst)
+        return
+    for qid, dst, ui in zip(qids.tolist(), dsts.tolist(), srcs.tolist()):
+        sid = int(rng.integers(len(kern.states)))
         assert _call(kern.central_row, qid, dst, sid) == _call(
             fall.central_row, qid, dst, sid
         ), (name, "central", qid, dst, sid)
+        assert kern.states == fall.states, (name, "central", qid, dst, sid)
         assert _call(kern.entry_row, qid, dst, sid) == _call(
             fall.entry_row, qid, dst, sid
         ), (name, "entry", qid, dst, sid)
-        ui = int(rng.integers(n_nodes))
+        assert kern.states == fall.states, (name, "entry", qid, dst, sid)
         assert _call(kern.injection_row, ui, dst, sid) == _call(
             fall.injection_row, ui, dst, sid
         ), (name, "inject", ui, dst, sid)
+        assert kern.states == fall.states, (name, "inject", ui, dst, sid)
 
 
 def _decode_internal(act, queue, state):
@@ -333,8 +361,8 @@ def _assert_batch_rows_match_scalar_rows(alg):
     gathered = _batch_rows(fall.fill_rows(qids, dsts, sids), fall.n_slots)
     keys = zip(qids.tolist(), dsts.tolist(), sids.tolist())
     for key, got, packed in zip(keys, batch, gathered):
-        # The kernel declines scalar keys: both tables' scalar rows are
-        # the plan-cache translation, which the gather just built.
+        # Both tables' scalar rows come from the symbolic candidates,
+        # which the gather just packed.
         want = fall.central_row(*key)
         entries = [fall.entry_row(q, key[1], st) for q, st in zip(*want[1:3])]
         assert got == (want, entries), key
@@ -583,7 +611,7 @@ def test_oblivious_mesh_tie_break_keeps_the_lowest_node():
     ``-e_i``) the *lowest* pending down-dimension.
     """
     tab = RoutingTables(MeshObliviousRouting(Mesh((3, 3))))
-    assert tab.state_id(None) == 0  # scalar rows take the plan cache
+    assert tab.state_id(None) == 0  # scalar rows are the symbolic ones
     nid = tab.nid
     for src, dst, phase, nxt in (
         ((0, 0), (2, 2), 0, (0, 1)),  # phase A: dimension 1, not 0
@@ -612,7 +640,7 @@ def test_oblivious_phase_b_with_zeros_left_has_no_candidate():
     would pick.
     """
     tab = RoutingTables(HypercubeObliviousRouting(Hypercube(2)))
-    assert tab.state_id(None) == 0  # scalar rows take the plan cache
+    assert tab.state_id(None) == 0  # scalar rows are the symbolic ones
     qid, dst = (0b10 << 1) | 1, 0b01
     assert tab.central_row(qid, dst, 0) == ((), (), (), (), ())
     rows = tab.fill_rows(
