@@ -7,6 +7,9 @@ carries the bookkeeping the simulator needs for latency accounting
 state an algorithm requires (the shuffle-exchange algorithm records the
 number of shuffle links already traversed; the torus algorithm records
 the minimal direction chosen per dimension and dateline crossings).
+A message keeps no record of its route: routes are read from the
+engine's event log (:class:`repro.sim.trace.PacketTrace`), which both
+engines write.
 """
 
 from __future__ import annotations
@@ -35,8 +38,6 @@ class Message:
     state:
         Algorithm-specific routing state (opaque to the engine); updated
         through :meth:`repro.core.routing_function.RoutingAlgorithm.update_state`.
-    hops:
-        Sequence of queue ids visited (only recorded when tracing is on).
     """
 
     src: Hashable
@@ -45,7 +46,6 @@ class Message:
     injected_cycle: int = -1
     delivered_cycle: int = -1
     state: Any = None
-    hops: list | None = None
     #: While in flight between nodes: the queue this packet is heading
     #: to (decided when it was placed in the output buffer).
     target: Any = None
@@ -60,10 +60,6 @@ class Message:
         if not self.delivered or self.injected_cycle < 0:
             raise ValueError("message not delivered yet")
         return self.delivered_cycle - self.injected_cycle
-
-    def record_hop(self, q) -> None:
-        if self.hops is not None:
-            self.hops.append(q)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Message(#{self.uid} {self.src}->{self.dst})"

@@ -39,6 +39,11 @@ class Transition:
 class Exploration:
     """Everything reachable under a routing function.
 
+    Transitions and configurations are dicts used as ordered sets, in
+    discovery order, so checks that walk them report in the same order
+    in every process (set order follows string hashes and the
+    address-based hash of ``None``).
+
     Attributes
     ----------
     transitions:
@@ -47,23 +52,25 @@ class Exploration:
         Reachable ``(queue, state)`` pairs per destination.
     """
 
-    transitions: set[Transition] = field(default_factory=set)
-    configurations: dict[Hashable, set[tuple[QueueId, Any]]] = field(
+    transitions: dict[Transition, None] = field(default_factory=dict)
+    configurations: dict[Hashable, dict[tuple[QueueId, Any], None]] = field(
         default_factory=dict
     )
 
-    def edges(self, dynamic: bool | None = None) -> set[tuple[QueueId, QueueId]]:
-        """Distinct QDG edges, optionally filtered by link type.
+    def edges(self, dynamic: bool | None = None) -> dict[tuple, None]:
+        """Distinct QDG edges (an ordered set), optionally by link type.
 
         An edge is *static* if any transition over it is static; the
         dynamic-only edge set is what ``A_d`` denotes in the paper.
         """
-        static = {
+        static = dict.fromkeys(
             (t.q_from, t.q_to) for t in self.transitions if not t.dynamic
-        }
-        dyn = {
-            (t.q_from, t.q_to) for t in self.transitions if t.dynamic
-        } - static
+        )
+        dyn = dict.fromkeys(
+            (t.q_from, t.q_to)
+            for t in self.transitions
+            if t.dynamic and (t.q_from, t.q_to) not in static
+        )
         if dynamic is None:
             return static | dyn
         return dyn if dynamic else static
@@ -93,7 +100,7 @@ def explore(
 
     out = Exploration()
     for dst in dsts:
-        seen: set[tuple[QueueId, Any]] = set()
+        seen: dict[tuple[QueueId, Any], None] = {}
         frontier: list[tuple[QueueId, Any]] = []
         d_q = deliver(dst)
         for src in srcs:
@@ -102,11 +109,11 @@ def explore(
             state0 = algorithm.initial_state(src, dst)
             i_q = inject(src)
             for q in algorithm.injection_targets(src, dst, state0):
-                out.transitions.add(Transition(i_q, q, dst, False))
+                out.transitions[Transition(i_q, q, dst, False)] = None
                 st = algorithm.update_state(state0, i_q, q)
                 key = (q, _freeze_state(st))
                 if key not in seen:
-                    seen.add(key)
+                    seen[key] = None
                     frontier.append((q, st))
         while frontier:
             q, st = frontier.pop()
@@ -121,11 +128,11 @@ def explore(
                         # Self-hops (degenerate self-shuffles) only
                         # advance routing state; they hold no new
                         # resource, so they are not QDG dependencies.
-                        out.transitions.add(Transition(q, q2, dst, dyn))
+                        out.transitions[Transition(q, q2, dst, dyn)] = None
                     st2 = algorithm.update_state(st, q, q2)
                     key = (q2, _freeze_state(st2))
                     if key not in seen:
-                        seen.add(key)
+                        seen[key] = None
                         frontier.append((q2, st2))
         out.configurations[dst] = seen
     return out

@@ -42,15 +42,6 @@ SCALES: dict[str, tuple[int, ...]] = {
 #: Engine names accepted by :func:`build_simulator` / ``REPRO_ENGINE``.
 ENGINES: tuple[str, ...] = ("auto", "reference", "vector")
 
-#: One-screen engine capability matrix, embedded in selection errors.
-#: The canonical (maintained) version lives in docs/ARCHITECTURE.md.
-ENGINE_MATRIX = """\
-engine     topologies        faults  observers  trace  speed (relative)
-reference  any               yes     yes        yes    1x
-vector     any               no      telemetry  no     ~3-80x
-(auto = vector, or reference with trace=True; docs/ARCHITECTURE.md)"""
-
-
 def engine_choice(default: str = "auto") -> str:
     """Engine to use, honoring the ``REPRO_ENGINE`` environment override."""
     name = os.environ.get("REPRO_ENGINE", default).lower()
@@ -88,11 +79,11 @@ def build_simulator(
     variable) selects between:
 
     * ``reference`` — the generic :class:`PacketSimulator`, the
-      executable spec (every observer, fault injection, tracing);
+      executable spec (every observer, fault injection);
     * ``vector``    — :class:`~repro.sim.vector.VectorSimulator`, the
       table-driven engine (any topology, packet-identical; hashable
-      states, telemetry probes yes, fault observers / tracing no);
-    * ``auto``      — ``vector``, or ``reference`` when ``trace=True``.
+      states, telemetry probes yes, fault observers no);
+    * ``auto``      — ``vector``, for every run.
 
     Every engine implements the reference engine's exact Section-7.1
     semantics, so the choice never changes results, only throughput —
@@ -102,14 +93,13 @@ def build_simulator(
     ``telemetry`` (True or a :class:`~repro.telemetry.TelemetryProbe`)
     attaches instrumentation to whichever engine is picked.  The vector
     engine drives probes itself (columnar events, flushed to the sink
-    every cycle).
+    every cycle).  A probe with ``events=True`` records the event log
+    that :class:`~repro.sim.trace.PacketTrace` reads timelines from.
     """
     name = engine_choice() if engine is None else engine
     if name not in ENGINES:
         raise ValueError(f"engine={name!r}; expected one of {ENGINES}")
     probe = resolve_probe(telemetry)
-    if name == "auto":
-        name = "reference" if kwargs.get("trace") else "vector"
     if name == "reference":
         sim = PacketSimulator(algorithm, model, **kwargs)
     else:

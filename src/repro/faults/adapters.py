@@ -383,8 +383,6 @@ class FaultInjector:
             kind = msg.target.kind if msg.target is not None else None
             if kind not in queues:
                 kind = next(iter(queues))
-            if msg.hops and msg.target is not None and msg.hops[-1] == msg.target:
-                msg.hops.pop()  # the hop never physically happened
             msg.target = None
             queues[kind].append(msg)
             if sim._events is not None:

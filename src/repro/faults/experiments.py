@@ -11,7 +11,8 @@ watchdog armed, and measure
   routing algorithm could have saved;
 * **latency inflation** — ``L_avg`` relative to the healthy baseline;
 * **reroute overhead** — mean extra hops versus the healthy minimal
-  distance, from traced routes of delivered packets.
+  distance, from the node paths of delivered packets in the run's
+  event log.
 
 See ``docs/RESILIENCE.md`` for the methodology and example tables.
 """
@@ -21,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from ..core.routing_function import RoutingAlgorithm, node_path
+from ..core.routing_function import RoutingAlgorithm
 from ..experiments.parallel import parallel_map
 from ..experiments.runner import resolve_probe
 from ..routing.hypercube import HypercubeAdaptiveRouting
@@ -30,7 +31,9 @@ from ..sim.engine import PacketSimulator
 from ..sim.injection import InjectionModel, StaticInjection
 from ..sim.metrics import SimulationResult
 from ..sim.rng import make_rng
+from ..sim.trace import PacketTrace
 from ..sim.traffic import RandomTraffic
+from ..telemetry.events import EventLog
 from ..topology.base import Topology
 from ..topology.hypercube import Hypercube
 from ..topology.mesh import Mesh2D
@@ -72,6 +75,18 @@ def make_fault_simulator(
     return sim
 
 
+class _Tee(list):
+    """An event list that also feeds the sink it displaced (a probe's)."""
+
+    def __init__(self, sink):
+        super().__init__()
+        self._sink = sink
+
+    def append(self, ev: tuple) -> None:
+        super().append(ev)
+        self._sink.append(ev)
+
+
 @dataclass
 class ResilienceResult:
     """One degraded run plus its resilience bookkeeping."""
@@ -80,7 +95,7 @@ class ResilienceResult:
     schedule: FaultSchedule
     generated: int  #: packets created, including never-injected backlog
     #: Mean extra hops per delivered packet versus the healthy minimal
-    #: distance; NaN when the run was not traced.
+    #: distance; NaN when the run did not measure it.
     reroute_overhead: float = float("nan")
 
     @property
@@ -120,13 +135,11 @@ def run_with_faults(
 ) -> ResilienceResult:
     """Run one degraded simulation and collect resilience metrics.
 
-    ``measure_overhead`` turns on route tracing and computes the mean
-    reroute overhead from every delivered packet's actual node path.
-    ``telemetry`` attaches a probe; its summary rides
-    ``result.telemetry``.
+    ``measure_overhead`` records the run's event log and computes the
+    mean reroute overhead from every delivered packet's node path in it
+    (:meth:`~repro.sim.trace.PacketTrace.node_paths`).  ``telemetry``
+    attaches a probe; its summary rides ``result.telemetry``.
     """
-    if measure_overhead:
-        kwargs.setdefault("trace", True)
     sim = make_fault_simulator(
         algorithm,
         model,
@@ -136,17 +149,20 @@ def run_with_faults(
         telemetry=telemetry,
         **kwargs,
     )
+    log = EventLog()
     if measure_overhead:
-        sim.delivered_messages = []
+        if sim._events is not None:
+            log.raw = _Tee(sim._events)
+        sim._events = log.raw
     result = sim.run(max_cycles=max_cycles)
     overhead = float("nan")
-    if measure_overhead and sim.delivered_messages:
+    paths = PacketTrace(log).node_paths()
+    if paths:
         topo = algorithm.topology
-        extra = 0
-        for msg in sim.delivered_messages:
-            hops = len(node_path(msg.hops)) - 1
-            extra += hops - topo.distance(msg.src, msg.dst)
-        overhead = extra / len(sim.delivered_messages)
+        extra = sum(
+            len(p) - 1 - topo.distance(p[0], p[-1]) for p in paths.values()
+        )
+        overhead = extra / len(paths)
     generated = getattr(model, "total", result.injected)
     return ResilienceResult(
         result=result,

@@ -11,7 +11,7 @@ from .tables import EngineCapabilityError, RoutingTables
 from .vector import VectorSimulator
 from .metrics import LatencyStats, SimulationResult
 from .rng import make_rng
-from .trace import TraceEvent, TracingSimulator
+from .trace import PacketTrace, TraceEvent
 from .traffic import (
     BitReversalTraffic,
     HotspotTraffic,
@@ -42,7 +42,7 @@ __all__ = [
     "LatencyStats",
     "SimulationResult",
     "make_rng",
-    "TracingSimulator",
+    "PacketTrace",
     "TraceEvent",
     "TrafficPattern",
     "RandomTraffic",

@@ -32,9 +32,9 @@ full capability matrix): this is the *reference* engine — the
 executable specification the fast engine
 (:class:`~repro.sim.vector.VectorSimulator`) is cross-validated
 against, packet for packet.  It supports the complete feature
-surface — any topology, fault observers, telemetry probes, route
-tracing, FIFO/LIFO service, paper/rotating buffer policies — and has
-no limitations other than speed: every hop re-derives
+surface — any topology, fault observers, telemetry probes,
+FIFO/LIFO service, paper/rotating buffer policies — and has no
+limitations other than speed: every hop re-derives
 ``static_hops`` / ``dynamic_hops`` / ``buffer_class`` /
 ``update_state`` through the generic interface, which is the 1x
 baseline the vector engine is measured over.
@@ -92,7 +92,6 @@ class PacketSimulator:
         injection: InjectionModel,
         central_capacity: int = 5,
         stall_limit: int = 1000,
-        trace: bool = False,
         collect_occupancy: bool = False,
         occupancy_sample_every: int = 1,
         policy: str = "paper",
@@ -107,7 +106,6 @@ class PacketSimulator:
         self.injection = injection
         self.central_capacity = central_capacity
         self.stall_limit = stall_limit
-        self.trace = trace
         self.collect_occupancy = collect_occupancy
         self.occupancy_sample_every = occupancy_sample_every
         #: Output-buffer fill order: ``"paper"`` serves buffers strictly
@@ -188,10 +186,6 @@ class PacketSimulator:
         #: a healthy run, where every guard short-circuits.
         self.dead_nodes: frozenset = frozenset()
         self.blocked_links: frozenset = frozenset()
-        #: When set to a list (see ``repro.faults.experiments``), every
-        #: delivered message object is appended to it, which is what
-        #: reroute-overhead accounting reads traced hops from.
-        self.delivered_messages: list | None = None
         self.occupancy_sum: dict[tuple[Hashable, str], int] = {}
         self.occupancy_peak: dict[tuple[Hashable, str], int] = {}
         self.occupancy_samples = 0
@@ -253,8 +247,6 @@ class PacketSimulator:
                 injected_cycle=cycle,
                 state=alg.initial_state(u, dst),
             )
-            if self.trace:
-                msg.hops = [QueueId(u, "inj")]
             inj[u] = msg
             if events is not None:
                 events.append(("inject", cycle, uid, u, dst))
@@ -372,7 +364,6 @@ class PacketSimulator:
                 queues[q_id.kind].remove(msg)
                 msg.state = alg.update_state(msg.state, q_id, q2)
                 msg.target = q2
-                msg.record_hop(q2)
                 self.out_buf[key] = msg
                 moved.add(msg.uid)
                 self._last_progress = self.cycle
@@ -395,7 +386,6 @@ class PacketSimulator:
                 if q2 == q_id:
                     # Degenerate self-hop: state advances in place.
                     msg.state = alg.update_state(msg.state, q_id, q2)
-                    msg.record_hop(q2)
                     moved.add(msg.uid)
                     self._last_progress = self.cycle
                     if events is not None:
@@ -407,7 +397,6 @@ class PacketSimulator:
                 if len(target) < self.central_capacity:
                     queues[q_id.kind].remove(msg)
                     msg.state = alg.update_state(msg.state, q_id, q2)
-                    msg.record_hop(q2)
                     target.append(msg)
                     moved.add(msg.uid)
                     self._last_progress = self.cycle
@@ -460,7 +449,6 @@ class PacketSimulator:
                     q2, st = self._fold_entry_queue(q2, st, msg.dst)
                     if len(queues[q2.kind]) < self.central_capacity:
                         msg.state = st
-                        msg.record_hop(q2)
                         queues[q2.kind].append(msg)
                         if events is not None:
                             events.append(
@@ -481,8 +469,6 @@ class PacketSimulator:
                     self.in_buf[src] = None
                     msg.target = None
                     msg.state = st
-                    if q2 != nominal:
-                        msg.record_hop(q2)
                     queues[q2.kind].append(msg)
                     self._last_progress = self.cycle
                     if events is not None:
@@ -522,8 +508,6 @@ class PacketSimulator:
             )
         if msg.injected_cycle >= self.measure_from:
             self.latency.record(msg.latency)
-        if self.delivered_messages is not None:
-            self.delivered_messages.append(msg)
 
     def _sample_occupancy(self) -> None:
         self.occupancy_samples += 1

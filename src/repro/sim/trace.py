@@ -1,28 +1,28 @@
-"""Per-packet timeline tracing, built on the telemetry event log.
+"""Per-packet timelines, read from the telemetry event log.
 
-:class:`TracingSimulator` (the reference engine, the only one that
-traces) records the structured event log of
-:mod:`repro.telemetry.events` and reconstructs the classic per-packet
-view from it: ``inject`` / ``enter`` / ``deliver``
-:class:`TraceEvent` records, with ``enter`` stamped at *dispatch* time
-(the cycle the packet was sent toward the queue) exactly as the
-original bespoke tracer did — ``format_timeline`` output is unchanged
-(``tests/test_sim_trace.py`` keeps a golden sample).
+:class:`PacketTrace` is a read-only view over an
+:class:`~repro.telemetry.events.EventLog`, which either engine writes
+under a :class:`~repro.telemetry.TelemetryProbe` with ``events=True``
+(the canonical logs of the two engines are byte-identical)::
 
-Tracing costs memory proportional to traffic, so it is opt-in and
-intended for small instances.  For aggregate signals use a
-:class:`~repro.telemetry.TelemetryProbe` instead; for the raw log use
-``sim.log`` directly.
+    probe = TelemetryProbe()
+    build_simulator(alg, model, telemetry=probe).run()
+    print(PacketTrace(probe.log).format_timeline(0))
+
+``inject`` / ``enter`` / ``deliver`` :class:`TraceEvent` records are
+rebuilt with ``enter`` stamped at *dispatch* time; ``format_timeline``
+output is pinned by a golden sample (``tests/test_sim_trace.py``).
+The log costs memory proportional to traffic, so tracing is meant for
+small instances.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Hashable, Iterator
 
 from ..core.queues import QueueId
 from ..telemetry.events import EventLog
-from .engine import PacketSimulator
 
 
 @dataclass(frozen=True)
@@ -41,33 +41,24 @@ class TraceEvent:
     queue: QueueId
 
 
-class TracingSimulator(PacketSimulator):
-    """Reference engine with the structured event log attached.
+class PacketTrace:
+    """Per-packet queries over one run's event log (held, not copied:
+    events appended later show up on the next query)."""
 
-    Installs an :class:`EventLog` as the engine's event sink and keeps
-    ``trace=True`` so ``Message.hops`` stays populated for route-level
-    consumers.
-    """
-
-    def __init__(self, *args, **kwargs):
-        kwargs["trace"] = True
-        super().__init__(*args, **kwargs)
-        #: The raw structured event log (schema v1).
-        self.log = EventLog()
-        self._events = self.log.raw
+    def __init__(self, log: EventLog):
+        self.log = log
         self._reconstructed: list[TraceEvent] = []
         self._reconstructed_from = 0
 
     @property
     def events(self) -> list[TraceEvent]:
-        """Old-style trace events, canonical (cycle, uid) order.
+        """Trace events, canonical (cycle, uid) order.
 
-        Reconstruction walks the raw log: a ``hop`` is an ``enter`` of
-        the dispatched-to queue at dispatch time; the physical-arrival
-        ``enqueue`` that follows is folded away unless the packet
-        landed in a *different* queue (the entry fold), which surfaces
-        as its own ``enter`` — matching what ``Message.record_hop``
-        used to capture.
+        Reconstruction walks the canonical log: a ``hop`` is an
+        ``enter`` of the dispatched-to queue at dispatch time; the
+        physical-arrival ``enqueue`` that follows is folded away unless
+        the packet landed in a *different* queue (the entry fold),
+        which surfaces as its own ``enter``, as do internal moves.
         """
         if self._reconstructed_from != len(self.log.raw):
             self._reconstructed = self._reconstruct()
@@ -115,3 +106,25 @@ class TracingSimulator(PacketSimulator):
         for e in self.timeline(uid):
             lines.append(f"  cycle {e.cycle:4d}: {e.kind:8s} {e.queue!r}")
         return "\n".join(lines)
+
+    def node_paths(self) -> dict[int, list[Hashable]]:
+        """The node path of every delivered packet, keyed by uid.
+
+        A path is the packet's ``inject`` node followed by the nodes of
+        its ``enqueue`` events, consecutive repeats collapsed.  Only
+        physical arrivals count: a hop retracted from a link that died
+        under it re-enqueues at the sender and collapses away.
+        """
+        paths: dict[int, list[Hashable]] = {}
+        delivered: list[int] = []
+        for ev in self.log.canonical():
+            kind = ev[0]
+            if kind == "inject":
+                paths[ev[2]] = [ev[3]]
+            elif kind == "enqueue":
+                path = paths[ev[2]]
+                if path[-1] != ev[3]:
+                    path.append(ev[3])
+            elif kind == "deliver":
+                delivered.append(ev[2])
+        return {uid: paths[uid] for uid in delivered}

@@ -51,9 +51,10 @@ side effects.  The link cycle's class rotation is ``cycle % k`` per
 
 **Selection.**  ``auto`` in
 :func:`~repro.experiments.runner.build_simulator` picks this engine for
-every algorithm and topology, with or without a telemetry probe (the
-paper tables, the other-topology sweeps and ``repro serve``); only
-``trace=True`` sends ``auto`` to the reference engine.
+every run: every algorithm and topology, with or without a telemetry
+probe (the paper tables, the other-topology sweeps and ``repro
+serve``).  Per-packet timelines are a view over the event log it
+writes (:class:`~repro.sim.trace.PacketTrace`).
 
 **Limitations** (each raises a descriptive
 :class:`~repro.sim.tables.EngineCapabilityError` — the engine never
@@ -64,9 +65,7 @@ silently degrades; see the engine matrix in ``docs/ARCHITECTURE.md``):
   :class:`~repro.telemetry.TelemetryProbe`, which this engine drives
   itself (below).  Fault injectors and watchdogs need the reference
   engine, which ``repro.faults.experiments.make_fault_simulator``
-  always builds;
-* no per-hop tracing (``trace=True``) and no ``delivered_messages``
-  capture (results and event logs carry every latency).
+  always builds.
 
 **Telemetry.**  Events are buffered *columnar* during a cycle — per
 event kind, the cycle's chunks of message-index, queue and slot
@@ -135,7 +134,6 @@ class VectorSimulator:
         injection: InjectionModel,
         central_capacity: int = 5,
         stall_limit: int = 1000,
-        trace: bool = False,
         collect_occupancy: bool = False,
         occupancy_sample_every: int = 1,
         policy: str = "paper",
@@ -146,17 +144,11 @@ class VectorSimulator:
             raise ValueError("policy must be 'paper' or 'rotating'")
         if service not in ("fifo", "lifo"):
             raise ValueError("service must be 'fifo' or 'lifo'")
-        if trace:
-            raise EngineCapabilityError(
-                "the vector engine does not record per-hop traces; use "
-                "engine='reference' (see docs/ARCHITECTURE.md)"
-            )
         self.algorithm = algorithm
         self.topology = algorithm.topology
         self.injection = injection
         self.central_capacity = central_capacity
         self.stall_limit = stall_limit
-        self.trace = False
         self.collect_occupancy = collect_occupancy
         self.occupancy_sample_every = occupancy_sample_every
         self.policy = policy

@@ -166,9 +166,9 @@ class DenseQueueIndex:
 def _sorted_configs(exp: Exploration):
     """Deterministic iteration over reachable configurations.
 
-    ``Exploration`` stores configurations in sets of ``(QueueId,
-    state)``; ``QueueId`` contains strings, whose hashes are randomized
-    per process, so raw set order must never leak into a witness.
+    ``Exploration`` keeps configurations in discovery order, which
+    depends on the order of the explored sources; sorting by ``repr``
+    picks the same witness however the exploration was run.
     """
     for dst in sorted(exp.configurations, key=repr):
         for q, st in sorted(exp.configurations[dst], key=repr):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import Message, QueueId, reset_message_ids
+from repro.core import Message, reset_message_ids
 
 
 def test_unique_ids():
@@ -32,15 +32,6 @@ def test_latency_requires_injection_stamp():
     m.delivered_cycle = 5
     with pytest.raises(ValueError):
         _ = m.latency
-
-
-def test_hop_recording_optional():
-    m = Message(0, 1)
-    m.record_hop(QueueId(0, "A"))  # no-op when tracing is off
-    assert m.hops is None
-    m.hops = []
-    m.record_hop(QueueId(0, "A"))
-    assert m.hops == [QueueId(0, "A")]
 
 
 def test_identity_equality():

@@ -89,76 +89,18 @@ def test_documented_engine_values_are_real():
 
 def test_every_engine_documented_in_architecture():
     """The canonical matrix in docs/ARCHITECTURE.md must cover every
-    engine build_simulator accepts."""
+    engine build_simulator accepts, and its rows must be exactly the
+    concrete engines."""
     text = (REPO / "docs" / "ARCHITECTURE.md").read_text()
     for engine in ENGINES:
         assert f"`{engine}`" in text, (
             f"engine {engine!r} missing from docs/ARCHITECTURE.md"
         )
-
-
-def _architecture_matrix_rows():
-    """Rows of the canonical engine matrix in docs/ARCHITECTURE.md,
-    keyed by engine name: [engine, class, topologies, fault observers,
-    telemetry probes, tracing, service/policy, speed]."""
-    text = (REPO / "docs" / "ARCHITECTURE.md").read_text()
-    rows = {}
-    for line in text.splitlines():
-        m = re.match(r"\|\s*`([a-z]+)`\s*\|", line)
-        if m:
-            cells = [
-                c.strip().strip("*`")
-                for c in line.strip().strip("|").split("|")
-            ]
-            rows.setdefault(m.group(1), cells)
-    return rows
-
-
-def _yn(cell):
-    return "no" if cell.strip().lower().startswith("no") else "yes"
-
-
-def test_engine_error_matrix_matches_architecture():
-    """The abbreviated capability matrix embedded in
-    ``EngineCapabilityError`` messages (``runner.ENGINE_MATRIX``) must
-    agree with the canonical table in docs/ARCHITECTURE.md: the same
-    concrete engines (no more, no fewer), same fault/observer/tracing
-    capabilities."""
-    from repro.experiments.runner import ENGINE_MATRIX
-
-    doc_rows = _architecture_matrix_rows()
-    matrix_rows = {}
-    for line in ENGINE_MATRIX.splitlines()[1:]:
-        if line.startswith("("):  # the 'auto' footnote
-            continue
-        toks = line.split()
-        matrix_rows[toks[0]] = toks
-    concrete = set(ENGINES) - {"auto"}
-    assert set(matrix_rows) == concrete, (
-        f"ENGINE_MATRIX rows {sorted(matrix_rows)} != concrete engines "
-        f"{sorted(concrete)}"
+    rows = set(re.findall(r"^\|\s*`([a-z]+)`\s*\|", text, re.MULTILINE))
+    assert rows == set(ENGINES) - {"auto"}, (
+        f"docs/ARCHITECTURE.md matrix rows {sorted(rows)} != concrete "
+        f"engines"
     )
-    assert set(doc_rows) == concrete, (
-        f"docs/ARCHITECTURE.md matrix rows {sorted(doc_rows)} != "
-        f"concrete engines {sorted(concrete)}"
-    )
-    for engine, toks in sorted(matrix_rows.items()):
-        cells = doc_rows[engine]
-        # ENGINE_MATRIX columns (from the right, since 'topologies' may
-        # contain spaces): faults, observers, trace, speed.
-        faults, observers, trace = toks[-4], toks[-3], toks[-2]
-        assert _yn(faults) == _yn(cells[3]), (
-            f"{engine}: faults={faults!r} in ENGINE_MATRIX vs fault "
-            f"observers={cells[3]!r} in docs/ARCHITECTURE.md"
-        )
-        assert _yn(observers) == _yn(cells[4]), (
-            f"{engine}: observers={observers!r} in ENGINE_MATRIX vs "
-            f"telemetry probes={cells[4]!r} in docs/ARCHITECTURE.md"
-        )
-        assert _yn(trace) == _yn(cells[5]), (
-            f"{engine}: trace={trace!r} in ENGINE_MATRIX vs "
-            f"tracing={cells[5]!r} in docs/ARCHITECTURE.md"
-        )
 
 
 def test_cited_benchmark_artifacts_exist():

@@ -7,14 +7,17 @@ Two guarantees:
    reference engine is byte-identical to the un-instrumented reference
    and vector engines.
 2. **Same schedule, same story** — a fault schedule replays
-   packet-for-packet, including mid-run epoch changes, and route
-   tracing does not perturb the run.
+   packet-for-packet, including mid-run epoch changes, and recording
+   the event log (which reroute overhead reads) does not perturb the
+   run.
 """
 
+import numpy as np
 import pytest
 
+from repro.core.message import take_message_ids
 from repro.faults import FaultSchedule, link_down, link_stall, node_down
-from repro.faults.experiments import make_fault_simulator
+from repro.faults.experiments import make_fault_simulator, run_with_faults
 from repro.routing import (
     HypercubeAdaptiveRouting,
     Mesh2DAdaptiveRouting,
@@ -26,6 +29,9 @@ from repro.sim import (
     VectorSimulator,
     make_rng,
 )
+from repro.sim.injection import InjectionModel
+from repro.sim.trace import PacketTrace
+from repro.telemetry import TelemetryProbe
 from repro.topology import Hypercube, Mesh2D
 
 FAMILIES = {
@@ -113,22 +119,71 @@ def test_identical_schedule_replays_identically(key, name):
 
 @pytest.mark.parametrize("key", sorted(FAMILIES))
 def test_tracing_does_not_change_faulted_results(key):
-    """Tracing (used by reroute-overhead accounting) leaves a faulted
-    run unchanged, and every delivered route ends at its destination."""
+    """Recording the event log (what reroute-overhead accounting reads)
+    leaves a faulted run unchanged, and every delivered packet's node
+    path in the log ends at its destination."""
     build, alg_cls = FAMILIES[key]
     topo = build()
+    probe = TelemetryProbe()
     sim = make_fault_simulator(
         alg_cls(topo),
         _static(topo, seed=6),
         FaultSchedule.random_links(topo, 2, seed=21),
-        trace=True,
+        telemetry=probe,
     )
-    sim.delivered_messages = []
     traced = sim.run(max_cycles=500_000)
     untraced = _faulted_result(
         key, lambda t: FaultSchedule.random_links(t, 2, seed=21), seed=6
     )
     assert_identical(traced, untraced)
-    assert len(sim.delivered_messages) == traced.delivered
-    for m in sim.delivered_messages:
-        assert m.hops[-1].node == m.dst
+    dst_of = {ev[2]: ev[4] for ev in probe.log.raw if ev[0] == "inject"}
+    paths = PacketTrace(probe.log).node_paths()
+    assert len(paths) == traced.delivered
+    for uid, path in paths.items():
+        assert path[-1] == dst_of[uid]
+
+
+class _OnePacket(InjectionModel):
+    """Inject one packet ``src -> dst`` at cycle 0."""
+
+    name = "one-packet"
+
+    def __init__(self, src, dst):
+        self.src, self.dst = src, dst
+        self.sent = False
+
+    def attempt(self, sim, cycle):
+        if not self.sent:
+            src = np.array([sim.nodes.index(self.src)])
+            dst = np.array([sim.nodes.index(self.dst)])
+            sim.place_batch(src, dst, np.array([take_message_ids(1)]), cycle)
+            self.sent = True
+
+    def finished(self, sim, cycle):
+        return self.sent and sim.active == 0
+
+
+def test_retracted_hop_is_not_rerouting_overhead():
+    """A link dies while a packet waits in its output buffer: the
+    packet is retracted to its sender and detours.  The log keeps the
+    retracted ``hop`` event, but the overhead counts only the hops the
+    packet physically made: 0 -> 2 -> 3 -> 1 against a distance of 1."""
+    cube = Hypercube(3)
+    schedule = FaultSchedule.fixed(
+        cube,
+        [link_stall(0, 1, at=0, until=20), link_down(0, 1, at=5)],
+    )
+    probe = TelemetryProbe()
+    rr = run_with_faults(
+        HypercubeAdaptiveRouting(cube),
+        _OnePacket(0, 1),
+        schedule,
+        measure_overhead=True,
+        telemetry=probe,
+    )
+    assert rr.result.delivered == 1
+    (path,) = PacketTrace(probe.log).node_paths().values()
+    assert path == [0, 2, 3, 1]
+    hops = [ev for ev in probe.log.raw if ev[0] == "hop"]
+    assert [(ev[3], ev[4]) for ev in hops] == [(0, 1), (0, 2), (2, 3), (3, 1)]
+    assert rr.reroute_overhead == 2.0  # counting hop events would say 3

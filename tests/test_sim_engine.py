@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core.message import take_message_ids
+from repro.core.message import reset_message_ids, take_message_ids
+from repro.experiments import build_simulator
 from repro.routing import (
     HypercubeAdaptiveRouting,
     HypercubeHungRouting,
@@ -20,6 +21,8 @@ from repro.sim import (
     make_rng,
 )
 from repro.sim.injection import InjectionModel
+from repro.sim.trace import PacketTrace
+from repro.telemetry import TelemetryProbe
 from repro.topology import Hypercube, Mesh2D, ShuffleExchange, Torus
 
 
@@ -97,22 +100,36 @@ def test_static_latency_lower_bound():
     cube = Hypercube(3)
     alg = HypercubeAdaptiveRouting(cube)
     inj = StaticInjection(2, RandomTraffic(cube), make_rng(3))
-    sim = PacketSimulator(alg, inj, trace=True)
-    res = sim.run(max_cycles=10_000)
+    res = PacketSimulator(alg, inj).run(max_cycles=10_000)
     assert res.latency.minimum >= 3  # distance >= 1
 
 
 def test_tracing_records_queue_paths():
-    cube = Hypercube(3)
-    alg = HypercubeAdaptiveRouting(cube)
-    inj = StaticInjection(1, ComplementTraffic(cube), make_rng(0))
-    sim = PacketSimulator(alg, inj, trace=True)
-    sim.run(max_cycles=1000)
-    # All messages delivered; traced hops end at a central queue of dst.
-    # (Delivery itself is recorded via record_hop on the queue moves.)
-    # Check at least that traces are non-empty and start at injection.
-    for u in cube.nodes():
-        pass  # messages are owned by the injection model; smoke-check via stats
+    """Every delivered packet's node path in the event log starts at its
+    source, steps only between adjacent nodes and ends at its
+    destination, on both engines, and both engines log the same paths."""
+    mesh = Mesh2D(4)
+    by_engine = {}
+    for engine in ("reference", "vector"):
+        reset_message_ids()
+        alg = Mesh2DAdaptiveRouting(mesh)
+        inj = StaticInjection(3, RandomTraffic(mesh), make_rng(5))
+        probe = TelemetryProbe()
+        res = build_simulator(alg, inj, engine=engine, telemetry=probe).run(
+            max_cycles=10_000
+        )
+        ends = {
+            ev[2]: (ev[3], ev[4]) for ev in probe.log.raw if ev[0] == "inject"
+        }
+        paths = PacketTrace(probe.log).node_paths()
+        assert len(paths) == res.delivered == 3 * mesh.num_nodes, engine
+        for uid, path in paths.items():
+            src, dst = ends[uid]
+            assert path[0] == src and path[-1] == dst, (engine, uid, path)
+            for a, b in zip(path, path[1:]):
+                assert mesh.is_adjacent(a, b), (engine, uid, path)
+        by_engine[engine] = paths
+    assert by_engine["reference"] == by_engine["vector"]
 
 
 def test_dynamic_run_fixed_duration():

@@ -323,13 +323,6 @@ def test_unhashable_state_rejected():
 # ----------------------------------------------------------------------
 # Capability errors and engine selection
 # ----------------------------------------------------------------------
-def test_trace_rejected():
-    topo = Mesh((3, 3))
-    inj = StaticInjection(1, RandomTraffic(topo), make_rng(0))
-    with pytest.raises(EngineCapabilityError):
-        VectorSimulator(MeshAdaptiveRouting(topo), inj, trace=True)
-
-
 def test_fault_observer_rejected():
     from repro.faults import DeadlockWatchdog
 
@@ -393,8 +386,9 @@ AUTO_SCHEMES = {
 
 @pytest.mark.parametrize("scheme", sorted(AUTO_SCHEMES))
 def test_auto_is_vector_for_every_scheme_and_reference_for_trace(scheme):
-    """``auto`` is one rule: the vector engine, or the reference engine
-    when the run records per-hop traces."""
+    """``auto`` is the vector engine for every scheme; per-packet
+    traces are a view over either engine's event log, so they no
+    longer send ``auto`` to the reference engine."""
     from repro.experiments import build_simulator
 
     def build(**kwargs):
@@ -403,7 +397,6 @@ def test_auto_is_vector_for_every_scheme_and_reference_for_trace(scheme):
         return build_simulator(alg, inj, engine="auto", **kwargs)
 
     assert type(build()) is VectorSimulator
-    assert type(build(trace=True)) is PacketSimulator
 
 
 def test_build_simulator_vector_engine():
