@@ -19,9 +19,28 @@ Public surface
 * :mod:`repro.analysis` — table/figure rendering and occupancy studies.
 """
 
-from . import analysis, core, experiments, faults, node, routing, sim, topology
+import importlib
 
 __version__ = "1.0.0"
+
+#: Every subpackage, imported on first attribute access (PEP 562), so
+#: ``import repro`` loads none of them.
+_SUBPACKAGES = frozenset(
+    {
+        "analysis",
+        "core",
+        "experiments",
+        "faults",
+        "node",
+        "routing",
+        "serve",
+        "sim",
+        "statics",
+        "telemetry",
+        "topology",
+        "wormhole",
+    }
+)
 
 __all__ = [
     "analysis",
@@ -34,3 +53,13 @@ __all__ = [
     "topology",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    if name in _SUBPACKAGES:
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | _SUBPACKAGES)

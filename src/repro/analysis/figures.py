@@ -18,9 +18,7 @@ the reproduction can be inspected and diffed in tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Hashable
-
-import networkx as nx
+from typing import TYPE_CHECKING, Callable, Hashable
 
 from ..core.qdg import build_qdg, explore, qdg_stats
 from ..core.routing_function import RoutingAlgorithm
@@ -31,6 +29,9 @@ from ..routing.shuffle_exchange import ShuffleExchangeRouting
 from ..topology.hypercube import Hypercube
 from ..topology.mesh import Mesh2D
 from ..topology.shuffle_exchange import ShuffleExchange
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 @dataclass

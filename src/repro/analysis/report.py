@@ -12,7 +12,7 @@ import io
 import time
 from typing import Sequence
 
-from ..experiments import PAPER_TABLES, check_table_shape, run_table
+from ..experiments.paper import PAPER_TABLES, check_table_shape, run_table
 from ..experiments.other_topologies import FAMILIES, family_table
 from ..experiments.runner import scale_dimensions
 from .figures import ALL_FIGURES

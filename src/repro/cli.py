@@ -48,22 +48,9 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .analysis import ALL_FIGURES, format_rows
-from .analysis.sweeps import load_sweep
-from .core import verify_algorithm
-from .experiments import run_table
-from .routing import (
-    HypercubeAdaptiveRouting,
-    HypercubeHungRouting,
-    HypercubeObliviousRouting,
-    Mesh2DAdaptiveRouting,
-    Mesh2DRestrictedRouting,
-    ShuffleExchangeRouting,
-    StructuredBufferPoolRouting,
-    TorusRouting,
-)
-from .sim import hypercube_pattern, make_rng
-from .topology import Hypercube, Mesh2D, ShuffleExchange, Torus
+# Each subcommand imports what it runs inside its handler, so a
+# ``table`` or ``serve`` process never loads networkx or the
+# verification, static-analysis and figure stacks (docs/ARCHITECTURE.md).
 
 
 def _parse_ns(text: str | None) -> tuple[int, ...] | None:
@@ -87,6 +74,20 @@ def _positive_int(text: str) -> int:
 
 def _build_algorithm(name: str, size: str):
     """Instantiate an algorithm by CLI name and size spec."""
+    from .routing.buffer_pool import StructuredBufferPoolRouting
+    from .routing.hypercube import (
+        HypercubeAdaptiveRouting,
+        HypercubeHungRouting,
+        HypercubeObliviousRouting,
+    )
+    from .routing.mesh import Mesh2DAdaptiveRouting, Mesh2DRestrictedRouting
+    from .routing.shuffle_exchange import ShuffleExchangeRouting
+    from .routing.torus import TorusRouting
+    from .topology.hypercube import Hypercube
+    from .topology.mesh import Mesh2D
+    from .topology.shuffle_exchange import ShuffleExchange
+    from .topology.torus import Torus
+
     if name.startswith("hypercube") or name == "buffer-pool":
         topo = Hypercube(int(size))
         return {
@@ -124,6 +125,8 @@ VERIFY_CHOICES = (
 
 def cmd_table(args) -> int:
     """``repro table``: regenerate one of the paper's Tables 1-12."""
+    from .experiments.paper import run_table
+
     table = run_table(
         args.number,
         ns=_parse_ns(args.ns),
@@ -136,6 +139,8 @@ def cmd_table(args) -> int:
 
 def cmd_figure(args) -> int:
     """``repro figure``: regenerate a Figure 1-6 as text or DOT."""
+    from .analysis.figures import ALL_FIGURES
+
     fig = ALL_FIGURES[f"figure{args.number}"]()
     print(fig.dot if args.dot else fig.text)
     return 0
@@ -143,6 +148,8 @@ def cmd_figure(args) -> int:
 
 def cmd_verify(args) -> int:
     """``repro verify``: machine-check deadlock-freedom conditions."""
+    from .core.verification import verify_algorithm
+
     alg = _build_algorithm(args.algorithm, args.size)
     report = verify_algorithm(
         alg,
@@ -157,6 +164,13 @@ def cmd_verify(args) -> int:
 
 def cmd_sweep(args) -> int:
     """``repro sweep``: trace an offered-load curve."""
+    from .analysis.sweeps import load_sweep
+    from .analysis.tables import format_rows
+    from .routing.hypercube import HypercubeAdaptiveRouting
+    from .sim.rng import make_rng
+    from .sim.traffic import hypercube_pattern
+    from .topology.hypercube import Hypercube
+
     cube = Hypercube(args.n)
     points = load_sweep(
         lambda: HypercubeAdaptiveRouting(cube),
@@ -171,12 +185,10 @@ def cmd_sweep(args) -> int:
 
 def cmd_faults(args) -> int:
     """``repro faults``: resilience/degradation sweep under link faults."""
-    from .faults import (
-        RESILIENCE_FAMILIES,
-        FaultSchedule,
-        degradation_sweep,
-        verify_under_faults,
-    )
+    from .analysis.tables import format_rows
+    from .faults.adapters import verify_under_faults
+    from .faults.experiments import RESILIENCE_FAMILIES, degradation_sweep
+    from .faults.models import FaultSchedule
 
     counts = [int(x) for x in args.counts.replace(",", " ").split()]
     rows = degradation_sweep(
@@ -238,8 +250,13 @@ def cmd_telemetry(args) -> int:
 
     from .core.message import reset_message_ids
     from .experiments.runner import build_simulator
-    from .sim import StaticInjection
-    from .telemetry import TelemetryProbe, write_artifacts
+    from .routing.hypercube import HypercubeAdaptiveRouting
+    from .sim.injection import StaticInjection
+    from .sim.rng import make_rng
+    from .sim.traffic import hypercube_pattern
+    from .telemetry.exporters import write_artifacts
+    from .telemetry.probe import TelemetryProbe
+    from .topology.hypercube import Hypercube
 
     if args.faults and args.engine == "vector":
         # Fault injection needs the reference engine's observer loop.
@@ -264,8 +281,8 @@ def cmd_telemetry(args) -> int:
         )
         probe = TelemetryProbe(occupancy_every=args.sample_every)
         if args.faults:
-            from .faults import FaultSchedule
             from .faults.experiments import make_fault_simulator
+            from .faults.models import FaultSchedule
 
             schedule = FaultSchedule.random_links(
                 topo, args.faults, args.seed
@@ -316,15 +333,12 @@ def cmd_lint(args) -> int:
     """
     import json
 
-    from .statics import (
-        deadlock_free_routing_exists,
-        lint_targets,
-        run_determinism_lint,
-        synthesize_routing,
-        to_json_report,
-        to_sarif,
-    )
-    from .statics.registry import gate_ok, target_by_key
+    from .core.verification import verify_algorithm
+    from .statics.existence import deadlock_free_routing_exists
+    from .statics.lint import run_determinism_lint
+    from .statics.registry import gate_ok, lint_targets, target_by_key
+    from .statics.report import to_json_report, to_sarif
+    from .statics.synthesis import synthesize_routing
 
     if args.graph:
         edges = []
@@ -407,7 +421,8 @@ def cmd_serve(args) -> int:
     + ``/healthz`` endpoint until the duration budget runs out or a
     SIGINT/SIGTERM triggers the graceful drain (docs/SERVING.md).
     """
-    from .serve import ScenarioError, TrafficService, load_scenario
+    from .serve.scenario import ScenarioError, load_scenario
+    from .serve.service import TrafficService
 
     try:
         scenario = load_scenario(args.scenario)

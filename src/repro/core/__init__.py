@@ -1,35 +1,46 @@
 """Core framework: queues, routing functions, QDGs, and verification."""
 
-from .message import Message, reset_message_ids
-from .paths import (
-    adaptivity_ratio,
-    is_fully_adaptive_for_pair,
-    is_minimal_for_pair,
-    minimal_node_paths,
-    realizable_node_paths,
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".message": ("Message", "reset_message_ids"),
+        ".paths": (
+            "adaptivity_ratio",
+            "is_fully_adaptive_for_pair",
+            "is_minimal_for_pair",
+            "minimal_node_paths",
+            "realizable_node_paths",
+        ),
+        ".qdg": (
+            "Exploration",
+            "Transition",
+            "build_qdg",
+            "explore",
+            "find_cycle",
+            "is_acyclic",
+            "qdg_stats",
+            "queue_levels",
+            "shortest_cycle",
+        ),
+        ".queues": (
+            "DELIVER",
+            "INJECT",
+            "QueueId",
+            "QueueSpec",
+            "default_queue_specs",
+            "deliver",
+            "inject",
+        ),
+        ".routing_function": (
+            "DYNAMIC_CLASS",
+            "RoutingAlgorithm",
+            "node_path",
+        ),
+        ".verification": ("VerificationReport", "verify_algorithm"),
+    },
 )
-from .qdg import (
-    Exploration,
-    Transition,
-    build_qdg,
-    explore,
-    find_cycle,
-    is_acyclic,
-    qdg_stats,
-    queue_levels,
-    shortest_cycle,
-)
-from .queues import (
-    DELIVER,
-    INJECT,
-    QueueId,
-    QueueSpec,
-    default_queue_specs,
-    deliver,
-    inject,
-)
-from .routing_function import DYNAMIC_CLASS, RoutingAlgorithm, node_path
-from .verification import VerificationReport, verify_algorithm
 
 __all__ = [
     "Message",

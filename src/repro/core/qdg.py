@@ -17,12 +17,13 @@ handled exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Hashable, Iterable
-
-import networkx as nx
+from typing import TYPE_CHECKING, Any, Hashable, Iterable
 
 from .queues import QueueId, deliver, inject
 from .routing_function import RoutingAlgorithm
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 @dataclass(frozen=True)
@@ -152,6 +153,8 @@ def build_qdg(
     (a DAG for a correct algorithm); with ``True`` it is the extended
     graph ``D~``.
     """
+    import networkx as nx
+
     exp = exploration or explore(algorithm, sources, destinations)
     g = nx.DiGraph(name=f"QDG({algorithm.name})")
     g.add_nodes_from(algorithm.all_queues())
@@ -165,11 +168,15 @@ def build_qdg(
 
 def is_acyclic(qdg: nx.DiGraph) -> bool:
     """Whether a QDG is a DAG."""
+    import networkx as nx
+
     return nx.is_directed_acyclic_graph(qdg)
 
 
 def find_cycle(qdg: nx.DiGraph) -> list[tuple[QueueId, QueueId]] | None:
     """One directed cycle of the QDG, or ``None`` if acyclic."""
+    import networkx as nx
+
     try:
         return nx.find_cycle(qdg)
     except nx.NetworkXNoCycle:
@@ -240,6 +247,8 @@ def queue_levels(static_qdg: nx.DiGraph) -> dict[QueueId, int]:
     Queues unreachable from every injection queue get level 0.
     Requires an acyclic graph.
     """
+    import networkx as nx
+
     if not nx.is_directed_acyclic_graph(static_qdg):
         raise ValueError("Level is only defined on an acyclic QDG")
     level: dict[QueueId, int] = {}

@@ -25,8 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Hashable, Iterable
 
-import networkx as nx
-
 from .paths import is_fully_adaptive_for_pair, is_minimal_for_pair
 from .qdg import Exploration, build_qdg, explore, queue_levels
 from .queues import QueueId, deliver
@@ -128,6 +126,8 @@ def _check_adjacency(
 def _check_static_structure(
     algorithm: RoutingAlgorithm, exp: Exploration, report: VerificationReport
 ) -> dict[QueueId, int] | None:
+    import networkx as nx
+
     static = build_qdg(algorithm, include_dynamic=False, exploration=exp)
     if not nx.is_directed_acyclic_graph(static):
         # The witness builder is the single source of cycle evidence:
@@ -172,6 +172,8 @@ def _check_dead_ends_and_escape(
 def _check_static_termination(
     algorithm: RoutingAlgorithm, exp: Exploration, report: VerificationReport
 ) -> None:
+    import networkx as nx
+
     # Following only static hops from any reachable configuration must
     # reach the delivery queue without revisiting a configuration
     # (condition 2 of a total routing function).  We check acyclicity

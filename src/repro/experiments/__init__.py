@@ -1,21 +1,34 @@
 """Experiment harness: scale control, sweeps, and the paper's tables."""
 
-from .paper import PAPER_TABLES, TableSpec, check_table_shape, run_table, table_result
-from .parallel import default_workers, parallel_map
-from .replication import (
-    ReplicatedResult,
-    ReplicateStats,
-    mean_difference_ci95,
-    replicate,
-)
-from .runner import (
-    ENGINES,
-    SCALES,
-    HypercubeExperiment,
-    build_simulator,
-    engine_choice,
-    experiment_seed,
-    scale_dimensions,
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".paper": (
+            "PAPER_TABLES",
+            "TableSpec",
+            "check_table_shape",
+            "run_table",
+            "table_result",
+        ),
+        ".parallel": ("default_workers", "parallel_map"),
+        ".replication": (
+            "ReplicatedResult",
+            "ReplicateStats",
+            "mean_difference_ci95",
+            "replicate",
+        ),
+        ".runner": (
+            "ENGINES",
+            "SCALES",
+            "HypercubeExperiment",
+            "build_simulator",
+            "engine_choice",
+            "experiment_seed",
+            "scale_dimensions",
+        ),
+    },
 )
 
 __all__ = [

@@ -29,7 +29,7 @@ from ..sim.injection import DynamicInjection, InjectionModel, StaticInjection
 from ..sim.metrics import SimulationResult
 from ..sim.rng import make_rng
 from ..sim.traffic import hypercube_pattern
-from ..telemetry import TelemetryProbe
+from ..telemetry.probe import TelemetryProbe
 from ..topology.hypercube import Hypercube
 
 SCALES: dict[str, tuple[int, ...]] = {

@@ -19,38 +19,45 @@ hanging?
   ratio, latency inflation, reroute overhead versus fault count).
 """
 
-from .adapters import (
-    FaultAwareRouting,
-    FaultInjector,
-    FaultVerification,
-    verify_under_faults,
-)
-from .experiments import (
-    RESILIENCE_FAMILIES,
-    ResilienceResult,
-    degradation_sweep,
-    make_fault_simulator,
-    run_with_faults,
-)
-from .models import (
-    EMPTY_FAULTS,
-    LINK_DOWN,
-    LINK_STALL,
-    NODE_DOWN,
-    Fault,
-    FaultSchedule,
-    FaultSet,
-    directed_link_down,
-    link_down,
-    link_stall,
-    node_down,
-)
-from .watchdog import (
-    DeadlockDetected,
-    DeadlockReport,
-    DeadlockWatchdog,
-    SimObserver,
-    StuckPacket,
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".adapters": (
+            "FaultAwareRouting",
+            "FaultInjector",
+            "FaultVerification",
+            "verify_under_faults",
+        ),
+        ".experiments": (
+            "RESILIENCE_FAMILIES",
+            "ResilienceResult",
+            "degradation_sweep",
+            "make_fault_simulator",
+            "run_with_faults",
+        ),
+        ".models": (
+            "EMPTY_FAULTS",
+            "LINK_DOWN",
+            "LINK_STALL",
+            "NODE_DOWN",
+            "Fault",
+            "FaultSchedule",
+            "FaultSet",
+            "directed_link_down",
+            "link_down",
+            "link_stall",
+            "node_down",
+        ),
+        ".watchdog": (
+            "DeadlockDetected",
+            "DeadlockReport",
+            "DeadlockWatchdog",
+            "SimObserver",
+            "StuckPacket",
+        ),
+    },
 )
 
 __all__ = [

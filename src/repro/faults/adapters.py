@@ -321,7 +321,7 @@ class FaultInjector:
     boundary it
 
     1. installs the new fault set into the adapter (routing view) and
-       into the engine (``dead_nodes`` / ``blocked_links``),
+       into the engine (``faults``, ``dead_nodes`` / ``blocked_links``),
     2. retracts packets sitting in the output buffers of newly-dead
        links back into a central queue of their node (over capacity if
        need be — retraction must not drop packets; packets inside a
@@ -345,6 +345,7 @@ class FaultInjector:
         previous = self._current
         self._current = fs
         self.adapter.set_active(fs)
+        sim.faults = fs
         sim.dead_nodes = fs.dead_nodes
         sim.blocked_links = fs.blocked_links
         if fs.dead_links:

@@ -1,8 +1,15 @@
 """The routing node: buffers, arbitration, and functional designs (Section 6)."""
 
-from .arbitration import RoundRobinArbiter, fifo_ranks, rotated
-from .buffers import Buffer, BufferPair, OccupancyStats
-from .model import LinkBufferSet, NodeDesign, build_node_design
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".arbitration": ("RoundRobinArbiter", "fifo_ranks", "rotated"),
+        ".buffers": ("Buffer", "BufferPair", "OccupancyStats"),
+        ".model": ("LinkBufferSet", "NodeDesign", "build_node_design"),
+    },
+)
 
 __all__ = [
     "Buffer",

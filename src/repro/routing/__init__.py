@@ -1,26 +1,37 @@
 """Routing algorithms: the paper's schemes and baselines."""
 
-from .buffer_pool import StructuredBufferPoolRouting
-from .benes import BenesAdaptiveRouting, BenesObliviousRouting, BenesTraffic
-from .ccc import CCCAdaptiveRouting
-from .hypercube import (
-    HypercubeAdaptiveRouting,
-    HypercubeHungRouting,
-    HypercubeObliviousRouting,
-    all_hypercube_algorithms,
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".buffer_pool": ("StructuredBufferPoolRouting",),
+        ".benes": (
+            "BenesAdaptiveRouting",
+            "BenesObliviousRouting",
+            "BenesTraffic",
+        ),
+        ".ccc": ("CCCAdaptiveRouting",),
+        ".hypercube": (
+            "HypercubeAdaptiveRouting",
+            "HypercubeHungRouting",
+            "HypercubeObliviousRouting",
+            "all_hypercube_algorithms",
+        ),
+        ".mesh": (
+            "Mesh2DAdaptiveRouting",
+            "Mesh2DRestrictedRouting",
+            "MeshAdaptiveRouting",
+            "MeshObliviousRouting",
+            "MeshRestrictedRouting",
+        ),
+        ".shuffle_exchange": (
+            "ShuffleExchangeRouting",
+            "required_classes_per_phase",
+        ),
+        ".torus": ("TorusRouting",),
+    },
 )
-from .mesh import (
-    Mesh2DAdaptiveRouting,
-    Mesh2DRestrictedRouting,
-    MeshAdaptiveRouting,
-    MeshObliviousRouting,
-    MeshRestrictedRouting,
-)
-from .shuffle_exchange import (
-    ShuffleExchangeRouting,
-    required_classes_per_phase,
-)
-from .torus import TorusRouting
 
 __all__ = [
     "BenesAdaptiveRouting",

@@ -19,23 +19,30 @@ See ``docs/SERVING.md`` for the schema reference, admission policies,
 endpoint contract, and determinism guarantees.
 """
 
-from .admission import AdmissionController, Offer
-from .scenario import (
-    ADMISSION_POLICIES,
-    LOAD_SHAPES,
-    SERVE_ENGINES,
-    Scenario,
-    ScenarioError,
-    load_scenario,
-    parse_scenario,
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".admission": ("AdmissionController", "Offer"),
+        ".scenario": (
+            "ADMISSION_POLICIES",
+            "LOAD_SHAPES",
+            "SERVE_ENGINES",
+            "Scenario",
+            "ScenarioError",
+            "load_scenario",
+            "parse_scenario",
+        ),
+        ".service": (
+            "EXIT_CLEAN",
+            "EXIT_DRAIN_TIMEOUT",
+            "EXIT_ENGINE_ERROR",
+            "TrafficService",
+        ),
+        ".workloads": ("OpenLoopInjection",),
+    },
 )
-from .service import (
-    EXIT_CLEAN,
-    EXIT_DRAIN_TIMEOUT,
-    EXIT_ENGINE_ERROR,
-    TrafficService,
-)
-from .workloads import OpenLoopInjection
 
 __all__ = [
     "ADMISSION_POLICIES",

@@ -29,7 +29,7 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable
 
-from ..telemetry import prometheus_text
+from ..telemetry.exporters import prometheus_text
 from ..telemetry.registry import MetricRegistry
 
 

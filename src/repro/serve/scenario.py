@@ -54,15 +54,14 @@ from typing import Any, Callable
 import numpy as np
 
 from ..experiments.runner import ENGINES
-from ..routing import (
+from ..routing.hypercube import (
     HypercubeAdaptiveRouting,
     HypercubeHungRouting,
     HypercubeObliviousRouting,
-    Mesh2DAdaptiveRouting,
-    Mesh2DRestrictedRouting,
-    ShuffleExchangeRouting,
-    TorusRouting,
 )
+from ..routing.mesh import Mesh2DAdaptiveRouting, Mesh2DRestrictedRouting
+from ..routing.shuffle_exchange import ShuffleExchangeRouting
+from ..routing.torus import TorusRouting
 from ..sim.sampling import USER_DISTRIBUTIONS
 from ..sim.traffic import (
     HotspotTraffic,
@@ -72,9 +71,11 @@ from ..sim.traffic import (
     TrafficPattern,
     hypercube_pattern,
 )
-from ..topology import Hypercube, Mesh2D, ShuffleExchange, Torus
 from ..topology.base import Topology
-from ..topology.hypercube import Hypercube as _Hypercube
+from ..topology.hypercube import Hypercube
+from ..topology.mesh import Mesh2D
+from ..topology.shuffle_exchange import ShuffleExchange
+from ..topology.torus import Torus
 
 #: Engines the service loop can step (see docs/SERVING.md): all of them.
 SERVE_ENGINES = ENGINES
@@ -230,7 +231,7 @@ def make_pattern(
                 topology, fraction=float(params.get("fraction", 0.2))
             )
         if name in _HYPERCUBE_PATTERNS:
-            if not isinstance(topology, _Hypercube):
+            if not isinstance(topology, Hypercube):
                 raise _err(
                     path,
                     f"pattern {name!r} needs a hypercube topology, "

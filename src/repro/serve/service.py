@@ -37,17 +37,21 @@ from __future__ import annotations
 
 import signal
 import time
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from ..core.message import reset_message_ids
 from ..experiments.runner import build_simulator
 from ..sim.engine import DeadlockError, CycleLimitExceeded
 from ..sim.metrics import SimulationResult
 from ..sim.tables import EngineCapabilityError
-from ..telemetry import MetricRegistry, TelemetryProbe, write_artifacts
-from .http import TelemetryEndpoint
+from ..telemetry.exporters import write_artifacts
+from ..telemetry.probe import TelemetryProbe
+from ..telemetry.registry import MetricRegistry
 from .scenario import SERVE_ENGINES, Scenario
 from .workloads import OpenLoopInjection
+
+if TYPE_CHECKING:
+    from .http import TelemetryEndpoint
 
 #: Exit codes of :meth:`TrafficService.serve`.
 EXIT_CLEAN = 0
@@ -256,6 +260,10 @@ class TrafficService:
         if self.record:
             reset_message_ids()
         if port is not None:
+            # http.server and its ssl/email imports load only when a
+            # run serves an endpoint.
+            from .http import TelemetryEndpoint
+
             self.endpoint = TelemetryEndpoint(
                 self.registry, self.health, host=host, port=port
             ).start()

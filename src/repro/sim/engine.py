@@ -183,7 +183,10 @@ class PacketSimulator:
         #: ``dead_nodes`` freeze a node's whole node cycle and block its
         #: injection queue; ``blocked_links`` (dead + stalled directed
         #: links) transfer nothing during the link cycle.  Both empty in
-        #: a healthy run, where every guard short-circuits.
+        #: a healthy run, where every guard short-circuits.  ``faults``
+        #: is the installed FaultSet itself (None until one is), which
+        #: telemetry probes watch for epoch changes.
+        self.faults = None
         self.dead_nodes: frozenset = frozenset()
         self.blocked_links: frozenset = frozenset()
         self.occupancy_sum: dict[tuple[Hashable, str], int] = {}

@@ -8,13 +8,24 @@ failure emits minimal, machine-readable cycle witnesses.  The ``repro
 lint`` CLI sweeps every registered instance as a CI gate.
 """
 
-from .analyzer import StaticAnalysis, analyze_algorithm, analyze_wormhole
-from .existence import ExistenceReport, deadlock_free_routing_exists
-from .lint import LintFinding, run_determinism_lint
-from .registry import LintTarget, lint_targets
-from .report import to_json_report, to_sarif
-from .synthesis import SynthesizedRouting, synthesize_routing
-from .witness import CycleWitness, WitnessRow, cycle_witness
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".analyzer": (
+            "StaticAnalysis",
+            "analyze_algorithm",
+            "analyze_wormhole",
+        ),
+        ".existence": ("ExistenceReport", "deadlock_free_routing_exists"),
+        ".lint": ("LintFinding", "run_determinism_lint"),
+        ".registry": ("LintTarget", "lint_targets"),
+        ".report": ("to_json_report", "to_sarif"),
+        ".synthesis": ("SynthesizedRouting", "synthesize_routing"),
+        ".witness": ("CycleWitness", "WitnessRow", "cycle_witness"),
+    },
+)
 
 __all__ = [
     "CycleWitness",

@@ -18,9 +18,7 @@ simulation cycle runs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
-
-import networkx as nx
+from typing import TYPE_CHECKING, Any
 
 from ..core.qdg import build_qdg, explore, qdg_stats
 from ..core.routing_function import RoutingAlgorithm
@@ -31,6 +29,9 @@ from ..wormhole.verification import (
     extended_escape_cdg,
 )
 from .witness import CycleWitness, DenseQueueIndex, cycle_witness, wormhole_cycle_witness
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 @dataclass
@@ -123,6 +124,8 @@ def analyze_wormhole(scheme: WormholeScheme) -> StaticAnalysis:
     but keeps the extended escape CDG, so a cyclic one yields a minimal
     channel-cycle witness instead of an opaque error string.
     """
+    import networkx as nx
+
     report = WormholeReport(scheme=scheme.name)
     cdg = extended_escape_cdg(scheme, report=report)
     witnesses: list[CycleWitness] = []

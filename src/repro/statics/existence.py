@@ -36,19 +36,22 @@ Hence ``min_classes(G) = 1`` if ``G`` is acyclic, else ``2``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterable
-
-import networkx as nx
+from typing import TYPE_CHECKING, Any, Iterable
 
 from ..core.qdg import shortest_cycle
 from ..topology.base import Topology
 from ..topology.graph import DirectedGraph
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 def as_directed_graph(
     graph: DirectedGraph | Topology | nx.DiGraph | Iterable, name: str = "digraph"
 ) -> DirectedGraph:
     """Normalize any graph-ish input to a :class:`DirectedGraph`."""
+    import networkx as nx
+
     if isinstance(graph, DirectedGraph):
         return graph
     if isinstance(graph, Topology):
@@ -121,6 +124,8 @@ def deadlock_free_routing_exists(
     Self-loops are dropped (a node reaches itself through its delivery
     queue; they carry no routing demand) and counted in the report.
     """
+    import networkx as nx
+
     if classes < 1:
         raise ValueError("classes must be >= 1")
     topo = as_directed_graph(graph, name=name)

@@ -65,23 +65,21 @@ def gate_ok(analysis, expect: str) -> bool:
 
 
 def _packet_targets() -> list[LintTarget]:
-    from ..routing import (
-        CCCAdaptiveRouting,
+    from ..routing.buffer_pool import StructuredBufferPoolRouting
+    from ..routing.ccc import CCCAdaptiveRouting
+    from ..routing.hypercube import (
         HypercubeAdaptiveRouting,
         HypercubeHungRouting,
         HypercubeObliviousRouting,
-        Mesh2DAdaptiveRouting,
-        ShuffleExchangeRouting,
-        StructuredBufferPoolRouting,
-        TorusRouting,
     )
-    from ..topology import (
-        CubeConnectedCycles,
-        Hypercube,
-        Mesh2D,
-        ShuffleExchange,
-        Torus,
-    )
+    from ..routing.mesh import Mesh2DAdaptiveRouting
+    from ..routing.shuffle_exchange import ShuffleExchangeRouting
+    from ..routing.torus import TorusRouting
+    from ..topology.ccc import CubeConnectedCycles
+    from ..topology.hypercube import Hypercube
+    from ..topology.mesh import Mesh2D
+    from ..topology.shuffle_exchange import ShuffleExchange
+    from ..topology.torus import Torus
     from .examples import broken_torus
 
     return [
@@ -135,7 +133,8 @@ def _packet_targets() -> list[LintTarget]:
 
 
 def _wormhole_targets() -> list[LintTarget]:
-    from ..topology import Hypercube, Torus
+    from ..topology.hypercube import Hypercube
+    from ..topology.torus import Torus
     from ..wormhole.routing import (
         HungEscapeHypercubeWormhole,
         HypercubeAdaptiveWormhole,
@@ -181,8 +180,8 @@ def _fault_epoch_targets() -> list[LintTarget]:
     schedule (``repro.faults.models``)."""
     from ..faults.adapters import FaultAwareRouting
     from ..faults.models import FaultSchedule, link_down
-    from ..routing import HypercubeAdaptiveRouting
-    from ..topology import Hypercube
+    from ..routing.hypercube import HypercubeAdaptiveRouting
+    from ..topology.hypercube import Hypercube
 
     def build_epoch(epoch_index: int):
         def build():

@@ -33,14 +33,15 @@ than trusting the argument.
 
 from __future__ import annotations
 
-from typing import Any, Hashable, Iterable
-
-import networkx as nx
+from typing import TYPE_CHECKING, Any, Hashable, Iterable
 
 from ..core.queues import QueueId, deliver
 from ..core.routing_function import RoutingAlgorithm
 from ..topology.base import Topology
 from ..topology.graph import DirectedGraph
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 KIND_A = "A"
 KIND_B = "B"
@@ -71,6 +72,8 @@ class SynthesizedRouting(RoutingAlgorithm):
     is_fully_adaptive = False
 
     def __init__(self, topology: DirectedGraph):
+        import networkx as nx
+
         super().__init__(topology)
         self.name = f"synthesized({topology.name})"
         nodes = list(topology.nodes())

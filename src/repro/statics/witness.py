@@ -35,13 +35,14 @@ algorithm instance always yields the same minimal witness.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Hashable
-
-import networkx as nx
+from typing import TYPE_CHECKING, Any, Hashable
 
 from ..core.qdg import Exploration, shortest_cycle
 from ..core.queues import QueueId
 from ..core.routing_function import RoutingAlgorithm
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 FORCED_WAIT = "forced-wait"
 STATIC_ORDER = "static-order"
@@ -198,6 +199,8 @@ def forced_wait_graph(
 ) -> tuple[nx.DiGraph, dict[tuple[int, int], WitnessRow]]:
     """The forced-wait graph over dense queue ids, plus one realizing
     row per edge (first in deterministic order)."""
+    import networkx as nx
+
     g = nx.DiGraph()
     labels: dict[tuple[int, int], WitnessRow] = {}
     for dst, q, st in _sorted_configs(exploration):
@@ -273,6 +276,8 @@ def cycle_witness(
     shortest static-QDG cycle (order violation only); returns ``None``
     when both graphs are acyclic.
     """
+    import networkx as nx
+
     if index is None:
         index = DenseQueueIndex(algorithm)
 

@@ -27,25 +27,37 @@ See ``docs/OBSERVABILITY.md`` for the metric catalogue and the event
 schema.
 """
 
-from .events import SCHEMA_VERSION, EventLog, events_jsonl, read_jsonl
-from .exporters import (
-    occupancy_csv,
-    prometheus_text,
-    summary_json,
-    write_artifacts,
-)
-from .probe import TelemetryProbe
-from .registry import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricRegistry,
-    NULL_METRIC,
-)
-from .snapshots import (
-    find_wait_cycle,
-    queue_occupancy_snapshot,
-    wait_for_graph,
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".events": (
+            "SCHEMA_VERSION",
+            "EventLog",
+            "events_jsonl",
+            "read_jsonl",
+        ),
+        ".exporters": (
+            "occupancy_csv",
+            "prometheus_text",
+            "summary_json",
+            "write_artifacts",
+        ),
+        ".probe": ("TelemetryProbe",),
+        ".registry": (
+            "Counter",
+            "Gauge",
+            "Histogram",
+            "MetricRegistry",
+            "NULL_METRIC",
+        ),
+        ".snapshots": (
+            "find_wait_cycle",
+            "queue_occupancy_snapshot",
+            "wait_for_graph",
+        ),
+    },
 )
 
 __all__ = [

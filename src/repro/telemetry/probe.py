@@ -12,10 +12,10 @@ engine accepts a probe and drives it itself) and
 * samples per-queue occupancy every ``occupancy_every`` cycles into a
   histogram and, optionally, a ``(cycle, node, kind, occupancy)`` time
   series for the CSV exporter;
-* watches the live fault state (``sim.dead_nodes`` /
-  ``sim.blocked_links``, owned by the fault injector) and emits
-  ``epoch`` events on every change plus ``drop`` events for packets
-  frozen inside newly-dead nodes;
+* watches the fault set the fault injector installs (``sim.faults``)
+  and emits an ``epoch`` event whenever it changes (a stalled link
+  that dies counts, though ``sim.blocked_links`` stays the same), plus
+  ``drop`` events for packets frozen inside newly-dead nodes;
 * on run end folds everything into a plain-dict summary attached to
   ``SimulationResult.telemetry``.
 
@@ -40,6 +40,14 @@ import numpy as np
 from .events import SCHEMA_VERSION, EventLog
 from .registry import LATENCY_BUCKETS, OCCUPANCY_BUCKETS, MetricRegistry
 from .snapshots import find_wait_cycle, wait_for_graph
+
+
+def _fault_state(faults) -> tuple[frozenset, frozenset, frozenset]:
+    """``(dead_nodes, dead_links, stalled_links)`` of an installed
+    :class:`~repro.faults.models.FaultSet`; ``None`` is healthy."""
+    if faults is None:
+        return frozenset(), frozenset(), frozenset()
+    return faults.dead_nodes, faults.dead_links, faults.stalled_links
 
 
 def _describe_faults(dead: frozenset, blocked: frozenset) -> str:
@@ -250,8 +258,7 @@ class TelemetryProbe:
         self.summary: dict | None = None
         self.sim = None
         self._sink: _MetricsSink | None = None
-        self._dead: frozenset = frozenset()
-        self._blocked: frozenset = frozenset()
+        self._faults = None
         self._n_links = 0
         self._occ_hist = None
         self._inflight = None
@@ -269,8 +276,8 @@ class TelemetryProbe:
         self._n_links = (
             tables.n_links if tables is not None else len(sim.link_classes)
         )
-        self._dead = sim.dead_nodes
-        self._blocked = sim.blocked_links
+        # Only the reference engine runs a fault injector.
+        self._faults = getattr(sim, "faults", None)
         if self.events:
             sim._events = self.log.raw
         else:
@@ -293,12 +300,11 @@ class TelemetryProbe:
     def on_cycle(self, sim, cycle: int) -> None:
         if not self.enabled:
             return
-        dead = sim.dead_nodes
-        blocked = sim.blocked_links
-        # The fault injector installs fresh frozensets per epoch, so an
-        # identity check is enough to notice a transition cheaply.
-        if dead is not self._dead or blocked is not self._blocked:
-            self._epoch_change(sim, cycle, dead, blocked)
+        # The fault injector installs one FaultSet object per epoch, so
+        # an identity check is enough to notice a transition cheaply.
+        faults = sim.faults
+        if faults is not self._faults:
+            self._epoch_change(sim, cycle, faults)
         if cycle % self.occupancy_every == 0:
             self._sample(sim, cycle)
 
@@ -417,18 +423,18 @@ class TelemetryProbe:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _epoch_change(self, sim, cycle, dead, blocked) -> None:
-        if dead != self._dead or blocked != self._blocked:
-            sink = sim._events
-            if sink is not None:
-                sink.append(
-                    ("epoch", cycle, -1, _describe_faults(dead, blocked))
-                )
-                new_dead = dead - self._dead
-                if new_dead:
-                    self._emit_drops(sim, cycle, new_dead, sink)
-        self._dead = dead
-        self._blocked = blocked
+    def _epoch_change(self, sim, cycle, faults) -> None:
+        state = _fault_state(faults)
+        before = _fault_state(self._faults)
+        self._faults = faults
+        sink = sim._events
+        if state == before or sink is None:
+            return
+        desc = _describe_faults(sim.dead_nodes, sim.blocked_links)
+        sink.append(("epoch", cycle, -1, desc))
+        new_dead = state[0] - before[0]
+        if new_dead:
+            self._emit_drops(sim, cycle, new_dead, sink)
 
     def _emit_drops(self, sim, cycle, new_dead, sink) -> None:
         """Packets frozen inside nodes that just died.

@@ -19,11 +19,12 @@ interactive diagnosis without constructing a watchdog.
 
 from __future__ import annotations
 
-from typing import Hashable
-
-import networkx as nx
+from typing import TYPE_CHECKING, Hashable
 
 from ..core.queues import QueueId
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 def queue_occupancy_snapshot(sim) -> dict[tuple[Hashable, str], int]:
@@ -37,7 +38,7 @@ def queue_occupancy_snapshot(sim) -> dict[tuple[Hashable, str], int]:
 
 def wait_for_graph(
     sim, dead_nodes: frozenset = frozenset()
-) -> "nx.DiGraph":
+) -> nx.DiGraph:
     """Wait-for graph over central queues.
 
     Edge ``q -> q'`` when some packet at the current head state of
@@ -46,6 +47,8 @@ def wait_for_graph(
     deadlock witness.  ``dead_nodes`` (from a live fault set) are
     excluded: their packets are frozen, not waiting.
     """
+    import networkx as nx
+
     alg = sim.algorithm
     cap = sim.central_capacity
     g = nx.DiGraph()
@@ -68,6 +71,8 @@ def find_wait_cycle(
     sim, dead_nodes: frozenset = frozenset()
 ) -> tuple[QueueId, ...] | None:
     """A directed cycle in :func:`wait_for_graph`, or None."""
+    import networkx as nx
+
     g = wait_for_graph(sim, dead_nodes)
     try:
         cyc = nx.find_cycle(g)

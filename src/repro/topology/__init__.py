@@ -1,24 +1,31 @@
 """Interconnection-network topologies (hypercube, mesh, torus, shuffle-exchange)."""
 
-from .base import Topology, bfs_distance
-from .benes import BenesNetwork
-from .ccc import CubeConnectedCycles
-from .hypercube import (
-    Hypercube,
-    differing_dimensions,
-    flip_bit,
-    hamming_distance,
-    hamming_weight,
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".base": ("Topology", "bfs_distance"),
+        ".benes": ("BenesNetwork",),
+        ".ccc": ("CubeConnectedCycles",),
+        ".hypercube": (
+            "Hypercube",
+            "differing_dimensions",
+            "flip_bit",
+            "hamming_distance",
+            "hamming_weight",
+        ),
+        ".mesh": ("Mesh", "Mesh2D"),
+        ".shuffle_exchange": (
+            "ShuffleExchange",
+            "cycle_break_node",
+            "rol",
+            "ror",
+            "shuffle_cycle",
+        ),
+        ".torus": ("Torus",),
+    },
 )
-from .mesh import Mesh, Mesh2D
-from .shuffle_exchange import (
-    ShuffleExchange,
-    cycle_break_node,
-    rol,
-    ror,
-    shuffle_cycle,
-)
-from .torus import Torus
 
 __all__ = [
     "Topology",

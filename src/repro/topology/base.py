@@ -15,10 +15,12 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from functools import cached_property
-from typing import Hashable, Iterable, Iterator
+from typing import TYPE_CHECKING, Hashable, Iterable, Iterator
 
-import networkx as nx
 import numpy as np
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 class Topology(ABC):
@@ -112,6 +114,8 @@ class Topology(ABC):
     # ------------------------------------------------------------------
     def to_networkx(self) -> nx.DiGraph:
         """Directed-graph view of the physical network."""
+        import networkx as nx
+
         g = nx.DiGraph(name=self.name)
         g.add_nodes_from(self.nodes())
         g.add_edges_from(self.links())

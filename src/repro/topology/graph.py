@@ -17,11 +17,12 @@ trivially "routes" to itself via its delivery queue; the framework's
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Hashable, Iterable, Iterator
-
-import networkx as nx
+from typing import TYPE_CHECKING, Hashable, Iterable, Iterator
 
 from .base import Topology
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 class DirectedGraph(Topology):
@@ -38,6 +39,8 @@ class DirectedGraph(Topology):
         nodes: Iterable[Hashable] | None = None,
         name: str = "digraph",
     ):
+        import networkx as nx
+
         if isinstance(edges, nx.DiGraph):
             graph_nodes = list(edges.nodes)
             edge_list = list(edges.edges)

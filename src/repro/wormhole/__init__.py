@@ -5,28 +5,35 @@ routing schemes for the hypercube and torus, and machine verification
 of the extended escape channel-dependency-graph condition.
 """
 
-from .channels import ChannelId, ChannelState
-from .engine import WormholeDeadlockError, WormholeSimulator
-from .flit import FlitKind, Worm, reset_worm_ids
-from .routing import (
-    ADAPTIVE,
-    HungEscapeHypercubeWormhole,
-    HypercubeAdaptiveWormhole,
-    HypercubeEcubeWormhole,
-    TorusAdaptiveWormhole,
-    TorusDimensionOrderWormhole,
-    WormholeScheme,
-)
-from .workload import (
-    BernoulliWormSource,
-    backlog,
-    permutation_worms,
-    run_open_loop,
-)
-from .verification import (
-    WormholeReport,
-    extended_escape_cdg,
-    verify_wormhole_scheme,
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".channels": ("ChannelId", "ChannelState"),
+        ".engine": ("WormholeDeadlockError", "WormholeSimulator"),
+        ".flit": ("FlitKind", "Worm", "reset_worm_ids"),
+        ".routing": (
+            "ADAPTIVE",
+            "HungEscapeHypercubeWormhole",
+            "HypercubeAdaptiveWormhole",
+            "HypercubeEcubeWormhole",
+            "TorusAdaptiveWormhole",
+            "TorusDimensionOrderWormhole",
+            "WormholeScheme",
+        ),
+        ".workload": (
+            "BernoulliWormSource",
+            "backlog",
+            "permutation_worms",
+            "run_open_loop",
+        ),
+        ".verification": (
+            "WormholeReport",
+            "extended_escape_cdg",
+            "verify_wormhole_scheme",
+        ),
+    },
 )
 
 __all__ = [

@@ -23,12 +23,13 @@ checks into a report, mirroring :mod:`repro.core.verification`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Hashable, Iterable
-
-import networkx as nx
+from typing import TYPE_CHECKING, Any, Hashable, Iterable
 
 from .channels import ChannelId
 from .routing import ADAPTIVE, WormholeScheme
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 def _freeze(state: Any) -> Any:
@@ -88,6 +89,8 @@ def extended_escape_cdg(
     channel it may request afterwards (directly or after any number of
     adaptive hops).
     """
+    import networkx as nx
+
     topo = scheme.topology
     srcs = list(sources) if sources is not None else list(topo.nodes())
     dsts = (
@@ -140,6 +143,8 @@ def verify_wormhole_scheme(
     check_minimal: bool | None = None,
 ) -> WormholeReport:
     """Exhaustively verify one worm-hole scheme instance."""
+    import networkx as nx
+
     report = WormholeReport(scheme=scheme.name)
     g = extended_escape_cdg(scheme, sources, destinations, report)
     if not nx.is_directed_acyclic_graph(g):

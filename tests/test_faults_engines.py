@@ -187,3 +187,29 @@ def test_retracted_hop_is_not_rerouting_overhead():
     hops = [ev for ev in probe.log.raw if ev[0] == "hop"]
     assert [(ev[3], ev[4]) for ev in hops] == [(0, 1), (0, 2), (2, 3), (3, 1)]
     assert rr.reroute_overhead == 2.0  # counting hop events would say 3
+
+
+def test_stalled_link_that_dies_is_a_new_epoch():
+    """Stall 0-1 over [0, 20), with 0-1 down from 5: ``blocked_links``
+    is the same three times over, but the installed fault set changes
+    at 0, 5 and 20, and each change is an ``epoch``."""
+    cube = Hypercube(3)
+    schedule = FaultSchedule.fixed(
+        cube,
+        [link_stall(0, 1, at=0, until=20), link_down(0, 1, at=5)],
+    )
+
+    class _Until25(_OnePacket):
+        def finished(self, sim, cycle):
+            return cycle >= 25 and super().finished(sim, cycle)
+
+    probe = TelemetryProbe()
+    rr = run_with_faults(
+        HypercubeAdaptiveRouting(cube), _Until25(0, 1), schedule,
+        telemetry=probe,
+    )
+    assert rr.result.delivered == 1 and rr.result.cycles > 20
+    epochs = [ev[1] for ev in probe.log.raw if ev[0] == "epoch"]
+    assert epochs == [0, 5, 20]
+    assert probe.summary["fault_epochs"] == 3
+    assert probe.registry.counter("repro_fault_epochs_total").value == 3
