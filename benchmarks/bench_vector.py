@@ -13,7 +13,7 @@ The workload grid deliberately spans both regimes (see
 * **sparse traffic at scale** (light hotspot traffic on 1024-4096
   nodes) — the reference engine pays its O(nodes + links) per-cycle
   fixed cost regardless of activity, while the vector engine touches
-  only active nodes plus one vectorized link pass;
+  only active nodes and the link slots that hold a packet;
 * **saturated traffic** (``lambda = 1``) — the regime the integer hop
   kernels and the batched node cycle were built for.
 

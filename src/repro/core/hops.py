@@ -349,20 +349,49 @@ class HopKernel:
         """Where a packet nominally targeting ``qid`` lands: forced
         single static moves to a sibling central queue are folded in,
         so a phase change costs no extra cycle."""
-        queue_node = self._queue_node
-        node = queue_node[qid]
         for _ in range(8):  # bounded by the internal-chain length
-            cands = self.candidates(qid, dst_i, sid)
-            if cands is None:
-                cands = HopKernel.candidates(self, qid, dst_i, sid)
-            statics, dynamics = cands
-            if dynamics or len(statics) != 1:
+            forced = self._forced_move(qid, dst_i, sid)
+            if forced is None:
                 break
-            q2, st, _cls = statics[0]
-            if q2 < 0 or q2 == qid or queue_node[q2] != node:
-                break
-            qid, sid = q2, st.sid(self.t) if type(st) is Successor else st
+            qid, sid = forced
         return (qid, sid)
+
+    def _forced_move(self, qid: int, dst_i: int, sid: int):
+        """``(queue, state)`` of the sibling central queue a packet in
+        ``qid`` is forced into, or ``None``.
+
+        Symbolic keys take the reference engine's fold order: a
+        non-empty ``dynamic_hops`` ends the fold before ``static_hops``
+        is asked, and no candidate's ``buffer_class`` is."""
+        cands = None
+        if type(self).candidates is not HopKernel.candidates:
+            cands = self.candidates(qid, dst_i, sid)
+        t = self.t
+        if cands is None:
+            alg = t.algorithm
+            q = t.queue_objs[qid]
+            state = t.states[sid]
+            dst = t.nodes[dst_i]
+            if alg.dynamic_hops(q, dst, state):
+                return None
+            nxt = alg.static_hops(q, dst, state)
+            if len(nxt) != 1:
+                return None
+            (q2,) = nxt
+            if q2 == q or q2.node != q.node or not q2.is_central:
+                return None
+            return (
+                t.qid_of[(t.nid[q2.node], q2.kind)],
+                t.state_id(alg.update_state(state, q, q2)),
+            )
+        statics, dynamics = cands
+        if dynamics or len(statics) != 1:
+            return None
+        q2, st, _cls = statics[0]
+        queue_node = self._queue_node
+        if q2 < 0 or q2 == qid or queue_node[q2] != queue_node[qid]:
+            return None
+        return (q2, st.sid(t) if type(st) is Successor else st)
 
     def injection_row(self, ui: int, dst_i: int, sid: int) -> tuple:
         """``((queue, state), ...)``: each injection target, entry-folded."""

@@ -28,7 +28,6 @@ from ..core.hops import TwoPhaseKernel, TwoPhaseRows, mask_dims
 from ..core.queues import QueueId, deliver
 from ..core.routing_function import RoutingAlgorithm
 from ..topology.mesh import Coord, Mesh, Mesh2D
-from ..topology.torus import Torus
 
 QA = "A"
 QB = "B"
@@ -184,12 +183,14 @@ class GridKernel(TwoPhaseKernel):
     in the hypercube kernel.
     """
 
-    def __init__(self, layout, alg, adaptive: bool, oblivious: bool):
+    def __init__(
+        self, layout, alg, adaptive: bool, oblivious: bool, wrap: bool = False
+    ):
         topo = alg.topology
         super().__init__(layout, alg.central_queue_kinds(layout.nodes[0]))
         self.adaptive = adaptive
         self.oblivious = oblivious
-        self.wrap = isinstance(topo, Torus)
+        self.wrap = wrap
         self.k = k = topo.k
         if not self.ok:
             return

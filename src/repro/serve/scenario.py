@@ -60,8 +60,6 @@ from ..routing.hypercube import (
     HypercubeObliviousRouting,
 )
 from ..routing.mesh import Mesh2DAdaptiveRouting, Mesh2DRestrictedRouting
-from ..routing.shuffle_exchange import ShuffleExchangeRouting
-from ..routing.torus import TorusRouting
 from ..sim.sampling import USER_DISTRIBUTIONS
 from ..sim.traffic import (
     HotspotTraffic,
@@ -74,8 +72,6 @@ from ..sim.traffic import (
 from ..topology.base import Topology
 from ..topology.hypercube import Hypercube
 from ..topology.mesh import Mesh2D
-from ..topology.shuffle_exchange import ShuffleExchange
-from ..topology.torus import Torus
 
 #: Engines the service loop can step (see docs/SERVING.md): all of them.
 SERVE_ENGINES = ENGINES
@@ -175,15 +171,33 @@ def _build_mesh(size: str) -> Topology:
     return Mesh2D(int(str(size).split("x")[0]))
 
 
+# The torus and shuffle-exchange modules are imported when a scenario
+# names the family, so a hypercube or mesh service never loads them.
 def _build_torus(size: str) -> Topology:
+    from ..topology.torus import Torus
+
     parts = [int(x) for x in str(size).split("x")]
     if len(parts) == 1:
         parts = parts * 2
     return Torus(tuple(parts))
 
 
+def _torus_routing(topology: Topology):
+    from ..routing.torus import TorusRouting
+
+    return TorusRouting(topology)
+
+
 def _build_shuffle(size: str) -> Topology:
+    from ..topology.shuffle_exchange import ShuffleExchange
+
     return ShuffleExchange(int(size))
+
+
+def _shuffle_routing(topology: Topology):
+    from ..routing.shuffle_exchange import ShuffleExchangeRouting
+
+    return ShuffleExchangeRouting(topology)
 
 
 #: family -> (topology factory over a size string,
@@ -204,8 +218,8 @@ SERVE_FAMILIES: dict[str, tuple[Callable[[str], Topology], dict]] = {
             "restricted": Mesh2DRestrictedRouting,
         },
     ),
-    "torus": (_build_torus, {"adaptive": TorusRouting}),
-    "shuffle-exchange": (_build_shuffle, {"adaptive": ShuffleExchangeRouting}),
+    "torus": (_build_torus, {"adaptive": _torus_routing}),
+    "shuffle-exchange": (_build_shuffle, {"adaptive": _shuffle_routing}),
 }
 
 

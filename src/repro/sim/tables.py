@@ -23,8 +23,9 @@ The static structure is a handful of int arrays (``queue_node``,
 ``node_q_start`` / ``node_q_count``, ``slot_src`` / ``slot_dst`` /
 ``slot_cls``, ``node_out_start`` / ``node_out_count``,
 ``node_in_count``, ``slot_in_pos``, ``link_first_slot``,
-``link_groups``), computed with ``repeat`` / ``cumsum`` / ``bincount``
-and one stable sort from two closed-form hooks:
+``slot_class_pos`` / ``slot_class_count``), computed with ``repeat`` /
+``cumsum`` / ``bincount`` and one stable sort from two closed-form
+hooks:
 :meth:`~repro.topology.base.Topology.link_table` (neighbour ids per
 node, ``link_index`` order, ``-1`` for no link) and
 :meth:`~repro.core.routing_function.RoutingAlgorithm.link_class_table`
@@ -216,19 +217,13 @@ class RoutingTables:
             self.n_slots
         ) - np.repeat(in_start, self.node_in_count)
 
-        #: Directed links grouped by class count ``k``: an ``(L, k)``
-        #: int array of slot ids per group, groups in order of their
-        #: first link.  Per-link class rotation is ``cycle % k``,
-        #: exactly the reference engine's ``rotated``.
-        firsts = []
-        for k in dict.fromkeys(vocab_k.tolist()):
-            mask = link_k == k
-            if mask.any():
-                firsts.append((int(mask.argmax()), k, mask))
-        self.link_groups: dict[int, np.ndarray] = {
-            k: link_first[mask][:, None] + np.arange(k, dtype=np.int64)
-            for _, k, mask in sorted(firsts, key=lambda f: f[0])
-        }
+        #: Each slot's class position within its link and its link's
+        #: class count (uint8: a link has a handful of classes).  The
+        #: link cycle rotates a ``k``-class link's classes by ``cycle
+        #: % k`` -- exactly the reference engine's ``rotated`` -- and
+        #: finds the link's first slot as ``slot - slot_class_pos``.
+        self.slot_class_pos = within.astype(np.uint8)
+        self.slot_class_count = np.repeat(link_k, link_k).astype(np.uint8)
 
         # ---- state interning + row memos -------------------------------
         self.states: list[Any] = []
@@ -574,8 +569,7 @@ class RoutingTables:
             self.queue_node, self.node_q_start, self.node_q_count,
             self.slot_src, self.slot_dst, self.slot_cls, self.slot_in_pos,
             self.node_out_start, self.node_out_count, self.node_in_count,
-            self.link_first_slot,
-            *self.link_groups.values(),
+            self.link_first_slot, self.slot_class_pos, self.slot_class_count,
         )
         held = [
             (self.nodes, 1),

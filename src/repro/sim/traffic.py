@@ -27,14 +27,16 @@ byte.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Hashable, Sequence
+from typing import TYPE_CHECKING, Hashable, Sequence
 
 import numpy as np
 
 from ..topology.base import Topology
 from ..topology.hypercube import Hypercube, hamming_weight
-from ..topology.mesh import Mesh
-from ..topology.torus import Torus
+
+if TYPE_CHECKING:
+    from ..topology.mesh import Mesh
+    from ..topology.torus import Torus
 
 
 class TrafficPattern(ABC):

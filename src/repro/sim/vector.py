@@ -26,11 +26,18 @@ forms:
 * the **read phase** sorts every occupied input/injection buffer once,
   by ``target queue * rank_span + rotation rank``, and admits
   per-queue prefixes against capacity;
-* the **link cycle** moves whole class-groups of links per operation.
+* the **link cycle** moves, per link, one ready packet: it looks only
+  at the output slots that hold a packet.
 
-Every cycle takes this one path, however few nodes are busy, and on
-any per-node queue layout: a node's queues are addressed by its offset
-``node_q_start`` plus the kind index, padded to the widest node.
+Two int arrays of slot ids, in no order, name the occupied link
+buffers: output slots (appended by the fill phase's claims, removed by
+link moves) and input slots (appended by link moves, removed by
+admission).  The link and read phases run over them, so no phase of a
+cycle scans every slot, and a sparse or draining network pays for its
+traffic rather than its size.  Every cycle takes this one path,
+however few nodes are busy, and on any per-node queue layout: a node's
+queues are addressed by its offset ``node_q_start`` plus the kind
+index, padded to the widest node.
 
 **Identity guarantees.**  Packet-for-packet identical to
 :class:`~repro.sim.engine.PacketSimulator` at equal seeds on every
@@ -163,12 +170,14 @@ class VectorSimulator:
 
         #: Node labels in reference order (injection models iterate this).
         self.nodes: list[Hashable] = t.nodes
-        # Per class-count k: contiguous per-class slot columns, so the
-        # link cycle gathers without re-slicing each cycle.
-        self._link_cols: dict[int, list[np.ndarray]] = {
-            k: [np.ascontiguousarray(mat[:, j]) for j in range(k)]
-            for k, mat in t.link_groups.items()
-        }
+        # Link-cycle rotation grid: row k, column p is class position p
+        # of a k-class link (row 0 unused).  And a per-slot score
+        # scratch, zero between cycles, that only the first slots of
+        # links with a ready class ever touch.
+        kmax = self._max_classes = int(t.slot_class_count.max(initial=1))
+        self._grid_pos = np.arange(kmax)[None, :]
+        self._grid_count = np.maximum(np.arange(kmax + 1), 1)[:, None]
+        self._link_best = np.zeros(t.n_slots, dtype=np.uint8)
         # Read-phase sort key span: ranks lie in [0, max inputs].
         self._rank_span = int(t.node_in_count.max(initial=0)) + 1
         # Row ui: node ui's queue ids in kind order, padded to the
@@ -203,6 +212,10 @@ class VectorSimulator:
         self._out = np.full(t.n_slots + 1, -1, dtype=np.int64)
         self._out[t.n_slots] = -2
         self._in = np.full(t.n_slots, -1, dtype=np.int64)
+        #: The slots whose out / in buffer holds a packet, in no order:
+        #: the link and read phases touch only these.
+        self._occ_out = _EMPTY
+        self._occ_in = _EMPTY
 
         # Parallel per-message numpy columns (index = registration
         # order).  No Message object is kept: a packet is its row.
@@ -462,6 +475,7 @@ class VectorSimulator:
         gone = np.zeros(mis.size, dtype=bool)  # left its queue this cycle
         if picked:
             gi, jg, sg = (np.concatenate(p) for p in zip(*picked))
+            self._occ_out = np.concatenate((self._occ_out, sg))
             gone[gi] = True
             mg = mis[gi]
             nq, nst, eq, est, dyn = rows.chosen(gi, jg, sg)
@@ -591,9 +605,11 @@ class VectorSimulator:
     def _read_batch(self, cycle: int) -> None:
         """All occupied input/injection buffers in one admission pass.
 
-        Rank ``(source position - cycle) mod (inputs + 1)`` is the
-        reference engine's rotated read order (the injection buffer
-        sits at position ``inputs``).  One sort by ``target queue *
+        Arrivals are the occupied input slots the link cycle recorded,
+        in no order (the sort below orders them); admitted ones leave
+        that array.  Rank ``(source position - cycle) mod (inputs +
+        1)`` is the reference engine's rotated read order (the
+        injection buffer sits at position ``inputs``).  One sort by ``target queue *
         rank_span + rank`` and admitting per-target-queue prefixes
         against free capacity equals the sequential loop: a queue
         belongs to one node, so each prefix is in that node's read
@@ -605,7 +621,7 @@ class VectorSimulator:
         cycle with such rows builds the (node, rank) order to resolve
         them.
         """
-        arrivals = np.flatnonzero(self._in != -1)
+        arrivals = self._occ_in
         inj_nodes = np.flatnonzero(self._inj != -1)
         if not (arrivals.size or inj_nodes.size):
             return
@@ -661,41 +677,59 @@ class VectorSimulator:
         self._qcount += added
         self._load += np.bincount(node_a, minlength=self._load.size)
         self._mstate[mi_a] = st[ga]
-        from_link = ga < arrivals.size
-        self._in[arrivals[ga[from_link]]] = -1
-        self._inj[node_a[~from_link]] = -1
+        from_link = ga[ga < arrivals.size]
+        if from_link.size:
+            self._in[arrivals[from_link]] = -1
+            stay = np.ones(arrivals.size, dtype=bool)
+            stay[from_link] = False
+            self._occ_in = arrivals[stay]
+        self._inj[node_a[ga >= arrivals.size]] = -1
         self._last_progress = cycle
         if self._recording:
             self._ev_enqueue.append((mi_a, tq_a))
 
     # -- link cycle --------------------------------------------------------
     def _link_cycle(self, cycle: int) -> None:
+        """Occupied output buffers whose input buffer is free move over.
+
+        A link moves at most one packet: a ``k``-class link its first
+        ready class in ``cycle % k`` rotation (the reference engine's
+        ``rotated``).  Only the occupied output slots are looked at.
+        A ready slot at class position ``p`` scores ``max_classes - (p
+        - cycle) mod k``, from a small ``(k, p)`` grid built per cycle;
+        one ``maximum.at`` into the scratch at its link's first slot,
+        ``slot - p``, keeps each link's best score, and the scratch is
+        zeroed again at the same slots.
+        """
+        occ = self._occ_out
         out = self._out
         inb = self._in
-        progressed = False
-        for k, cols in self._link_cols.items():
-            if k == 1:
-                col = cols[0]
-                mv = (out[col] != -1) & (inb[col] == -1)
-                if mv.any():
-                    mc = col[mv]
-                    inb[mc] = out[mc]
-                    out[mc] = -1
-                    progressed = True
-            else:
-                r = cycle % k
-                done = np.zeros(len(cols[0]), dtype=bool)
-                for p in range(k):
-                    col = cols[(r + p) % k]
-                    mv = (out[col] != -1) & (inb[col] == -1) & ~done
-                    if mv.any():
-                        mc = col[mv]
-                        inb[mc] = out[mc]
-                        out[mc] = -1
-                        done |= mv
-                        progressed = True
-        if progressed:
-            self._last_progress = cycle
+        ready = np.flatnonzero(inb[occ] == -1)  # positions in occ
+        if not ready.size:
+            return
+        t = self.tables
+        cand = occ[ready]
+        kmax = self._max_classes
+        scores = kmax - (self._grid_pos - cycle) % self._grid_count
+        pos = t.slot_class_pos[cand]
+        score = scores.astype(np.uint8).ravel()[
+            t.slot_class_count[cand].astype(np.intp) * kmax + pos
+        ]
+        first = cand - pos
+        best = self._link_best
+        np.maximum.at(best, first, score)
+        win = best[first] == score
+        best[first] = 0
+        if not win.all():
+            ready = ready[win]
+            cand = cand[win]
+        inb[cand] = out[cand]
+        out[cand] = -1
+        stay = np.ones(occ.size, dtype=bool)
+        stay[ready] = False
+        self._occ_out = occ[stay]
+        self._occ_in = np.concatenate((self._occ_in, cand))
+        self._last_progress = cycle
 
     # -- delivery and stats -------------------------------------------------
     def _deliver(self, mis: np.ndarray, cycle: int) -> None:

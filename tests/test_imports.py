@@ -110,6 +110,39 @@ def test_smoke_scenario_serves_without_networkx():
     assert out.stdout.split() == ["0", "True"]
 
 
+#: Modules of the families a mesh service does not run (prefix match).
+OTHER_FAMILIES = (
+    "repro.routing.shuffle_exchange",
+    "repro.topology.shuffle_exchange",
+    "repro.routing.torus",
+    "repro.topology.torus",
+)
+
+
+def test_mesh_service_loads_no_other_family():
+    """The serve name tables resolve a family's modules on use, so a
+    mesh scenario served end to end never loads the shuffle-exchange or
+    torus modules."""
+    out = _python(
+        "import json, sys\n"
+        "from repro.serve.scenario import parse_scenario\n"
+        "from repro.serve.service import TrafficService\n"
+        "svc = TrafficService(parse_scenario({\n"
+        "    'name': 'm', 'seed': 1,\n"
+        "    'topology': {'family': 'mesh', 'size': 4},\n"
+        "    'populations': [{'name': 'p', 'users': {'mean': 10},\n"
+        "                     'rate_per_user': 0.05}],\n"
+        "    'service': {'duration_cycles': 40, 'tick_cycles': 10},\n"
+        "}))\n"
+        "code = svc.serve()\n"
+        "print(json.dumps([code, svc.result.delivered, sorted(sys.modules)]))\n"
+    )
+    code, delivered, loaded = json.loads(out.stdout)
+    assert code == 0 and delivered > 0
+    assert "repro.routing.mesh" in loaded
+    assert [m for m in loaded if m.startswith(OTHER_FAMILIES)] == []
+
+
 def test_graph_builders_import_networkx_on_first_use():
     out = _python(
         "import sys\n"

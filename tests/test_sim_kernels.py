@@ -601,6 +601,71 @@ def test_kernelless_injection_rows_resolve_key_by_key():
         assert (int(queues[i]), int(states[i])) == want
 
 
+def test_symbolic_entry_fold_asks_what_the_reference_fold_asks():
+    """On symbolic keys the entry fold asks ``dynamic_hops`` first,
+    stops when it is non-empty, and never asks ``buffer_class`` (the
+    reference engine's ``_fold_entry_queue`` order); ``buffer_class`` is
+    asked only for the external candidates of central rows.  Counted on
+    a kernel-less shuffle-exchange run at lambda = 1."""
+    topo = ShuffleExchange(5)
+    alg = ShuffleExchangeRouting(topo)
+    tables = RoutingTables(alg, use_kernel=False)
+    calls = {
+        (fold, name): 0
+        for fold in (False, True)
+        for name in ("static", "dynamic", "empty_dynamic", "external", "cls")
+    }
+    folding = [False]
+
+    def counted(name, method):
+        def call(q, dst, state):
+            hops = method(q, dst, state)
+            fold = folding[0]
+            calls[(fold, name)] += 1
+            calls[(fold, "external")] += sum(h.node != q.node for h in hops)
+            if name == "dynamic" and not hops:
+                calls[(fold, "empty_dynamic")] += 1
+            return hops
+
+        return call
+
+    alg.static_hops = counted("static", alg.static_hops)
+    alg.dynamic_hops = counted("dynamic", alg.dynamic_hops)
+    buffer_class = alg.buffer_class
+
+    def counted_class(*args):
+        calls[(folding[0], "cls")] += 1
+        return buffer_class(*args)
+
+    alg.buffer_class = counted_class
+    entry_row = tables.assembler.entry_row
+
+    def folding_entry_row(*args):
+        folding[0] = True
+        try:
+            return entry_row(*args)
+        finally:
+            folding[0] = False
+
+    tables.assembler.entry_row = folding_entry_row
+    model = DynamicInjection(
+        1.0, RandomTraffic(topo), make_rng(5), duration=60
+    )
+    result = VectorSimulator(alg, model, tables=tables).run(
+        max_cycles=100_000
+    )
+    assert result.delivered > 0 and tables.rows_packed > 0
+    # The fold: no buffer class, statics only behind an empty dynamic.
+    assert calls[(True, "dynamic")] > calls[(True, "static")] > 0
+    assert calls[(True, "static")] == calls[(True, "empty_dynamic")]
+    assert calls[(True, "cls")] == 0
+    # Central rows: both hop lists once per packed row, and one buffer
+    # class per external candidate.
+    assert calls[(False, "static")] == calls[(False, "dynamic")]
+    assert calls[(False, "static")] == tables.rows_packed
+    assert calls[(False, "cls")] == calls[(False, "external")] > 0
+
+
 def test_oblivious_mesh_tie_break_keeps_the_lowest_node():
     """Oblivious mesh hops go to the lowest node, which is not the
     lowest dimension in phase A.

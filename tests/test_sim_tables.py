@@ -79,7 +79,7 @@ def spec_structure(alg) -> dict:
 
     slot_src, slot_dst, slot_cls, slot_of = [], [], [], {}
     node_out_start, node_out_count = [], []
-    link_classes, link_first, link_slot_lists = {}, {}, {}
+    link_classes, link_first, link_slots = {}, {}, []
     for ui, u in enumerate(nodes):
         node_out_start.append(len(slot_src))
         nbrs = sorted(topo.neighbors(u), key=lambda v: topo.link_index(u, v))
@@ -96,7 +96,7 @@ def spec_structure(alg) -> dict:
                 slot_dst.append(vi)
                 slot_cls.append(cls)
                 slots.append(s)
-            link_slot_lists.setdefault(len(slots), []).append(slots)
+            link_slots.append(slots)
         node_out_count.append(len(slot_src) - node_out_start[-1])
 
     node_in_slots = [[] for _ in nodes]
@@ -125,10 +125,7 @@ def spec_structure(alg) -> dict:
         "slot_in_pos": slot_in_pos,
         "link_classes": link_classes,
         "link_first": link_first,
-        "link_groups": {
-            k: np.asarray(v, dtype=np.int64).reshape(len(v), k)
-            for k, v in link_slot_lists.items()
-        },
+        "link_slots": link_slots,
     }
 
 
@@ -155,10 +152,17 @@ def assert_structure_matches_spec(alg) -> None:
     assert t.node_out_count.tolist() == want["node_out_count"]
     assert t.slot_in_pos.tolist() == want["slot_in_pos"]
     assert t.node_in_count.tolist() == [len(s) for s in want["node_in_slots"]]
-    assert list(t.link_groups) == list(want["link_groups"])
-    for k, mat in want["link_groups"].items():
-        assert t.link_groups[k].dtype == np.int64
-        assert np.array_equal(t.link_groups[k], mat), k
+    # Each slot's class position within its link and its link's class
+    # count, from the spec's per-link slot lists (which cover every slot
+    # once, so the two arrays determine each link's slots).
+    class_pos, class_count = [None] * t.n_slots, [None] * t.n_slots
+    for slots in want["link_slots"]:
+        for p, s in enumerate(slots):
+            assert class_pos[s] is None
+            class_pos[s], class_count[s] = p, len(slots)
+    assert t.slot_class_pos.dtype == t.slot_class_count.dtype == np.uint8
+    assert t.slot_class_pos.tolist() == class_pos
+    assert t.slot_class_count.tolist() == class_count
 
     # Per-link first slots, indexed like the topology's link table.
     nbr = alg.topology.link_table()

@@ -1021,3 +1021,130 @@ def test_batched_cycle_gathers_rows_once(key, monkeypatch):
     assert all(c["chosen"] <= 1 and c["internal"] <= 1 for c in per_cycle)
     assert sum(c["chosen"] for c in per_cycle) > 0
     assert sum(c["internal"] for c in per_cycle) > 0
+
+
+# ----------------------------------------------------------------------
+# Occupied link slots: the link and read phases' working sets
+# ----------------------------------------------------------------------
+#: ``(topology, injection, capacity, service, policy)``: per topology two
+#: runs between them cover both capacities, services, buffer policies
+#: and injection models (static, and dynamic at lambda = 1).
+OCCUPIED_CASES = [
+    ("hypercube", "static", 1, "fifo", "paper"),
+    ("hypercube", "dynamic", 5, "lifo", "rotating"),
+    ("mesh", "dynamic", 1, "lifo", "paper"),
+    ("mesh", "static", 5, "fifo", "rotating"),
+    ("torus", "dynamic", 5, "fifo", "paper"),
+    ("torus", "static", 1, "lifo", "rotating"),
+    ("shuffle", "dynamic", 1, "fifo", "rotating"),
+    ("shuffle", "static", 5, "lifo", "paper"),
+    ("ccc", "dynamic", 5, "lifo", "paper"),
+    ("ccc", "static", 1, "fifo", "rotating"),
+]
+
+
+def _contested_links(sim) -> int:
+    """Links with two or more classes ready to move (output buffer
+    occupied, input buffer free), from the dense buffers."""
+    t = sim.tables
+    ready = np.flatnonzero((sim._out[:-1] != -1) & (sim._in == -1))
+    first = ready - t.slot_class_pos[ready]
+    return int(np.count_nonzero(np.bincount(first) > 1)) if first.size else 0
+
+
+def _assert_occupied_arrays(sim) -> None:
+    for occ, dense in (
+        (sim._occ_out, sim._out[:-1]),
+        (sim._occ_in, sim._in),
+    ):
+        assert occ.dtype == np.int64
+        assert np.unique(occ).size == occ.size  # no duplicates
+        assert np.array_equal(np.sort(occ), np.flatnonzero(dense != -1))
+
+
+def _occupancy_checked_logs(key, injection, seed, **kw):
+    """Reference and vector event logs of one run; the vector run's
+    occupied arrays are checked after every step, and the contested
+    links seen just before each link cycle are counted."""
+    build, alg_cls = TOPOLOGIES[key]
+    logs, contested = [], [0]
+    for engine_cls in (PacketSimulator, VectorSimulator):
+        reset_message_ids()
+        topo = build()
+        if injection == "static":
+            model = StaticInjection(3, RandomTraffic(topo), make_rng(seed))
+        else:
+            model = DynamicInjection(
+                1.0, RandomTraffic(topo), make_rng(seed), duration=80
+            )
+        sim = engine_cls(alg_cls(topo), model, **kw)
+        probe = TelemetryProbe().attach(sim)
+        if engine_cls is VectorSimulator:
+            step, link_cycle = sim.step, sim._link_cycle
+
+            def checked_step():
+                step()
+                _assert_occupied_arrays(sim)
+
+            def counted_link_cycle(cycle):
+                contested[0] += _contested_links(sim)
+                link_cycle(cycle)
+
+            sim.step = checked_step
+            sim._link_cycle = counted_link_cycle
+        sim.run(max_cycles=200_000)
+        logs.append(probe.log.to_jsonl())
+    return logs, contested[0]
+
+
+@pytest.mark.parametrize(
+    "case", OCCUPIED_CASES, ids=lambda c: "-".join(map(str, c))
+)
+def test_occupied_slot_arrays_track_the_buffers(case):
+    key, injection, capacity, service, policy = case
+    (ref, vec), contested = _occupancy_checked_logs(
+        key, injection, seed=len(key) * 7 + capacity,
+        central_capacity=capacity, service=service, policy=policy,
+    )
+    assert vec == ref
+    if injection == "dynamic":
+        # Multi-class links whose classes were ready together: the
+        # class rotation chose which one moved.
+        assert contested > 0
+
+
+@pytest.mark.parametrize("key", ["hypercube", "mesh", "torus", "ccc"])
+def test_link_rotation_moves_one_ready_class_per_link(key):
+    """Every class of one link holds a packet: at each cycle the class
+    ``cycle % k`` moves, and the next one in rotation when that class's
+    input buffer is taken; a one-class link beside it moves as well."""
+    build, alg_cls = TOPOLOGIES[key]
+    topo = build()
+    t = RoutingTables(alg_cls(topo))
+    count = t.slot_class_count
+    (multi,) = np.flatnonzero((count > 1) & (t.slot_class_pos == 0))[:1]
+    k = int(count[multi])
+    link = np.arange(multi, multi + k)
+    single = np.flatnonzero(count == 1)[:1]
+    for cycle in range(2 * k):
+        for taken in (False, True):
+            sim = VectorSimulator(
+                t.algorithm,
+                StaticInjection(1, RandomTraffic(topo), make_rng(0)),
+                tables=t,
+            )
+            occ = np.concatenate((link, single))
+            sim._out[occ] = np.arange(occ.size)
+            sim._occ_out = occ[::-1].copy()  # any order
+            first = multi + cycle % k
+            if taken:
+                sim._in[first] = 99
+                sim._occ_in = np.array([first])
+            sim._link_cycle(cycle)
+            moved = multi + (cycle + taken) % k
+            want_in = {moved, *single.tolist()} | ({first} if taken else set())
+            assert set(sim._occ_in.tolist()) == want_in
+            assert set(sim._occ_out.tolist()) == set(link.tolist()) - {moved}
+            assert sim._in[moved] == moved - multi
+            assert sim._out[moved] == -1
+            _assert_occupied_arrays(sim)
