@@ -15,18 +15,20 @@ the engine semantics, stated once: first-wins per physical buffer
 forced-phase-switch entry fold of
 ``PacketSimulator._fold_entry_queue``, and injection targets in the
 reference engine's ``sorted(targets)`` order, each entry-folded.  They
-read candidates from two primitives with two sources:
+read candidates from two primitives, :meth:`HopKernel.candidates`
+and :meth:`HopKernel.inject_candidates`, with two sources:
 
-* the base :meth:`HopKernel.candidates` and
-  :meth:`HopKernel.inject_candidates` evaluate the symbolic routing
-  function (``static_hops``, ``dynamic_hops``, ``buffer_class``,
-  ``update_state``, ``injection_targets``) and map queues through the
-  tables' interning, so a plain ``HopKernel`` serves any algorithm;
 * a kernel subclass (shuffle-exchange, CCC, Beneš, buffer pool)
-  re-states the same candidates over integer ids, and returns ``None``
-  for a key it declines (exhausted shuffle counters, off-network Beneš
-  injections), which hands that key back to the symbolic primitive —
-  so errors on declined keys are the symbolic path's, byte for byte.
+  overrides them to re-state the routing function's candidates over
+  integer ids;
+* a key the primitive declines with ``None`` — every key, on the base
+  class and on the batch-only two-phase kernels; exhausted shuffle
+  counters and off-network Beneš injections on the others — takes the
+  symbolic routing function (``static_hops``, ``dynamic_hops``,
+  ``buffer_class``, ``update_state``, ``injection_targets``), its
+  queues mapped through the tables' interning.  So a plain
+  ``HopKernel`` serves any algorithm, and errors on declined keys are
+  the symbolic path's, byte for byte.
 
 A candidate is ``(queue, state, cls)``: the next queue's id (``-1``
 for the delivery queue), the successor state — its id, or a
@@ -59,8 +61,9 @@ Injection has the same batch form: :meth:`HopKernel.injection_rows`
 resolves a whole cycle's injections at once, and must equal
 :meth:`HopKernel.injection_row` (which it may only answer for when
 that row has exactly one target) on every key.  The two-phase kernels
-answer it through :class:`TwoPhaseKernel`; their scalar rows come from
-the symbolic primitives.
+answer it through :class:`TwoPhaseKernel`; their scalar primitives
+decline every key, so their scalar rows come from the symbolic routing
+function.
 
 This module also owns the internal-step action codes shared by the
 tables and the kernels.
@@ -204,12 +207,12 @@ class HopKernel:
     """The row assembler over one :class:`~repro.sim.tables.RoutingTables`.
 
     The three row methods assemble rows from :meth:`candidates` and
-    :meth:`inject_candidates`, which evaluate the symbolic routing
-    function.  A kernel subclass overrides those two primitives to
-    compute candidates over integer ids, returning ``None`` per key to
-    hand it back to the symbolic ones; kernels whose hop relation is
-    plain arithmetic also override :meth:`fill_rows` and
-    :meth:`injection_rows`.
+    :meth:`inject_candidates`, which decline every key here, so every
+    row evaluates the symbolic routing function.  A kernel subclass
+    overrides those two primitives to compute candidates over integer
+    ids, returning ``None`` per key to hand it back to the symbolic
+    routing function; kernels whose hop relation is plain arithmetic
+    also override :meth:`fill_rows` and :meth:`injection_rows`.
     """
 
     def __init__(self, layout: "RoutingTables"):
@@ -245,7 +248,19 @@ class HopKernel:
     def candidates(self, qid: int, dst_i: int, sid: int):
         """``(static, dynamic)`` lists of ``(queue, state, cls)``
         candidates, in the symbolic ``static_hops`` / ``dynamic_hops``
-        order, before first-wins; ``None`` declines the key.
+        order, before first-wins; ``None`` (here, for every key)
+        declines the key to the symbolic routing function."""
+        return None
+
+    def inject_candidates(self, ui: int, dst_i: int, sid: int):
+        """Injection ``(queue, state)`` targets in ``sorted(targets)``
+        order, the injection ``update_state`` applied; ``None`` (here,
+        for every key) declines the key to the symbolic routing
+        function."""
+        return None
+
+    def _symbolic_candidates(self, qid: int, dst_i: int, sid: int):
+        """:meth:`candidates` from the symbolic routing function.
 
         An external hop to a queue kind its node does not declare has
         queue ``-2 - node``.  The assembler drops it when it loses
@@ -276,10 +291,9 @@ class HopKernel:
             out.append(cl)
         return out
 
-    def inject_candidates(self, ui: int, dst_i: int, sid: int):
-        """Injection ``(queue, state)`` targets in ``sorted(targets)``
-        order, the injection ``update_state`` applied; ``None``
-        declines the key."""
+    def _symbolic_inject_candidates(self, ui: int, dst_i: int, sid: int):
+        """:meth:`inject_candidates` from the symbolic routing
+        function."""
         t = self.t
         alg = t.algorithm
         u = t.nodes[ui]
@@ -304,7 +318,7 @@ class HopKernel:
         order (``queue`` is -1 for delivery)."""
         cands = self.candidates(qid, dst_i, sid)
         if cands is None:
-            cands = HopKernel.candidates(self, qid, dst_i, sid)
+            cands = self._symbolic_candidates(qid, dst_i, sid)
         t = self.t
         queue_node = self._queue_node
         ui = queue_node[qid]
@@ -363,9 +377,7 @@ class HopKernel:
         Symbolic keys take the reference engine's fold order: a
         non-empty ``dynamic_hops`` ends the fold before ``static_hops``
         is asked, and no candidate's ``buffer_class`` is."""
-        cands = None
-        if type(self).candidates is not HopKernel.candidates:
-            cands = self.candidates(qid, dst_i, sid)
+        cands = self.candidates(qid, dst_i, sid)
         t = self.t
         if cands is None:
             alg = t.algorithm
@@ -397,7 +409,7 @@ class HopKernel:
         """``((queue, state), ...)``: each injection target, entry-folded."""
         cl = self.inject_candidates(ui, dst_i, sid)
         if cl is None:
-            cl = HopKernel.inject_candidates(self, ui, dst_i, sid)
+            cl = self._symbolic_inject_candidates(ui, dst_i, sid)
         t = self.t
         return tuple(
             self.entry_row(

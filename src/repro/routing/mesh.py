@@ -183,14 +183,12 @@ class GridKernel(TwoPhaseKernel):
     in the hypercube kernel.
     """
 
-    def __init__(
-        self, layout, alg, adaptive: bool, oblivious: bool, wrap: bool = False
-    ):
+    def __init__(self, layout, alg, adaptive: bool, oblivious: bool):
         topo = alg.topology
         super().__init__(layout, alg.central_queue_kinds(layout.nodes[0]))
         self.adaptive = adaptive
         self.oblivious = oblivious
-        self.wrap = wrap
+        self.wrap = topo.wraps
         self.k = k = topo.k
         if not self.ok:
             return

@@ -166,7 +166,5 @@ class TorusRouting(RoutingAlgorithm):
     def compile_hops(self, layout):
         if type(self) is not TorusRouting or type(self.topology) is not Torus:
             return None
-        kernel = GridKernel(
-            layout, self, adaptive=True, oblivious=False, wrap=True
-        )
+        kernel = GridKernel(layout, self, adaptive=True, oblivious=False)
         return kernel if kernel.ok else None

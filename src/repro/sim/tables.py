@@ -218,12 +218,15 @@ class RoutingTables:
         ) - np.repeat(in_start, self.node_in_count)
 
         #: Each slot's class position within its link and its link's
-        #: class count (uint8: a link has a handful of classes).  The
-        #: link cycle rotates a ``k``-class link's classes by ``cycle
-        #: % k`` -- exactly the reference engine's ``rotated`` -- and
-        #: finds the link's first slot as ``slot - slot_class_pos``.
-        self.slot_class_pos = within.astype(np.uint8)
-        self.slot_class_count = np.repeat(link_k, link_k).astype(np.uint8)
+        #: class count, in the smallest unsigned dtype that holds the
+        #: widest link's count (uint8 unless a link has over 255
+        #: classes).  The link cycle rotates a ``k``-class link's
+        #: classes by ``cycle % k`` -- exactly the reference engine's
+        #: ``rotated`` -- and finds the link's first slot as ``slot -
+        #: slot_class_pos``.
+        class_dtype = np.min_scalar_type(int(link_k.max(initial=1)))
+        self.slot_class_pos = within.astype(class_dtype)
+        self.slot_class_count = np.repeat(link_k, link_k).astype(class_dtype)
 
         # ---- state interning + row memos -------------------------------
         self.states: list[Any] = []

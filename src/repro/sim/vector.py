@@ -170,14 +170,10 @@ class VectorSimulator:
 
         #: Node labels in reference order (injection models iterate this).
         self.nodes: list[Hashable] = t.nodes
-        # Link-cycle rotation grid: row k, column p is class position p
-        # of a k-class link (row 0 unused).  And a per-slot score
-        # scratch, zero between cycles, that only the first slots of
-        # links with a ready class ever touch.
-        kmax = self._max_classes = int(t.slot_class_count.max(initial=1))
-        self._grid_pos = np.arange(kmax)[None, :]
-        self._grid_count = np.maximum(np.arange(kmax + 1), 1)[:, None]
-        self._link_best = np.zeros(t.n_slots, dtype=np.uint8)
+        # Link-cycle score scratch per slot, in the class columns'
+        # dtype, zero between cycles: only the first slots of links
+        # with a ready class ever touch it.
+        self._link_best = np.zeros(t.n_slots, dtype=t.slot_class_count.dtype)
         # Read-phase sort key span: ranks lie in [0, max inputs].
         self._rank_span = int(t.node_in_count.max(initial=0)) + 1
         # Row ui: node ui's queue ids in kind order, padded to the
@@ -695,11 +691,11 @@ class VectorSimulator:
         A link moves at most one packet: a ``k``-class link its first
         ready class in ``cycle % k`` rotation (the reference engine's
         ``rotated``).  Only the occupied output slots are looked at.
-        A ready slot at class position ``p`` scores ``max_classes - (p
-        - cycle) mod k``, from a small ``(k, p)`` grid built per cycle;
-        one ``maximum.at`` into the scratch at its link's first slot,
-        ``slot - p``, keeps each link's best score, and the scratch is
-        zeroed again at the same slots.
+        A ready slot at class position ``p`` scores ``k - (p - cycle)
+        mod k``, so class ``cycle % k`` scores ``k`` and the next one in
+        rotation ``k - 1``; one ``maximum.at`` into the scratch at its
+        link's first slot, ``slot - p``, keeps each link's best score,
+        and the scratch is zeroed again at the same slots.
         """
         occ = self._occ_out
         out = self._out
@@ -709,14 +705,11 @@ class VectorSimulator:
             return
         t = self.tables
         cand = occ[ready]
-        kmax = self._max_classes
-        scores = kmax - (self._grid_pos - cycle) % self._grid_count
-        pos = t.slot_class_pos[cand]
-        score = scores.astype(np.uint8).ravel()[
-            t.slot_class_count[cand].astype(np.intp) * kmax + pos
-        ]
-        first = cand - pos
         best = self._link_best
+        pos = t.slot_class_pos[cand].astype(np.intp)
+        count = t.slot_class_count[cand]
+        score = (count - (pos - cycle) % count).astype(best.dtype)
+        first = cand - pos
         np.maximum.at(best, first, score)
         win = best[first] == score
         best[first] = 0

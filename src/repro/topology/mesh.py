@@ -23,6 +23,9 @@ Coord = tuple[int, ...]
 class Mesh(Topology):
     """A ``shape[0] x ... x shape[k-1]`` mesh."""
 
+    #: Whether each dimension's ends are linked (a torus).
+    wraps = False
+
     def __init__(self, shape: tuple[int, ...]):
         if not shape or any(s < 2 for s in shape):
             raise ValueError("every mesh dimension must be >= 2")

@@ -18,6 +18,8 @@ from .mesh import Coord, Mesh
 class Torus(Mesh):
     """A ``shape[0] x ... x shape[k-1]`` torus."""
 
+    wraps = True
+
     def __init__(self, shape: tuple[int, ...]):
         if not shape or any(s < 3 for s in shape):
             # With s == 2 the two ring directions coincide and the

@@ -601,15 +601,59 @@ def test_kernelless_injection_rows_resolve_key_by_key():
         assert (int(queues[i]), int(states[i])) == want
 
 
-def test_symbolic_entry_fold_asks_what_the_reference_fold_asks():
-    """On symbolic keys the entry fold asks ``dynamic_hops`` first,
-    stops when it is non-empty, and never asks ``buffer_class`` (the
-    reference engine's ``_fold_entry_queue`` order); ``buffer_class`` is
-    asked only for the external candidates of central rows.  Counted on
-    a kernel-less shuffle-exchange run at lambda = 1."""
+def _shuffle_run_rows():
+    """Kernel-less shuffle-exchange tables and a lambda = 1 run over
+    them; returns the number of central rows evaluated."""
     topo = ShuffleExchange(5)
     alg = ShuffleExchangeRouting(topo)
     tables = RoutingTables(alg, use_kernel=False)
+
+    def drive():
+        model = DynamicInjection(
+            1.0, RandomTraffic(topo), make_rng(5), duration=60
+        )
+        result = VectorSimulator(alg, model, tables=tables).run(
+            max_cycles=100_000
+        )
+        assert result.delivered > 0
+        return tables.rows_packed
+
+    return alg, tables, drive
+
+
+def _fault_gated_cube_rows():
+    """A healthy fault adapter over a hypercube: its gated kernel
+    forwards scalar keys to the batch-only hypercube kernel, which
+    declines them.  Every ``(queue, destination)`` key's central and
+    entry row is evaluated; returns the number of central rows."""
+    alg = FaultAwareRouting(HypercubeAdaptiveRouting(Hypercube(3)))
+    tables = RoutingTables(alg)
+
+    def drive():
+        keys = [
+            (qid, di, tables.state_id(alg.initial_state(u, d)))
+            for qid, u in enumerate(tables.queue_labels)
+            for di, d in enumerate(tables.nodes)
+        ]
+        for key in keys:
+            tables.assembler.central_row(*key)
+            tables.assembler.entry_row(*key)
+        return len(keys)
+
+    return alg, tables, drive
+
+
+@pytest.mark.parametrize(
+    "setup",
+    [_shuffle_run_rows, _fault_gated_cube_rows],
+    ids=["kernelless-shuffle-run", "fault-gated-cube-keys"],
+)
+def test_symbolic_entry_fold_asks_what_the_reference_fold_asks(setup):
+    """On symbolic keys the entry fold asks ``dynamic_hops`` first,
+    stops when it is non-empty, and never asks ``buffer_class`` (the
+    reference engine's ``_fold_entry_queue`` order); ``buffer_class`` is
+    asked only for the external candidates of central rows."""
+    alg, tables, drive = setup()
     calls = {
         (fold, name): 0
         for fold in (False, True)
@@ -648,21 +692,15 @@ def test_symbolic_entry_fold_asks_what_the_reference_fold_asks():
             folding[0] = False
 
     tables.assembler.entry_row = folding_entry_row
-    model = DynamicInjection(
-        1.0, RandomTraffic(topo), make_rng(5), duration=60
-    )
-    result = VectorSimulator(alg, model, tables=tables).run(
-        max_cycles=100_000
-    )
-    assert result.delivered > 0 and tables.rows_packed > 0
+    rows = drive()
+    assert rows > 0
     # The fold: no buffer class, statics only behind an empty dynamic.
     assert calls[(True, "dynamic")] > calls[(True, "static")] > 0
     assert calls[(True, "static")] == calls[(True, "empty_dynamic")]
     assert calls[(True, "cls")] == 0
-    # Central rows: both hop lists once per packed row, and one buffer
-    # class per external candidate.
-    assert calls[(False, "static")] == calls[(False, "dynamic")]
-    assert calls[(False, "static")] == tables.rows_packed
+    # Central rows: both hop lists once per row, and one buffer class
+    # per external candidate.
+    assert calls[(False, "static")] == calls[(False, "dynamic")] == rows
     assert calls[(False, "cls")] == calls[(False, "external")] > 0
 
 

@@ -160,7 +160,8 @@ def assert_structure_matches_spec(alg) -> None:
         for p, s in enumerate(slots):
             assert class_pos[s] is None
             class_pos[s], class_count[s] = p, len(slots)
-    assert t.slot_class_pos.dtype == t.slot_class_count.dtype == np.uint8
+    dtype = np.min_scalar_type(max(class_count, default=1))
+    assert t.slot_class_pos.dtype == t.slot_class_count.dtype == dtype
     assert t.slot_class_pos.tolist() == class_pos
     assert t.slot_class_count.tolist() == class_count
 
@@ -234,6 +235,10 @@ CONFIGS = {
     "benes-adaptive-2": lambda: BenesAdaptiveRouting(BenesNetwork(2)),
     "benes-oblivious-2": lambda: BenesObliviousRouting(BenesNetwork(2)),
     "buffer-pool-3": lambda: StructuredBufferPoolRouting(Hypercube(3)),
+    # 302 classes per link: the per-slot class columns widen past uint8.
+    "buffer-pool-300-levels": lambda: StructuredBufferPoolRouting(
+        Hypercube(2), levels=300
+    ),
     "fault-aware-cube": lambda: FaultAwareRouting(
         HypercubeAdaptiveRouting(Hypercube(3))
     ),

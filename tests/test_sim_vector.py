@@ -29,6 +29,7 @@ from repro.routing import (
     HypercubeAdaptiveRouting,
     MeshAdaptiveRouting,
     ShuffleExchangeRouting,
+    StructuredBufferPoolRouting,
     TorusRouting,
 )
 from repro.sim import (
@@ -1062,11 +1063,12 @@ def _assert_occupied_arrays(sim) -> None:
         assert np.array_equal(np.sort(occ), np.flatnonzero(dense != -1))
 
 
-def _occupancy_checked_logs(key, injection, seed, **kw):
-    """Reference and vector event logs of one run; the vector run's
-    occupied arrays are checked after every step, and the contested
-    links seen just before each link cycle are counted."""
-    build, alg_cls = TOPOLOGIES[key]
+def _occupancy_checked_logs(network, injection, seed, **kw):
+    """Reference and vector event logs of one run on ``network``, a
+    ``(build, algorithm class)`` pair; the vector run's occupied arrays
+    are checked after every step, and the contested links seen just
+    before each link cycle are counted."""
+    build, alg_cls = network
     logs, contested = [], [0]
     for engine_cls in (PacketSimulator, VectorSimulator):
         reset_message_ids()
@@ -1103,7 +1105,7 @@ def _occupancy_checked_logs(key, injection, seed, **kw):
 def test_occupied_slot_arrays_track_the_buffers(case):
     key, injection, capacity, service, policy = case
     (ref, vec), contested = _occupancy_checked_logs(
-        key, injection, seed=len(key) * 7 + capacity,
+        TOPOLOGIES[key], injection, seed=len(key) * 7 + capacity,
         central_capacity=capacity, service=service, policy=policy,
     )
     assert vec == ref
@@ -1111,6 +1113,24 @@ def test_occupied_slot_arrays_track_the_buffers(case):
         # Multi-class links whose classes were ready together: the
         # class rotation chose which one moved.
         assert contested > 0
+
+
+def test_links_with_over_255_classes_rotate_like_the_reference():
+    """A 300-level buffer pool has 302 buffer classes per link, so the
+    per-slot class columns widen past uint8; the ``cycle % 302``
+    rotation still picks the class the reference engine moves."""
+    network = (
+        lambda: Hypercube(3),
+        lambda topo: StructuredBufferPoolRouting(topo, levels=300),
+    )
+    t = RoutingTables(network[1](network[0]()))
+    assert t.slot_class_count.max() == 302
+    assert t.slot_class_pos.dtype == t.slot_class_count.dtype == np.uint16
+    (ref, vec), contested = _occupancy_checked_logs(
+        network, "dynamic", seed=3, central_capacity=1
+    )
+    assert vec == ref
+    assert contested > 0
 
 
 @pytest.mark.parametrize("key", ["hypercube", "mesh", "torus", "ccc"])
