@@ -106,10 +106,12 @@ class HopRows:
     ``slots`` is an ``(M, W)`` int matrix: row ``i`` holds message
     ``i``'s external candidate slots in ascending order, padded on the
     right with ``n_slots`` (the engine's permanently occupied sentinel
-    slot).  ``hasint`` is an ``(M,)`` bool array: whether the row has
-    internal steps.  Subclasses implement the two lookups, which the
-    batched fill phase calls once per cycle each: :meth:`chosen` on
-    every picked candidate, :meth:`internal` on every blocked row.
+    slot); it may be a view of the kernel's scratch, valid until the
+    kernel's next :meth:`HopKernel.fill_rows` call.  ``hasint`` is an
+    ``(M,)`` bool array: whether the row has internal steps.
+    Subclasses implement the two lookups, which the batched fill phase
+    calls once per cycle each: :meth:`chosen` on every picked
+    candidate, :meth:`internal` on every blocked row.
     """
 
     __slots__ = ("slots", "hasint")

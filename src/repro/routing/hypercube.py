@@ -40,6 +40,11 @@ from ..core.queues import QueueId, deliver
 from ..core.routing_function import DYNAMIC_CLASS, RoutingAlgorithm
 from ..topology.hypercube import Hypercube
 
+#: Int64 index elements per block of the kernel's row gather: its
+#: index scratch is at most 64 KB whatever the batch, below glibc's
+#: default mmap threshold (128 KiB), so it reuses mapped heap pages.
+_GATHER_BLOCK = 8192
+
 #: Phase-A central queue kind.
 QA = "A"
 #: Phase-B central queue kind.
@@ -226,6 +231,13 @@ class _HypercubeKernel(TwoPhaseKernel):
     ascending order, padded with ``n``.  Slots ascend with the
     dimension, so one gather yields slot-sorted rows with the padding
     on the right.
+
+    The gather allocates no ``(M, n)`` array per call: it writes into a
+    row buffer ``_rows`` that grows to the largest batch, a block of
+    rows at a time through at most 64 KB of index scratch, so a cycle
+    maps and faults in no fresh pages for its rows.  The returned
+    ``slots`` are a view of that buffer, overwritten by the next
+    :meth:`fill_rows` call.
     """
 
     def __init__(self, layout, alg: HypercubeHungRouting, adaptive, oblivious):
@@ -252,14 +264,14 @@ class _HypercubeKernel(TwoPhaseKernel):
         slot[:, n] = layout.n_slots
         self._n = n
         self._dims = mask_dims(n)
+        self._rows = np.empty((0, n), dtype=np.int64)
         self._slot_columns()
 
     def memory_bytes(self) -> int:
         if not self.ok:
             return 0
-        return sum(
-            a.nbytes for a in (self._slot_flat, self._dims, self.slot_kind)
-        )
+        owned = (self._slot_flat, self._dims, self.slot_kind, self._rows)
+        return sum(a.nbytes for a in owned)
 
     def a_done(self, v, dst, sids):
         """Whether node ``v`` has no zero left to set toward ``dst``."""
@@ -282,8 +294,20 @@ class _HypercubeKernel(TwoPhaseKernel):
             cand_a = zeros
             cand_b = ones
         cand = np.where(phase_a, cand_a, cand_b)
-        row = (qids * (self._n + 1))[:, None]
-        slots = self._slot_flat[row + np.take(self._dims, cand, axis=0)]
+        n = self._n
+        m = qids.size
+        if self._rows.shape[0] < m:
+            self._rows = np.empty((m, n), dtype=np.int64)
+        slots = self._rows[:m]
+        row = (qids * (n + 1))[:, None]
+        block = max(_GATHER_BLOCK // n, 1)
+        idx = np.empty((min(block, m), n), dtype=np.int64)
+        for a in range(0, m, block):
+            b = min(a + block, m)
+            ix = idx[: b - a]
+            np.add(row[a:b], np.take(self._dims, cand[a:b], axis=0), out=ix)
+            # Indices are in range; mode "raise" would copy `out` first.
+            np.take(self._slot_flat, ix, out=slots[a:b], mode="clip")
         done = x == 0
         # Delivery, or phase A with only ones left: switch to qB.
         hasint = (zeros == 0) & (phase_a | done)

@@ -8,55 +8,163 @@ total attempts).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 
 import numpy as np
 
 
-@dataclass
 class LatencyStats:
-    """Accumulates delivery latencies."""
+    """Accumulates delivery latencies as an exact integer histogram.
 
-    values: list[int] = field(default_factory=list)
+    ``_counts[v]`` is the number of recorded latencies equal to ``v``,
+    so the store grows with the largest latency, not with the packets
+    delivered.  Every statistic is computed from the counts and equals
+    what numpy returns on the list of recorded values (while their sum
+    stays below ``2**53``, where float64 sums are exact): ``mean`` is
+    ``np.mean``, ``percentile`` ``np.percentile``'s linear
+    interpolation between two order statistics, ``histogram``
+    ``np.histogram`` of the values, each bin fed by a value's count.
+    """
+
+    def __init__(self) -> None:
+        self._counts = np.zeros(64, dtype=np.int64)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, LatencyStats):
+            return NotImplemented
+        return np.array_equal(self._trimmed(), other._trimmed())
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"LatencyStats(count={self.count}, mean={self.mean})"
+
+    def _trimmed(self) -> np.ndarray:
+        seen = np.flatnonzero(self._counts)
+        return self._counts[: seen[-1] + 1 if seen.size else 0]
+
+    def _grow(self, top: int) -> None:
+        counts = np.zeros(max(2 * self._counts.size, top + 1), np.int64)
+        counts[: self._counts.size] = self._counts
+        self._counts = counts
 
     def record(self, latency: int) -> None:
-        self.values.append(latency)
+        latency = int(latency)
+        if latency < 0:
+            raise ValueError(f"negative latency {latency}")
+        if latency >= self._counts.size:
+            self._grow(latency)
+        self._counts[latency] += 1
 
     def record_many(self, latencies) -> None:
-        """Record latencies in order, as repeated :meth:`record` calls
-        would (an int array is stored as Python ints)."""
-        if isinstance(latencies, np.ndarray):
-            latencies = latencies.tolist()
-        self.values.extend(latencies)
+        """Record latencies, as repeated :meth:`record` calls would."""
+        lat = np.asarray(latencies, dtype=np.int64)
+        if not lat.size:
+            return
+        add = np.bincount(lat)  # raises on a negative latency
+        if add.size > self._counts.size:
+            self._grow(add.size - 1)
+        self._counts[: add.size] += add
+
+    @property
+    def values(self) -> "_Ascending":
+        """The recorded latencies in ascending order (a read-only
+        sequence, expanded as it is read)."""
+        return _Ascending(self)
 
     @property
     def count(self) -> int:
-        return len(self.values)
+        return int(self._counts.sum())
 
     @property
     def mean(self) -> float:
-        return float(np.mean(self.values)) if self.values else float("nan")
+        seen = np.flatnonzero(self._counts)
+        if not seen.size:
+            return float("nan")
+        counts = self._counts[seen]
+        return int(seen @ counts) / int(counts.sum())
 
     @property
     def maximum(self) -> int:
-        return max(self.values) if self.values else 0
+        seen = np.flatnonzero(self._counts)
+        return int(seen[-1]) if seen.size else 0
 
     @property
     def minimum(self) -> int:
-        return min(self.values) if self.values else 0
+        seen = np.flatnonzero(self._counts)
+        return int(seen[0]) if seen.size else 0
+
+    def _order_stat(self, i: int) -> int:
+        """The ``i``-th smallest recorded latency (0-based)."""
+        return int(np.searchsorted(np.cumsum(self._counts), i, side="right"))
 
     def percentile(self, p: float) -> float:
-        if not self.values:
+        n = self.count
+        if not n:
             return float("nan")
-        return float(np.percentile(self.values, p))
+        if not 0 <= p <= 100:
+            raise ValueError("Percentiles must be in the range [0, 100]")
+        # np.percentile(method="linear"): virtual index (n - 1) * p / 100,
+        # interpolated from the lower neighbour below weight 0.5 and
+        # from the upper one at or above it.
+        at = (n - 1) * (p / 100)
+        if at >= n - 1:
+            return float(self.maximum)
+        i = int(at)
+        t = at - i
+        a = self._order_stat(i)
+        b = self._order_stat(i + 1)
+        d = b - a
+        return b - d * (1 - t) if t >= 0.5 else a + d * t
 
     def histogram(self, bins: int = 20) -> tuple[np.ndarray, np.ndarray]:
-        if not self.values:
+        seen = np.flatnonzero(self._counts)
+        if not seen.size:
             # Empty runs (all packets dropped, zero injection) yield an
             # all-zero histogram over a nominal [0, 1] range instead of
             # whatever numpy's empty-input behavior of the day is.
             return np.zeros(bins, dtype=np.intp), np.linspace(0.0, 1.0, bins + 1)
-        return np.histogram(np.asarray(self.values), bins=bins)
+        return np.histogram(seen, bins=bins, weights=self._counts[seen])
+
+
+class _Ascending(Sequence):
+    """:attr:`LatencyStats.values`: each latency repeated by its count,
+    ascending.  Iterating yields Python ints without building a list."""
+
+    __slots__ = ("_stats",)
+
+    def __init__(self, stats: LatencyStats) -> None:
+        self._stats = stats
+
+    def __len__(self) -> int:
+        return self._stats.count
+
+    def __iter__(self):
+        counts = self._stats._counts
+        seen = np.flatnonzero(counts)
+        return chain.from_iterable(
+            map(repeat, seen.tolist(), counts[seen].tolist())
+        )
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return list(self)[i]
+        n = len(self)
+        if not -n <= i < n:
+            raise IndexError("latency index out of range")
+        return self._stats._order_stat(i % n)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, _Ascending):
+            other = list(other)
+        return list(self) == other
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return repr(list(self))
 
 
 @dataclass

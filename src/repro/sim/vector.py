@@ -6,7 +6,11 @@ messages live in parallel int arrays (uid, destination, state id,
 resolved entry queue, injection cycle), central queues are rows of one
 int matrix, link buffers are numpy int arrays holding message indices,
 and the injection and all three phases of the cycle have batched numpy
-forms:
+forms.  A delivered message's row goes on a free stack and a later
+cycle's injection reuses it, so the message columns grow with the
+packets in flight, not with the packets injected; row indices carry no
+order (the phases order by position, kind, node, queue and rank, the
+event flush by uid):
 
 * **injection**: every injection model hands a cycle's packets over
   as ``(src, dst, uid)`` id arrays (:meth:`VectorSimulator.place_batch`,
@@ -213,10 +217,17 @@ class VectorSimulator:
         self._occ_out = _EMPTY
         self._occ_in = _EMPTY
 
-        # Parallel per-message numpy columns (index = registration
-        # order).  No Message object is kept: a packet is its row.
+        # Parallel per-message numpy columns.  No Message object is
+        # kept: a packet is its row.  Delivery pushes a row on the free
+        # stack `_free` (its first `_nfree` entries, grown on demand)
+        # and `place_batch` hands it out again, so the columns grow
+        # with the packets in flight, not with the packets injected.
+        # Row indices are opaque: no phase orders by them.  `_mn`
+        # counts the rows ever handed out.
         self._mn = 0
+        self._nfree = 0
         cap0 = 1024
+        self._free = np.empty(cap0, dtype=np.int64)
         self._muid = np.empty(cap0, dtype=np.int64)
         self._mdst = np.empty(cap0, dtype=np.int64)
         self._mstate = np.empty(cap0, dtype=np.int64)
@@ -321,6 +332,12 @@ class VectorSimulator:
         uid ``uids[i]``.  Entry queues come from
         :meth:`RoutingTables.injection_rows`; a row without exactly one
         target leaves ``-1`` there, and the read phase resolves it.
+
+        Rows come off the free stack first, fresh rows after it.  A row
+        freed in this cycle cannot be among them: injection runs first
+        in :meth:`step`, and the end-of-step flush, which still reads a
+        delivered row's uid, injection cycle and kind, comes before the
+        next injection.
         """
         k = src_ids.size
         if not k:
@@ -340,19 +357,24 @@ class VectorSimulator:
                 count=k,
             )
         ent_q, ent_st = t.injection_rows(src_ids, dst_ids, sids)
+        top = self._nfree
+        reuse = min(k, top)
         lo = self._mn
-        hi = lo + k
+        hi = lo + k - reuse
         while hi > self._mdst.size:
             self._grow_msgs()
-        self._muid[lo:hi] = uids
-        self._mdst[lo:hi] = dst_ids
-        self._mstate[lo:hi] = sids
-        self._minj[lo:hi] = cycle
-        self._ment_q[lo:hi] = ent_q
-        self._ment_st[lo:hi] = ent_st
-        self._mkind[lo:hi] = -1
-        mis = np.arange(lo, hi)
+        mis = np.concatenate(
+            (self._free[top - reuse : top], np.arange(lo, hi))
+        )
+        self._nfree = top - reuse
         self._mn = hi
+        self._muid[mis] = uids
+        self._mdst[mis] = dst_ids
+        self._mstate[mis] = sids
+        self._minj[mis] = cycle
+        self._ment_q[mis] = ent_q
+        self._ment_st[mis] = ent_st
+        self._mkind[mis] = -1
         self._inj[src_ids] = mis
         self.injected_count += k
         self.active += k
@@ -726,8 +748,15 @@ class VectorSimulator:
 
     # -- delivery and stats -------------------------------------------------
     def _deliver(self, mis: np.ndarray, cycle: int) -> None:
-        """Deliver messages ``mis`` (in delivery order)."""
+        """Deliver messages ``mis`` and free their rows."""
         k = mis.size
+        top = self._nfree
+        if top + k > self._free.size:
+            free = np.empty(max(2 * self._free.size, top + k), np.int64)
+            free[:top] = self._free[:top]
+            self._free = free
+        self._free[top : top + k] = mis
+        self._nfree = top + k
         self.delivered_count += k
         self.active -= k
         self._last_progress = cycle

@@ -435,13 +435,24 @@ def test_cube_kernel_memory_bytes_are_its_arrays(n, variant):
     tab = RoutingTables(CUBE_VARIANTS[variant](Hypercube(n)))
     kern = tab.kernel
     shared = {id(a) for a in vars(tab).values() if isinstance(a, np.ndarray)}
-    owned = [
-        a for a in vars(kern).values()
-        if isinstance(a, np.ndarray) and id(a) not in shared
-    ]
-    assert len(owned) == 3  # slot table, dimension table, dynamic flags
-    assert kern.memory_bytes() == sum(a.nbytes for a in owned)
+
+    def owned():
+        return [
+            a for a in vars(kern).values()
+            if isinstance(a, np.ndarray) and id(a) not in shared
+        ]
+
+    # Slot table, dimension table, dynamic flags, gathered-row buffer.
+    assert len(owned()) == 4
+    assert kern.memory_bytes() == sum(a.nbytes for a in owned())
     assert kern._dims.nbytes == n << n  # one byte per (mask, dimension)
+    # The rows are gathered into a buffer that grows to the largest
+    # batch and is counted.
+    keys = np.arange(tab.n_queues, dtype=np.int64)
+    rows = kern.fill_rows(keys, keys % len(tab.nodes), np.zeros_like(keys))
+    assert kern._rows.shape == (tab.n_queues, n)
+    assert np.shares_memory(rows.slots, kern._rows)
+    assert kern.memory_bytes() == sum(a.nbytes for a in owned())
 
 
 MESH_VARIANTS = {

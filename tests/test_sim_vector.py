@@ -497,9 +497,8 @@ def test_batched_injection_event_logs_byte_identical(case, rate, monkeypatch):
     place_batch = VectorSimulator.place_batch
 
     def recording_place_batch(sim, src_ids, dst_ids, uids, cycle):
-        lo = sim._mn
         place_batch(sim, src_ids, dst_ids, uids, cycle)
-        entries.extend(sim._ment_q[lo : sim._mn].tolist())
+        entries.extend(sim._ment_q[sim._inj[src_ids]].tolist())
 
     monkeypatch.setattr(VectorSimulator, "place_batch", recording_place_batch)
     ref_log, ref, _, ref_uid = _dynamic_log(case, PacketSimulator, rate)
@@ -1168,3 +1167,194 @@ def test_link_rotation_moves_one_ready_class_per_link(key):
             assert sim._in[moved] == moved - multi
             assert sim._out[moved] == -1
             _assert_occupied_arrays(sim)
+
+
+# ----------------------------------------------------------------------
+# Recycled message rows: memory grows with the packets in flight
+# ----------------------------------------------------------------------
+#: Networks of 100-160 nodes, where lambda = 1 keeps more than the
+#: columns' initial 1,024 rows in flight.
+CAPACITY_NETWORKS = {
+    "mesh": (lambda: Mesh((12, 12)), MeshAdaptiveRouting),
+    "torus": (lambda: Torus((10, 10)), TorusRouting),
+    "shuffle": (lambda: ShuffleExchange(7), ShuffleExchangeRouting),
+    "hypercube": (lambda: Hypercube(7), HypercubeAdaptiveRouting),
+    "ccc": (lambda: CubeConnectedCycles(5), CCCAdaptiveRouting),
+}
+
+MESSAGE_COLUMNS = (
+    "_muid", "_mdst", "_mstate", "_minj", "_ment_q", "_ment_st", "_mkind",
+)
+
+
+@pytest.mark.parametrize("key", sorted(CAPACITY_NETWORKS))
+def test_message_columns_grow_with_packets_in_flight(key):
+    """At lambda = 1 the rows ever handed out are the peak of (packets
+    in flight + the cycle's injections), far below the packets
+    injected, and the columns are at most one doubling past it."""
+    build, alg_cls = CAPACITY_NETWORKS[key]
+    topo = build()
+    model = DynamicInjection(
+        1.0, RandomTraffic(topo), make_rng(5), duration=300
+    )
+    sim = VectorSimulator(alg_cls(topo), model)
+    peak = [0]
+    place_batch = sim.place_batch
+
+    def tracking_place_batch(*args):
+        place_batch(*args)
+        peak[0] = max(peak[0], sim.active)
+
+    sim.place_batch = tracking_place_batch
+    result = sim.run(max_cycles=100_000)
+    assert peak[0] > 1024  # past the initial capacity
+    assert sim._mn == peak[0]
+    assert sim._mn < result.injected
+    cap = sim._mdst.size
+    assert peak[0] <= cap < 2 * peak[0]
+    assert all(getattr(sim, c).size == cap for c in MESSAGE_COLUMNS)
+    assert sim._free.size <= cap
+    # Every row handed out is held by a buffer or a queue, or is on
+    # the free stack, exactly once.
+    held = np.concatenate(
+        (sim._inj, sim._in, sim._out[:-1], sim._qbuf.ravel())
+    )
+    rows = np.concatenate((held[held >= 0], sim._free[: sim._nfree]))
+    assert rows.size == sim._mn == sim._nfree + result.undelivered
+    assert np.array_equal(np.sort(rows), np.arange(sim._mn))
+
+
+def _registry_traffic(probe) -> dict:
+    return {
+        name: value
+        for name, value in probe.registry.snapshot().items()
+        if not name.startswith("repro_tables_")
+    }
+
+
+@pytest.mark.parametrize("key", sorted(TOPOLOGIES))
+def test_recycled_rows_keep_logs_and_metrics_identical(key):
+    """Rows are reused many times over at lambda = 1, and both probes
+    see what the reference engine writes: a byte-identical event log,
+    and equal metrics-only registries (a reused row's queue-kind
+    column restarts at "no kind yet", or a packet's first enqueue
+    would count as a phase transition)."""
+    build, alg_cls = TOPOLOGIES[key]
+    logs, metrics = {}, {}
+    for engine_cls in (PacketSimulator, VectorSimulator):
+        for events in (True, False):
+            reset_message_ids()
+            topo = build()
+            model = DynamicInjection(
+                1.0, RandomTraffic(topo), make_rng(17), duration=150,
+                warmup=10,
+            )
+            sim = engine_cls(alg_cls(topo), model)
+            probe = TelemetryProbe(events=events).attach(sim)
+            result = sim.run(max_cycles=100_000)
+            if events:
+                logs[engine_cls] = probe.log.to_jsonl()
+            else:
+                metrics[engine_cls] = _registry_traffic(probe)
+        if engine_cls is VectorSimulator:
+            assert sim._mn < result.injected  # rows were reused
+    assert logs[VectorSimulator] == logs[PacketSimulator]
+    assert metrics[VectorSimulator] == metrics[PacketSimulator]
+    assert metrics[VectorSimulator]["repro_phase_transitions_total"][
+        "value"
+    ] > 0
+
+
+def test_long_service_stores_stop_growing_after_warmup():
+    """A vector service run ten times as long as the 1,200-cycle
+    serve-mesh16 benchmark, on a 6x6 mesh: after the first 1,200
+    cycles the message columns, the free stack and the latency store
+    keep their size (measured in bytes, not as process RSS)."""
+    from repro.serve import TrafficService, load_scenario
+
+    duration = 12_000
+    raw = {
+        "name": "bounded",
+        "seed": 3,
+        "topology": {"family": "mesh", "size": 6},
+        "algorithm": "adaptive",
+        "populations": [
+            {
+                "name": "gold", "qos": "gold",
+                "users": {"mean": 60, "distribution": "poisson"},
+                "rate_per_user": 0.04, "pattern": "random",
+                "resample_every": 50,
+                "load_shape": {
+                    "kind": "diurnal", "period": 1200, "amplitude": 0.8,
+                },
+            },
+            {
+                "name": "bronze", "qos": "bronze",
+                "users": {"mean": 20, "distribution": "poisson"},
+                "rate_per_user": 0.04, "pattern": "hotspot",
+                "pattern_params": {"fraction": 0.2},
+                "load_shape": {
+                    "kind": "bursty", "period": 600, "multiplier": 4.0,
+                    "burst_cycles": 60,
+                },
+            },
+        ],
+        "service": {
+            "tick_cycles": 100,
+            "duration_cycles": duration,
+            "admission": {"policy": "defer", "max_deferred_per_node": 8},
+        },
+    }
+    svc = TrafficService(load_scenario(raw), engine="vector")
+    sim = svc.sim
+    sizes = []
+    step = sim.step
+
+    def measured_step():
+        step()
+        if sim.cycle % 100 == 0:
+            sizes.append((
+                sim.cycle,
+                sum(getattr(sim, c).nbytes for c in MESSAGE_COLUMNS),
+                sim._free.nbytes,
+                sim.latency._counts.nbytes,
+            ))
+
+    sim.step = measured_step
+    assert svc.serve() == 0
+    assert svc.result.injected > 20 * sim._mn  # rows were reused
+    assert sizes[-1][0] >= duration
+    warm = [s[1:] for s in sizes if s[0] >= 1200]
+    assert len(set(warm)) == 1, sorted(set(warm))
+    assert sim.latency.count == svc.result.delivered
+
+
+#: Runs a command and prints its stdout, then the peak RSS (KiB) of
+#: its process tree alone (not of the test process's other children).
+_PEAK_RSS_PROBE = """
+import resource, subprocess, sys
+out = subprocess.run(sys.argv[1:], check=True, capture_output=True, text=True)
+print(out.stdout)
+print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+"""
+
+
+@pytest.mark.slow
+def test_table_12_at_n14_stays_under_260_mb():
+    """``repro table 12 --ns 14 --seed 1`` (a 16,384-node cube at
+    lambda = 1) peaks at 260 MB or less in a fresh process and prints
+    the same row: memory follows the packets in flight, not the
+    packets injected."""
+    import subprocess
+    import sys
+
+    cmd = [sys.executable, "-m", "repro", "table", "12", "--ns", "14",
+           "--seed", "1"]
+    out = subprocess.run(
+        [sys.executable, "-c", _PEAK_RSS_PROBE, *cmd],
+        check=True, capture_output=True, text=True,
+    ).stdout.split()
+    peak_kib = int(out[-1])
+    text = " ".join(out[:-1])
+    assert "14 16384 28.33 363 64 | 18.46 57 75" in text, text
+    assert peak_kib <= 260 * 1024, peak_kib / 1024
