@@ -1,12 +1,13 @@
 """Telemetry overhead benchmark: what does observability cost?
 
-Measures vector-engine throughput (the engine ``auto`` picks) on a
+Measures vector-engine throughput (the default engine) on a
 saturated hypercube workload in four configurations —
 
 * ``baseline``    — no probe attached at all;
 * ``disabled``    — a ``TelemetryProbe(enabled=False)`` attached (the
-  configuration sweeps inherit when ``--telemetry`` is off: one
-  ``probe.enabled`` check per cycle and no event sink);
+  configuration sweeps inherit when ``--telemetry`` is off: the
+  observer loop calls its ``on_cycle``, which returns on its
+  ``enabled`` check, and no event sink is installed);
 * ``metrics``     — streaming metrics-only probe (``events=False``),
   the mode ``--telemetry`` sweeps use;
 * ``events``      — full probe (event log + occupancy series), the

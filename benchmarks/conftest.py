@@ -28,7 +28,7 @@ def engine_override_smoke():
     """``REPRO_ENGINE=reference`` must actually select the reference engine.
 
     Benchmarks compare engines through the ``REPRO_ENGINE`` override; a
-    silent fallback to the ``auto`` choice would invalidate every number
+    silent fallback to the default engine would invalidate every number
     without failing anything, so the whole benchmark session aborts if
     the override does not reach :func:`repro.experiments.build_simulator`.
     """

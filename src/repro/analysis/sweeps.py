@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from ..core.routing_function import RoutingAlgorithm
-from ..sim.engine import PacketSimulator
 from ..sim.injection import DynamicInjection
 from ..sim.metrics import SimulationResult
 from ..sim.rng import make_rng
@@ -64,13 +63,14 @@ def load_sweep(
     """Measure latency and accepted throughput across offered loads.
 
     A fresh algorithm/pattern instance per point keeps runs independent
-    and reproducible.  ``engine`` picks a specific engine (default: the
-    reference engine, the historical behavior); ``telemetry`` attaches
-    a metrics-only probe per point, populating ``LoadPoint.telemetry``
-    and the occupancy/utilization row columns.
+    and reproducible.  ``engine`` picks a specific engine (default:
+    ``REPRO_ENGINE``, else ``vector``; every engine gives the same
+    points); ``telemetry`` attaches a metrics-only probe per point,
+    populating ``LoadPoint.telemetry`` and the occupancy/utilization
+    row columns.
     """
     # Lazy import: analysis stays importable without the experiments
-    # machinery, and only instrumented sweeps need the factory.
+    # machinery.
     from ..experiments.runner import build_simulator
 
     points = []
@@ -83,16 +83,13 @@ def load_sweep(
             duration=duration,
             warmup=warmup,
         )
-        if engine is None and not telemetry:
-            sim = PacketSimulator(alg, inj, central_capacity=central_capacity)
-        else:
-            sim = build_simulator(
-                alg,
-                inj,
-                engine=engine or "reference",
-                telemetry=telemetry or None,
-                central_capacity=central_capacity,
-            )
+        sim = build_simulator(
+            alg,
+            inj,
+            engine=engine,
+            telemetry=telemetry or None,
+            central_capacity=central_capacity,
+        )
         res: SimulationResult = sim.run()
         points.append(
             LoadPoint(

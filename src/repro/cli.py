@@ -580,7 +580,7 @@ def build_parser() -> argparse.ArgumentParser:
     sv.add_argument(
         "--engine",
         default=None,
-        choices=("auto", "reference", "vector"),
+        choices=("reference", "vector"),
         help="override the scenario's engine (see docs/SERVING.md)",
     )
     sv.add_argument(

@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 
 from ..core.routing_function import RoutingAlgorithm
 from ..routing.hypercube import HypercubeAdaptiveRouting
-from ..sim.engine import PacketSimulator
+from ..sim.engine import BaseSimulator, PacketSimulator
 from ..sim.vector import VectorSimulator
 from ..sim.injection import DynamicInjection, InjectionModel, StaticInjection
 from ..sim.metrics import SimulationResult
@@ -40,9 +40,10 @@ SCALES: dict[str, tuple[int, ...]] = {
 }
 
 #: Engine names accepted by :func:`build_simulator` / ``REPRO_ENGINE``.
-ENGINES: tuple[str, ...] = ("auto", "reference", "vector")
+ENGINES: tuple[str, ...] = ("reference", "vector")
 
-def engine_choice(default: str = "auto") -> str:
+
+def engine_choice(default: str = "vector") -> str:
     """Engine to use, honoring the ``REPRO_ENGINE`` environment override."""
     name = os.environ.get("REPRO_ENGINE", default).lower()
     if name not in ENGINES:
@@ -72,7 +73,7 @@ def build_simulator(
     engine: str | None = None,
     telemetry=None,
     **kwargs,
-) -> PacketSimulator:
+) -> BaseSimulator:
     """Construct the requested engine around ``(algorithm, model)``.
 
     ``engine`` (or, when it is None, the ``REPRO_ENGINE`` environment
@@ -81,9 +82,9 @@ def build_simulator(
     * ``reference`` — the generic :class:`PacketSimulator`, the
       executable spec (every observer, fault injection);
     * ``vector``    — :class:`~repro.sim.vector.VectorSimulator`, the
-      table-driven engine (any topology, packet-identical; hashable
-      states, telemetry probes yes, fault observers no);
-    * ``auto``      — ``vector``, for every run.
+      table-driven engine and the default (any topology,
+      packet-identical; hashable states, telemetry probes yes, fault
+      observers no).
 
     Every engine implements the reference engine's exact Section-7.1
     semantics, so the choice never changes results, only throughput —
@@ -91,10 +92,11 @@ def build_simulator(
     supports.
 
     ``telemetry`` (True or a :class:`~repro.telemetry.TelemetryProbe`)
-    attaches instrumentation to whichever engine is picked.  The vector
-    engine drives probes itself (columnar events, flushed to the sink
-    every cycle).  A probe with ``events=True`` records the event log
-    that :class:`~repro.sim.trace.PacketTrace` reads timelines from.
+    attaches instrumentation to whichever engine is picked; both run it
+    through the same observer loop (the vector engine feeds its sink
+    columnar events, flushed every cycle).  A probe with
+    ``events=True`` records the event log that
+    :class:`~repro.sim.trace.PacketTrace` reads timelines from.
     """
     name = engine_choice() if engine is None else engine
     if name not in ENGINES:
@@ -184,7 +186,7 @@ class HypercubeExperiment:
             raise ValueError(f"unknown injection model {self.injection!r}")
         # Engine selection (tests/test_sim_vector.py proves the engines
         # packet-for-packet identical): REPRO_ENGINE / the engine
-        # argument pick one explicitly; "auto" picks vector.
+        # argument pick one explicitly; the default is vector.
         kwargs: dict = {"central_capacity": self.central_capacity}
         if self.collect_occupancy:
             kwargs["collect_occupancy"] = True

@@ -17,7 +17,7 @@ reference)::
     seed: 42
     topology: {family: hypercube, size: 4}
     algorithm: adaptive            # per-family choices, default adaptive
-    engine: auto                   # reference | vector | auto
+    engine: vector                 # reference | vector
     populations:                   # >= 1 entry
       - name: humans
         qos: gold                  # service-class tag on every packet
@@ -612,7 +612,7 @@ def parse_scenario(raw: Any, path: str = "scenario") -> Scenario:
     algorithm = _choice(
         raw, "algorithm", path, tuple(algs), default="adaptive"
     )
-    engine = _choice(raw, "engine", path, SERVE_ENGINES, default="auto")
+    engine = _choice(raw, "engine", path, SERVE_ENGINES, default="vector")
 
     pops_raw = raw.get("populations")
     if not isinstance(pops_raw, list) or not pops_raw:

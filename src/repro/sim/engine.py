@@ -28,13 +28,17 @@ and :class:`~repro.topology.base.Topology`; adaptivity emerges from
 messages grabbing whichever allowed output buffer is free first.
 
 **Role in the engine lineage** (see ``docs/ARCHITECTURE.md`` for the
-full capability matrix): this is the *reference* engine — the
-executable specification the fast engine
+full capability matrix): :class:`PacketSimulator` is the *reference*
+engine — the executable specification the fast engine
 (:class:`~repro.sim.vector.VectorSimulator`) is cross-validated
-against, packet for packet.  It supports the complete feature
-surface — any topology, fault observers, telemetry probes,
-FIFO/LIFO service, paper/rotating buffer policies — and has no
-limitations other than speed: every hop re-derives
+against, packet for packet.  Both engines derive from
+:class:`BaseSimulator`, which owns everything around the node and link
+cycles: constructor checks, bookkeeping, the observer loop and the
+stall path, :meth:`~BaseSimulator.run`, and occupancy statistics read
+through one accessor per engine (:meth:`~BaseSimulator.queue_lengths`).
+The reference engine supports the complete feature surface — any
+topology, fault observers, telemetry probes, FIFO/LIFO service — and
+has no limitations other than speed: every hop re-derives
 ``static_hops`` / ``dynamic_hops`` / ``buffer_class`` /
 ``update_state`` through the generic interface, which is the 1x
 baseline the vector engine is measured over.
@@ -59,7 +63,7 @@ class DeadlockError(RuntimeError):
 
 
 class CycleLimitExceeded(RuntimeError):
-    """Raised when :meth:`PacketSimulator.run` hits its ``max_cycles`` cap.
+    """Raised when :meth:`BaseSimulator.run` hits its ``max_cycles`` cap.
 
     Distinct from :class:`DeadlockError`: the network may still be
     making (slow) progress, it just did not finish within the budget.
@@ -83,7 +87,247 @@ class SimulationHalt(Exception):
         self.undeliverable = undeliverable
 
 
-class PacketSimulator:
+class BaseSimulator:
+    """Everything around the node and link cycles, shared by both engines.
+
+    It owns the constructor arguments both engines take and their
+    checks, the bookkeeping (cycle, counts, latency, progress, live
+    fault state), the observer loop and the stall path, :meth:`run`
+    and its :class:`SimulationResult`, and the occupancy statistics.
+    An engine supplies one routing cycle's node and link cycles
+    (:meth:`_route_cycle`), injection (``injection_free`` /
+    ``place_batch``) and two views of its central queues, both in
+    queue-id order (:meth:`queue_keys`): :meth:`queue_lengths` and
+    :meth:`queue_packets`.
+    """
+
+    def __init__(
+        self,
+        algorithm: RoutingAlgorithm,
+        injection: InjectionModel,
+        central_capacity: int = 5,
+        stall_limit: int = 1000,
+        collect_occupancy: bool = False,
+        service: str = "fifo",
+    ):
+        if service not in ("fifo", "lifo"):
+            raise ValueError("service must be 'fifo' or 'lifo'")
+        self.algorithm = algorithm
+        self.topology = algorithm.topology
+        self.injection = injection
+        self.central_capacity = central_capacity
+        self.stall_limit = stall_limit
+        self.collect_occupancy = collect_occupancy
+        #: Queue service discipline.  The paper's livelock-freedom rests
+        #: on FIFO fairness; ``"lifo"`` (youngest first) deliberately
+        #: violates it so starvation becomes observable
+        #: (benchmarks/test_ablation_fairness.py).
+        self.service = service
+        #: Node labels; queue ids and injection models follow this order.
+        self.nodes: list[Hashable] = []
+
+        # Bookkeeping.
+        self.cycle = 0
+        self.injected_count = 0
+        self.delivered_count = 0
+        self.active = 0  # injected but not yet delivered
+        self.latency = LatencyStats()
+        self.measure_from = getattr(injection, "warmup", 0)
+        self._last_progress = 0
+        #: Cycle observers (duck-typed): ``on_cycle(sim, cycle)`` runs
+        #: at the start of every routing cycle; an optional
+        #: ``on_stall(sim) -> bool`` is consulted before the engine
+        #: raises :class:`DeadlockError` (return True to suppress, or
+        #: raise :class:`SimulationHalt` / a richer error instead).
+        #: Empty by default, so the healthy hot path is untouched.
+        self.observers: list = []
+        #: Telemetry event sink (``repro.telemetry``): when an object
+        #: with ``append`` is installed here, the engine feeds it the
+        #: packet movements (inject/hop/enqueue/deliver).  None by
+        #: default — the disabled cost is a None-check per move.
+        self._events = None
+        #: Live fault state (owned by :class:`repro.faults.adapters.FaultInjector`).
+        #: ``dead_nodes`` freeze a node's whole node cycle and block its
+        #: injection queue; ``blocked_links`` (dead + stalled directed
+        #: links) transfer nothing during the link cycle.  Both empty in
+        #: a healthy run, where every guard short-circuits.  ``faults``
+        #: is the installed FaultSet itself (None until one is), which
+        #: telemetry probes watch for epoch changes.
+        self.faults = None
+        self.dead_nodes: frozenset = frozenset()
+        self.blocked_links: frozenset = frozenset()
+        # Occupancy sums and peaks per queue id (collect_occupancy).
+        self.occupancy_samples = 0
+        self._occ_sum: np.ndarray | None = None
+        self._occ_peak: np.ndarray | None = None
+        self._queue_keys: list[tuple[Hashable, str]] | None = None
+
+    def add_observer(self, observer) -> None:
+        """Attach a cycle observer (fault injector, watchdog, probe)."""
+        self.observers.append(observer)
+
+    # ------------------------------------------------------------------
+    # Central-queue views (queue-id order)
+    # ------------------------------------------------------------------
+    def queue_keys(self) -> list[tuple[Hashable, str]]:
+        """``(node, kind)`` of every central queue, in queue-id order.
+
+        Node-major in :attr:`nodes` order, each node's kinds in
+        ``central_queue_kinds`` order: the queue ids of
+        :class:`~repro.sim.tables.RoutingTables`.
+        """
+        if self._queue_keys is None:
+            kinds = self.algorithm.central_queue_kinds
+            self._queue_keys = [
+                (u, kind) for u in self.nodes for kind in kinds(u)
+            ]
+        return self._queue_keys
+
+    def queue_lengths(self) -> np.ndarray:
+        """Current length of every central queue (int array, read-only)."""
+        raise NotImplementedError
+
+    def queue_packets(self, q: int) -> list[tuple[Hashable, object]]:
+        """``(destination, routing state)`` of queue ``q``'s packets,
+        in queue order."""
+        raise NotImplementedError
+
+    # ------------------------------------------------------------------
+    # One routing cycle
+    # ------------------------------------------------------------------
+    def step(self) -> None:
+        cycle = self.cycle
+        if self.observers:
+            for obs in self.observers:
+                obs.on_cycle(self, cycle)
+        self.injection.attempt(self, cycle)
+        self._route_cycle(cycle)
+        if self.collect_occupancy:
+            self._sample_occupancy()
+        self.cycle += 1
+        if (
+            self.active > 0
+            and self.cycle - self._last_progress > self.stall_limit
+        ):
+            self._on_stall()
+
+    def _route_cycle(self, cycle: int) -> None:
+        """The node cycle and the link cycle of routing cycle ``cycle``."""
+        raise NotImplementedError
+
+    def _on_stall(self) -> None:
+        """No packet moved for ``stall_limit`` cycles.
+
+        Observers get the first say: a fault injector may suppress the
+        alarm because a scheduled fault transition is still ahead, and
+        the deadlock watchdog raises a structured
+        :class:`~repro.faults.watchdog.DeadlockDetected` (or a graceful
+        :class:`SimulationHalt`) instead of the bare error below.
+        """
+        for obs in self.observers:
+            handler = getattr(obs, "on_stall", None)
+            if handler is not None and handler(self):
+                return  # handled: keep running
+        raise DeadlockError(
+            f"no progress for {self.stall_limit} cycles at cycle "
+            f"{self.cycle} with {self.active} active packets "
+            f"({self.algorithm.name})"
+        )
+
+    # ------------------------------------------------------------------
+    # Occupancy statistics
+    # ------------------------------------------------------------------
+    def _sample_occupancy(self) -> None:
+        lens = self.queue_lengths()
+        if self._occ_sum is None:
+            self._occ_sum = np.zeros(lens.size, dtype=np.int64)
+            self._occ_peak = np.zeros(lens.size, dtype=np.int64)
+        self._occ_sum += lens
+        np.maximum(self._occ_peak, lens, out=self._occ_peak)
+        self.occupancy_samples += 1
+
+    def occupancy(self) -> dict:
+        """``{"mean": ..., "peak": ...}`` per ``(node, kind)`` queue.
+
+        The mean covers every queue; the peak only queues ever seen
+        occupied.  Empty before the first sample.
+        """
+        n = self.occupancy_samples
+        if not n:
+            return {}
+        keys = self.queue_keys()
+        seen = np.flatnonzero(self._occ_peak)
+        return {
+            "mean": {
+                key: total / n
+                for key, total in zip(keys, self._occ_sum.tolist())
+            },
+            "peak": dict(
+                zip(
+                    map(keys.__getitem__, seen.tolist()),
+                    self._occ_peak[seen].tolist(),
+                )
+            ),
+        }
+
+    # ------------------------------------------------------------------
+    # Full runs
+    # ------------------------------------------------------------------
+    def run(self, max_cycles: int | None = None) -> SimulationResult:
+        """Run until the injection model reports completion.
+
+        ``max_cycles`` is a hard safety cap (default 10M): exceeding it
+        raises :class:`CycleLimitExceeded` with the in-flight packet
+        count instead of looping forever.  A :class:`SimulationHalt`
+        raised by an observer (e.g. the fault watchdog deciding every
+        remaining packet is undeliverable) ends the run gracefully and
+        is recorded on the result instead of propagating.
+        """
+        self.injection.setup(self)
+        limit = max_cycles if max_cycles is not None else 10_000_000
+        halt: SimulationHalt | None = None
+        try:
+            while self.cycle < limit:
+                self.step()
+                if self.injection.finished(self, self.cycle - 1):
+                    break
+            else:
+                raise CycleLimitExceeded(
+                    f"simulation exceeded {limit} cycles with no end in "
+                    f"sight: {self.active} of {self.injected_count} "
+                    f"injected packets still in flight "
+                    f"({self.algorithm.name}; raise max_cycles or check "
+                    "for livelock)"
+                )
+        except SimulationHalt as h:
+            halt = h
+        pattern = getattr(self.injection, "pattern", None)
+        result = SimulationResult(
+            algorithm=self.algorithm.name,
+            topology=self.topology.name,
+            pattern=pattern.name if pattern else "?",
+            injection=self.injection.name,
+            cycles=self.cycle,
+            injected=self.injected_count,
+            delivered=self.delivered_count,
+            latency=self.latency,
+            attempts=getattr(self.injection, "attempts", 0),
+            successes=getattr(self.injection, "successes", 0),
+            undelivered=self.active,
+            occupancy=self.occupancy() if self.collect_occupancy else {},
+            halt=halt.reason if halt is not None else None,
+            undeliverable=halt.undeliverable if halt is not None else 0,
+        )
+        # Run-end observer hook (e.g. a telemetry probe folding its
+        # collected signals into result.telemetry).
+        for obs in self.observers:
+            hook = getattr(obs, "on_run_end", None)
+            if hook is not None:
+                hook(self, result)
+        return result
+
+
+class PacketSimulator(BaseSimulator):
     """Simulates one routing algorithm under one injection model."""
 
     def __init__(
@@ -93,34 +337,14 @@ class PacketSimulator:
         central_capacity: int = 5,
         stall_limit: int = 1000,
         collect_occupancy: bool = False,
-        occupancy_sample_every: int = 1,
-        policy: str = "paper",
         service: str = "fifo",
     ):
-        if policy not in ("paper", "rotating"):
-            raise ValueError("policy must be 'paper' or 'rotating'")
-        if service not in ("fifo", "lifo"):
-            raise ValueError("service must be 'fifo' or 'lifo'")
-        self.algorithm = algorithm
-        self.topology = algorithm.topology
-        self.injection = injection
-        self.central_capacity = central_capacity
-        self.stall_limit = stall_limit
-        self.collect_occupancy = collect_occupancy
-        self.occupancy_sample_every = occupancy_sample_every
-        #: Output-buffer fill order: ``"paper"`` serves buffers strictly
-        #: low-to-high dimension every cycle (the Section-7.1 wording);
-        #: ``"rotating"`` starts the scan one buffer later each cycle,
-        #: which spreads adaptive traffic across dimensions.
-        self.policy = policy
-        #: Queue service discipline.  The paper's livelock-freedom rests
-        #: on FIFO fairness; ``"lifo"`` (youngest first) deliberately
-        #: violates it so starvation becomes observable
-        #: (benchmarks/test_ablation_fairness.py).
-        self.service = service
-
+        super().__init__(
+            algorithm, injection, central_capacity, stall_limit,
+            collect_occupancy, service,
+        )
         topo = self.topology
-        self.nodes: list[Hashable] = list(topo.nodes())
+        self.nodes = list(topo.nodes())
 
         # Per-node queue structure.
         self.kinds: dict[Hashable, tuple[str, ...]] = {}
@@ -131,6 +355,10 @@ class PacketSimulator:
             self.kinds[u] = kinds
             self.central[u] = {k: [] for k in kinds}
             self.inj[u] = None
+        #: The central queues in queue-id order (the same list objects).
+        self._queues: list[list[Message]] = [
+            q for u in self.nodes for q in self.central[u].values()
+        ]
 
         # Link buffers: one output + one input slot per (u, v, class).
         self.out_buf: dict[tuple, Message | None] = {}
@@ -158,48 +386,16 @@ class PacketSimulator:
                     self.out_keys[u].append((v, cls, key))
                     self.in_keys[v].append(key)
 
-        # Bookkeeping.
-        self.cycle = 0
-        self.injected_count = 0
-        self.delivered_count = 0
-        self.active = 0  # injected but not yet delivered
-        self.latency = LatencyStats()
-        self.measure_from = getattr(injection, "warmup", 0)
-        self._last_progress = 0
-        #: Cycle observers (duck-typed): ``on_cycle(sim, cycle)`` runs
-        #: at the start of every routing cycle; an optional
-        #: ``on_stall(sim) -> bool`` is consulted before the engine
-        #: raises :class:`DeadlockError` (return True to suppress, or
-        #: raise :class:`SimulationHalt` / a richer error instead).
-        #: Empty by default, so the healthy hot path is untouched.
-        self.observers: list = []
-        #: Telemetry event sink (``repro.telemetry``): when an object
-        #: with ``append`` is installed here, the engine feeds it one
-        #: raw tuple per packet movement (inject/hop/enqueue/deliver).
-        #: None by default — the disabled cost is a single local
-        #: None-check per move.
-        self._events = None
-        #: Live fault state (owned by :class:`repro.faults.adapters.FaultInjector`).
-        #: ``dead_nodes`` freeze a node's whole node cycle and block its
-        #: injection queue; ``blocked_links`` (dead + stalled directed
-        #: links) transfer nothing during the link cycle.  Both empty in
-        #: a healthy run, where every guard short-circuits.  ``faults``
-        #: is the installed FaultSet itself (None until one is), which
-        #: telemetry probes watch for epoch changes.
-        self.faults = None
-        self.dead_nodes: frozenset = frozenset()
-        self.blocked_links: frozenset = frozenset()
-        self.occupancy_sum: dict[tuple[Hashable, str], int] = {}
-        self.occupancy_peak: dict[tuple[Hashable, str], int] = {}
-        self.occupancy_samples = 0
+    def queue_lengths(self) -> np.ndarray:
+        queues = self._queues
+        return np.fromiter(map(len, queues), dtype=np.int64, count=len(queues))
+
+    def queue_packets(self, q: int) -> list[tuple[Hashable, object]]:
+        return [(msg.dst, msg.state) for msg in self._queues[q]]
 
     # ------------------------------------------------------------------
     # Injection-model interface
     # ------------------------------------------------------------------
-    def add_observer(self, observer) -> None:
-        """Attach a cycle observer (fault injector, watchdog, ...)."""
-        self.observers.append(observer)
-
     def injection_free(self, src_ids: np.ndarray) -> np.ndarray:
         """Whether each node id's injection queue is free (bool mask).
 
@@ -261,12 +457,7 @@ class PacketSimulator:
     # ------------------------------------------------------------------
     # One routing cycle
     # ------------------------------------------------------------------
-    def step(self) -> None:
-        cycle = self.cycle
-        if self.observers:
-            for obs in self.observers:
-                obs.on_cycle(self, cycle)
-        self.injection.attempt(self, cycle)
+    def _route_cycle(self, cycle: int) -> None:
         dead = self.dead_nodes
         if dead:
             for u in self.nodes:
@@ -281,33 +472,6 @@ class PacketSimulator:
             for u in self.nodes:
                 self._node_read_inputs(u)
         self._link_cycle()
-        if self.collect_occupancy and cycle % self.occupancy_sample_every == 0:
-            self._sample_occupancy()
-        self.cycle += 1
-        if (
-            self.active > 0
-            and self.cycle - self._last_progress > self.stall_limit
-        ):
-            self._on_stall()
-
-    def _on_stall(self) -> None:
-        """No packet moved for ``stall_limit`` cycles.
-
-        Observers get the first say: a fault injector may suppress the
-        alarm because a scheduled fault transition is still ahead, and
-        the deadlock watchdog raises a structured
-        :class:`~repro.faults.watchdog.DeadlockDetected` (or a graceful
-        :class:`SimulationHalt`) instead of the bare error below.
-        """
-        for obs in self.observers:
-            handler = getattr(obs, "on_stall", None)
-            if handler is not None and handler(self):
-                return  # handled: keep running
-        raise DeadlockError(
-            f"no progress for {self.stall_limit} cycles at cycle "
-            f"{self.cycle} with {self.active} active packets "
-            f"({self.algorithm.name})"
-        )
 
     # -- node cycle, part 1: queues -> output buffers + internal moves ----
     def _node_fill_output_buffers(self, u: Hashable) -> None:
@@ -349,12 +513,8 @@ class PacketSimulator:
 
         moved: set[int] = set()
 
-        # Buffer-major assignment, low to high link index ("paper") or
-        # starting at a rotating offset ("rotating").
-        out_keys = self.out_keys[u]
-        if self.policy == "rotating" and len(out_keys) > 1:
-            out_keys = rotated(out_keys, self.cycle)
-        for v, cls, key in out_keys:
+        # Buffer-major assignment, low to high link index.
+        for v, cls, key in self.out_keys[u]:
             if self.out_buf[key] is not None:
                 continue
             for _pos, _ki, msg, q_id in entries:
@@ -511,83 +671,3 @@ class PacketSimulator:
             )
         if msg.injected_cycle >= self.measure_from:
             self.latency.record(msg.latency)
-
-    def _sample_occupancy(self) -> None:
-        self.occupancy_samples += 1
-        for u in self.nodes:
-            for kind, q in self.central[u].items():
-                occ = len(q)
-                key = (u, kind)
-                self.occupancy_sum[key] = self.occupancy_sum.get(key, 0) + occ
-                if occ > self.occupancy_peak.get(key, 0):
-                    self.occupancy_peak[key] = occ
-
-    def occupancy_mean(self) -> dict[tuple[Hashable, str], float]:
-        if not self.occupancy_samples:
-            return {}
-        return {
-            k: v / self.occupancy_samples for k, v in self.occupancy_sum.items()
-        }
-
-    # ------------------------------------------------------------------
-    # Full runs
-    # ------------------------------------------------------------------
-    def run(self, max_cycles: int | None = None) -> SimulationResult:
-        """Run until the injection model reports completion.
-
-        ``max_cycles`` is a hard safety cap (default 10M): exceeding it
-        raises :class:`CycleLimitExceeded` with the in-flight packet
-        count instead of looping forever.  A :class:`SimulationHalt`
-        raised by an observer (e.g. the fault watchdog deciding every
-        remaining packet is undeliverable) ends the run gracefully and
-        is recorded on the result instead of propagating.
-        """
-        self.injection.setup(self)
-        limit = max_cycles if max_cycles is not None else 10_000_000
-        halt: SimulationHalt | None = None
-        try:
-            while self.cycle < limit:
-                self.step()
-                if self.injection.finished(self, self.cycle - 1):
-                    break
-            else:
-                raise CycleLimitExceeded(
-                    f"simulation exceeded {limit} cycles with no end in "
-                    f"sight: {self.active} of {self.injected_count} "
-                    f"injected packets still in flight "
-                    f"({self.algorithm.name}; raise max_cycles or check "
-                    "for livelock)"
-                )
-        except SimulationHalt as h:
-            halt = h
-        occupancy = {}
-        if self.collect_occupancy:
-            occupancy = {
-                "mean": self.occupancy_mean(),
-                "peak": dict(self.occupancy_peak),
-            }
-        result = SimulationResult(
-            algorithm=self.algorithm.name,
-            topology=self.topology.name,
-            pattern=getattr(self.injection, "pattern", None).name
-            if getattr(self.injection, "pattern", None)
-            else "?",
-            injection=self.injection.name,
-            cycles=self.cycle,
-            injected=self.injected_count,
-            delivered=self.delivered_count,
-            latency=self.latency,
-            attempts=getattr(self.injection, "attempts", 0),
-            successes=getattr(self.injection, "successes", 0),
-            undelivered=self.active,
-            occupancy=occupancy,
-            halt=halt.reason if halt is not None else None,
-            undeliverable=halt.undeliverable if halt is not None else 0,
-        )
-        # Run-end observer hook (e.g. a telemetry probe folding its
-        # collected signals into result.telemetry).
-        for obs in self.observers:
-            hook = getattr(obs, "on_run_end", None)
-            if hook is not None:
-                hook(self, result)
-        return result

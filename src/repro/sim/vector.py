@@ -60,22 +60,31 @@ admission equals the sequential loop because rejected reads have no
 side effects.  The link cycle's class rotation is ``cycle % k`` per
 ``k``-class link — the same ``rotated`` the reference engine uses.
 
-**Selection.**  ``auto`` in
-:func:`~repro.experiments.runner.build_simulator` picks this engine for
+**Selection.**  ``vector``, the default of
+:func:`~repro.experiments.runner.build_simulator`, is this engine for
 every run: every algorithm and topology, with or without a telemetry
 probe (the paper tables, the other-topology sweeps and ``repro
 serve``).  Per-packet timelines are a view over the event log it
 writes (:class:`~repro.sim.trace.PacketTrace`).
+
+**Shared skeleton.**  Like the reference engine it derives from
+:class:`~repro.sim.engine.BaseSimulator`, which owns the run loop,
+bookkeeping, the observer loop and the stall path, and occupancy
+statistics; this module holds only the node and link cycles,
+injection, event buffering and the queue views
+(:meth:`~VectorSimulator.queue_lengths`,
+:meth:`~VectorSimulator.queue_packets`) that occupancy statistics,
+probes and snapshots read.
 
 **Limitations** (each raises a descriptive
 :class:`~repro.sim.tables.EngineCapabilityError` — the engine never
 silently degrades; see the engine matrix in ``docs/ARCHITECTURE.md``):
 
 * routing states must be hashable (interned to table ids);
-* no generic observer loop: the only observer accepted is a
-  :class:`~repro.telemetry.TelemetryProbe`, which this engine drives
-  itself (below).  Fault injectors and watchdogs need the reference
-  engine, which ``repro.faults.experiments.make_fault_simulator``
+* the only observer accepted is a
+  :class:`~repro.telemetry.TelemetryProbe`, which runs through the
+  shared observer loop.  Fault injectors and watchdogs need the
+  reference engine, which ``repro.faults.experiments.make_fault_simulator``
   always builds.
 
 **Telemetry.**  Events are buffered *columnar* during a cycle — per
@@ -99,9 +108,9 @@ builds depends on the sink:
   canonical order of :meth:`~repro.telemetry.events.EventLog.canonical`
   (JSONL output is byte-identical with the reference engine).
 
-Occupancy histograms are fed by one bulk update per sample
-(``Histogram.observe_array``) and the occupancy series row by row, at
-the same sampling points the probe's own ``on_cycle`` would use.
+The probe samples occupancy in its ``on_cycle`` from
+:meth:`~VectorSimulator.queue_lengths`, one bulk histogram update per
+sample (``Histogram.observe_array``), as on the reference engine.
 """
 
 from __future__ import annotations
@@ -114,15 +123,11 @@ import numpy as np
 from ..core.hops import DELIVER_STEP, MOVE_STEP, NO_STEP, SELF_STEP
 from ..core.routing_function import RoutingAlgorithm
 from ..telemetry.probe import TelemetryProbe, _MetricsSink
-from .engine import CycleLimitExceeded, DeadlockError
+from .engine import BaseSimulator
 from .injection import InjectionModel
-from .metrics import LatencyStats, SimulationResult
 from .tables import EngineCapabilityError, RoutingTables
 
 __all__ = ["VectorSimulator"]
-
-#: Rank larger than any rotating-policy slot rank (masks occupied slots).
-_NO_RANK = 1 << 40
 
 _EMPTY = np.empty(0, dtype=np.int64)
 
@@ -136,7 +141,7 @@ def _columns(chunks: list[tuple], width: int) -> tuple[np.ndarray, ...]:
     return tuple(np.concatenate(col) for col in zip(*chunks))
 
 
-class VectorSimulator:
+class VectorSimulator(BaseSimulator):
     """Table-driven engine; drop-in for :class:`PacketSimulator` runs."""
 
     def __init__(
@@ -146,25 +151,13 @@ class VectorSimulator:
         central_capacity: int = 5,
         stall_limit: int = 1000,
         collect_occupancy: bool = False,
-        occupancy_sample_every: int = 1,
-        policy: str = "paper",
         service: str = "fifo",
         tables: RoutingTables | None = None,
     ):
-        if policy not in ("paper", "rotating"):
-            raise ValueError("policy must be 'paper' or 'rotating'")
-        if service not in ("fifo", "lifo"):
-            raise ValueError("service must be 'fifo' or 'lifo'")
-        self.algorithm = algorithm
-        self.topology = algorithm.topology
-        self.injection = injection
-        self.central_capacity = central_capacity
-        self.stall_limit = stall_limit
-        self.collect_occupancy = collect_occupancy
-        self.occupancy_sample_every = occupancy_sample_every
-        self.policy = policy
-        self.service = service
-
+        super().__init__(
+            algorithm, injection, central_capacity, stall_limit,
+            collect_occupancy, service,
+        )
         self.tables = (
             tables if tables is not None else RoutingTables(algorithm)
         )
@@ -172,8 +165,7 @@ class VectorSimulator:
             raise ValueError("tables were built for a different algorithm")
         t = self.tables
 
-        #: Node labels in reference order (injection models iterate this).
-        self.nodes: list[Hashable] = t.nodes
+        self.nodes = t.nodes
         # Link-cycle score scratch per slot, in the class columns'
         # dtype, zero between cycles: only the first slots of links
         # with a ready class ever touch it.
@@ -242,20 +234,6 @@ class VectorSimulator:
         # transitions from it as the sink's per-uid last kind would.
         self._mkind = np.empty(cap0, dtype=np.int8)
 
-        # Bookkeeping (same contract as the reference engine).
-        self.cycle = 0
-        self.injected_count = 0
-        self.delivered_count = 0
-        self.active = 0
-        self.latency = LatencyStats()
-        self.measure_from = getattr(injection, "warmup", 0)
-        self._last_progress = 0
-        self.dead_nodes: frozenset = frozenset()
-        self.blocked_links: frozenset = frozenset()
-        self._events = None  # sink installed by TelemetryProbe.attach
-        self._probe = None
-        self._recording = False
-
         # Columnar event buffers: per event kind, the current cycle's
         # chunks of equal-length column arrays (flushed every cycle, so
         # every buffered event belongs to the cycle being stepped).
@@ -265,10 +243,10 @@ class VectorSimulator:
         self._ev_deliver: list[tuple] = []  # (mi,)
         self._qkind_code = None  # int8 kind code per queue, on first use
 
-        # Occupancy accounting (engine-level collect_occupancy).
-        self._occ_sum = None
-        self._occ_peak = None
-        self.occupancy_samples = 0
+    @property
+    def _recording(self) -> bool:
+        """Whether a sink is installed (``TelemetryProbe.attach``)."""
+        return self._events is not None
 
     @property
     def link_classes(self) -> dict[tuple, tuple[str, ...]]:
@@ -276,18 +254,31 @@ class VectorSimulator:
         return self.tables.link_classes
 
     # ------------------------------------------------------------------
-    # Observer interface (telemetry probes only)
+    # Observers (telemetry probes only) and queue views
     # ------------------------------------------------------------------
     def add_observer(self, observer) -> None:
         """Accept a telemetry probe; reject everything else loudly."""
-        if isinstance(observer, TelemetryProbe):
-            self._probe = observer
-            return
-        raise EngineCapabilityError(
-            f"the vector engine has no generic observer loop and cannot "
-            f"attach {type(observer).__name__}; fault injectors and "
-            "watchdogs need engine='reference' (see docs/ARCHITECTURE.md)"
-        )
+        if not isinstance(observer, TelemetryProbe):
+            raise EngineCapabilityError(
+                f"the vector engine only runs telemetry probes and cannot "
+                f"attach {type(observer).__name__}; fault injectors and "
+                "watchdogs need engine='reference' (see docs/ARCHITECTURE.md)"
+            )
+        super().add_observer(observer)
+
+    def queue_lengths(self) -> np.ndarray:
+        return self._qcount[:-1]
+
+    def queue_packets(self, q: int) -> list[tuple[Hashable, object]]:
+        # Rows are compacted between steps: the live entries lead.
+        t = self.tables
+        mis = self._qbuf[q, : self._qcount[q]]
+        return [
+            (t.nodes[d], t.states[sid])
+            for d, sid in zip(
+                self._mdst[mis].tolist(), self._mstate[mis].tolist()
+            )
+        ]
 
     # ------------------------------------------------------------------
     # Growable storage
@@ -385,15 +376,7 @@ class VectorSimulator:
     # ------------------------------------------------------------------
     # One routing cycle
     # ------------------------------------------------------------------
-    def step(self) -> None:
-        cycle = self.cycle
-        # The sink is installed by attach() after construction.
-        self._recording = self._events is not None
-        probe = self._probe
-        if probe is not None and probe.enabled:
-            if cycle % probe.occupancy_every == 0:
-                self._probe_sample(probe)
-        self.injection.attempt(self, cycle)
+    def _route_cycle(self, cycle: int) -> None:
         busy = np.flatnonzero(self._load)
         if busy.size:
             self._fill_batch(busy, cycle)
@@ -401,18 +384,6 @@ class VectorSimulator:
         self._link_cycle(cycle)
         if self._recording:
             self._flush_events()
-        if self.collect_occupancy and cycle % self.occupancy_sample_every == 0:
-            self._sample_occupancy()
-        self.cycle += 1
-        if (
-            self.active > 0
-            and self.cycle - self._last_progress > self.stall_limit
-        ):
-            raise DeadlockError(
-                f"no progress for {self.stall_limit} cycles at cycle "
-                f"{self.cycle} with {self.active} active packets "
-                f"({self.algorithm.name})"
-            )
 
     # -- node cycle, part 1: queues -> output buffers + internal moves ----
     def _fill_batch(self, busy: np.ndarray, cycle: int) -> None:
@@ -463,11 +434,6 @@ class VectorSimulator:
 
         # Output-slot claims, group by group: a node's earlier groups
         # take their slots first.
-        rotating = self.policy == "rotating"
-        if rotating:
-            nodes = busy[b_of]
-            n_keys = np.maximum(t.node_out_count[nodes], 1)[:, None]
-            rank = (cand - t.node_out_start[nodes][:, None] - cycle) % n_keys
         picked = []
         every = np.arange(nb)
         a = 0
@@ -476,12 +442,9 @@ class VectorSimulator:
                 continue
             c = cand[a:b]
             free = out[c] == -1
-            if rotating:
-                pick = np.where(free, rank[a:b], _NO_RANK).argmin(axis=1)
-            else:
-                # "paper": slot-ascending, first free wins (rows are
-                # slot-sorted, padding sorts last).
-                pick = free.argmax(axis=1)
+            # Slot-ascending, first free wins (rows are slot-sorted,
+            # padding sorts last).
+            pick = free.argmax(axis=1)
             got = free[every[: b - a], pick].nonzero()[0]
             if got.size:
                 jg = pick[got]
@@ -767,59 +730,7 @@ class VectorSimulator:
             cycle - injected[injected >= self.measure_from]
         )
 
-    def _sample_occupancy(self) -> None:
-        lens = self._qcount[:-1]
-        if self._occ_sum is None:
-            self._occ_sum = np.zeros(self.tables.n_queues, dtype=np.int64)
-            self._occ_peak = np.zeros(self.tables.n_queues, dtype=np.int64)
-        self._occ_sum += lens
-        np.maximum(self._occ_peak, lens, out=self._occ_peak)
-        self.occupancy_samples += 1
-
-    def occupancy_mean(self) -> dict[tuple[Hashable, str], float]:
-        if not self.occupancy_samples:
-            return {}
-        t = self.tables
-        return {
-            (t.nodes[ui], kind): int(total) / self.occupancy_samples
-            for ui, kind, total in zip(
-                t.queue_node.tolist(), t.queue_kind, self._occ_sum.tolist()
-            )
-        }
-
-    def _occupancy_peaks(self) -> dict[tuple[Hashable, str], int]:
-        # The reference engine only records queues seen occupied.
-        if self._occ_peak is None:
-            return {}
-        t = self.tables
-        seen = np.flatnonzero(self._occ_peak)
-        return {
-            (t.nodes[ui], t.queue_kind[q]): peak
-            for q, ui, peak in zip(
-                seen.tolist(),
-                t.queue_node[seen].tolist(),
-                self._occ_peak[seen].tolist(),
-            )
-        }
-
     # -- telemetry ---------------------------------------------------------
-    def _probe_sample(self, probe) -> None:
-        lens = self._qcount[:-1]
-        hist = probe._occ_hist
-        if hist is not None:
-            hist.observe_array(lens)
-        if probe.series_enabled:
-            # Queue ids are node-major in reference order, so this is
-            # the generic engines' (node, kind) sampling order.
-            c = self.cycle
-            labels = self.tables.queue_objs
-            probe.occupancy_series.extend(
-                (c, u, kind, occ)
-                for (u, kind), occ in zip(labels, lens.tolist())
-            )
-        if probe._inflight is not None:
-            probe._inflight.set(self.active)
-
     def _materialize_events(self) -> list[tuple]:
         """Buffered columns -> canonical raw event tuples.
 
@@ -935,53 +846,3 @@ class VectorSimulator:
                     sink.append(ev)
         for buf in bufs:
             buf.clear()
-
-    # ------------------------------------------------------------------
-    # Full runs
-    # ------------------------------------------------------------------
-    def run(self, max_cycles: int | None = None) -> SimulationResult:
-        """Run until the injection model reports completion.
-
-        Same contract as :meth:`PacketSimulator.run`, minus observer
-        halts (the vector engine attaches no fault observers).
-        """
-        self.injection.setup(self)
-        limit = max_cycles if max_cycles is not None else 10_000_000
-        while self.cycle < limit:
-            self.step()
-            if self.injection.finished(self, self.cycle - 1):
-                break
-        else:
-            raise CycleLimitExceeded(
-                f"simulation exceeded {limit} cycles with no end in "
-                f"sight: {self.active} of {self.injected_count} "
-                f"injected packets still in flight "
-                f"({self.algorithm.name}; raise max_cycles or check "
-                "for livelock)"
-            )
-        occupancy = {}
-        if self.collect_occupancy:
-            occupancy = {
-                "mean": self.occupancy_mean(),
-                "peak": self._occupancy_peaks(),
-            }
-        result = SimulationResult(
-            algorithm=self.algorithm.name,
-            topology=self.topology.name,
-            pattern=getattr(self.injection, "pattern", None).name
-            if getattr(self.injection, "pattern", None)
-            else "?",
-            injection=self.injection.name,
-            cycles=self.cycle,
-            injected=self.injected_count,
-            delivered=self.delivered_count,
-            latency=self.latency,
-            attempts=getattr(self.injection, "attempts", 0),
-            successes=getattr(self.injection, "successes", 0),
-            undelivered=self.active,
-            occupancy=occupancy,
-        )
-        if self._probe is not None:
-            # Every step flushed its own events; only the summary is left.
-            self._probe.on_run_end(self, result)
-        return result

@@ -1,17 +1,16 @@
 """The engine observer that ties the telemetry layer together.
 
-:class:`TelemetryProbe` plugs into any engine exposing the
-``add_observer`` interface (the reference simulator; the vector
-engine accepts a probe and drives it itself) and
+:class:`TelemetryProbe` plugs into either engine's observer loop
+(``add_observer``; the vector engine accepts no other observer) and
 
 * installs an event sink (``sim._events``) the engine feeds raw event
   tuples through — a full :class:`~repro.telemetry.events.EventLog`
   when ``events=True``, or a streaming metrics-only sink (O(1) memory)
   when ``events=False``, which the vector engine feeds per-cycle
   columns instead of tuples;
-* samples per-queue occupancy every ``occupancy_every`` cycles into a
-  histogram and, optionally, a ``(cycle, node, kind, occupancy)`` time
-  series for the CSV exporter;
+* samples per-queue occupancy (the engine's ``queue_lengths()``) every
+  ``occupancy_every`` cycles into a histogram and, optionally, a
+  ``(cycle, node, kind, occupancy)`` time series for the CSV exporter;
 * watches the fault set the fault injector installs (``sim.faults``)
   and emits an ``epoch`` event whenever it changes (a stalled link
   that dies counts, though ``sim.blocked_links`` stays the same), plus
@@ -277,7 +276,7 @@ class TelemetryProbe:
             tables.n_links if tables is not None else len(sim.link_classes)
         )
         # Only the reference engine runs a fault injector.
-        self._faults = getattr(sim, "faults", None)
+        self._faults = sim.faults
         if self.events:
             sim._events = self.log.raw
         else:
@@ -459,12 +458,11 @@ class TelemetryProbe:
                     sink.append(("drop", cycle, msg.uid, u, "node-down"))
 
     def _sample(self, sim, cycle: int) -> None:
-        occ_hist = self._occ_hist
-        series = self.occupancy_series if self.series_enabled else None
-        for u in sim.nodes:
-            for kind, q in sim.central[u].items():
-                occ = len(q)
-                occ_hist.observe(occ)
-                if series is not None:
-                    series.append((cycle, u, kind, occ))
+        lens = sim.queue_lengths()
+        self._occ_hist.observe_array(lens)
+        if self.series_enabled:
+            self.occupancy_series.extend(
+                (cycle, u, kind, occ)
+                for (u, kind), occ in zip(sim.queue_keys(), lens.tolist())
+            )
         self._inflight.set(sim.active)

@@ -1,9 +1,10 @@
 """On-demand state snapshots of a running simulator.
 
 These are pull-style companions to the push-style event log: given a
-live reference engine (its ``central`` / ``inj`` / link-buffer
-state), they answer "what does the network
-look like *right now*?".
+live simulator of either engine, they answer "what does the network
+look like *right now*?".  They read its central queues through the
+engine's queue views, in queue-id order: ``queue_keys()``,
+``queue_lengths()`` and ``queue_packets(q)``.
 
 * :func:`queue_occupancy_snapshot` — occupancy of every central queue;
 * :func:`wait_for_graph` — the directed wait-for graph over central
@@ -29,11 +30,7 @@ if TYPE_CHECKING:
 
 def queue_occupancy_snapshot(sim) -> dict[tuple[Hashable, str], int]:
     """Current occupancy of every central queue, keyed ``(node, kind)``."""
-    out: dict[tuple[Hashable, str], int] = {}
-    for u in sim.nodes:
-        for kind, q in sim.central[u].items():
-            out[(u, kind)] = len(q)
-    return out
+    return dict(zip(sim.queue_keys(), sim.queue_lengths().tolist()))
 
 
 def wait_for_graph(
@@ -49,21 +46,20 @@ def wait_for_graph(
     """
     import networkx as nx
 
-    alg = sim.algorithm
+    hops = sim.algorithm.hops
     cap = sim.central_capacity
+    keys = sim.queue_keys()
+    lens = sim.queue_lengths().tolist()
+    full = {key for key, n in zip(keys, lens) if n >= cap}
     g = nx.DiGraph()
-    for u in sim.nodes:
-        if u in dead_nodes:
+    for q, (u, kind) in enumerate(keys):
+        if not lens[q] or u in dead_nodes:
             continue
-        for kind, q in sim.central[u].items():
-            q_id = QueueId(u, kind)
-            for msg in q:
-                for q2 in alg.hops(q_id, msg.dst, msg.state):
-                    if not q2.is_central or q2 == q_id:
-                        continue
-                    target = sim.central.get(q2.node, {}).get(q2.kind)
-                    if target is not None and len(target) >= cap:
-                        g.add_edge(q_id, q2)
+        q_id = QueueId(u, kind)
+        for dst, state in sim.queue_packets(q):
+            for q2 in hops(q_id, dst, state):
+                if q2 != q_id and q2 in full:
+                    g.add_edge(q_id, q2)
     return g
 
 

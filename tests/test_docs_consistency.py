@@ -97,7 +97,7 @@ def test_every_engine_documented_in_architecture():
             f"engine {engine!r} missing from docs/ARCHITECTURE.md"
         )
     rows = set(re.findall(r"^\|\s*`([a-z]+)`\s*\|", text, re.MULTILINE))
-    assert rows == set(ENGINES) - {"auto"}, (
+    assert rows == set(ENGINES), (
         f"docs/ARCHITECTURE.md matrix rows {sorted(rows)} != concrete "
         f"engines"
     )

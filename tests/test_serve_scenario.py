@@ -107,6 +107,7 @@ def test_duplicate_population_names_rejected():
 def test_bad_engine_and_policy_rejected():
     rejects(base_raw(engine="sharded"), "scenario.engine")
     rejects(base_raw(engine="warp"), "scenario.engine")
+    rejects(base_raw(engine="auto"), "scenario.engine")
     raw = base_raw(service={"admission": {"policy": "lifo"}})
     rejects(raw, "service.admission.policy")
 
@@ -148,7 +149,7 @@ def test_load_shape_kind_specific_fields_enforced():
 def test_defaults_fill_in():
     s = parse_scenario(base_raw())
     assert isinstance(s, Scenario)
-    assert s.engine == "auto" and s.engine in SERVE_ENGINES
+    assert s.engine == "vector" and s.engine in SERVE_ENGINES
     assert s.algorithm == "adaptive"
     assert s.service.admission.policy in ADMISSION_POLICIES
     assert s.populations[0].qos == "default"

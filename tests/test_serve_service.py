@@ -144,7 +144,7 @@ def test_record_mode_byte_identical_across_runs_and_engines():
 
 
 def test_auto_engine_serves():
-    svc = run_service(engine=None)  # scenario default: auto
+    svc = run_service(engine=None)  # the scenario default, vector
     assert svc.result.injected == svc.result.delivered
 
 

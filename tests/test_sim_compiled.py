@@ -9,8 +9,8 @@ one sorted key index.  This suite runs the vector engine on exactly
 that path — no kernel (``use_kernel=False``) — and requires it to be
 *packet-for-packet identical* to :class:`PacketSimulator` on the mesh,
 torus, shuffle-exchange, hypercube and CCC: same latency multiset, same
-cycle counts, same injection statistics, for FIFO/LIFO service,
-paper/rotating buffer policy and any central-queue capacity.
+cycle counts, same injection statistics, for FIFO/LIFO service and
+any central-queue capacity.
 ``tests/test_sim_vector.py`` runs the same cases on the kernel rows.
 """
 
@@ -119,18 +119,6 @@ def test_lifo_service_identical(key):
     assert_identical(ref, compiled)
 
 
-@pytest.mark.parametrize("key", ["mesh", "torus", "shuffle"])
-def test_rotating_policy_identical(key):
-    ref, compiled = run_both(
-        key,
-        lambda t: DynamicInjection(
-            0.7, RandomTraffic(t), make_rng(3), duration=200, warmup=50
-        ),
-        policy="rotating",
-    )
-    assert_identical(ref, compiled)
-
-
 def test_small_capacity_identical():
     ref, compiled = run_both(
         "torus",
@@ -200,15 +188,13 @@ def test_property_identical_static(key, packets, seed, capacity, service):
     key=st.sampled_from(["mesh", "torus", "shuffle"]),
     seed=st.integers(0, 10_000),
     rate=st.sampled_from([0.3, 0.7, 1.0]),
-    policy=st.sampled_from(["paper", "rotating"]),
 )
-def test_property_identical_dynamic(key, seed, rate, policy):
+def test_property_identical_dynamic(key, seed, rate):
     ref, compiled = run_both(
         key,
         lambda t: DynamicInjection(
             rate, RandomTraffic(t), make_rng(seed), duration=120, warmup=30
         ),
-        policy=policy,
     )
     assert_identical(ref, compiled)
 

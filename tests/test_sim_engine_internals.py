@@ -48,8 +48,9 @@ def place(sim, node, kind, src, dst):
 
 
 def test_invalid_policy_and_service_rejected():
-    with pytest.raises(ValueError):
-        make_sim(policy="bogus")
+    # Output buffers fill low to high dimension: there is no policy knob.
+    with pytest.raises(TypeError):
+        make_sim(policy="paper")
     with pytest.raises(ValueError):
         make_sim(service="bogus")
 
@@ -165,14 +166,6 @@ def test_capacity_blocks_queue_entry():
     # After the occupant leaves, the packet gets in.
     sim.step()
     assert waiting in sim.central[0b001]["A"]
-
-
-def test_rotating_policy_still_delivers_everything():
-    cube = Hypercube(4)
-    alg = HypercubeAdaptiveRouting(cube)
-    inj = StaticInjection(3, RandomTraffic(cube), make_rng(0))
-    res = PacketSimulator(alg, inj, policy="rotating").run(max_cycles=50_000)
-    assert res.delivered == res.injected
 
 
 def test_mesh_engine_integration_small():

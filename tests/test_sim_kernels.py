@@ -817,12 +817,9 @@ def test_saturated_batched_event_logs_byte_identical(key):
 CUBE_CASES = {
     "hung": dict(alg_cls=HypercubeHungRouting),
     "oblivious": dict(alg_cls=HypercubeObliviousRouting),
-    "rotating": dict(policy="rotating"),
     "lifo": dict(service="lifo"),
     "capacity-1": dict(central_capacity=1),
-    "oblivious-rotating-lifo": dict(
-        alg_cls=HypercubeObliviousRouting, policy="rotating", service="lifo"
-    ),
+    "oblivious-lifo": dict(alg_cls=HypercubeObliviousRouting, service="lifo"),
 }
 
 

@@ -4,14 +4,15 @@
 reference :class:`PacketSimulator` on every topology — same latency
 multiset, same cycle counts, same injection statistics — for every
 engine configuration the vector engine supports (FIFO/LIFO service,
-paper/rotating buffer policy, any central-queue capacity) — plus the
-table-compilation edge cases: single-node networks, packets injected at
-their own destination, dynamic-link transitions mid-cycle, the
-capability errors the engine raises instead of silently degrading, and
-engine selection (``REPRO_ENGINE`` and ``auto``).
+any central-queue capacity) — plus the table-compilation edge cases:
+single-node networks, packets injected at their own destination,
+dynamic-link transitions mid-cycle, the capability errors the engine
+raises instead of silently degrading, and engine selection
+(``REPRO_ENGINE`` and the default).
 """
 
 from collections import deque
+from itertools import product
 
 import numpy as np
 import pytest
@@ -123,18 +124,6 @@ def test_lifo_service_identical(key):
     assert_identical(ref, vec)
 
 
-@pytest.mark.parametrize("key", ["mesh", "torus", "shuffle"])
-def test_rotating_policy_identical(key):
-    ref, vec = run_both(
-        key,
-        lambda t: DynamicInjection(
-            0.7, RandomTraffic(t), make_rng(3), duration=200, warmup=50
-        ),
-        policy="rotating",
-    )
-    assert_identical(ref, vec)
-
-
 def test_small_capacity_identical():
     ref, vec = run_both(
         "torus",
@@ -145,7 +134,7 @@ def test_small_capacity_identical():
 
 
 def test_occupancy_sampling_identical():
-    kw = dict(collect_occupancy=True, occupancy_sample_every=2)
+    kw = dict(collect_occupancy=True)
     ref, vec = run_both(
         "mesh",
         lambda t: StaticInjection(3, RandomTraffic(t), make_rng(5)),
@@ -349,9 +338,9 @@ def test_engine_env_override(monkeypatch):
     exp = HypercubeExperiment(pattern="random", injection="static", seed=1)
     monkeypatch.setenv("REPRO_ENGINE", "reference")
     assert type(exp.build(4)) is PacketSimulator
-    monkeypatch.setenv("REPRO_ENGINE", "auto")
-    assert type(exp.build(4)) is VectorSimulator
-    for retired in ("compiled", "warp"):
+    monkeypatch.delenv("REPRO_ENGINE")
+    assert type(exp.build(4)) is VectorSimulator  # the default
+    for retired in ("auto", "compiled", "warp"):
         monkeypatch.setenv("REPRO_ENGINE", retired)
         with pytest.raises(ValueError):
             exp.build(4)
@@ -386,16 +375,21 @@ AUTO_SCHEMES = {
 
 
 @pytest.mark.parametrize("scheme", sorted(AUTO_SCHEMES))
-def test_auto_is_vector_for_every_scheme_and_reference_for_trace(scheme):
-    """``auto`` is the vector engine for every scheme; per-packet
-    traces are a view over either engine's event log, so they no
-    longer send ``auto`` to the reference engine."""
+def test_auto_is_vector_for_every_scheme_and_reference_for_trace(
+    scheme, monkeypatch
+):
+    """The default engine (the retired ``auto``) is the vector engine
+    for every scheme; per-packet traces are a view over either engine's
+    event log, so they no longer send the default to the reference
+    engine."""
     from repro.experiments import build_simulator
+
+    monkeypatch.delenv("REPRO_ENGINE", raising=False)
 
     def build(**kwargs):
         alg = AUTO_SCHEMES[scheme]()
         inj = StaticInjection(1, RandomTraffic(alg.topology), make_rng(0))
-        return build_simulator(alg, inj, engine="auto", **kwargs)
+        return build_simulator(alg, inj, **kwargs)
 
     assert type(build()) is VectorSimulator
 
@@ -637,15 +631,13 @@ def test_property_identical_static(key, packets, seed, capacity, service):
     seed=st.integers(0, 10_000),
     # 0.02: a few busy nodes per cycle, the sparsest regime.
     rate=st.sampled_from([0.02, 0.3, 0.7, 1.0]),
-    policy=st.sampled_from(["paper", "rotating"]),
 )
-def test_property_identical_dynamic(key, seed, rate, policy):
+def test_property_identical_dynamic(key, seed, rate):
     ref, vec = run_both(
         key,
         lambda t: DynamicInjection(
             rate, RandomTraffic(t), make_rng(seed), duration=120, warmup=30
         ),
-        policy=policy,
     )
     assert_identical(ref, vec)
 
@@ -809,18 +801,31 @@ def _enqueues(log, uid):
     ]
 
 
-@pytest.mark.parametrize("capacity", [1, 2])
-@pytest.mark.parametrize("policy", ["paper", "rotating"])
-@pytest.mark.parametrize("service", ["fifo", "lifo"])
-@pytest.mark.parametrize("delivery", ["ahead", "behind"])
+def _paper_order_cases(*axes):
+    """Every combination of ``axes``; each case id names the fill order,
+    ``paper`` (the paper's output-buffer order, the only one the engines
+    have), before the last axis."""
+    return [
+        pytest.param(
+            *case,
+            id="-".join(map(str, case[:-1] + ("paper",) + case[-1:])),
+        )
+        for case in product(*axes)
+    ]
+
+
+@pytest.mark.parametrize(
+    "delivery, service, capacity",
+    _paper_order_cases(["ahead", "behind"], ["fifo", "lifo"], [1, 2]),
+)
 def test_switch_sees_same_cycle_delivery_in_sweep_order(
-    delivery, service, policy, capacity
+    delivery, service, capacity
 ):
     """Node 0's ``B`` is full at cycle 4 while its head delivers and
     ``A``'s head switches to ``B``.  The switch finds room only when
     the delivery is swept first: queue order (B, A) puts it ahead,
     (A, B) behind.  Hop traffic afterwards runs through the output
-    slot policy."""
+    slots."""
     kinds = ("B", "A") if delivery == "ahead" else ("A", "B")
     plan = [(0, 0, 0, ("b", 3))]  # y: delivers at cycle 4
     if capacity == 2:
@@ -828,8 +833,7 @@ def test_switch_sees_same_cycle_delivery_in_sweep_order(
     plan.append((2, 0, 0, ("a", 1)))  # x: switches from cycle 4 on
     plan += [(c, 0, 1, ("h", 0)) for c in range(8, 14)]
     ref, vec = _scripted_logs(
-        kinds, plan, central_capacity=capacity, service=service,
-        policy=policy,
+        kinds, plan, central_capacity=capacity, service=service
     )
     assert vec.to_jsonl() == ref.to_jsonl()
     x = capacity  # uids count from 0 in plan order
@@ -880,12 +884,10 @@ class _UnevenRouting(_ScriptedRouting):
         return super().injection_targets(src, dst, state)
 
 
-@pytest.mark.parametrize("capacity", [1, 2])
-@pytest.mark.parametrize("policy", ["paper", "rotating"])
-@pytest.mark.parametrize("service", ["fifo", "lifo"])
-def test_uneven_queue_layout_event_logs_byte_identical(
-    service, policy, capacity
-):
+@pytest.mark.parametrize(
+    "service, capacity", _paper_order_cases(["fifo", "lifo"], [1, 2])
+)
+def test_uneven_queue_layout_event_logs_byte_identical(service, capacity):
     """Nodes with two and three central queues share one batched fill.
     At each node, ``B``'s head delivers at cycle 4 and ``A``'s head
     moves to ``B`` in the same cycle; then two-target injections
@@ -904,7 +906,7 @@ def test_uneven_queue_layout_event_logs_byte_identical(
     plan += [(c, u, 1 - u, ("m", 0)) for c in range(6, 14) for u in (0, 1)]
     ref, vec = _scripted_logs(
         ("B", "A"), plan, alg_cls=_UnevenRouting, model_cls=_Backlog,
-        central_capacity=capacity, service=service, policy=policy,
+        central_capacity=capacity, service=service,
     )
     assert vec.to_jsonl() == ref.to_jsonl()
     records = vec.records()
@@ -1026,20 +1028,20 @@ def test_batched_cycle_gathers_rows_once(key, monkeypatch):
 # ----------------------------------------------------------------------
 # Occupied link slots: the link and read phases' working sets
 # ----------------------------------------------------------------------
-#: ``(topology, injection, capacity, service, policy)``: per topology two
-#: runs between them cover both capacities, services, buffer policies
-#: and injection models (static, and dynamic at lambda = 1).
+#: ``(topology, injection, capacity, service)``: per topology two runs
+#: between them cover both capacities, services and injection models
+#: (static, and dynamic at lambda = 1).
 OCCUPIED_CASES = [
-    ("hypercube", "static", 1, "fifo", "paper"),
-    ("hypercube", "dynamic", 5, "lifo", "rotating"),
-    ("mesh", "dynamic", 1, "lifo", "paper"),
-    ("mesh", "static", 5, "fifo", "rotating"),
-    ("torus", "dynamic", 5, "fifo", "paper"),
-    ("torus", "static", 1, "lifo", "rotating"),
-    ("shuffle", "dynamic", 1, "fifo", "rotating"),
-    ("shuffle", "static", 5, "lifo", "paper"),
-    ("ccc", "dynamic", 5, "lifo", "paper"),
-    ("ccc", "static", 1, "fifo", "rotating"),
+    ("hypercube", "static", 1, "fifo"),
+    ("hypercube", "dynamic", 5, "lifo"),
+    ("mesh", "dynamic", 1, "lifo"),
+    ("mesh", "static", 5, "fifo"),
+    ("torus", "dynamic", 5, "fifo"),
+    ("torus", "static", 1, "lifo"),
+    ("shuffle", "dynamic", 1, "fifo"),
+    ("shuffle", "static", 5, "lifo"),
+    ("ccc", "dynamic", 5, "lifo"),
+    ("ccc", "static", 1, "fifo"),
 ]
 
 
@@ -1099,13 +1101,13 @@ def _occupancy_checked_logs(network, injection, seed, **kw):
 
 
 @pytest.mark.parametrize(
-    "case", OCCUPIED_CASES, ids=lambda c: "-".join(map(str, c))
+    "case", OCCUPIED_CASES, ids=lambda c: "-".join(map(str, c + ("paper",)))
 )
 def test_occupied_slot_arrays_track_the_buffers(case):
-    key, injection, capacity, service, policy = case
+    key, injection, capacity, service = case
     (ref, vec), contested = _occupancy_checked_logs(
         TOPOLOGIES[key], injection, seed=len(key) * 7 + capacity,
-        central_capacity=capacity, service=service, policy=policy,
+        central_capacity=capacity, service=service,
     )
     assert vec == ref
     if injection == "dynamic":

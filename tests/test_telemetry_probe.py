@@ -85,21 +85,22 @@ def test_occupancy_sampling_stride():
     assert all(c % 4 == 0 for c in cycles)
 
 
-def test_auto_engine_with_telemetry_is_vector():
+def test_auto_engine_with_telemetry_is_vector(monkeypatch):
+    """The default engine (the retired ``auto``) with a probe is the
+    vector engine."""
     from repro.routing import TorusRouting
     from repro.sim import VectorSimulator
     from repro.topology import Torus
 
+    monkeypatch.delenv("REPRO_ENGINE", raising=False)
     topo = Hypercube(3)
     alg = HypercubeAdaptiveRouting(topo)
     model = StaticInjection(1, RandomTraffic(topo), make_rng(0))
-    sim = build_simulator(alg, model, engine="auto", telemetry=True)
+    sim = build_simulator(alg, model, telemetry=True)
     assert type(sim) is VectorSimulator
     topo = Torus((4, 4))
     model = StaticInjection(1, RandomTraffic(topo), make_rng(0))
-    sim = build_simulator(
-        TorusRouting(topo), model, engine="auto", telemetry=True
-    )
+    sim = build_simulator(TorusRouting(topo), model, telemetry=True)
     assert type(sim) is VectorSimulator
 
 
@@ -180,3 +181,40 @@ def test_wait_graph_empty_when_uncongested():
     assert g.number_of_edges() == 0
     assert probe.wait_cycle() is None
     assert isinstance(wait_for_graph(sim).number_of_nodes(), int)
+
+
+def test_snapshots_equal_across_engines_mid_run():
+    """Snapshots read either engine through its queue views: on a
+    saturated 4x4 mesh at equal seeds, the vector engine's occupancy
+    snapshot, wait-for edges and the probe's wait graph and wait cycle
+    equal the reference engine's, sampled every 10 cycles mid-run."""
+    from repro.routing import MeshAdaptiveRouting
+    from repro.sim import DynamicInjection, VectorSimulator
+    from repro.topology import Mesh
+
+    shots = {}
+    for engine in ("reference", "vector"):
+        topo = Mesh((4, 4))
+        model = DynamicInjection(
+            1.0, RandomTraffic(topo), make_rng(7), duration=200
+        )
+        probe = TelemetryProbe(events=False)
+        sim = build_simulator(
+            MeshAdaptiveRouting(topo), model, engine=engine,
+            telemetry=probe, central_capacity=1,
+        )
+        sim.injection.setup(sim)
+        shots[engine] = []
+        for _ in range(6):
+            for _ in range(10):
+                sim.step()
+            shots[engine].append((
+                queue_occupancy_snapshot(sim),
+                list(wait_for_graph(sim).edges),
+                list(probe.wait_graph().edges),
+                probe.wait_cycle(),
+            ))
+    assert type(sim) is VectorSimulator
+    assert shots["vector"] == shots["reference"]
+    assert all(any(occ.values()) for occ, *_ in shots["reference"])
+    assert any(edges for _, edges, _, _ in shots["reference"])
